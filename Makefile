@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet staticcheck build test race race-full alloc-gate bench bench-go chaos recovery scaling loss topo tenants bypass ci
+.PHONY: all fmt vet staticcheck build test race race-full alloc-gate bench bench-go chaos recovery scaling loss topo tenants bypass perfbench ci
 
 all: build
 
@@ -41,9 +41,10 @@ race-full:
 # dma_map/dma_unmap under every scheme, a full RX segment through the pooled
 # skb path (with and without the multi-tenant capability gate installed), a
 # full ARQ loss-recovery cycle (fast retransmit included), the capability
-# check itself, a ticker start/stop storm, the idle bypass busy-poll tick and
-# a segment through the virtqueue harvest/repost cycle must not touch the Go
-# heap in steady state. Runs in seconds; CI fails on any regression.
+# check itself, a ticker start/stop storm, the idle bypass busy-poll tick, a
+# segment through the virtqueue harvest/repost cycle and the netperf
+# generator's flow-control poll must not touch the Go heap in steady state.
+# Runs in seconds; CI fails on any regression.
 alloc-gate:
 	$(GO) test -run 'ZeroAlloc' -count=1 .
 
@@ -132,4 +133,11 @@ bypass:
 	$(GO) test -race -timeout 15m -run 'TestBypass|TestVirtqueue' \
 		./internal/device/... ./internal/experiments/... .
 
-ci: fmt vet build race chaos recovery scaling loss topo tenants bypass
+# The repository benchmark's own tests (perfbench is a separate module): every
+# job's digest at the reference seed must match perfbench/digests.json, and
+# 1 vs 2 job and topology workers must agree — so a host-side change that
+# moves any simulated result fails here.
+perfbench:
+	cd perfbench && $(GO) test ./...
+
+ci: fmt vet build race chaos recovery scaling loss topo tenants bypass perfbench

@@ -19,6 +19,7 @@ import (
 	"github.com/asplos18/damn/internal/stats"
 	"github.com/asplos18/damn/internal/tenant"
 	"github.com/asplos18/damn/internal/testbed"
+	"github.com/asplos18/damn/internal/workloads"
 )
 
 // TestCancelStormZeroAlloc gates the engine's cancel-heavy ticker churn: a
@@ -134,6 +135,45 @@ func TestRXPathZeroAlloc(t *testing.T) {
 	}
 	if recv.Segments < 700 {
 		t.Fatalf("receiver saw %d segments; the path under test did not run", recv.Segments)
+	}
+}
+
+// TestGeneratorPollZeroAlloc gates the netperf generator's flow-control
+// poll: while its ring is parked past the pause limit, every 10 µs poll
+// only re-checks the ring and re-arms itself, which must not allocate (a
+// method value bound per re-arm once made most of a run's heap objects).
+func TestGeneratorPollZeroAlloc(t *testing.T) {
+	ma, err := testbed.NewMachine(testbed.MachineConfig{
+		Scheme:   testbed.SchemeDAMN,
+		MemBytes: 256 << 20,
+		Cores:    2,
+		RingSize: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No RX buffers are posted, so every segment the generator offers parks.
+	g, err := workloads.NewGenerator(ma, 0, 0, 1, ma.Model.SegmentSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	const poll = 10 * sim.Microsecond // the generator's poll interval
+	cycle := func() {
+		ma.Sim.Run(ma.Sim.Now() + poll)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if parked, err := ma.NIC.RXParked(0); err != nil || parked < 8 {
+		t.Fatalf("ring 0 parked %d segments (err %v); the poll under test would inject", parked, err)
+	}
+	events := ma.Sim.Processed()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("generator poll allocates %.1f/op, want 0", allocs)
+	}
+	if ma.Sim.Processed() < events+1000 {
+		t.Fatalf("%d events ran during measurement; the poll under test did not run", ma.Sim.Processed()-events)
 	}
 }
 

@@ -7,6 +7,7 @@
 //	          [-exp all|table1|fig2|fig4|fig5|fig6|table3|fig7|fig8|fig9|fig10|fig11|scaling|chaos|recovery|loss|cluster|tenants|bypass]
 //	          [-recovery] [-scaling] [-loss] [-cluster] [-tenants] [-bypass] [-topo-workers N]
 //	          [-faults P] [-fault-seed N] [-stats out.json] [-trace out.trace]
+//	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The default full-fidelity run takes a few minutes; -quick shrinks the
 // measurement windows for a fast smoke pass. -parallel N fans each figure's
@@ -18,7 +19,9 @@
 // metrics registry keyed "<figure>/<scheme>"; -trace writes a Chrome
 // trace_event file (load in chrome://tracing or Perfetto) with one process
 // per simulated machine and one thread per core — tracing shares one sink
-// across machines, so it forces a serial run.
+// across machines, so it forces a serial run. -cpuprofile and -memprofile
+// profile the simulator itself on the host clock (runtime/pprof CPU and
+// allocation profiles, for go tool pprof); they leave stdout unchanged.
 //
 // -faults P arms the deterministic fault-injection plane on every machine:
 // each fault kind (link drop/corrupt/duplicate/reorder, DMA faults,
@@ -103,7 +106,23 @@ func main() {
 	topoWorkers := flag.Int("topo-workers", 1, "host workers advancing a topology's machines in parallel (output is identical for any value)")
 	statsOut := flag.String("stats", "", "write per-figure metrics snapshots to this JSON file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of every simulated machine")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run (runtime/pprof) to this file")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile of the run (runtime/pprof) to this file")
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "profile: %v\n", err)
+		os.Exit(1)
+	}
+	// exit finishes the profiles first: os.Exit skips deferred calls.
+	exit := func(code int) {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
+			code = max(code, 1)
+		}
+		os.Exit(code)
+	}
 
 	opts := experiments.Options{Quick: *quick, Seed: *seed, Parallel: *parallel,
 		TopoWorkers: *topoWorkers,
@@ -153,7 +172,7 @@ func main() {
 		out, err := fig.Run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", fig.Name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Println(out)
 		// Wall-clock timing goes to stderr: stdout stays byte-identical
@@ -162,19 +181,19 @@ func main() {
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+		exit(2)
 	}
 	if *statsOut != "" {
 		if err := writeStats(*statsOut, snaps); err != nil {
 			fmt.Fprintf(os.Stderr, "stats: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("wrote %d metric snapshots to %s\n", len(snaps), *statsOut)
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, opts.Tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("wrote %d trace events to %s", opts.Tracer.Len(), *traceOut)
 		if d := opts.Tracer.Dropped(); d > 0 {
@@ -182,6 +201,7 @@ func main() {
 		}
 		fmt.Println()
 	}
+	exit(0)
 }
 
 func writeStats(path string, snaps map[string]stats.Snapshot) error {

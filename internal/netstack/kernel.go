@@ -67,25 +67,27 @@ func (k *Kernel) getSKB() *SKBuff {
 	return &SKBuff{k: k}
 }
 
-// getUserBuf pops a length-n user-copy destination from the pool when the
-// top buffer is big enough; the caller owns the contents entirely (every
-// byte of [0, n) is overwritten or zeroed by CopyToUser).
+// getUserBuf pops a user-copy destination with room for n bytes from the
+// pool when the top buffer is big enough, or makes a fresh one. A pooled
+// buffer's length is its watermark: every byte of its capacity at or past
+// the watermark is zero, so CopyToUser clears only below it (a fresh
+// buffer's watermark is 0).
 func (k *Kernel) getUserBuf(n int) []byte {
 	if m := len(k.userBufs); m > 0 && cap(k.userBufs[m-1]) >= n {
 		b := k.userBufs[m-1]
 		k.userBufs = k.userBufs[:m-1]
-		return b[:n]
+		return b
 	}
-	return make([]byte, n)
+	return make([]byte, 0, n)
 }
 
-// putUserBuf returns a user-copy buffer; the pool is bounded so a burst of
-// oversized copies cannot pin memory forever.
+// putUserBuf returns a user-copy buffer, sliced to its watermark; the pool
+// is bounded so a burst of oversized copies cannot pin memory forever.
 func (k *Kernel) putUserBuf(b []byte) {
 	if cap(b) == 0 || len(k.userBufs) >= 1024 {
 		return
 	}
-	k.userBufs = append(k.userBufs, b[:0])
+	k.userBufs = append(k.userBufs, b)
 }
 
 // SetStats attaches a metrics registry for kernel-level error accounting.

@@ -63,17 +63,23 @@ func TestRXEndToEndAllSchemes(t *testing.T) {
 func TestRXPayloadIntegrity(t *testing.T) {
 	// With a materialised payload, the user must read exactly what the
 	// device sent, whatever the scheme (shadow copies through its pool;
-	// DAMN delivers in place).
+	// DAMN delivers in place). A header-only segment delivered next reuses
+	// the same pooled user buffer and must read its header, then zeroes —
+	// none of the previous payload.
 	payload := make([]byte, 4096)
 	for i := range payload {
-		payload[i] = byte(i * 7)
+		payload[i] = byte(i*7) | 1
 	}
+	hdr := []byte("hdr:only")
+	headerOnly := make([]byte, len(payload))
+	copy(headerOnly, hdr)
 	for _, scheme := range testbed.AllSchemes {
 		t.Run(string(scheme), func(t *testing.T) {
 			ma := newMachine(t, scheme, 2)
-			var user []byte
+			var user [][]byte
 			ma.Driver.OnDeliver = func(task *sim.Task, ring int, skb *netstack.SKBuff) {
-				user = skb.CopyToUser(task, skb.Len())
+				// The copy is valid only until the skb is freed.
+				user = append(user, bytes.Clone(skb.CopyToUser(task, skb.Len())))
 				skb.Free(task)
 			}
 			if err := ma.FillAllRings(); err != nil {
@@ -83,8 +89,16 @@ func TestRXPayloadIntegrity(t *testing.T) {
 				Flow: 1, Len: len(payload), WritePayload: true, Payload: payload,
 			})
 			ma.Sim.RunUntilIdle()
-			if !bytes.Equal(user, payload) {
+			ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: len(payload), Header: hdr})
+			ma.Sim.RunUntilIdle()
+			if len(user) != 2 {
+				t.Fatalf("delivered %d segments, want 2", len(user))
+			}
+			if !bytes.Equal(user[0], payload) {
 				t.Fatalf("user data corrupted under %s", scheme)
+			}
+			if !bytes.Equal(user[1], headerOnly) {
+				t.Fatalf("header-only segment under %s reads %q..., want its header then zeroes", scheme, user[1][:32])
 			}
 		})
 	}
@@ -426,6 +440,126 @@ func TestCopyToUserPrefersSafePrefix(t *testing.T) {
 	// indistinguishable from a legitimate late DMA — either value is
 	// acceptable per §5.6.
 	skb.Free(nil)
+}
+
+// damnRXSKB builds a DAMN RX skb of logical length n whose first len(data)
+// bytes the device wrote (the rest is never materialised).
+func damnRXSKB(t *testing.T, ma *testbed.Machine, n int, data []byte) *netstack.SKBuff {
+	t.Helper()
+	skb, err := netstack.DmaAllocSKB(ma.Kernel, nil, testbed.NICDeviceID, n, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) > 0 {
+		v, _ := ma.Damn.IOVAOf(skb.HeadPA())
+		if _, err := ma.IOMMU.DMAWrite(testbed.NICDeviceID, v, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	skb.SetReceived(n, len(data))
+	return skb
+}
+
+// userCopy is one CopyToUser result, cloned before its skb was freed, plus
+// the identity of the pooled buffer it came from.
+type userCopy struct {
+	data []byte
+	buf  *byte
+}
+
+// copyAndFree runs the user copy of the whole skb and frees it, returning
+// the copy's pooled buffer to the kernel.
+func copyAndFree(skb *netstack.SKBuff) userCopy {
+	user := skb.CopyToUser(nil, skb.Len())
+	c := userCopy{data: bytes.Clone(user), buf: &user[0]}
+	skb.Free(nil)
+	return c
+}
+
+// checkCopy fails unless got is prefix followed by zeroes up to n bytes.
+func checkCopy(t *testing.T, what string, got []byte, prefix []byte, n int) {
+	t.Helper()
+	if len(got) != n {
+		t.Fatalf("%s: copied %d bytes, want %d", what, len(got), n)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) {
+		t.Fatalf("%s: prefix %q, want %q", what, got[:len(prefix)], prefix)
+	}
+	for i := len(prefix); i < n; i++ {
+		if got[i] != 0 {
+			t.Fatalf("%s: byte %d past the filled prefix is %#x, want 0", what, i, got[i])
+		}
+	}
+}
+
+// TestUserCopyRecycledBufferZeroTail pins the user-copy pool's watermark
+// rule: a recycled buffer clears only what earlier copies dirtied, yet every
+// copy must still read its filled prefix followed by exact zeroes.
+func TestUserCopyRecycledBufferZeroTail(t *testing.T) {
+	full := bytes.Repeat([]byte{0xa5}, 64<<10)
+	hdr := []byte("ETH|IPv4|TCP header bytes")
+
+	t.Run("after-full-64k-copy", func(t *testing.T) {
+		ma := newMachine(t, testbed.SchemeDAMN, 1)
+		var got []userCopy
+		ma.Driver.OnDeliver = func(task *sim.Task, ring int, skb *netstack.SKBuff) {
+			got = append(got, copyAndFree(skb))
+		}
+		if err := ma.FillAllRings(); err != nil {
+			t.Fatal(err)
+		}
+		ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: len(full), WritePayload: true, Payload: full})
+		ma.Sim.RunUntilIdle()
+		ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: len(full), Header: hdr})
+		ma.Sim.RunUntilIdle()
+		if len(got) != 2 {
+			t.Fatalf("delivered %d segments, want 2", len(got))
+		}
+		checkCopy(t, "materialised segment", got[0].data, full, len(full))
+		if got[1].buf != got[0].buf {
+			t.Fatal("header-only copy did not reuse the pooled buffer")
+		}
+		checkCopy(t, "header-only segment", got[1].data, hdr, len(full))
+	})
+
+	t.Run("short-then-longer", func(t *testing.T) {
+		// The short copy leaves the dirtied [its length, 64 KiB) span of
+		// the first copy behind it; the longer copy must not see it.
+		ma := newMachine(t, testbed.SchemeDAMN, 1)
+		short := bytes.Repeat([]byte{0x5a}, 1500)
+		first := copyAndFree(damnRXSKB(t, ma, len(full), full))
+		second := copyAndFree(damnRXSKB(t, ma, 4096, short))
+		third := copyAndFree(damnRXSKB(t, ma, len(full), hdr))
+		if second.buf != first.buf || third.buf != first.buf {
+			t.Fatal("copies did not share the pooled buffer")
+		}
+		checkCopy(t, "full copy", first.data, full, len(full))
+		checkCopy(t, "short copy", second.data, short, 4096)
+		checkCopy(t, "longer copy", third.data, hdr, len(full))
+	})
+
+	t.Run("damn-safe-prefix-past-header", func(t *testing.T) {
+		// The stack's accessor copies DamnHeaderBytes out of the device's
+		// reach; that safe prefix is longer than the header the device
+		// wrote, and the user copy takes all of it from the safe buffer.
+		ma := newMachine(t, testbed.SchemeDAMN, 1)
+		safeLen := ma.Model.DamnHeaderBytes
+		if safeLen <= len(hdr) {
+			t.Fatalf("DamnHeaderBytes %d does not extend past the %d-byte header", safeLen, len(hdr))
+		}
+		first := copyAndFree(damnRXSKB(t, ma, len(full), full))
+		skb := damnRXSKB(t, ma, len(full), hdr)
+		safe, err := skb.Access(nil, safeLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		safe = bytes.Clone(safe)
+		second := copyAndFree(skb)
+		if second.buf != first.buf {
+			t.Fatal("safe-prefix copy did not reuse the pooled buffer")
+		}
+		checkCopy(t, "safe-prefix copy", second.data, safe, len(full))
+	})
 }
 
 func TestSKBDoubleFreePanics(t *testing.T) {

@@ -52,8 +52,8 @@ type SKBuff struct {
 	freed bool
 
 	// userBuf is the pooled CopyToUser destination recorded for recycling
-	// when the skb is freed (first copy only; callers never use the slice
-	// past the skb's lifetime).
+	// when the skb is freed, sliced to its watermark (first copy only;
+	// callers never use the slice past the skb's lifetime).
 	userBuf []byte
 
 	// Flow tags the TCP flow the segment belongs to (demux key).
@@ -232,7 +232,13 @@ func (s *SKBuff) ensureSafe(t *sim.Task, n int) error {
 // reach it). Bytes already in the safe prefix come from there; the rest
 // comes straight from the head buffer, because any device write racing
 // this copy is indistinguishable from a write that happened while the
-// packet was still mapped (§5.6 RX argument).
+// packet was still mapped (§5.6 RX argument). Payload bytes that were
+// never materialised read as zeroes.
+//
+// The returned slice is read-only and valid until the skb is freed: it is
+// a pooled buffer whose zeroed tail the pool relies on (see getUserBuf),
+// so a caller that writes into it corrupts a later copy. The copy is
+// charged for all n bytes however few of them the host actually moves.
 func (s *SKBuff) CopyToUser(t *sim.Task, n int) []byte {
 	if n > s.dataLen {
 		n = s.dataLen
@@ -240,12 +246,8 @@ func (s *SKBuff) CopyToUser(t *sim.Task, n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	user := s.k.getUserBuf(n)
-	if s.userBuf == nil {
-		// Recorded for recycling when the skb is freed; a second copy on
-		// the same skb (never on the data path) is simply left to the GC.
-		s.userBuf = user
-	}
+	buf := s.k.getUserBuf(n)
+	user := buf[:n]
 	fromSafe := s.safeLen
 	if fromSafe > n {
 		fromSafe = n
@@ -266,9 +268,17 @@ func (s *SKBuff) CopyToUser(t *sim.Task, n int) []byte {
 			filled = end
 		}
 	}
-	// A recycled buffer carries the previous copy's bytes; the
-	// unmaterialised tail must still read as zeroes.
-	clear(user[filled:])
+	// Only [filled, watermark) can hold an earlier copy's bytes; once it
+	// is cleared everything past filled is zero, so filled is the
+	// buffer's new watermark.
+	if w := len(buf); w > filled {
+		clear(buf[filled:w])
+	}
+	if s.userBuf == nil {
+		// Recorded for recycling when the skb is freed; a second copy on
+		// the same skb (never on the data path) is simply left to the GC.
+		s.userBuf = buf[:filled]
+	}
 	perf.CPUCopy(t, s.k.MemBW, n, s.k.Model.CopyCyclesPerByte, s.k.Model.CopyMemFraction)
 	return user
 }

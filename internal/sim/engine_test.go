@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/asplos18/damn/internal/stats"
@@ -424,6 +425,143 @@ func TestEventPoolReuseKeepsDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("pooled runs diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestRandomizedPopOrder drives the engine with a random script — bursts of
+// events at equal times, tickers started and stopped mid-run (from inside
+// callbacks and between Run windows), and stop storms large enough to
+// trigger compaction — and checks that execution order is exactly a sort by
+// (at, seq): every entry ever queued runs once unless its ticker was
+// stopped, and no cancelled entry runs.
+func TestRandomizedPopOrder(t *testing.T) {
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine(seed)
+		var ran []key
+		queued := map[key]bool{}    // live entries the test expects to run
+		cancelled := map[key]bool{} // entries of stopped tickers
+		type tick struct {
+			next    key
+			stop    func()
+			stopped bool
+		}
+		var active []*tick
+		compactions := 0
+		budget := 5000 // entries the script may still queue
+
+		fire := func(k key) {
+			if e.Now() != k.at {
+				t.Fatalf("seed %d: entry %v ran at %v", seed, k, e.Now())
+			}
+			if !queued[k] {
+				t.Fatalf("seed %d: entry %v ran but is not queued (cancelled: %v)", seed, k, cancelled[k])
+			}
+			delete(queued, k)
+			ran = append(ran, k)
+		}
+		// Few distinct offsets, so many entries share an at.
+		offset := func() Time { return Time(rng.Intn(4)) * Microsecond }
+
+		var act func()
+		schedule := func() {
+			budget--
+			at := e.Now() + offset()
+			var k key
+			e.At(at, func() { fire(k); act() })
+			k = key{at, e.seq}
+			queued[k] = true
+		}
+		start := func() {
+			budget--
+			tk := &tick{}
+			period := Time(1+rng.Intn(3)) * Microsecond
+			tk.stop = e.Every(period, func() {
+				fire(tk.next)
+				act()
+				if !tk.stopped {
+					// The ticker re-enqueues right after this returns.
+					tk.next = key{e.Now() + period, e.seq + 1}
+					queued[tk.next] = true
+				}
+			})
+			tk.next = key{e.Now() + period, e.seq}
+			queued[tk.next] = true
+			active = append(active, tk)
+		}
+		stop := func(i int) {
+			tk := active[i]
+			active = append(active[:i], active[i+1:]...)
+			before := len(e.events)
+			tk.stopped = true
+			if queued[tk.next] {
+				delete(queued, tk.next)
+				cancelled[tk.next] = true
+			}
+			tk.stop()
+			if len(e.events) < before {
+				compactions++
+			}
+		}
+		act = func() {
+			if budget <= 0 {
+				return
+			}
+			switch r := rng.Intn(40); {
+			case r < 20:
+				for n := rng.Intn(3); n > 0; n-- {
+					schedule()
+				}
+			case r < 28:
+				start()
+			case r < 36:
+				if len(active) > 0 {
+					stop(rng.Intn(len(active)))
+				}
+			case r < 37:
+				// Stop storm: enough cancelled entries to outnumber
+				// live ones and force a compaction.
+				for n := 0; n < 2*compactMinCancelled; n++ {
+					start()
+				}
+				for len(active) > 1 {
+					stop(rng.Intn(len(active)))
+				}
+			}
+		}
+
+		for i := 0; i < 32; i++ {
+			schedule()
+		}
+		for budget > 0 {
+			act()
+			e.Run(e.Now() + offset())
+		}
+		for len(active) > 0 {
+			stop(0)
+		}
+		e.RunUntilIdle()
+
+		if len(queued) != 0 {
+			t.Fatalf("seed %d: %d queued entries never ran", seed, len(queued))
+		}
+		if compactions == 0 {
+			t.Fatalf("seed %d: no compaction happened; the script does not exercise it", seed)
+		}
+		for i := 1; i < len(ran); i++ {
+			a, b := ran[i-1], ran[i]
+			if a.at > b.at || (a.at == b.at && a.seq >= b.seq) {
+				t.Fatalf("seed %d: %v ran before %v, out of (at, seq) order", seed, a, b)
+			}
+		}
+		if len(ran) < 1000 {
+			t.Fatalf("seed %d: only %d entries ran", seed, len(ran))
+		}
+		t.Logf("seed %d: %d entries ran, %d cancelled, %d compactions", seed, len(ran), len(cancelled), compactions)
 	}
 }
 

@@ -62,6 +62,8 @@ type Generator struct {
 	hash    uint32
 	seq     uint32
 	stopped bool
+	// pumpFn is pump bound once, so re-arming the poll allocates nothing.
+	pumpFn func()
 }
 
 // newGen builds the flow identity shared by both generator flavours: the
@@ -74,6 +76,7 @@ func newGen(ma *testbed.Machine, port, flow, segLen int) *Generator {
 		dst: netip.AddrFrom4([4]byte{10, 0, 0, 1}),
 	}
 	g.hash = netstack.RSSHashIPv4(g.src, g.dst, uint16(10000+g.flow), 5001)
+	g.pumpFn = g.pump
 	return g
 }
 
@@ -146,7 +149,7 @@ func (g *Generator) pump() {
 			}
 		}
 	}
-	se.After(genPoll, g.pump)
+	se.After(genPoll, g.pumpFn)
 }
 
 // RunNetperf executes the experiment and returns the measured row.
