@@ -50,17 +50,16 @@ alloc-gate:
 
 # bench regenerates BENCH_PR10.json: engine event-loop microbenchmarks
 # (ns/op, allocs/op — the 0-alloc hot paths are regression-gated, the
-# multi-tenant capability check included), the RSS scale-out grid with its
-# monotone-growth gates (bypass columns included, excluded from the strict
-# contention gate), the kernel-bypass figure with its acceptance gates, the
-# tenants blast-radius macro with its containment
-# gates, the 4-machine topology wall-clock scaling leg (serial vs
-# one-worker-per-machine, byte-compared, speedup-gated on multi-CPU hosts),
-# plus the quick-suite wall clock at -parallel 1 vs the parallel leg with
-# the speedup and a byte-identity check between the two runs. benchreport
-# refuses to capture at gomaxprocs 1; on a single-CPU host this target
-# oversubscribes to two timesliced Ps so the report still records a genuine
-# two-worker leg.
+# multi-tenant capability check included), the RSS scale-out grid (bypass
+# columns included), the kernel-bypass figure with its acceptance gates, the
+# tenants blast-radius macro (the scaling and containment gates are tests,
+# run by `make scaling` and `make tenants`), the 4-machine topology
+# wall-clock scaling leg (serial vs one-worker-per-machine, byte-compared,
+# speedup-gated on multi-CPU hosts), plus the quick-suite wall clock at
+# -parallel 1 vs the parallel leg with the speedup and a byte-identity
+# check between the two runs. benchreport refuses to capture at gomaxprocs
+# 1; on a single-CPU host this target oversubscribes to two timesliced Ps
+# so the report still records a genuine two-worker leg.
 bench:
 	@p=$$(nproc); [ $$p -ge 2 ] || p=2; \
 	set -x; $(GO) run ./cmd/benchreport -out BENCH_PR10.json -procs $$p -parallel $$p
@@ -140,4 +139,4 @@ bypass:
 perfbench:
 	cd perfbench && $(GO) test ./...
 
-ci: fmt vet build race chaos recovery scaling loss topo tenants bypass perfbench
+ci: fmt vet build alloc-gate race chaos recovery scaling loss topo tenants bypass perfbench

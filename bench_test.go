@@ -181,7 +181,7 @@ func BenchmarkSkbAccess(b *testing.B) {
 // The event loop underneath every simulation. The free-list pool and the
 // reusable ticker event make all three steady-state paths allocation-free;
 // these benchmarks are the regression gate (cmd/benchreport records them in
-// BENCH_PR3.json).
+// BENCH_PR10.json).
 
 // BenchmarkEngineScheduleRun measures the schedule+dispatch round trip: one
 // event scheduled and executed per iteration. Steady state must not
@@ -464,7 +464,7 @@ func BenchmarkAblations(b *testing.B) {
 // BenchmarkSuiteQuick reruns the entire quick-mode evaluation suite (every
 // paper figure, in catalog order) once per iteration — serially and fanned
 // across GOMAXPROCS workers. The parallel/serial ratio is the headline
-// speedup recorded in BENCH_PR3.json; output byte-identity between the two
+// speedup recorded in BENCH_PR10.json; output byte-identity between the two
 // is asserted on every iteration.
 func BenchmarkSuiteQuick(b *testing.B) {
 	var serialOut string

@@ -22,10 +22,9 @@
 //   - fig5: wall clock of one quick-mode Figure 5 run (the multi-core
 //     netperf macro the packet-path work is measured against).
 //   - scaling: the RSS scale-out figure (quick mode) — netperf RX Gb/s at
-//     1/2/4/8/16 simulated cores per scheme, bypass columns included. The
-//     report gates on monotone growth for iommu-off and DAMN and on strict
-//     scaling worst among the kernel schemes (the polling path is ceiling-
-//     bound, not lock-bound, so it sits outside that comparison).
+//     1/2/4/8/16 simulated cores per scheme, bypass columns included. Its
+//     monotone-growth and strict-flattest gates are
+//     TestScalingMonotoneAndDivergent (make scaling), not re-checked here.
 //   - bypass: the kernel-bypass figure (quick mode) — single-core RX
 //     goodput, CPU µs/MB (spin included), idle busy-poll burn and the
 //     measured safety verdicts per scheme. The figure's own acceptance
@@ -34,9 +33,9 @@
 //   - tenants: one quick-mode blast-radius run (DAMN scheme, 4 tenants,
 //     one compromised): wall clock plus the containment headlines — worst
 //     victim goodput ratio, Jain's index, where the attacker ended up and
-//     what the capability gate and per-tenant domains blocked. Gated on
-//     victims keeping >= 95% of clean goodput, the attacker leaving the
-//     Healthy state, and zero probes landing through per-tenant domains.
+//     what the capability gate and per-tenant domains blocked. The
+//     containment gates are TestTenantsBlastRadius and
+//     TestTenantsBlastRadiusGate (make tenants), not re-checked here.
 //   - topo: wall-clock scaling of the sharded conservative-parallel
 //     topology engine — a 4-machine ring run serially (one host worker)
 //     and again with one worker per machine, byte-compared (the results
@@ -547,8 +546,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "  fig5: %.2fs (strict RX %.2f Gb/s)\n", rep.Fig5.Seconds, rep.Fig5.StrictRXGbps)
 
 	// Multi-tenant blast-radius macro: one compromised tenant out of four on
-	// the DAMN scheme. The gates mirror the tenants figure's acceptance
-	// test: containment works or the report fails.
+	// the DAMN scheme, recorded only (the containment gates are tests).
 	fmt.Fprintln(os.Stderr, "benchreport: tenants blast-radius macro…")
 	tenStart := time.Now()
 	tenRes, err := workloads.RunTenants(workloads.TenantsConfig{
@@ -572,21 +570,8 @@ func main() {
 	rep.Tenants.ReleasedPages = tenRes.ReleasedPages
 	fmt.Fprintf(os.Stderr, "  tenants: %.2fs (victim min %.3f, attacker %s, %d probes blocked)\n",
 		rep.Tenants.Seconds, tenRes.VictimRatioMin, tenRes.AttackerState, tenRes.ProbesBlocked)
-	if tenRes.VictimRatioMin < 0.95 {
-		fmt.Fprintf(os.Stderr, "benchreport: REGRESSION: victim goodput %.3f of clean under attack, want >= 0.95\n", tenRes.VictimRatioMin)
-		os.Exit(1)
-	}
-	if tenRes.AttackerState != "quarantined" && tenRes.AttackerState != "evicted" {
-		fmt.Fprintf(os.Stderr, "benchreport: REGRESSION: attacker ended %s, want quarantined or evicted\n", tenRes.AttackerState)
-		os.Exit(1)
-	}
-	if tenRes.ProbesLanded != 0 {
-		fmt.Fprintf(os.Stderr, "benchreport: REGRESSION: %d cross-tenant probes landed, want 0\n", tenRes.ProbesLanded)
-		os.Exit(1)
-	}
 
-	// RSS scale-out figure: record the whole grid and gate the claims the
-	// figure exists to demonstrate (simulated-machine scaling).
+	// RSS scale-out figure: record the whole grid (its gates are tests).
 	fmt.Fprintln(os.Stderr, "benchreport: scaling figure…")
 	scalStart := time.Now()
 	scalRows, err := experiments.Scaling(experiments.Options{Quick: true, Seed: *seed, Parallel: workers})
@@ -602,35 +587,7 @@ func main() {
 		}
 		rep.Scaling.RXGbps[r.Scheme] = append(rep.Scaling.RXGbps[r.Scheme], r.RXGbps)
 	}
-	for _, scheme := range []string{string(testbed.SchemeOff), string(testbed.SchemeDAMN)} {
-		g := rep.Scaling.RXGbps[scheme]
-		for i := 1; i < len(g); i++ {
-			if g[i] <= g[i-1] {
-				fmt.Fprintf(os.Stderr, "benchreport: REGRESSION: %s throughput not monotone with cores: %v\n", scheme, g)
-				os.Exit(1)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "  %-9s %.1f → %.1f Gb/s across %v cores\n", scheme, g[0], g[len(g)-1], rep.Scaling.Cores)
-	}
-	// "Flattest" is about curve shape, not absolute Gb/s (shadow is slower
-	// everywhere because of its copies, but it still scales): strict's
-	// invalidation lock must give it the worst 1→max-cores speedup.
-	speedup := func(g []float64) float64 { return g[len(g)-1] / g[0] }
-	strictX := speedup(rep.Scaling.RXGbps[string(testbed.SchemeStrict)])
-	for scheme, g := range rep.Scaling.RXGbps {
-		if testbed.IsBypass(testbed.Scheme(scheme)) {
-			// The polling path saturates the wire at one core and the PCIe
-			// ceiling at two — flat because it is ceiling-bound, not
-			// lock-bound, so it sits outside the contention comparison.
-			continue
-		}
-		if scheme != string(testbed.SchemeStrict) && speedup(g) <= strictX {
-			fmt.Fprintf(os.Stderr, "benchreport: REGRESSION: strict (%.2fx over %v cores) is not the flattest scheme (%s: %.2fx)\n",
-				strictX, rep.Scaling.Cores, scheme, speedup(g))
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "  strict scales worst: %.2fx over %v cores\n", strictX, rep.Scaling.Cores)
+	fmt.Fprintf(os.Stderr, "  scaling: %.2fs over %v cores\n", rep.Scaling.Seconds, rep.Scaling.Cores)
 
 	// Kernel-bypass figure: headline numbers per scheme. The acceptance
 	// gates (raw beats iommu-off, prot within 10% of raw, idle busy-poll

@@ -17,147 +17,38 @@ type Figure struct {
 // cmd/damnbench, the determinism tests and the bench harness.
 func Catalog() []Figure {
 	return []Figure{
-		{"table1", true, func(o Options) (string, error) {
-			rows, err := Table1(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderTable1(rows), nil
-		}},
-		{"fig4", true, func(o Options) (string, error) {
-			rows, err := Fig4(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig4(rows), nil
-		}},
-		{"fig5", true, func(o Options) (string, error) {
-			rows, err := Fig5(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig5(rows), nil
-		}},
-		{"fig6", true, func(o Options) (string, error) {
-			rows, err := Fig6(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig6(rows), nil
-		}},
-		{"table3", true, func(o Options) (string, error) {
-			rows, err := Table3(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderTable3(rows), nil
-		}},
-		{"fig2", true, func(o Options) (string, error) {
-			rows, err := Fig2(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig2(rows), nil
-		}},
-		{"fig7", true, func(o Options) (string, error) {
-			rows, err := Fig7(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig7(rows), nil
-		}},
-		{"fig8", true, func(o Options) (string, error) {
-			rows, err := Fig8(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig8(rows), nil
-		}},
-		{"fig9", true, func(o Options) (string, error) {
-			points, err := Fig9(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig9(points), nil
-		}},
-		{"fig10", true, func(o Options) (string, error) {
-			rows, err := Fig10(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig10(rows), nil
-		}},
-		{"fig11", true, func(o Options) (string, error) {
-			rows, err := Fig11(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig11(rows), nil
-		}},
-		{"ablations", true, func(o Options) (string, error) {
-			rows, err := Ablations(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderAblations(rows), nil
-		}},
-		{"footnote5", true, func(o Options) (string, error) {
-			rows, err := Footnote5(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFootnote5(rows), nil
-		}},
-		{"scaling", false, func(o Options) (string, error) {
-			rows, err := Scaling(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderScaling(rows), nil
-		}},
-		{"chaos", false, func(o Options) (string, error) {
-			rows, err := Chaos(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderChaos(rows), nil
-		}},
-		{"recovery", false, func(o Options) (string, error) {
-			rows, err := RecoveryFigure(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderRecovery(rows), nil
-		}},
-		{"loss", false, func(o Options) (string, error) {
-			rows, err := Loss(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderLoss(rows), nil
-		}},
-		{"cluster", false, func(o Options) (string, error) {
-			rows, err := Cluster(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderCluster(rows), nil
-		}},
-		{"tenants", false, func(o Options) (string, error) {
-			rows, err := Tenants(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderTenants(rows), nil
-		}},
-		{"bypass", false, func(o Options) (string, error) {
-			rows, err := Bypass(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderBypass(rows), nil
-		}},
+		figure("table1", true, Table1, RenderTable1),
+		figure("fig4", true, Fig4, RenderFig4),
+		figure("fig5", true, Fig5, RenderFig5),
+		figure("fig6", true, Fig6, RenderFig6),
+		figure("table3", true, Table3, RenderTable3),
+		figure("fig2", true, Fig2, RenderFig2),
+		figure("fig7", true, Fig7, RenderFig7),
+		figure("fig8", true, Fig8, RenderFig8),
+		figure("fig9", true, Fig9, RenderFig9),
+		figure("fig10", true, Fig10, RenderFig10),
+		figure("fig11", true, Fig11, RenderFig11),
+		figure("ablations", true, Ablations, RenderAblations),
+		figure("footnote5", true, Footnote5, RenderFootnote5),
+		figure("scaling", false, Scaling, RenderScaling),
+		figure("chaos", false, Chaos, RenderChaos),
+		figure("recovery", false, RecoveryFigure, RenderRecovery),
+		figure("loss", false, Loss, RenderLoss),
+		figure("cluster", false, Cluster, RenderCluster),
+		figure("tenants", false, Tenants, RenderTenants),
+		figure("bypass", false, Bypass, RenderBypass),
 	}
+}
+
+// figure builds a catalog entry from a figure's run and render functions.
+func figure[R any](name string, paper bool, run func(Options) (R, error), render func(R) string) Figure {
+	return Figure{Name: name, Paper: paper, Run: func(o Options) (string, error) {
+		rows, err := run(o)
+		if err != nil {
+			return "", err
+		}
+		return render(rows), nil
+	}}
 }
 
 // RunSuite runs every paper figure of the catalog in order and returns the

@@ -52,13 +52,7 @@ func fig9Run(opts Options) ([]Fig9Point, error) {
 	}
 	// Four netperf RX instances…
 	receivers := map[int]*netstack.Receiver{}
-	ma.Driver.OnDeliver = func(t *sim.Task, ring int, skb *netstack.SKBuff) {
-		if r, ok := receivers[skb.Flow]; ok {
-			r.HandleSegment(t, skb)
-			return
-		}
-		skb.Free(t)
-	}
+	ma.Driver.OnDeliver = netstack.DemuxFlows(receivers)
 	var gens []*workloads.Generator
 	for i := 0; i < 4; i++ {
 		receivers[i+1] = &netstack.Receiver{K: ma.Kernel}

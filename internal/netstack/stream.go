@@ -33,6 +33,20 @@ type Receiver struct {
 	DroppedFilter uint64
 }
 
+// DemuxFlows returns a Driver.OnDeliver hook that hands each received skb
+// to the handler registered for its flow id and frees the skbs of every
+// other flow. The map is read at delivery time, so handlers added after
+// the hook is installed are served too.
+func DemuxFlows[H interface{ HandleSegment(*sim.Task, *SKBuff) }](byFlow map[int]H) func(t *sim.Task, ring int, skb *SKBuff) {
+	return func(t *sim.Task, _ int, skb *SKBuff) {
+		if h, ok := byFlow[skb.Flow]; ok {
+			h.HandleSegment(t, skb)
+			return
+		}
+		skb.Free(t)
+	}
+}
+
 // HandleSegment consumes one received skb; runs in interrupt context.
 func (r *Receiver) HandleSegment(t *sim.Task, skb *SKBuff) {
 	r.chargeSegment(t)

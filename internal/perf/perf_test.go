@@ -109,16 +109,3 @@ func TestDeviceDMATraffic(t *testing.T) {
 		t.Fatal("zero fraction should be a no-op")
 	}
 }
-
-func TestBandwidthMeter(t *testing.T) {
-	mc := sim.NewMemController(1e9)
-	m := NewBandwidthMeter(mc, 0)
-	mc.Use(0, 500)
-	mc.Use(0, 500)
-	if got := m.Rate(sim.Millisecond); got != 1e6 {
-		t.Fatalf("Rate = %v, want 1e6 B/s", got)
-	}
-	if m.Rate(0) != 0 {
-		t.Fatal("zero-window rate should be 0")
-	}
-}

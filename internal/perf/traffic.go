@@ -35,29 +35,3 @@ func DeviceDMATraffic(membw *sim.MemController, now sim.Time, n int, memFraction
 	service, extra := membw.Use(now, float64(n)*memFraction)
 	return now + service + extra
 }
-
-// UsageReporter is anything exposing cumulative usage (FluidResource,
-// MemController).
-type UsageReporter interface{ Used() float64 }
-
-// BandwidthMeter converts a resource's cumulative usage into an average
-// rate over a measurement window.
-type BandwidthMeter struct {
-	res UsageReporter
-	t0  sim.Time
-	u0  float64
-}
-
-// NewBandwidthMeter starts measuring res at time now.
-func NewBandwidthMeter(res UsageReporter, now sim.Time) *BandwidthMeter {
-	return &BandwidthMeter{res: res, t0: now, u0: res.Used()}
-}
-
-// Rate returns the average units/second since the meter started.
-func (m *BandwidthMeter) Rate(now sim.Time) float64 {
-	dt := (now - m.t0).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return (m.res.Used() - m.u0) / dt
-}

@@ -97,19 +97,10 @@ func RunBypass(cfg BypassConfig) (BypassResult, error) {
 		}
 	}()
 
-	busyAll := func() sim.Time {
-		var b sim.Time
-		for _, c := range ma.Cores {
-			b += c.Busy()
-		}
-		return b
-	}
-
 	// Idle window: the poll loops spin against an empty used ring.
-	idle0 := busyAll()
-	tIdle := ma.Sim.Now()
-	ma.Sim.Run(tIdle + cfg.IdleWindow)
-	idleBurn := (busyAll() - idle0).Seconds() / cfg.IdleWindow.Seconds()
+	idle := ma.OpenWindow()
+	ma.Sim.Run(ma.Sim.Now() + cfg.IdleWindow)
+	idleBurn := idle.Close().BusyCores()
 
 	// One steered line-rate flow per ring, ports round-robined.
 	var gens []*Generator
@@ -134,13 +125,10 @@ func RunBypass(cfg BypassConfig) (BypassResult, error) {
 	for _, d := range drivers {
 		bytes0 += d.Bytes
 	}
-	busy0 := busyAll()
-	mem0 := ma.MemBW.Used()
-	t0 := ma.Sim.Now()
+	w := ma.OpenWindow()
+	ma.Sim.Run(ma.Sim.Now() + cfg.Duration)
+	m := w.Close()
 
-	ma.Sim.Run(t0 + cfg.Duration)
-
-	dt := (ma.Sim.Now() - t0).Seconds()
 	var bytes uint64
 	res := BypassResult{Scheme: ma.SchemeName(), IdleBurnCores: idleBurn}
 	for _, d := range drivers {
@@ -151,12 +139,9 @@ func RunBypass(cfg BypassConfig) (BypassResult, error) {
 		res.PublishFaults += d.Virtqueue().PublishFaults
 	}
 	bytes -= bytes0
-	busy := busyAll() - busy0
-	res.RXGbps = float64(bytes) * 8 / dt / 1e9
-	res.CPUUtil = busy.Seconds() / (dt * float64(len(ma.Cores)))
-	if bytes > 0 {
-		res.CPUPerMBus = busy.Seconds() * 1e6 / (float64(bytes) / 1e6)
-	}
-	res.MemBWGBps = (ma.MemBW.Used() - mem0) / dt / 1e9
+	res.RXGbps = m.Gbps(bytes)
+	res.CPUUtil = m.CPUUtil()
+	res.CPUPerMBus = m.CPUPerMBus(bytes)
+	res.MemBWGBps = m.MemBWGBps()
 	return res, nil
 }

@@ -88,29 +88,21 @@ func RunFio(cfg FioConfig) (FioResult, error) {
 	for _, th := range threads {
 		ops0 += th.ops
 	}
-	busy0 := make([]sim.Time, len(ma.Cores))
-	for i, c := range ma.Cores {
-		busy0[i] = c.Busy()
-	}
-	t0 := ma.Sim.Now()
-	ma.Sim.Run(t0 + cfg.Duration)
-	dt := (ma.Sim.Now() - t0).Seconds()
+	w := ma.OpenWindow()
+	ma.Sim.Run(ma.Sim.Now() + cfg.Duration)
+	m := w.Close()
 	var ops uint64
 	for _, th := range threads {
 		th.stop = true
 		ops += th.ops
 	}
-	var busy sim.Time
-	for i, c := range ma.Cores {
-		busy += c.Busy() - busy0[i]
-	}
-	iops := float64(ops-ops0) / dt
+	iops := m.PerSec(ops - ops0)
 	return FioResult{
 		Scheme:    ma.SchemeName(),
 		BlockSize: cfg.BlockSize,
 		IOPS:      iops,
 		GiBps:     iops * float64(cfg.BlockSize) / (1 << 30),
-		CPUUtil:   busy.Seconds() / (dt * float64(len(ma.Cores))),
+		CPUUtil:   m.CPUUtil(),
 	}, nil
 }
 

@@ -201,13 +201,7 @@ func RunLoss(cfg LossConfig) (LossResult, error) {
 		rr.Window = cfg.Window
 		rrs[flow] = rr
 	}
-	ma.Driver.OnDeliver = func(t *sim.Task, ring int, skb *netstack.SKBuff) {
-		if rr, ok := rrs[skb.Flow]; ok {
-			rr.HandleSegment(t, skb)
-			return
-		}
-		skb.Free(t)
-	}
+	ma.Driver.OnDeliver = netstack.DemuxFlows(rrs)
 	for _, g := range gens {
 		g.Start()
 	}
@@ -238,30 +232,22 @@ func RunLoss(cfg LossConfig) (LossResult, error) {
 		return s
 	}
 	s0 := take()
-	busy0 := make([]sim.Time, len(ma.Cores))
-	for i, c := range ma.Cores {
-		busy0[i] = c.Busy()
-	}
-	t0 := ma.Sim.Now()
-	ma.Sim.Run(t0 + cfg.Duration)
-	t1 := ma.Sim.Now()
+	w := ma.OpenWindow()
+	ma.Sim.Run(ma.Sim.Now() + cfg.Duration)
+	m := w.Close()
 	s1 := take()
-	var busy sim.Time
-	for i, c := range ma.Cores {
-		busy += c.Busy() - busy0[i]
-	}
 	for _, g := range gens {
 		g.Stop()
 	}
 
-	dt := (t1 - t0).Seconds()
 	goodBytes := s1.good - s0.good
 	sent := s1.sent - s0.sent
 	retx := s1.retx - s0.retx
 	res := LossResult{
 		Scheme:      ma.SchemeName(),
-		GoodputGbps: float64(goodBytes) * 8 / dt / 1e9,
-		WireGbps:    float64(s1.wire-s0.wire) * 8 / dt / 1e9,
+		GoodputGbps: m.Gbps(goodBytes),
+		WireGbps:    m.Gbps(s1.wire - s0.wire),
+		CPUPerMB:    m.CPUPerMBus(goodBytes),
 		Sent:        sent,
 		Retransmits: retx,
 		FastRetx:    s1.fast - s0.fast,
@@ -274,9 +260,6 @@ func RunLoss(cfg LossConfig) (LossResult, error) {
 	}
 	if total := sent + retx; total > 0 {
 		res.RetxPct = 100 * float64(retx) / float64(total)
-	}
-	if goodBytes > 0 {
-		res.CPUPerMB = busy.Seconds() * 1e6 / (float64(goodBytes) / 1e6)
 	}
 
 	if ma.StopWatchdog != nil {

@@ -113,27 +113,19 @@ func RunMemcached(cfg MemcachedConfig) (MemcachedResult, error) {
 	for _, inst := range instances {
 		ops0 += inst.ops
 	}
-	busy0 := make([]sim.Time, len(ma.Cores))
-	for i, c := range ma.Cores {
-		busy0[i] = c.Busy()
-	}
-	t0 := ma.Sim.Now()
-	ma.Sim.Run(t0 + cfg.Duration)
-	dt := (ma.Sim.Now() - t0).Seconds()
+	w := ma.OpenWindow()
+	ma.Sim.Run(ma.Sim.Now() + cfg.Duration)
+	m := w.Close()
 
 	var ops uint64
 	for _, inst := range instances {
 		inst.stopd = true
 		ops += inst.ops
 	}
-	var busy sim.Time
-	for i, c := range ma.Cores {
-		busy += c.Busy() - busy0[i]
-	}
 	return MemcachedResult{
 		Scheme:  ma.SchemeName(),
-		TPS:     float64(ops-ops0) / dt,
-		CPUUtil: busy.Seconds() / (dt * float64(len(ma.Cores))),
+		TPS:     m.PerSec(ops - ops0),
+		CPUUtil: m.CPUUtil(),
 	}, nil
 }
 

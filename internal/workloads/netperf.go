@@ -189,13 +189,7 @@ func RunNetperf(cfg NetperfConfig) (NetperfResult, error) {
 		gens = append(gens, g)
 	}
 	if len(receivers) > 0 {
-		ma.Driver.OnDeliver = func(t *sim.Task, ring int, skb *netstack.SKBuff) {
-			if r, ok := receivers[skb.Flow]; ok {
-				r.HandleSegment(t, skb)
-				return
-			}
-			skb.Free(t)
-		}
+		ma.Driver.OnDeliver = netstack.DemuxFlows(receivers)
 	}
 
 	// Senders.
@@ -220,42 +214,16 @@ func RunNetperf(cfg NetperfConfig) (NetperfResult, error) {
 
 	// Warmup, then measure.
 	ma.Sim.Run(cfg.Warmup)
-	startRX := map[int]uint64{}
-	for f, r := range receivers {
-		startRX[f] = r.Bytes
-	}
-	startTX := make([]uint64, len(senders))
-	for i, s := range senders {
-		startTX[i] = s.Bytes
-	}
-	busy0 := make([]sim.Time, len(ma.Cores))
-	for i, c := range ma.Cores {
-		busy0[i] = c.Busy()
-	}
-	mem0 := ma.MemBW.Used()
-	t0 := ma.Sim.Now()
-
-	ma.Sim.Run(t0 + cfg.Duration)
-
-	t1 := ma.Sim.Now()
-	dt := (t1 - t0).Seconds()
-	var rxBytes, txBytes uint64
-	for f, r := range receivers {
-		rxBytes += r.Bytes - startRX[f]
-	}
-	for i, s := range senders {
-		txBytes += s.Bytes - startTX[i]
-	}
-	var busy sim.Time
-	for i, c := range ma.Cores {
-		busy += c.Busy() - busy0[i]
-	}
+	rx0, tx0 := receivedBytes(receivers), sentBytes(senders)
+	w := ma.OpenWindow()
+	ma.Sim.Run(ma.Sim.Now() + cfg.Duration)
+	m := w.Close()
 	res := NetperfResult{
 		Scheme:    ma.SchemeName(),
-		RXGbps:    float64(rxBytes) * 8 / dt / 1e9,
-		TXGbps:    float64(txBytes) * 8 / dt / 1e9,
-		CPUUtil:   busy.Seconds() / (dt * float64(len(ma.Cores))),
-		MemBWGBps: (ma.MemBW.Used() - mem0) / dt / 1e9,
+		RXGbps:    m.Gbps(receivedBytes(receivers) - rx0),
+		TXGbps:    m.Gbps(sentBytes(senders) - tx0),
+		CPUUtil:   m.CPUUtil(),
+		MemBWGBps: m.MemBWGBps(),
 	}
 	res.TotalGbps = res.RXGbps + res.TXGbps
 
@@ -266,4 +234,22 @@ func RunNetperf(cfg NetperfConfig) (NetperfResult, error) {
 		s.Stop()
 	}
 	return res, nil
+}
+
+// receivedBytes is the payload every receiver has delivered so far.
+func receivedBytes(receivers map[int]*netstack.Receiver) uint64 {
+	var n uint64
+	for _, r := range receivers {
+		n += r.Bytes
+	}
+	return n
+}
+
+// sentBytes is the payload every sender has transmitted so far.
+func sentBytes(senders []*netstack.Sender) uint64 {
+	var n uint64
+	for _, s := range senders {
+		n += s.Bytes
+	}
+	return n
 }

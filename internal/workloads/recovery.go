@@ -136,13 +136,7 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 		}
 		gens = append(gens, g)
 	}
-	ma.Driver.OnDeliver = func(t *sim.Task, ring int, skb *netstack.SKBuff) {
-		if r, ok := receivers[skb.Flow]; ok {
-			r.HandleSegment(t, skb)
-			return
-		}
-		skb.Free(t)
-	}
+	ma.Driver.OnDeliver = netstack.DemuxFlows(receivers)
 	var senders []*netstack.Sender
 	for i := len(rxCores); i < len(ma.Cores); i++ {
 		snd := &netstack.Sender{
@@ -169,21 +163,11 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 		s.Start()
 	}
 
-	bytesNow := func() uint64 {
-		var n uint64
-		for _, r := range receivers {
-			n += r.Bytes
-		}
-		for _, s := range senders {
-			n += s.Bytes
-		}
-		return n
-	}
+	bytesNow := func() uint64 { return receivedBytes(receivers) + sentBytes(senders) }
 	measure := func(dur sim.Time) float64 {
-		b0, t0 := bytesNow(), ma.Sim.Now()
-		ma.Sim.Run(t0 + dur)
-		dt := (ma.Sim.Now() - t0).Seconds()
-		return float64(bytesNow()-b0) * 8 / dt / 1e9
+		b0, w := bytesNow(), ma.OpenWindow()
+		ma.Sim.Run(ma.Sim.Now() + dur)
+		return w.Close().Gbps(bytesNow() - b0)
 	}
 
 	res := RecoveryResult{Scheme: ma.SchemeName()}

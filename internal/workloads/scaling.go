@@ -92,46 +92,24 @@ func RunScaling(cfg ScalingConfig) (ScalingResult, error) {
 			K: ma.Kernel, ExtraCycles: cfg.ExtraCycles, Wakeup: cfg.Wakeup,
 		}
 	}
-	ma.Driver.OnDeliver = func(t *sim.Task, ring int, skb *netstack.SKBuff) {
-		if r, ok := receivers[skb.Flow]; ok {
-			r.HandleSegment(t, skb)
-			return
-		}
-		skb.Free(t)
-	}
+	ma.Driver.OnDeliver = netstack.DemuxFlows(receivers)
 	for _, g := range gens {
 		g.Start()
 	}
 
 	ma.Sim.Run(cfg.Warmup)
-	startRX := map[int]uint64{}
-	for f, r := range receivers {
-		startRX[f] = r.Bytes
-	}
-	busy0 := make([]sim.Time, len(ma.Cores))
-	for i, c := range ma.Cores {
-		busy0[i] = c.Busy()
-	}
-	t0 := ma.Sim.Now()
-	ma.Sim.Run(t0 + cfg.Duration)
-	dt := (ma.Sim.Now() - t0).Seconds()
-
-	var rxBytes uint64
-	for f, r := range receivers {
-		rxBytes += r.Bytes - startRX[f]
-	}
-	var busy sim.Time
-	for i, c := range ma.Cores {
-		busy += c.Busy() - busy0[i]
-	}
+	rx0 := receivedBytes(receivers)
+	w := ma.OpenWindow()
+	ma.Sim.Run(ma.Sim.Now() + cfg.Duration)
+	m := w.Close()
 	for _, g := range gens {
 		g.Stop()
 	}
 	res := ScalingResult{
 		Scheme:    ma.SchemeName(),
 		Cores:     len(ma.Cores),
-		RXGbps:    float64(rxBytes) * 8 / dt / 1e9,
-		CPUUtil:   busy.Seconds() / (dt * float64(len(ma.Cores))),
+		RXGbps:    m.Gbps(receivedBytes(receivers) - rx0),
+		CPUUtil:   m.CPUUtil(),
 		WrongCore: ma.Driver.RxWrongCore,
 	}
 	if ma.Damn != nil {

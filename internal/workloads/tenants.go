@@ -166,13 +166,7 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 			Dev: tenant.DevOf(i), AckCost: true,
 		}
 	}
-	ma.Driver.OnDeliver = func(t *sim.Task, ring int, skb *netstack.SKBuff) {
-		if r, ok := receivers[skb.Flow]; ok {
-			r.HandleSegment(t, skb)
-			return
-		}
-		skb.Free(t)
-	}
+	ma.Driver.OnDeliver = netstack.DemuxFlows(receivers)
 	for _, g := range gens {
 		g.Start()
 	}
@@ -188,12 +182,12 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 		for i := range b0 {
 			b0[i] = tenantBytes(i)
 		}
-		t0 := ma.Sim.Now()
-		ma.Sim.Run(t0 + dur)
-		dt := (ma.Sim.Now() - t0).Seconds()
+		w := ma.OpenWindow()
+		ma.Sim.Run(ma.Sim.Now() + dur)
+		m := w.Close()
 		out := make([]float64, nT)
 		for i := range out {
-			out[i] = float64(tenantBytes(i)-b0[i]) * 8 / dt / 1e9
+			out[i] = m.Gbps(tenantBytes(i) - b0[i])
 		}
 		return out
 	}
