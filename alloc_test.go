@@ -4,6 +4,10 @@
 // state allocation-free; these tests pin that property so a stray closure or
 // boxed value on the hot path fails CI instead of silently costing 10-20% of
 // macro wall clock again.
+//
+// A gate that has a benchmark builds its rig with a *Rig helper that returns
+// the warmed-up steady-state operation; the benchmark in bench_test.go times
+// that same operation.
 package damn_test
 
 import (
@@ -22,15 +26,43 @@ import (
 	"github.com/asplos18/damn/internal/workloads"
 )
 
-// TestCancelStormZeroAlloc gates the engine's cancel-heavy ticker churn: a
-// start-ticker / schedule / stop-ticker / drain cycle must recycle the
-// ticker and its event through the engine free lists instead of allocating
-// a fresh ticker, stop closure and event per iteration (319 ns and 4
-// allocs/op before the ticker free list).
-func TestCancelStormZeroAlloc(t *testing.T) {
+// gateMachine builds the small machine the packet-path gates run on: 256 MiB
+// of RAM and one 8-entry RX ring per core.
+func gateMachine(tb testing.TB, scheme testbed.Scheme, cores int) *testbed.Machine {
+	tb.Helper()
+	ma, err := testbed.NewMachine(testbed.MachineConfig{
+		Scheme:   scheme,
+		MemBytes: 256 << 20,
+		Cores:    cores,
+		RingSize: 8,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ma
+}
+
+// rxMachine is a DAMN gate machine whose driver hands every segment to a
+// receiver, with every RX ring filled.
+func rxMachine(tb testing.TB, cores int) (*testbed.Machine, *netstack.Receiver) {
+	tb.Helper()
+	ma := gateMachine(tb, testbed.SchemeDAMN, cores)
+	recv := &netstack.Receiver{K: ma.Kernel}
+	ma.Driver.OnDeliver = func(task *sim.Task, ring int, skb *netstack.SKBuff) {
+		recv.HandleSegment(task, skb)
+	}
+	if err := ma.FillAllRings(); err != nil {
+		tb.Fatal(err)
+	}
+	return ma, recv
+}
+
+// cancelStormRig returns one start-ticker / schedule / stop-ticker / drain
+// cycle on a warmed-up engine.
+func cancelStormRig() (cycle func()) {
 	e := sim.NewEngine(1)
 	fn := func() {}
-	cycle := func() {
+	cycle = func() {
 		stop := e.Every(sim.Microsecond, fn)
 		e.After(sim.Microsecond/2, fn)
 		stop()
@@ -39,66 +71,106 @@ func TestCancelStormZeroAlloc(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+	return cycle
+}
+
+// TestCancelStormZeroAlloc gates the engine's cancel-heavy ticker churn: a
+// start-ticker / schedule / stop-ticker / drain cycle must recycle the
+// ticker and its event through the engine free lists instead of allocating
+// a fresh ticker, stop closure and event per iteration (319 ns and 4
+// allocs/op before the ticker free list).
+func TestCancelStormZeroAlloc(t *testing.T) {
+	if allocs := testing.AllocsPerRun(1000, cancelStormRig()); allocs != 0 {
 		t.Fatalf("cancel storm allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// damnAllocFreeRig returns one damn_alloc/damn_free round trip of a
+// 1500-byte buffer, after warm-up allocations have populated the chunk,
+// magazines and region shard.
+func damnAllocFreeRig(tb testing.TB) (cycle func()) {
+	d := benchMachine(tb, damn.SchemeDAMN).DamnAllocator()
+	cycle = func() {
+		pa, err := d.Alloc(damnCtx, testbed.NICDeviceID, iommu.PermWrite, 1500)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := d.Free(damnCtx, pa); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	return cycle
 }
 
 // TestDamnAllocFreeZeroAlloc gates the damn_alloc/damn_free fast path: after
 // the first allocation warms the chunk, magazines and region shard, the
 // per-buffer cycle must not touch the Go heap.
 func TestDamnAllocFreeZeroAlloc(t *testing.T) {
-	m := benchMachine(t, damn.SchemeDAMN)
-	d := m.DamnAllocator()
-	cycle := func() {
-		pa, err := d.Alloc(damnCtx, testbed.NICDeviceID, iommu.PermWrite, 1500)
+	if allocs := testing.AllocsPerRun(1000, damnAllocFreeRig(t)); allocs != 0 {
+		t.Fatalf("damn alloc/free allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// dmaSchemes are the schemes the dma_map+dma_unmap round trip is gated and
+// timed under.
+var dmaSchemes = []damn.Scheme{
+	damn.SchemeOff, damn.SchemeStrict, damn.SchemeDeferred, damn.SchemeShadow, damn.SchemeDAMN,
+}
+
+// dmaMapUnmapRig returns one dma_map+dma_unmap round trip of a 4 KiB buffer
+// under scheme, warmed up. The buffer is freed when the test ends.
+func dmaMapUnmapRig(tb testing.TB, scheme damn.Scheme) (cycle func()) {
+	tbd := benchMachine(tb, scheme).Testbed()
+	pa, damnOwned, err := tbd.Kernel.AllocBuffer(nil, testbed.NICDeviceID, iommu.PermWrite, 4096)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { tbd.Kernel.FreeBuffer(nil, pa, damnOwned) })
+	cycle = func() {
+		v, err := tbd.DMA.Map(nil, testbed.NICDeviceID, pa, 4096, dmaapi.FromDevice)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		if err := d.Free(damnCtx, pa); err != nil {
-			t.Fatal(err)
+		if err := tbd.DMA.Unmap(nil, testbed.NICDeviceID, v, 4096, dmaapi.FromDevice); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Fatalf("damn alloc/free allocates %.1f/op, want 0", allocs)
-	}
+	return cycle
 }
 
 // TestDmaMapUnmapZeroAlloc gates the dma_map+dma_unmap round trip under
 // every scheme — for DAMN the §5.3 interposition, for the legacy schemes the
 // real mapping machinery (walk caches and dense device tables included).
 func TestDmaMapUnmapZeroAlloc(t *testing.T) {
-	for _, scheme := range []damn.Scheme{
-		damn.SchemeOff, damn.SchemeStrict, damn.SchemeDeferred, damn.SchemeShadow, damn.SchemeDAMN,
-	} {
+	for _, scheme := range dmaSchemes {
 		t.Run(string(scheme), func(t *testing.T) {
-			m := benchMachine(t, scheme)
-			tb := m.Testbed()
-			pa, damnOwned, err := tb.Kernel.AllocBuffer(nil, testbed.NICDeviceID, iommu.PermWrite, 4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tb.Kernel.FreeBuffer(nil, pa, damnOwned)
-			cycle := func() {
-				v, err := tb.DMA.Map(nil, testbed.NICDeviceID, pa, 4096, dmaapi.FromDevice)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := tb.DMA.Unmap(nil, testbed.NICDeviceID, v, 4096, dmaapi.FromDevice); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 100; i++ {
-				cycle()
-			}
-			if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			if allocs := testing.AllocsPerRun(1000, dmaMapUnmapRig(t, scheme)); allocs != 0 {
 				t.Fatalf("%s map/unmap allocates %.1f/op, want 0", scheme, allocs)
 			}
 		})
 	}
+}
+
+// rxPathRig returns one 9000-byte segment through the full single-ring
+// receive path, after a warm-up that populates every pool, and the receiver
+// it is delivered to.
+func rxPathRig(tb testing.TB) (inject func(), recv *netstack.Receiver) {
+	ma, recv := rxMachine(tb, 2)
+	hdr := []byte("hdr:steady")
+	inject = func() {
+		ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: 9000, Header: hdr})
+		ma.Sim.RunUntilIdle()
+	}
+	for i := 0; i < 200; i++ {
+		inject()
+	}
+	return inject, recv
 }
 
 // TestRXPathZeroAlloc gates the full receive path in steady state: wire
@@ -106,30 +178,7 @@ func TestDmaMapUnmapZeroAlloc(t *testing.T) {
 // skb adoption, accessor copy, netfilter, user copy, free. After a warmup
 // that populates every pool, a segment end-to-end must not allocate.
 func TestRXPathZeroAlloc(t *testing.T) {
-	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme:   testbed.SchemeDAMN,
-		MemBytes: 256 << 20,
-		Cores:    2,
-		RingSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := &netstack.Receiver{K: ma.Kernel}
-	ma.Driver.OnDeliver = func(task *sim.Task, ring int, skb *netstack.SKBuff) {
-		recv.HandleSegment(task, skb)
-	}
-	if err := ma.FillAllRings(); err != nil {
-		t.Fatal(err)
-	}
-	hdr := []byte("hdr:steady")
-	inject := func() {
-		ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: 9000, Header: hdr})
-		ma.Sim.RunUntilIdle()
-	}
-	for i := 0; i < 200; i++ {
-		inject()
-	}
+	inject, recv := rxPathRig(t)
 	if allocs := testing.AllocsPerRun(500, inject); allocs != 0 {
 		t.Fatalf("RX path allocates %.1f/segment, want 0", allocs)
 	}
@@ -143,15 +192,7 @@ func TestRXPathZeroAlloc(t *testing.T) {
 // only re-checks the ring and re-arms itself, which must not allocate (a
 // method value bound per re-arm once made most of a run's heap objects).
 func TestGeneratorPollZeroAlloc(t *testing.T) {
-	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme:   testbed.SchemeDAMN,
-		MemBytes: 256 << 20,
-		Cores:    2,
-		RingSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ma := gateMachine(t, testbed.SchemeDAMN, 2)
 	// No RX buffers are posted, so every segment the generator offers parks.
 	g, err := workloads.NewGenerator(ma, 0, 0, 1, ma.Model.SegmentSize)
 	if err != nil {
@@ -177,31 +218,20 @@ func TestGeneratorPollZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRetransmitPathZeroAlloc gates the ARQ loss-recovery cycle: every
-// iteration loses a segment, detects the hole by duplicate ACKs, fast
-// retransmits through the same injection path, reorders/flushes at the
-// receiver, and returns the cumulative ACK through the real TX DMA path.
-// After warmup the whole cycle — pooled ARQ segments, header rebuilds into
-// the embedded buffer, reorder-window bookkeeping, pooled ACK transmissions
-// and the lazily re-armed RTO timer — must not touch the Go heap.
-func TestRetransmitPathZeroAlloc(t *testing.T) {
-	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme:   testbed.SchemeDAMN,
-		MemBytes: 256 << 20,
-		Cores:    2,
-		RingSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// retransmitRig returns one ARQ loss-recovery cycle, warmed up: a lost
+// segment and three successors, whose duplicate ACKs trigger the fast
+// retransmit that repairs the hole, and the final fresh ACK that empties the
+// window. It also returns the sender and the receiver behind the reliable
+// receiver.
+func retransmitRig(tb testing.TB) (cycle func(), arq *netstack.ArqSender, recv *netstack.Receiver) {
+	ma := gateMachine(tb, testbed.SchemeDAMN, 2)
 	if err := ma.FillAllRings(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	src := netip.AddrFrom4([4]byte{192, 168, 0, 1})
 	dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
 	const segLen = 1500
 	dropNext := false
-	var arq *netstack.ArqSender
 	arq = netstack.NewArqSender(ma.Sim, netstack.ArqConfig{SegLen: segLen},
 		func(seg *netstack.ArqSegment, retx bool) {
 			if !retx {
@@ -215,27 +245,36 @@ func TestRetransmitPathZeroAlloc(t *testing.T) {
 			}
 			ma.NIC.InjectRX(0, device.Segment{Flow: 1, Seq: seg.Seq, Len: seg.Len, Header: seg.Hdr})
 		})
-	recv := &netstack.Receiver{K: ma.Kernel}
+	recv = &netstack.Receiver{K: ma.Kernel}
 	rr := netstack.NewReliableReceiver(recv, ma.Driver, 0, 0, arq)
 	ma.Driver.OnDeliver = func(task *sim.Task, ring int, skb *netstack.SKBuff) {
 		rr.HandleSegment(task, skb)
 	}
-	cycle := func() {
-		// One lost segment, three successors: their duplicate ACKs trigger
-		// the fast retransmit that repairs the hole, and the final fresh
-		// ACK empties the window before the next iteration.
+	cycle = func() {
 		dropNext = true
 		for i := 0; i < 4; i++ {
 			arq.SendNext()
 		}
 		ma.Sim.RunUntilIdle()
 		if arq.InFlight() != 0 {
-			t.Fatalf("window not drained: %d in flight", arq.InFlight())
+			tb.Fatalf("window not drained: %d in flight", arq.InFlight())
 		}
 	}
 	for i := 0; i < 200; i++ {
 		cycle()
 	}
+	return cycle, arq, recv
+}
+
+// TestRetransmitPathZeroAlloc gates the ARQ loss-recovery cycle: every
+// iteration loses a segment, detects the hole by duplicate ACKs, fast
+// retransmits through the same injection path, reorders/flushes at the
+// receiver, and returns the cumulative ACK through the real TX DMA path.
+// After warmup the whole cycle — pooled ARQ segments, header rebuilds into
+// the embedded buffer, reorder-window bookkeeping, pooled ACK transmissions
+// and the lazily re-armed RTO timer — must not touch the Go heap.
+func TestRetransmitPathZeroAlloc(t *testing.T) {
+	cycle, arq, recv := retransmitRig(t)
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
 		t.Fatalf("retransmit path allocates %.1f/cycle, want 0", allocs)
 	}
@@ -250,22 +289,7 @@ func TestRetransmitPathZeroAlloc(t *testing.T) {
 // (and the hash → indirection-table steering itself) must stay
 // allocation-free too.
 func TestRXPathZeroAllocMultiRing(t *testing.T) {
-	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme:   testbed.SchemeDAMN,
-		MemBytes: 256 << 20,
-		Cores:    4, // Rings == Cores: 4 RX queues
-		RingSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := &netstack.Receiver{K: ma.Kernel}
-	ma.Driver.OnDeliver = func(task *sim.Task, ring int, skb *netstack.SKBuff) {
-		recv.HandleSegment(task, skb)
-	}
-	if err := ma.FillAllRings(); err != nil {
-		t.Fatal(err)
-	}
+	ma, recv := rxMachine(t, 4) // Rings == Cores: 4 RX queues
 	hdr := []byte("hdr:steady")
 	inject := func() {
 		// The default indirection table is i % Rings over 128 slots, so
@@ -289,27 +313,34 @@ func TestRXPathZeroAllocMultiRing(t *testing.T) {
 	}
 }
 
+// capCheckRig returns the capability checks of one map/unmap round on a
+// four-ring table: a valid handle, a forged one (wrong tenant) and an
+// unowned ring that passes uncounted.
+func capCheckRig(tb testing.TB) (cycle func(), tab *tenant.Table) {
+	tab = tenant.NewTable(4)
+	tab.SetStats(stats.NewRegistry())
+	tab.AssignRing(0, 0)
+	tab.AssignRing(1, 1)
+	tab.Present(1, tenant.Handle{Tenant: 0}) // forged: wrong tenant
+	cycle = func() {
+		if !tab.CheckRing(0) {
+			tb.Fatal("valid capability denied")
+		}
+		if tab.CheckRing(1) {
+			tb.Fatal("forged capability passed")
+		}
+		_ = tab.CheckRing(2) // unowned: passes uncounted
+	}
+	return cycle, tab
+}
+
 // TestCapCheckZeroAlloc gates the multi-tenant capability check itself: the
 // two-compare validation the driver runs before every map and unmap on a
 // tenant-owned ring. Both the accept path and the deny path (aggregate and
 // per-tenant denial counters included) must stay off the Go heap — the
 // counters are created at Register time, never on the check.
 func TestCapCheckZeroAlloc(t *testing.T) {
-	tab := tenant.NewTable(4)
-	tab.SetStats(stats.NewRegistry())
-	tab.AssignRing(0, 0)
-	tab.AssignRing(1, 1)
-	tab.Present(1, tenant.Handle{Tenant: 0}) // forged: wrong tenant
-	cycle := func() {
-		if !tab.CheckRing(0) {
-			t.Fatal("valid capability denied")
-		}
-		if tab.CheckRing(1) {
-			t.Fatal("forged capability passed")
-		}
-		if tab.CheckRing(2) { // unowned: passes uncounted
-		}
-	}
+	cycle, tab := capCheckRig(t)
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Fatalf("capability check allocates %.1f/op, want 0", allocs)
 	}
@@ -325,15 +356,7 @@ func TestCapCheckZeroAlloc(t *testing.T) {
 // (it is control-plane cadence, not per-packet work, and RunUntilIdle never
 // drains a live ticker); the gate and the pacer stay installed.
 func TestRXPathZeroAllocTenancy(t *testing.T) {
-	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme:   testbed.SchemeDAMN,
-		MemBytes: 256 << 20,
-		Cores:    2,
-		RingSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ma := gateMachine(t, testbed.SchemeDAMN, 2)
 	mgr := tenant.Attach(ma, tenant.Config{})
 	if _, err := mgr.AddTenant(0, 1, []int{0, 1}); err != nil {
 		t.Fatal(err)
@@ -365,32 +388,37 @@ func TestRXPathZeroAllocTenancy(t *testing.T) {
 	}
 }
 
-// bypassAllocMachine assembles a bypass machine with a set-up, started
-// polling driver for the 0-alloc gates. The caller must advance the engine
-// with bounded Run windows — the poll ticker never goes idle, so
-// RunUntilIdle would spin forever.
-func bypassAllocMachine(t *testing.T, scheme testbed.Scheme) (*testbed.Machine, *netstack.BypassDriver) {
-	t.Helper()
-	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme:   scheme,
-		MemBytes: 256 << 20,
-		Cores:    2,
-		RingSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// bypassMachine assembles a bypass machine with a set-up, started polling
+// driver. The caller must advance the engine with bounded Run windows — the
+// poll ticker never goes idle, so RunUntilIdle would spin forever.
+func bypassMachine(tb testing.TB, scheme testbed.Scheme) (*testbed.Machine, *netstack.BypassDriver) {
+	tb.Helper()
+	ma := gateMachine(tb, scheme, 2)
 	d := netstack.NewBypassDriver(ma.Kernel, ma.NIC, 0, testbed.BypassDeviceID,
 		scheme == testbed.SchemeBypassProt)
 	var setupErr error
 	d.Core().Submit(false, func(task *sim.Task) { setupErr = d.Setup(task) })
 	ma.Sim.Run(ma.Sim.Now())
 	if setupErr != nil {
-		t.Fatal(setupErr)
+		tb.Fatal(setupErr)
 	}
 	d.Start()
-	t.Cleanup(d.Close)
+	tb.Cleanup(d.Close)
 	return ma, d
+}
+
+// bypassPollRig returns one idle busy-poll tick of a bypass-raw driver,
+// warmed up.
+func bypassPollRig(tb testing.TB) (tick func(), d *netstack.BypassDriver) {
+	ma, d := bypassMachine(tb, testbed.SchemeBypassRaw)
+	interval := ma.Model.BypassPollInterval
+	tick = func() {
+		ma.Sim.Run(ma.Sim.Now() + interval)
+	}
+	for i := 0; i < 200; i++ {
+		tick()
+	}
+	return tick, d
 }
 
 // TestBypassPollZeroAlloc gates the idle busy-poll loop: every tick submits
@@ -398,16 +426,9 @@ func bypassAllocMachine(t *testing.T, scheme testbed.Scheme) (*testbed.Machine, 
 // spin interval. The pinned ticker, task free list and reused harvest
 // buffer make the steady-state tick allocation-free.
 func TestBypassPollZeroAlloc(t *testing.T) {
-	ma, d := bypassAllocMachine(t, testbed.SchemeBypassRaw)
-	interval := ma.Model.BypassPollInterval
-	cycle := func() {
-		ma.Sim.Run(ma.Sim.Now() + interval)
-	}
-	for i := 0; i < 200; i++ {
-		cycle()
-	}
+	tick, d := bypassPollRig(t)
 	polls := d.Polls
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
 		t.Fatalf("bypass poll tick allocates %.1f/op, want 0", allocs)
 	}
 	if d.Polls < polls+1000 {
@@ -418,22 +439,30 @@ func TestBypassPollZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBypassRXPathZeroAlloc gates the full bypass receive path in steady
-// state: wire arrival, DMA through the per-app domain, used-ring publish,
-// busy-poll harvest, run-to-completion delivery and the batched repost
-// behind one doorbell. Runs the protected flavor so the IOMMU-translated
-// path is the one measured.
-func TestBypassRXPathZeroAlloc(t *testing.T) {
-	ma, d := bypassAllocMachine(t, testbed.SchemeBypassProt)
-	window := 4 * ma.Model.BypassPollInterval // covers DMA + publish + poll + repost
+// bypassRXRig returns one 9000-byte segment through the bypass-prot receive
+// path, warmed up: wire arrival, then four poll intervals, which cover DMA,
+// used-ring publish, harvest and repost.
+func bypassRXRig(tb testing.TB) (inject func(), d *netstack.BypassDriver) {
+	ma, d := bypassMachine(tb, testbed.SchemeBypassProt)
+	window := 4 * ma.Model.BypassPollInterval
 	hdr := []byte("hdr:steady")
-	inject := func() {
+	inject = func() {
 		ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: 9000, Header: hdr})
 		ma.Sim.Run(ma.Sim.Now() + window)
 	}
 	for i := 0; i < 200; i++ {
 		inject()
 	}
+	return inject, d
+}
+
+// TestBypassRXPathZeroAlloc gates the full bypass receive path in steady
+// state: wire arrival, DMA through the per-app domain, used-ring publish,
+// busy-poll harvest, run-to-completion delivery and the batched repost
+// behind one doorbell. Runs the protected flavor so the IOMMU-translated
+// path is the one measured.
+func TestBypassRXPathZeroAlloc(t *testing.T) {
+	inject, d := bypassRXRig(t)
 	harvested := d.Harvested
 	if allocs := testing.AllocsPerRun(500, inject); allocs != 0 {
 		t.Fatalf("bypass RX path allocates %.1f/segment, want 0", allocs)

@@ -2,30 +2,36 @@
 //
 //   - Micro: real wall-clock cost of the reproduction's hot data
 //     structures (DAMN alloc/free fast path, the DMA-map interposition,
-//     the legacy schemes' map/unmap, IOTLB lookups, skb accessors).
-//   - Macro: one benchmark per table/figure of the paper; each iteration
-//     reruns the experiment in quick mode and reports the headline number
-//     as a custom metric (Gb/s, TPS, KIOPS …). These take seconds per
-//     iteration by design.
+//     the legacy schemes' map/unmap, IOTLB lookups, skb accessors), the
+//     event loop, and the per-packet paths alloc_test.go gates at 0
+//     allocs/op. A gated path is timed on its gate's own rig.
+//   - Macro: one sub-benchmark per experiments.Catalog() entry, each
+//     iteration rerunning that figure in quick mode; the 4-machine
+//     topology ring, serial against parallel; and the whole quick suite,
+//     serial against parallel. These take seconds per iteration by design.
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
+//
+// or one figure with -bench 'Catalog/fig4$'.
 package damn_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	damn "github.com/asplos18/damn"
 	damncore "github.com/asplos18/damn/internal/damn"
-	"github.com/asplos18/damn/internal/dmaapi"
 	"github.com/asplos18/damn/internal/experiments"
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/mem"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
+	"github.com/asplos18/damn/internal/workloads"
 )
 
 // damnCtx is a zero allocation context (core 0, standard context).
@@ -40,23 +46,22 @@ func benchMachine(b testing.TB, scheme damn.Scheme) *damn.Machine {
 	return m
 }
 
+// benchOp times op, the warmed-up steady-state operation of an alloc_test.go
+// rig, and reports its allocations.
+func benchOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 // ---- Micro benchmarks ----
 
 // BenchmarkDamnAllocFree measures the damn_alloc/damn_free fast path
 // (per-core bump pointer + chunk refcount, §5.4).
 func BenchmarkDamnAllocFree(b *testing.B) {
-	m := benchMachine(b, damn.SchemeDAMN)
-	d := m.DamnAllocator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pa, err := d.Alloc(damnCtx, testbed.NICDeviceID, iommu.PermWrite, 1500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := d.Free(damnCtx, pa); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, damnAllocFreeRig(b))
 }
 
 // BenchmarkDamnAllocFreeFullChunk exercises the chunk-recycling path: every
@@ -96,27 +101,9 @@ func BenchmarkKernelSlabAllocFree(b *testing.B) {
 // each scheme — for DAMN this is the §5.3 interposition fast path (page-
 // struct lookup + MSB check), for the others the real mapping machinery.
 func BenchmarkDmaMapUnmap(b *testing.B) {
-	for _, scheme := range []damn.Scheme{
-		damn.SchemeOff, damn.SchemeStrict, damn.SchemeDeferred, damn.SchemeShadow, damn.SchemeDAMN,
-	} {
+	for _, scheme := range dmaSchemes {
 		b.Run(string(scheme), func(b *testing.B) {
-			m := benchMachine(b, scheme)
-			tb := m.Testbed()
-			pa, damnOwned, err := tb.Kernel.AllocBuffer(nil, testbed.NICDeviceID, iommu.PermWrite, 4096)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tb.Kernel.FreeBuffer(nil, pa, damnOwned)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v, err := tb.DMA.Map(nil, testbed.NICDeviceID, pa, 4096, dmaapi.FromDevice)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := tb.DMA.Unmap(nil, testbed.NICDeviceID, v, 4096, dmaapi.FromDevice); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOp(b, dmaMapUnmapRig(b, scheme))
 		})
 	}
 }
@@ -176,12 +163,53 @@ func BenchmarkSkbAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkRXSkbPath measures one 9000-byte segment through the full
+// receive path: wire arrival, DMA + translation, interrupt dispatch, driver
+// unmap + repost, skb adoption, accessor copy, netfilter, user copy, free.
+func BenchmarkRXSkbPath(b *testing.B) {
+	inject, _ := rxPathRig(b)
+	benchOp(b, inject)
+}
+
+// BenchmarkARQRetransmit measures one ARQ loss-recovery cycle: a lost
+// segment, dup-ACK fast retransmit, reorder flush and the cumulative ACK
+// through the TX DMA path.
+func BenchmarkARQRetransmit(b *testing.B) {
+	cycle, _, _ := retransmitRig(b)
+	benchOp(b, cycle)
+}
+
+// BenchmarkCapCheck measures the multi-tenant capability checks the driver
+// runs before a map or unmap: a valid handle, a forged one and an unowned
+// ring.
+func BenchmarkCapCheck(b *testing.B) {
+	cycle, _ := capCheckRig(b)
+	benchOp(b, cycle)
+}
+
+// BenchmarkBypassPollTick measures one idle busy-poll tick of the
+// kernel-bypass driver.
+func BenchmarkBypassPollTick(b *testing.B) {
+	tick, _ := bypassPollRig(b)
+	benchOp(b, tick)
+}
+
+// BenchmarkVirtqueuePostHarvest measures one segment through the protected
+// bypass path: avail post, DMA, used-element publish through the per-app
+// domain, burst harvest and repost behind one doorbell. Each op also runs
+// four poll intervals of the whole machine.
+func BenchmarkVirtqueuePostHarvest(b *testing.B) {
+	inject, _ := bypassRXRig(b)
+	benchOp(b, inject)
+}
+
 // ---- Engine micro benchmarks ----
 //
 // The event loop underneath every simulation. The free-list pool and the
 // reusable ticker event make all three steady-state paths allocation-free;
-// these benchmarks are the regression gate (cmd/benchreport records them in
-// BENCH_PR10.json).
+// internal/sim's TestScheduleRunSteadyStateAllocs and
+// TestEverySteadyStateAllocs and alloc_test.go's TestCancelStormZeroAlloc
+// gate that.
 
 // BenchmarkEngineScheduleRun measures the schedule+dispatch round trip: one
 // event scheduled and executed per iteration. Steady state must not
@@ -218,16 +246,7 @@ func BenchmarkEngineTicker(b *testing.B) {
 // traffic in the heap — the pattern that used to leak cancelled events until
 // the engine learned to compact.
 func BenchmarkEngineCancelStorm(b *testing.B) {
-	e := sim.NewEngine(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stop := e.Every(sim.Microsecond, fn)
-		e.After(sim.Microsecond/2, fn)
-		stop()
-		e.RunUntilIdle()
-	}
+	benchOp(b, cancelStormRig())
 }
 
 // BenchmarkBuddyAllocFree measures the buddy page allocator.
@@ -246,226 +265,66 @@ func BenchmarkBuddyAllocFree(b *testing.B) {
 	}
 }
 
-// ---- Macro benchmarks: one per table/figure ----
+// ---- Macro benchmarks ----
 
 var quickOpts = experiments.Options{Quick: true}
 
-// BenchmarkTable1Matrix regenerates the Table 1 security matrix by mounting
-// the attack probes against every scheme.
-func BenchmarkTable1Matrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("matrix incomplete")
-		}
-	}
-}
-
-// BenchmarkFig4SingleCore regenerates Fig 4 and reports damn's single-core
-// RX throughput.
-func BenchmarkFig4SingleCore(b *testing.B) {
-	var gbps float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig4(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scheme == "damn" && r.Dir == "RX" {
-				gbps = r.Gbps
+// BenchmarkCatalog reruns one catalog entry per iteration in quick mode,
+// one sub-benchmark per entry: the paper's tables and figures and the
+// figures beyond the paper. The shape tests in internal/experiments and the
+// quick catalog's byte-identity pin their numbers; this times them.
+func BenchmarkCatalog(b *testing.B) {
+	for _, fig := range experiments.Catalog() {
+		b.Run(fig.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := fig.Run(quickOpts); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
-	b.ReportMetric(gbps, "damn-RX-Gb/s")
 }
 
-// BenchmarkFig5MultiCore regenerates Fig 5 and reports strict's throttled
-// multi-core RX throughput.
-func BenchmarkFig5MultiCore(b *testing.B) {
-	var gbps float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig5(quickOpts)
+// BenchmarkTopologyRing measures the sharded conservative-parallel topology
+// engine: the same 4-machine DAMN ring advanced by one host worker and by
+// one worker per machine (GOMAXPROCS workers, at least two, at most one per
+// machine). The two results must be identical — host workers change wall
+// clock only. On a multi-CPU host the parallel run must also be at least
+// 1.5× faster; with one CPU the workers timeslice it and no speedup is
+// expected.
+func BenchmarkTopologyRing(b *testing.B) {
+	const machines = 4
+	workers := min(max(runtime.GOMAXPROCS(0), 2), machines)
+	ring := func(w int) (workloads.RingResult, time.Duration) {
+		start := time.Now()
+		res, err := workloads.RunRing(workloads.RingConfig{
+			Scheme: testbed.SchemeDAMN, Machines: machines, Workers: w,
+			Seed: 1, Duration: 120 * sim.Millisecond, Warmup: 10 * sim.Millisecond,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows {
-			if r.Scheme == "strict" && r.Dir == "RX" {
-				gbps = r.Gbps
-			}
-		}
+		return res, time.Since(start)
 	}
-	b.ReportMetric(gbps, "strict-RX-Gb/s")
-}
-
-// BenchmarkFig6Bidirectional regenerates Figures 1/6 and reports damn's
-// aggregate throughput.
-func BenchmarkFig6Bidirectional(b *testing.B) {
-	var gbps float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6(quickOpts)
-		if err != nil {
-			b.Fatal(err)
+		serial, serialTime := ring(1)
+		par, parTime := ring(workers)
+		if !reflect.DeepEqual(serial, par) {
+			b.Fatal("parallel topology run diverges from serial")
 		}
-		for _, r := range rows {
-			if r.Scheme == "damn" {
-				gbps = r.TotalGbps
-			}
-		}
-	}
-	b.ReportMetric(gbps, "damn-total-Gb/s")
-}
-
-// BenchmarkTable3Variants regenerates Table 3 and reports damn's fraction
-// of the iommu-off throughput.
-func BenchmarkTable3Variants(b *testing.B) {
-	var pct float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pct = rows[0].PctOfIOMMU
-	}
-	b.ReportMetric(pct, "damn-%-of-off")
-}
-
-// BenchmarkFig2Interference regenerates Fig 2 and reports the shadow
-// slowdown of the Graph500 co-runner.
-func BenchmarkFig2Interference(b *testing.B) {
-	var slowdown float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig2(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var shadow, alone float64
-		for _, r := range rows {
-			switch r.Config {
-			case "shadow":
-				shadow = r.GraphIterSec
-			case "no net":
-				alone = r.GraphIterSec
-			}
-		}
-		if alone > 0 {
-			slowdown = shadow / alone
+		speedup := serialTime.Seconds() / parTime.Seconds()
+		b.ReportMetric(speedup, "speedup-x")
+		if runtime.NumCPU() >= 2 && speedup < 1.5 {
+			b.Fatalf("%d-machine topology speedup %.2f× with %d workers on %d CPUs (serial %.2fs, parallel %.2fs, %d epochs), want >= 1.5×",
+				machines, speedup, workers, runtime.NumCPU(), serialTime.Seconds(), parTime.Seconds(), serial.Epochs)
 		}
 	}
-	b.ReportMetric(slowdown, "shadow-BFS-slowdown-x")
-}
-
-// BenchmarkFig7Memcached regenerates Fig 7 and reports strict's TPS.
-func BenchmarkFig7Memcached(b *testing.B) {
-	var tps float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scheme == "strict" {
-				tps = r.TPS
-			}
-		}
-	}
-	b.ReportMetric(tps, "strict-TPS")
-}
-
-// BenchmarkFig8Tocttou regenerates Fig 8 and reports damn's CPU at the
-// full-copy extreme.
-func BenchmarkFig8Tocttou(b *testing.B) {
-	var cpu float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scheme == "damn" && r.AccessedBytes == 64<<10 {
-				cpu = r.CPUUtil * 100
-			}
-		}
-	}
-	b.ReportMetric(cpu, "damn-64KiB-CPU-%")
-}
-
-// BenchmarkFig9PagesMapped regenerates Fig 9 and reports the final
-// ever-mapped page count.
-func BenchmarkFig9PagesMapped(b *testing.B) {
-	var ever float64
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig9(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ever = float64(points[len(points)-1].EverPages)
-	}
-	b.ReportMetric(ever, "ever-mapped-pages")
-}
-
-// BenchmarkFig10Memory regenerates Fig 10 and reports damn's bidirectional
-// 28-instance memory usage.
-func BenchmarkFig10Memory(b *testing.B) {
-	var mib float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scheme == "damn" && r.Direction == "bidir" && r.Instances == 28 {
-				mib = r.AvgMiB
-			}
-		}
-	}
-	b.ReportMetric(mib, "damn-bidir-MiB")
-}
-
-// BenchmarkFig11Nvme regenerates Fig 11 and reports shadow's 512 B IOPS
-// (the §6.5 premise: prior schemes suffice for storage).
-func BenchmarkFig11Nvme(b *testing.B) {
-	var kiops float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig11(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scheme == "shadow" && r.BlockSize == 512 {
-				kiops = r.KIOPS
-			}
-		}
-	}
-	b.ReportMetric(kiops, "shadow-512B-KIOPS")
-}
-
-// BenchmarkAblations regenerates the §5.4 design-ablation table and reports
-// the no-DMA-cache configuration's throughput (the cost the permanent
-// mapping avoids).
-func BenchmarkAblations(b *testing.B) {
-	var gbps float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Ablations(quickOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Config == "damn-no-dma-cache" {
-				gbps = r.TotalGbps
-			}
-		}
-	}
-	b.ReportMetric(gbps, "no-cache-Gb/s")
 }
 
 // BenchmarkSuiteQuick reruns the entire quick-mode evaluation suite (every
 // paper figure, in catalog order) once per iteration — serially and fanned
-// across GOMAXPROCS workers. The parallel/serial ratio is the headline
-// speedup recorded in BENCH_PR10.json; output byte-identity between the two
-// is asserted on every iteration.
+// across GOMAXPROCS workers. Output byte-identity between the two is
+// asserted on every iteration.
 func BenchmarkSuiteQuick(b *testing.B) {
 	var serialOut string
 	b.Run("parallel-1", func(b *testing.B) {

@@ -3,11 +3,18 @@
 //
 // Usage:
 //
-//	damnbench [-quick] [-parallel N] [-seed N]
-//	          [-exp all|table1|fig2|fig4|fig5|fig6|table3|fig7|fig8|fig9|fig10|fig11|scaling|chaos|recovery|loss|cluster|tenants|bypass]
-//	          [-recovery] [-scaling] [-loss] [-cluster] [-tenants] [-bypass] [-topo-workers N]
+//	damnbench [-quick] [-parallel N] [-seed N] [-exp NAME[,NAME...]]
+//	          [-recovery] [-topo-workers N]
 //	          [-faults P] [-fault-seed N] [-stats out.json] [-trace out.trace]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// -exp takes a comma-separated list of catalog names, in any order; the
+// figures run in catalog order. "all" (the default) is every paper figure:
+// table1, fig4, fig5, fig6, table3, fig2, fig7, fig8, fig9, fig10, fig11,
+// ablations and footnote5. The figures beyond the paper — scaling, chaos,
+// recovery, loss, cluster, tenants and bypass — run only when named, so
+// -exp all,bypass adds one of them to the paper's output. Any other name
+// exits 2 and lists the valid ones.
 //
 // The default full-fidelity run takes a few minutes; -quick shrinks the
 // measurement windows for a fast smoke pass. -parallel N fans each figure's
@@ -36,45 +43,45 @@
 // With -exp chaos, -recovery also attaches the supervisor to the chaos
 // machines, so chaos storms are contained instead of ridden out.
 //
-// -scaling (or -exp scaling) adds the RSS scale-out figure: netperf RX
-// throughput at 1/2/4/8/16 simulated cores per scheme, with flows spread
-// across one RX ring per core by the deterministic Toeplitz hash. The run
-// fails if any RX completion executes off its ring's core or any DAMN
-// request is clamped to a foreign shard.
+// -exp scaling is the RSS scale-out figure: netperf RX throughput at
+// 1/2/4/8/16 simulated cores per scheme, with flows spread across one RX
+// ring per core by the deterministic Toeplitz hash. The run fails if any RX
+// completion executes off its ring's core or any DAMN request is clamped to
+// a foreign shard.
 //
-// -loss (or -exp loss) adds the loss-resilience figure: reliable (ARQ)
-// flows per scheme over a lossy link (0–5% drop/corrupt), reporting
-// delivered goodput, retransmission rate, CPU per delivered megabyte, and
-// a chaos column where the same flows ride the uniform all-kinds fault
-// schedule under the recovery supervisor. The fault schedule is rooted at
-// -fault-seed and replays exactly.
+// -exp loss is the loss-resilience figure: reliable (ARQ) flows per scheme
+// over a lossy link (0–5% drop/corrupt), reporting delivered goodput,
+// retransmission rate, CPU per delivered megabyte, and a chaos column where
+// the same flows ride the uniform all-kinds fault schedule under the
+// recovery supervisor. The fault schedule is rooted at -fault-seed and
+// replays exactly.
 //
-// -tenants (or -exp tenants) adds the multi-tenant isolation figure: N
-// tenants (1/2/4/8) share one protected NIC, each with its own virtual
-// function — a private IOMMU domain, DAMN cache generation and RSS ring
-// pair — behind a capability-checked buffer handoff and a weighted fair
-// share of the PCIe ceiling. For every N > 1 datapoint one tenant is
-// compromised (forged capabilities, DMA probes into sibling IOVA ranges, a
-// VF-filtered DMA-fault storm); the row reports the neighbours' worst
-// goodput ratio, where the containment ladder left the attacker, and what
-// the capability gate and per-tenant domains blocked.
+// -exp tenants is the multi-tenant isolation figure: N tenants (1/2/4/8)
+// share one protected NIC, each with its own virtual function — a private
+// IOMMU domain, DAMN cache generation and RSS ring pair — behind a
+// capability-checked buffer handoff and a weighted fair share of the PCIe
+// ceiling. For every N > 1 datapoint one tenant is compromised (forged
+// capabilities, DMA probes into sibling IOVA ranges, a VF-filtered DMA-fault
+// storm); the row reports the neighbours' worst goodput ratio, where the
+// containment ladder left the attacker, and what the capability gate and
+// per-tenant domains blocked.
 //
-// -bypass (or -exp bypass) adds the kernel-bypass figure: the five kernel
-// schemes under single-core netperf RX next to bypass-raw (virtio-style
-// polling rings, permanent identity mappings, no protection — the DPDK
-// baseline) and bypass-prot (the same rings behind a per-app IOMMU domain
-// registered once at setup). Rows report goodput, CPU microseconds per
-// megabyte (busy-poll spin included), idle busy-poll burn, and the measured
-// Table 1 safety verdicts; the run fails unless raw beats iommu-off, prot
-// stays within 10% of raw, and both burn idle CPU. The bypass family also
-// appears as extra rows of the -scaling figure.
+// -exp bypass is the kernel-bypass figure: the five kernel schemes under
+// single-core netperf RX next to bypass-raw (virtio-style polling rings,
+// permanent identity mappings, no protection — the DPDK baseline) and
+// bypass-prot (the same rings behind a per-app IOMMU domain registered once
+// at setup). Rows report goodput, CPU microseconds per megabyte (busy-poll
+// spin included), idle busy-poll burn, and the measured Table 1 safety
+// verdicts; the run fails unless raw beats iommu-off, prot stays within 10%
+// of raw, and both burn idle CPU. The bypass family also appears as extra
+// rows of the scaling figure.
 //
-// -cluster (or -exp cluster) adds the multi-machine cluster figure: per
-// scheme, a 4-sender incast storm through a tail-dropping router and a
-// 2-client/2-server memcached cluster behind a load balancer, both on the
-// sharded conservative-parallel topology engine. -topo-workers N advances
-// N machines concurrently inside lookahead epochs; the figure's rows are
-// byte-identical for any value (1 = serial reference).
+// -exp cluster is the multi-machine cluster figure: per scheme, a 4-sender
+// incast storm through a tail-dropping router and a 2-client/2-server
+// memcached cluster behind a load balancer, both on the sharded
+// conservative-parallel topology engine. -topo-workers N advances N machines
+// concurrently inside lookahead epochs; the figure's rows are byte-identical
+// for any value (1 = serial reference).
 package main
 
 import (
@@ -83,6 +90,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -96,13 +104,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	faultRate := flag.Float64("faults", 0, "per-visit fault-injection probability for every fault kind (0 = off); see internal/faults")
 	faultSeed := flag.Int64("fault-seed", 1, "seed of the deterministic fault schedule (used with -faults or -exp chaos)")
-	exp := flag.String("exp", "all", "experiment to run (comma separated): all, table1, fig2, fig4, fig5, fig6, table3, fig7, fig8, fig9, fig10, fig11, ablations, footnote5, scaling, chaos, recovery, loss, cluster, tenants, bypass")
+	exp := flag.String("exp", "all", "experiments to run (comma separated): "+strings.Join(expNames(), ", "))
 	recover := flag.Bool("recovery", false, "fault-domain recovery: add the recovery figure to the run, and attach the device-recovery supervisor to chaos machines")
-	scaling := flag.Bool("scaling", false, "RSS scale-out: add the Gb/s vs. core-count figure to the run")
-	loss := flag.Bool("loss", false, "loss resilience: add the ARQ goodput-vs-link-loss figure to the run")
-	cluster := flag.Bool("cluster", false, "multi-machine topologies: add the incast + memcached cluster figure to the run")
-	tenants := flag.Bool("tenants", false, "multi-tenant isolation: add the fairness + compromised-tenant blast-radius figure to the run")
-	bypass := flag.Bool("bypass", false, "kernel bypass: add the polling-path vs. kernel-stack figure to the run")
 	topoWorkers := flag.Int("topo-workers", 1, "host workers advancing a topology's machines in parallel (output is identical for any value)")
 	statsOut := flag.String("stats", "", "write per-figure metrics snapshots to this JSON file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of every simulated machine")
@@ -110,6 +113,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a host allocation profile of the run (runtime/pprof) to this file")
 	flag.Parse()
 
+	figs, err := selectFigures(*exp, *recover)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "profile: %v\n", err)
@@ -135,39 +143,7 @@ func main() {
 	if *traceOut != "" {
 		opts.Tracer = stats.NewTracer()
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	if *recover {
-		want["recovery"] = true
-	}
-	if *scaling {
-		want["scaling"] = true
-	}
-	if *loss {
-		want["loss"] = true
-	}
-	if *cluster {
-		want["cluster"] = true
-	}
-	if *tenants {
-		want["tenants"] = true
-	}
-	if *bypass {
-		want["bypass"] = true
-	}
-	all := want["all"]
-
-	ran := 0
-	for _, fig := range experiments.Catalog() {
-		// The chaos harness is a robustness gate, not a paper figure: run
-		// it only when asked for by name, so -exp all stays the paper's
-		// output.
-		if !want[fig.Name] && (!all || !fig.Paper) {
-			continue
-		}
-		ran++
+	for _, fig := range figs {
 		start := time.Now()
 		out, err := fig.Run(opts)
 		if err != nil {
@@ -178,10 +154,6 @@ func main() {
 		// Wall-clock timing goes to stderr: stdout stays byte-identical
 		// across runs and -parallel settings.
 		fmt.Fprintf(os.Stderr, "(%s computed in %.1fs)\n", fig.Name, time.Since(start).Seconds())
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		exit(2)
 	}
 	if *statsOut != "" {
 		if err := writeStats(*statsOut, snaps); err != nil {
@@ -202,6 +174,39 @@ func main() {
 		fmt.Println()
 	}
 	exit(0)
+}
+
+// expNames lists the names -exp accepts: "all", then the catalog in order.
+func expNames() []string {
+	names := []string{"all"}
+	for _, fig := range experiments.Catalog() {
+		names = append(names, fig.Name)
+	}
+	return names
+}
+
+// selectFigures returns the catalog entries an -exp list names, in catalog
+// order. "all" names every paper figure; the figures beyond the paper run
+// only when named, so -exp all stays the paper's output. recovery adds the
+// recovery figure. A name that is neither "all" nor a catalog entry is an
+// error that lists the valid names.
+func selectFigures(exp string, recovery bool) ([]experiments.Figure, error) {
+	valid := expNames()
+	want := map[string]bool{"recovery": recovery}
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("unknown experiment %q; valid: %s", name, strings.Join(valid, ", "))
+		}
+		want[name] = true
+	}
+	var figs []experiments.Figure
+	for _, fig := range experiments.Catalog() {
+		if want[fig.Name] || (want["all"] && fig.Paper) {
+			figs = append(figs, fig)
+		}
+	}
+	return figs, nil
 }
 
 func writeStats(path string, snaps map[string]stats.Snapshot) error {

@@ -11,7 +11,8 @@ import (
 )
 
 // quickTenants runs a reduced grid (damn scheme only) at quick windows —
-// the full 5-scheme × 4-count grid belongs to `make tenants`.
+// the full 5-scheme × 4-count grid is TestTenantsFigureParallelMatchesSerial
+// and `make figures`.
 func quickTenants(t *testing.T, n int, attack bool) workloads.TenantsResult {
 	t.Helper()
 	res, err := workloads.RunTenants(workloads.TenantsConfig{
@@ -58,7 +59,7 @@ func TestTenantsBlastRadiusGate(t *testing.T) {
 // exercised at two Parallel values over identical options.
 func TestTenantsFigureParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full tenants grid is slow; run via make tenants")
+		t.Skip("full tenants grid is slow; make test and make race-full run it")
 	}
 	serial, err := Tenants(Options{Quick: true, FaultSeed: 3, Parallel: 1})
 	if err != nil {
