@@ -60,19 +60,17 @@ bench-go:
 	$(GO) test -bench=. -benchmem -timeout 60m -run=^$$ .
 
 # figures runs each figure outside the paper suite once, in quick mode under
-# the race detector, one process per figure, then the kernel-bypass attack
-# verdicts. The figures check themselves (the scaling figure fails on an
-# off-core RX completion, the bypass figure on its acceptance gates, the
-# chaos harness on a conservation audit); -topo-workers 4 runs the cluster
-# figure, the only one that reads it, on the parallel topology engine. Their
-# tests run under the race detector in `make race` (-short) and `make
-# race-full`.
+# the race detector, one process per figure, the attack matrix included. The
+# figures check themselves (the scaling figure fails on an off-core RX
+# completion, the bypass figure on its acceptance gates, the chaos harness on
+# a conservation audit); -topo-workers 4 runs the cluster figure, the only
+# one that reads it, on the parallel topology engine. Their tests run under
+# the race detector in `make race` (-short) and `make race-full`.
 figures:
-	@set -e; for f in scaling chaos recovery loss cluster tenants bypass; do \
+	@set -e; for f in scaling chaos recovery loss cluster tenants bypass attacks; do \
 		echo "damnbench -race -quick -topo-workers 4 -exp $$f"; \
 		$(GO) run -race ./cmd/damnbench -quick -topo-workers 4 -exp $$f; \
 	done
-	$(GO) run -race ./cmd/attacksim -bypass > /dev/null
 
 # The repository benchmark's own tests (perfbench is a separate module): every
 # job's digest at the reference seed must match perfbench/digests.json, and

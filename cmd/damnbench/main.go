@@ -12,9 +12,9 @@
 // figures run in catalog order. "all" (the default) is every paper figure:
 // table1, fig4, fig5, fig6, table3, fig2, fig7, fig8, fig9, fig10, fig11,
 // ablations and footnote5. The figures beyond the paper — scaling, chaos,
-// recovery, loss, cluster, tenants and bypass — run only when named, so
-// -exp all,bypass adds one of them to the paper's output. Any other name
-// exits 2 and lists the valid ones.
+// recovery, loss, cluster, tenants, bypass and attacks — run only when
+// named, so -exp all,bypass adds one of them to the paper's output. Any
+// other name exits 2 and lists the valid ones.
 //
 // The default full-fidelity run takes a few minutes; -quick shrinks the
 // measurement windows for a fast smoke pass. -parallel N fans each figure's
@@ -75,6 +75,19 @@
 // verdicts; the run fails unless raw beats iommu-off, prot stays within 10%
 // of raw, and both burn idle CPU. The bypass family also appears as extra
 // rows of the scaling figure.
+//
+// -exp attacks is the DMA attack matrix (§2.1, §4.1): a compromised NIC
+// mounts every attack scenario against the five kernel schemes and both
+// bypass flavors, one fresh machine per pair, and each row reports whether
+// the attack LANDED or was BLOCKED. The scenarios are arbitrary-read,
+// co-location, window-write, tocttou-header and fault-storm (the storm runs
+// with the recovery supervisor attached) everywhere; tenant-probe (the
+// attacker as a compromised SR-IOV tenant) on the kernel schemes; and
+// pool-escape and pool-window (the app's DMA identity probing outside, and
+// rewriting inside, its registered hugepage pool) on the bypass pair.
+// Table 1 and the bypass figure take their safety columns from the same
+// scenarios. -seed, -faults, -fault-seed, -parallel, -stats and -trace
+// apply as for any figure; under -faults the verdicts must not change.
 //
 // -exp cluster is the multi-machine cluster figure: per scheme, a 4-sender
 // incast storm through a tail-dropping router and a 2-client/2-server

@@ -24,8 +24,8 @@
 //	// reach anything else.
 //
 // To regenerate the paper's results, use the Run* functions or the
-// cmd/damnbench binary; cmd/attacksim mounts the DMA attacks of §2.1
-// against every configuration.
+// cmd/damnbench binary; damnbench -exp attacks mounts the DMA attacks of
+// §2.1 against every configuration.
 package damn
 
 import (

@@ -37,6 +37,7 @@ func Catalog() []Figure {
 		figure("cluster", false, Cluster, RenderCluster),
 		figure("tenants", false, Tenants, RenderTenants),
 		figure("bypass", false, Bypass, RenderBypass),
+		figure("attacks", false, Attacks, RenderAttacks),
 	}
 }
 

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/asplos18/damn/internal/device"
-	"github.com/asplos18/damn/internal/iommu"
-	"github.com/asplos18/damn/internal/netstack"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
 	"github.com/asplos18/damn/internal/workloads"
@@ -34,21 +31,31 @@ type BypassRow struct {
 	NoWindow bool
 }
 
+// withBypass lists the five kernel schemes, then the bypass pair.
+func withBypass() []testbed.Scheme {
+	return append(append([]testbed.Scheme{}, testbed.AllSchemes...), testbed.BypassSchemes...)
+}
+
 // Bypass runs the kernel-bypass figure: every kernel scheme plus both
 // bypass flavors, one job each, with in-figure acceptance checks (raw must
 // beat iommu-off, prot must stay within 10% of raw, both must burn idle
-// CPU — the defining busy-poll cost).
+// CPU — the defining busy-poll cost). The safety columns come from the
+// attack catalog (see safety).
 func Bypass(opts Options) ([]BypassRow, error) {
 	warm, dur := opts.durations()
-	schemes := make([]testbed.Scheme, 0, len(testbed.AllSchemes)+len(testbed.BypassSchemes))
-	schemes = append(schemes, testbed.AllSchemes...)
-	schemes = append(schemes, testbed.BypassSchemes...)
+	schemes := withBypass()
 	rows, err := runJobs(opts, len(schemes), func(i int, opts Options) (BypassRow, error) {
 		scheme := schemes[i]
+		measure := kernelSchemeRow
 		if testbed.IsBypass(scheme) {
-			return bypassSchemeRow(scheme, opts, warm, dur)
+			measure = bypassSchemeRow
 		}
-		return kernelSchemeRow(scheme, opts, warm, dur)
+		row, err := measure(scheme, opts, warm, dur)
+		if err != nil {
+			return BypassRow{}, err
+		}
+		row.Subpage, row.NoWindow, err = safety(scheme, opts)
+		return row, err
 	})
 	if err != nil {
 		return nil, err
@@ -73,8 +80,7 @@ func Bypass(opts Options) ([]BypassRow, error) {
 }
 
 // kernelSchemeRow measures one kernel scheme under the figure's common
-// yardstick: single-core netperf RX (Fig 4a's shape), plus the Table 1
-// attack probes.
+// yardstick: single-core netperf RX (Fig 4a's shape).
 func kernelSchemeRow(scheme testbed.Scheme, opts Options, warm, dur sim.Time) (BypassRow, error) {
 	ma, err := newMachine(scheme, opts, 512<<20, 32)
 	if err != nil {
@@ -88,26 +94,15 @@ func kernelSchemeRow(scheme testbed.Scheme, opts Options, warm, dur sim.Time) (B
 	if err != nil {
 		return BypassRow{}, err
 	}
-	sub, err := probeSubpage(scheme, opts)
-	if err != nil {
-		return BypassRow{}, err
-	}
-	nw, err := probeWindow(scheme, opts)
-	if err != nil {
-		return BypassRow{}, err
-	}
 	opts.emit("bypass/"+string(scheme), ma)
 	return BypassRow{
 		Scheme:     string(scheme),
 		RXGbps:     res.RXGbps,
 		CPUPerMBus: cpuPerMBus(res.CPUUtil, len(ma.Cores), res.RXGbps),
-		Subpage:    sub,
-		NoWindow:   nw,
 	}, nil
 }
 
-// bypassSchemeRow measures one bypass flavor under the polling driver, then
-// mounts the bypass attack probes on a fresh machine.
+// bypassSchemeRow measures one bypass flavor under the polling driver.
 func bypassSchemeRow(scheme testbed.Scheme, opts Options, warm, dur sim.Time) (BypassRow, error) {
 	ma, err := newMachine(scheme, opts, 512<<20, 32)
 	if err != nil {
@@ -123,22 +118,12 @@ func bypassSchemeRow(scheme testbed.Scheme, opts Options, warm, dur sim.Time) (B
 	if res.PublishFaults != 0 {
 		return BypassRow{}, fmt.Errorf("bypass: %s: %d used-ring publishes faulted", scheme, res.PublishFaults)
 	}
-	sub, err := probeBypassReach(scheme, opts)
-	if err != nil {
-		return BypassRow{}, err
-	}
-	nw, err := probeBypassWindow(scheme, opts)
-	if err != nil {
-		return BypassRow{}, err
-	}
 	opts.emit("bypass/"+string(scheme), ma)
 	return BypassRow{
 		Scheme:        string(scheme),
 		RXGbps:        res.RXGbps,
 		CPUPerMBus:    res.CPUPerMBus,
 		IdleBurnCores: res.IdleBurnCores,
-		Subpage:       sub,
-		NoWindow:      nw,
 	}, nil
 }
 
@@ -150,68 +135,6 @@ func cpuPerMBus(util float64, cores int, rxGbps float64) float64 {
 		return 0
 	}
 	return util * float64(cores) * 1e6 / (rxGbps * 125)
-}
-
-// setupProbeDriver assembles a bypass machine with its pool registered —
-// the state an attack probe targets.
-func setupProbeDriver(scheme testbed.Scheme, opts Options) (*testbed.Machine, *netstack.BypassDriver, error) {
-	ma, err := newMachine(scheme, opts, 64<<20, 8)
-	if err != nil {
-		return nil, nil, err
-	}
-	d := netstack.NewBypassDriver(ma.Kernel, ma.NIC, 0, testbed.BypassDeviceID,
-		scheme == testbed.SchemeBypassProt)
-	var setupErr error
-	d.Core().Submit(false, func(t *sim.Task) { setupErr = d.Setup(t) })
-	ma.Sim.Run(ma.Sim.Now())
-	if setupErr != nil {
-		ma.Close()
-		return nil, nil, setupErr
-	}
-	return ma, d, nil
-}
-
-// probeBypassReach: can the bypass device read kernel memory *outside* its
-// registered pool? Under bypass-raw (passthrough) yes — any secret in RAM
-// is exposed; under bypass-prot the per-app domain confines DMA to the
-// registered hugepages. Returns true when the secret is safe.
-func probeBypassReach(scheme testbed.Scheme, opts Options) (bool, error) {
-	ma, d, err := setupProbeDriver(scheme, opts)
-	if err != nil {
-		return false, err
-	}
-	defer ma.Close()
-	defer d.Close()
-	secret := []byte("CO-LOCATED-SECRET")
-	secretPA, err := ma.Slab.Alloc(256, 0)
-	if err != nil {
-		return false, err
-	}
-	ma.Mem.Write(secretPA, secret)
-	attacker := device.NewMalicious(ma.IOMMU, testbed.BypassDeviceID)
-	got, err := attacker.TryRead(iommu.IOVA(secretPA), len(secret))
-	if err != nil {
-		return true, nil // blocked: the pool boundary held
-	}
-	return string(got) != string(secret), nil
-}
-
-// probeBypassWindow: can the device still write a pool buffer after the
-// application consumed it? With permanent mappings the answer is yes for
-// both flavors — the TOCTTOU window never closes, which is exactly the
-// protection DAMN's accessor copies add and bypass gives up. Returns true
-// when the write is blocked.
-func probeBypassWindow(scheme testbed.Scheme, opts Options) (bool, error) {
-	ma, d, err := setupProbeDriver(scheme, opts)
-	if err != nil {
-		return false, err
-	}
-	defer ma.Close()
-	defer d.Close()
-	bufPA := d.PoolChunks()[0].PFN().Addr()
-	attacker := device.NewMalicious(ma.IOMMU, testbed.BypassDeviceID)
-	flipped := attacker.TOCTTOUFlip(iommu.IOVA(bufPA), []byte("evil!"), 3)
-	return !flipped, nil
 }
 
 // RenderBypass renders the figure.

@@ -1,19 +1,12 @@
 package experiments
 
-import (
-	"github.com/asplos18/damn/internal/device"
-	"github.com/asplos18/damn/internal/dmaapi"
-	"github.com/asplos18/damn/internal/iommu"
-	"github.com/asplos18/damn/internal/mem"
-	"github.com/asplos18/damn/internal/netstack"
-	"github.com/asplos18/damn/internal/testbed"
-)
+import "github.com/asplos18/damn/internal/testbed"
 
 // Table1Row is one row of Table 1: the protection/performance matrix.
 // Unlike the paper — which asserts the security columns — this
 // reproduction *measures* them by mounting the attacks against each
-// configuration (see the probe functions below); the performance columns
-// summarise the Fig 4/5/6 results.
+// configuration (see attacks.go); the performance columns summarise the
+// Fig 4/5/6 results.
 type Table1Row struct {
 	Scheme string
 	// Subpage: device cannot reach kernel data co-located on the page of
@@ -27,17 +20,13 @@ type Table1Row struct {
 	ZeroCopy bool
 }
 
-// Table1 probes each scheme and assembles the matrix; one job per scheme
-// runs both attack probes against private machines.
+// Table1 mounts the co-location and window-write attacks against each
+// scheme (see safety) and assembles the matrix, one job per scheme.
 func Table1(opts Options) ([]Table1Row, error) {
 	schemes := testbed.AllSchemes
 	return runJobs(opts, len(schemes), func(i int, opts Options) (Table1Row, error) {
 		scheme := schemes[i]
-		sub, err := probeSubpage(scheme, opts)
-		if err != nil {
-			return Table1Row{}, err
-		}
-		nw, err := probeWindow(scheme, opts)
+		sub, nw, err := safety(scheme, opts)
 		if err != nil {
 			return Table1Row{}, err
 		}
@@ -49,125 +38,6 @@ func Table1(opts Options) ([]Table1Row, error) {
 			ZeroCopy:  scheme != testbed.SchemeShadow,
 		}, nil
 	})
-}
-
-// probeSubpage maps a 256 B kmalloc buffer that shares its page with a
-// secret (or allocates the equivalent network buffer under DAMN) and lets
-// the device hunt for the secret. Returns true when the secret is safe.
-func probeSubpage(scheme testbed.Scheme, opts Options) (bool, error) {
-	ma, err := newMachine(scheme, opts, 64<<20, 8)
-	if err != nil {
-		return false, err
-	}
-	defer ma.Close()
-	attacker := device.NewMalicious(ma.IOMMU, testbed.NICDeviceID)
-	secret := []byte("CO-LOCATED-SECRET")
-
-	if ma.Damn != nil {
-		// DAMN path: network buffers never share pages with kernel
-		// data, so plant the secret in a kmalloc object and scan.
-		skb, err := netstack.DmaAllocSKB(ma.Kernel, nil, testbed.NICDeviceID, 256, false)
-		if err != nil {
-			return false, err
-		}
-		secretPA, err := ma.Slab.Alloc(256, 0)
-		if err != nil {
-			return false, err
-		}
-		ma.Mem.Write(secretPA, secret)
-		v, _ := ma.Damn.IOVAOf(skb.HeadPA())
-		base := v &^ iommu.IOVA(mem.HugePageMask)
-		found, _ := attacker.ScanForSecret(base, base+iommu.IOVA(mem.HugePageSize), secret)
-		return len(found) == 0, nil
-	}
-
-	// Legacy path: kmalloc a network buffer; the secret lands on the
-	// same page; map the buffer for the device and probe around it.
-	slab := ma.Slab
-	bufPA, err := slab.Alloc(256, 0)
-	if err != nil {
-		return false, err
-	}
-	secretPA, err := slab.Alloc(256, 0)
-	if err != nil {
-		return false, err
-	}
-	ma.Mem.Write(secretPA, secret)
-	v, err := ma.DMA.Map(nil, testbed.NICDeviceID, bufPA, 256, dmaapi.ToDevice)
-	if err != nil {
-		return false, err
-	}
-	defer ma.DMA.Unmap(nil, testbed.NICDeviceID, v, 256, dmaapi.ToDevice)
-	base := v &^ iommu.IOVA(mem.PageMask)
-	found, _ := attacker.ScanForSecret(base, base+iommu.IOVA(mem.PageSize), secret)
-	return len(found) == 0, nil
-}
-
-// probeWindow checks whether a device can still write a buffer after
-// dma_unmap (the TOCTTOU window). Returns true when the write is blocked —
-// or, for DAMN, when OS-visible bytes are provably copy-protected (the
-// boundary moved to the accessor/user copy, §5.2: the buffer stays writable
-// but nothing the OS read can change under its feet).
-func probeWindow(scheme testbed.Scheme, opts Options) (bool, error) {
-	ma, err := newMachine(scheme, opts, 64<<20, 8)
-	if err != nil {
-		return false, err
-	}
-	defer ma.Close()
-	attacker := device.NewMalicious(ma.IOMMU, testbed.NICDeviceID)
-
-	if ma.Damn != nil {
-		// DAMN: the window is closed at the accessor. Verify the
-		// device cannot alter what the OS has read.
-		skb, err := netstack.DmaAllocSKB(ma.Kernel, nil, testbed.NICDeviceID, 2048, true)
-		if err != nil {
-			return false, err
-		}
-		v, _ := ma.Damn.IOVAOf(skb.HeadPA())
-		packet := []byte("HEADER-BYTES payload")
-		if _, err := ma.IOMMU.DMAWrite(testbed.NICDeviceID, v, packet); err != nil {
-			return false, err
-		}
-		skb.SetReceived(len(packet), len(packet))
-		before, _ := skb.Access(nil, 12)
-		saved := string(before)
-		attacker.TOCTTOUFlip(v, []byte("EVILHDRBYTES"), 3)
-		after, _ := skb.Access(nil, 12)
-		return string(after) == saved, nil
-	}
-
-	// Legacy: map, prime the IOTLB, unmap, attack.
-	p, err := ma.Mem.AllocPages(0, 0)
-	if err != nil {
-		return false, err
-	}
-	pa := p.PFN().Addr()
-	v, err := ma.DMA.Map(nil, testbed.NICDeviceID, pa, mem.PageSize, dmaapi.FromDevice)
-	if err != nil {
-		return false, err
-	}
-	if err := attacker.TryWrite(v, []byte("prime")); err != nil && scheme != testbed.SchemeShadow {
-		return false, err
-	}
-	if err := ma.DMA.Unmap(nil, testbed.NICDeviceID, v, mem.PageSize, dmaapi.FromDevice); err != nil {
-		return false, err
-	}
-	if scheme == testbed.SchemeOff {
-		// Passthrough: the attacker can always write physical memory.
-		return attacker.TryWrite(iommu.IOVA(pa), []byte("evil")) != nil, nil
-	}
-	if scheme == testbed.SchemeShadow {
-		// The shadow buffer stays device-writable forever, but the
-		// kernel buffer received its copy at unmap: later device
-		// writes to the shadow are invisible to the kernel.
-		probe := make([]byte, 5)
-		ma.Mem.Read(pa, probe)
-		before := string(probe)
-		attacker.TOCTTOUFlip(v, []byte("evil!"), 3)
-		ma.Mem.Read(pa, probe)
-		return string(probe) == before, nil
-	}
-	return !attacker.TOCTTOUFlip(v, []byte("evil!"), 3), nil
 }
 
 // RenderTable1 renders the matrix as text.
