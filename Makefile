@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet staticcheck build test race race-full alloc-gate bench-go figures perfbench ci
+.PHONY: all fmt vet staticcheck build test race race-full alloc-gate bench-go figures golden perfbench ci
 
 all: build
 
@@ -72,6 +72,24 @@ figures:
 		$(GO) run -race ./cmd/damnbench -quick -topo-workers 4 -exp $$f; \
 	done
 
+# golden enforces the byte-identity contract: the stdout of the quick paper
+# suite and of each figure outside it, all at -parallel 1, must hash to the
+# digests in cmd/damnbench/testdata/golden.sha256. A change that moves any
+# printed byte fails here; one that means to must re-record the digests and
+# say why.
+GOLDEN_FIGS = scaling chaos recovery loss cluster tenants bypass attacks
+golden:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/damnbench" ./cmd/damnbench; \
+	echo "damnbench -quick -parallel 1"; \
+	"$$dir/damnbench" -quick -parallel 1 >"$$dir/all.out"; \
+	for f in $(GOLDEN_FIGS); do \
+		echo "damnbench -quick -parallel 1 -exp $$f"; \
+		"$$dir/damnbench" -quick -parallel 1 -exp $$f >"$$dir/$$f.out"; \
+	done; \
+	cp cmd/damnbench/testdata/golden.sha256 "$$dir/"; \
+	cd "$$dir" && sha256sum -c golden.sha256
+
 # The repository benchmark's own tests (perfbench is a separate module): every
 # job's digest at the reference seed must match perfbench/digests.json, and
 # 1 vs 2 job and topology workers must agree — so a host-side change that
@@ -79,4 +97,4 @@ figures:
 perfbench:
 	cd perfbench && $(GO) test ./...
 
-ci: fmt vet build alloc-gate race figures perfbench
+ci: fmt vet build alloc-gate race figures golden perfbench

@@ -154,7 +154,8 @@ func (b *PacketBuffer) Free() error {
 	return k.FreeBuffer(nil, b.Addr, b.damn)
 }
 
-// Bytes exposes the buffer's kernel-side contents.
+// Bytes exposes the buffer's kernel-side contents. The slice is valid
+// until Free.
 func (b *PacketBuffer) Bytes() []byte { return b.m.tb.Mem.Bytes(b.Addr, b.Size) }
 
 func dirFor(r Rights) dmaapi.Direction {

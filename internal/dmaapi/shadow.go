@@ -138,8 +138,7 @@ func (s *ShadowScheme) Map(c perf.Charger, dev int, pa mem.PhysAddr, size int, d
 	}
 	if dir == ToDevice || dir == Bidirectional {
 		// Stage the payload into the shadow buffer: the extra copy.
-		src := s.mem.Bytes(pa, size)
-		s.mem.Write(buf.pa, src)
+		s.mem.Copy(buf.pa, pa, size)
 		s.CopiedBytes += uint64(size)
 		perf.CPUCopy(c, s.membw, size, s.model.ShadowTXCopyCyclesPerByte, s.model.ShadowCopyMemFraction)
 	}
@@ -159,8 +158,7 @@ func (s *ShadowScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, di
 	if dir == FromDevice || dir == Bidirectional {
 		// Copy the received data out of the shadow into the caller's
 		// buffer: the RX-side extra copy.
-		src := s.mem.Bytes(m.buf.pa, m.size)
-		s.mem.Write(m.origPA, src)
+		s.mem.Copy(m.origPA, m.buf.pa, m.size)
 		s.CopiedBytes += uint64(m.size)
 		perf.CPUCopy(c, s.membw, m.size, s.model.ColdCopyCyclesPerByte, s.model.ShadowCopyMemFraction)
 	}

@@ -325,10 +325,8 @@ func tenantProbe(scheme testbed.Scheme, opts Options) (outcome, error) {
 		Scheme: scheme, Tenants: 2, FaultSeed: opts.FaultSeed,
 		Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
 		Attack: true, AttackLen: 3 * sim.Millisecond,
-		// The hook is the run's last use of its machine.
 		OnMachine: func(ma *testbed.Machine) {
 			opts.emit("attacks/"+string(scheme)+"/tenant-probe", ma)
-			ma.Close()
 		},
 	})
 	if err != nil {

@@ -34,9 +34,9 @@ type tlbEntry struct {
 // cached translation keeps serving DMAs even if the underlying page-table
 // entry has been cleared — the property deferred protection trades on.
 type IOTLB struct {
-	cfg   IOTLBConfig
-	sets  [][]tlbEntry
-	clock uint64
+	cfg     IOTLBConfig
+	entries []tlbEntry // Sets×Ways, set by set
+	clock   uint64
 
 	Hits          uint64
 	Misses        uint64
@@ -64,11 +64,12 @@ func NewIOTLB(cfg IOTLBConfig) *IOTLB {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 || cfg.Ways <= 0 {
 		panic("iommu: IOTLB sets must be a positive power of two and ways positive")
 	}
-	sets := make([][]tlbEntry, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]tlbEntry, cfg.Ways)
-	}
-	return &IOTLB{cfg: cfg, sets: sets}
+	return &IOTLB{cfg: cfg, entries: make([]tlbEntry, cfg.Sets*cfg.Ways)}
+}
+
+// set returns the ways of set i, in way order.
+func (t *IOTLB) set(i int) []tlbEntry {
+	return t.entries[i*t.cfg.Ways : (i+1)*t.cfg.Ways]
 }
 
 // setIndex uses the low bits of the page tag, as hardware TLBs do. This is
@@ -89,7 +90,7 @@ func (t *IOTLB) lookup(dev int, iova IOVA) (*tlbEntry, bool) {
 		tag  IOVA
 		huge bool
 	}{{smallTag, false}, {hugeTag, true}} {
-		set := t.sets[t.setIndex(dev, probe.tag)]
+		set := t.set(t.setIndex(dev, probe.tag))
 		for i := range set {
 			e := &set[i]
 			if e.valid && e.dev == dev && e.huge == probe.huge && e.tag == probe.tag {
@@ -126,7 +127,7 @@ func (t *IOTLB) insert(dev int, iova IOVA, huge bool, pfn mem.PFN, perm Perm) {
 	} else {
 		tag = iova >> mem.PageShift
 	}
-	set := t.sets[t.setIndex(dev, tag)]
+	set := t.set(t.setIndex(dev, tag))
 	victim := &set[0]
 	for i := range set {
 		e := &set[i]
@@ -154,7 +155,7 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 	// 4 KiB entries of the range.
 	for p := 0; p < pages; p++ {
 		tag := (iova >> mem.PageShift) + IOVA(p)
-		set := t.sets[t.setIndex(dev, tag)]
+		set := t.set(t.setIndex(dev, tag))
 		for i := range set {
 			e := &set[i]
 			if e.valid && !e.huge && e.dev == dev && e.tag == tag {
@@ -167,7 +168,7 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 	firstHuge := iova >> mem.HugePageShift
 	lastHuge := (iova + IOVA(size) - 1) >> mem.HugePageShift
 	for tag := firstHuge; tag <= lastHuge; tag++ {
-		set := t.sets[t.setIndex(dev, tag)]
+		set := t.set(t.setIndex(dev, tag))
 		for i := range set {
 			e := &set[i]
 			if e.valid && e.huge && e.dev == dev && e.tag == tag {
@@ -180,24 +181,22 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 
 func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
 	end := iova + IOVA(size)
-	for si := range t.sets {
-		for i := range t.sets[si] {
-			e := &t.sets[si][i]
-			if !e.valid || e.dev != dev {
-				continue
-			}
-			var lo, hi IOVA
-			if e.huge {
-				lo = e.tag << mem.HugePageShift
-				hi = lo + IOVA(mem.HugePageSize)
-			} else {
-				lo = e.tag << mem.PageShift
-				hi = lo + IOVA(mem.PageSize)
-			}
-			if lo < end && iova < hi {
-				e.valid = false
-				t.bumpInv()
-			}
+	for i := range t.entries {
+		e := &t.entries[i]
+		if !e.valid || e.dev != dev {
+			continue
+		}
+		var lo, hi IOVA
+		if e.huge {
+			lo = e.tag << mem.HugePageShift
+			hi = lo + IOVA(mem.HugePageSize)
+		} else {
+			lo = e.tag << mem.PageShift
+			hi = lo + IOVA(mem.PageSize)
+		}
+		if lo < end && iova < hi {
+			e.valid = false
+			t.bumpInv()
 		}
 	}
 }
@@ -206,13 +205,11 @@ func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
 // invalidation, what deferred mode issues when its batch overflows).
 func (t *IOTLB) InvalidateDevice(dev int) {
 	t.bumpFlush()
-	for si := range t.sets {
-		for i := range t.sets[si] {
-			e := &t.sets[si][i]
-			if e.valid && e.dev == dev {
-				e.valid = false
-				t.bumpInv()
-			}
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.valid && e.dev == dev {
+			e.valid = false
+			t.bumpInv()
 		}
 	}
 }
@@ -220,12 +217,10 @@ func (t *IOTLB) InvalidateDevice(dev int) {
 // InvalidateAll drops everything (global invalidation).
 func (t *IOTLB) InvalidateAll() {
 	t.bumpFlush()
-	for si := range t.sets {
-		for i := range t.sets[si] {
-			if t.sets[si][i].valid {
-				t.sets[si][i].valid = false
-				t.bumpInv()
-			}
+	for i := range t.entries {
+		if e := &t.entries[i]; e.valid {
+			e.valid = false
+			t.bumpInv()
 		}
 	}
 }

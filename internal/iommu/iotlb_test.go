@@ -6,6 +6,19 @@ import (
 	"github.com/asplos18/damn/internal/mem"
 )
 
+// residentPerSet counts the valid entries of each set.
+func residentPerSet(tlb *IOTLB) []int {
+	perSet := make([]int, tlb.cfg.Sets)
+	for si := range perSet {
+		for _, e := range tlb.set(si) {
+			if e.valid {
+				perSet[si]++
+			}
+		}
+	}
+	return perSet
+}
+
 // TestIOTLBSetIndexDistribution checks that a dense IOVA range spreads
 // evenly over the sets: filling exactly Sets×Ways consecutive pages must
 // leave every entry resident (no set receives more than Ways pages, so
@@ -19,15 +32,10 @@ func TestIOTLBSetIndexDistribution(t *testing.T) {
 		iova := IOVA(p) << mem.PageShift
 		tlb.insert(dev, iova, false, mem.PFN(p), PermRead)
 	}
-	perSet := make([]int, cfg.Sets)
+	perSet := residentPerSet(tlb)
 	valid := 0
-	for si := range tlb.sets {
-		for i := range tlb.sets[si] {
-			if tlb.sets[si][i].valid {
-				valid++
-				perSet[si]++
-			}
-		}
+	for _, n := range perSet {
+		valid += n
 	}
 	if valid != total {
 		t.Fatalf("dense fill evicted entries: %d resident, want %d", valid, total)
@@ -70,21 +78,14 @@ func TestIOTLBAdversarialStride(t *testing.T) {
 	}
 	// Exactly one set is populated, at exactly Ways entries.
 	si := tlb.setIndex(dev, 0)
-	for s := range tlb.sets {
-		for i := range tlb.sets[s] {
-			if tlb.sets[s][i].valid && s != si {
-				t.Fatalf("adversarial stride leaked into set %d (home set %d)", s, si)
-			}
+	perSet := residentPerSet(tlb)
+	for s, n := range perSet {
+		if n > 0 && s != si {
+			t.Fatalf("adversarial stride leaked into set %d (home set %d)", s, si)
 		}
 	}
-	valid := 0
-	for i := range tlb.sets[si] {
-		if tlb.sets[si][i].valid {
-			valid++
-		}
-	}
-	if valid != cfg.Ways {
-		t.Fatalf("home set holds %d entries, want %d", valid, cfg.Ways)
+	if perSet[si] != cfg.Ways {
+		t.Fatalf("home set holds %d entries, want %d", perSet[si], cfg.Ways)
 	}
 	// LRU: the most recent Ways insertions survive, everything older is
 	// gone.

@@ -8,19 +8,11 @@ import (
 // Backing pool: machines are built and discarded by the dozen per
 // experiment run, and the dominant host cost of each construction is the
 // Go runtime zeroing the (hundreds of MiB, mostly never touched) data
-// array. Memory tracks which 256 KiB granules it ever exposed through
-// Bytes, and Release parks the array here; the next New of the same size
-// scrubs only those granules. A recycled backing is therefore
-// byte-for-byte indistinguishable from a fresh make([]byte, n) — reuse is
-// a host-side optimisation with no simulated effect.
-
-const (
-	// granuleShift covers 64 pages (256 KiB) per dirty bit: coarse enough
-	// that marking in Bytes is one or two word ORs for any ordinary span,
-	// fine enough that a machine which touched 1% of RAM scrubs ~1% of it.
-	granuleShift = PageShift + 6
-	granuleSize  = 1 << granuleShift
-)
+// array. Release parks the array here with its zero map, and the next New
+// of the same size scrubs only the frames the map has marked. A recycled
+// backing is therefore byte-for-byte indistinguishable from a fresh
+// make([]byte, n) — reuse is a host-side optimisation with no simulated
+// effect.
 
 // backingBudget bounds the pool's total held bytes (host memory only);
 // beyond it, released arrays are simply dropped for the GC.
@@ -34,12 +26,12 @@ var backingPool struct {
 
 type backing struct {
 	data  []byte
-	dirty []uint64
+	dirty zeroMap
 }
 
-// takeBacking returns a zeroed data array of the given size plus its dirty
-// bitmap, recycling a pooled pair when one fits.
-func takeBacking(size int) ([]byte, []uint64) {
+// takeBacking returns a zeroed data array of the given size plus its
+// cleared zero map, recycling a pooled pair when one fits.
+func takeBacking(size int) ([]byte, zeroMap) {
 	backingPool.mu.Lock()
 	list := backingPool.free[size]
 	if n := len(list); n > 0 {
@@ -52,26 +44,17 @@ func takeBacking(size int) ([]byte, []uint64) {
 		return b.data, b.dirty
 	}
 	backingPool.mu.Unlock()
-	nGranules := (size + granuleSize - 1) >> granuleShift
-	return make([]byte, size), make([]uint64, (nGranules+63)/64)
+	return make([]byte, size), newZeroMap(size >> PageShift)
 }
 
-// scrub re-zeroes exactly the granules the previous owner dirtied and
-// resets the bitmap.
+// scrub clears exactly the frames the zero map has marked and clears the
+// map.
 func scrub(b backing) {
-	size := len(b.data)
-	for wi, w := range b.dirty {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			w &^= 1 << bit
-			lo := (wi*64 + bit) << granuleShift
-			hi := lo + granuleSize
-			if hi > size {
-				hi = size
-			}
-			clear(b.data[lo:hi])
+	for wi := range b.dirty {
+		for w := b.dirty[wi].Swap(0); w != 0; w &= w - 1 {
+			lo := (wi*64 + bits.TrailingZeros64(w)) << PageShift
+			clear(b.data[lo : lo+PageSize])
 		}
-		b.dirty[wi] = 0
 	}
 }
 

@@ -15,19 +15,17 @@ import (
 var ErrNoMemory = errors.New("mem: out of memory")
 
 // Memory is the simulated physical memory of one machine: a flat byte array
-// plus the page-struct array and per-NUMA-node buddy zones. It is safe for
-// concurrent use; the buddy zones serialize internally.
+// with its zero map, plus the page-struct array and per-NUMA-node buddy
+// zones. It is safe for concurrent use on disjoint byte ranges; the buddy
+// zones serialize internally and the zero map is updated atomically.
 type Memory struct {
 	data  []byte
 	pages []Page
 	zones []*Zone
 
-	// dirty is a host-side bitmap of 256 KiB granules that Bytes has ever
-	// exposed. It exists purely so Release can hand the (large, mostly
-	// untouched) data array to the backing pool and the next Memory of the
-	// same size can scrub only the granules this one touched, instead of
-	// paying a full memclr at construction. It has no simulated meaning.
-	dirty []uint64
+	// dirty is the zero map: a clear bit means the frame is all zero
+	// (see zeroMap). It has no simulated meaning.
+	dirty zeroMap
 
 	// Counters for the evaluation harness (Fig 9 / Fig 10).
 	allocatedPages atomic.Int64
@@ -127,27 +125,31 @@ func (m *Memory) CheckRange(pa PhysAddr, n int) error {
 }
 
 // Bytes returns the live byte slice backing [pa, pa+n). Callers are kernel
-// code or post-IOMMU device accesses; bounds are enforced. Every exposure
-// marks the covered granules dirty — the slice is mutable, so this is the
-// single choke point the backing pool relies on to know what needs
-// scrubbing on reuse (see Release).
+// code or post-IOMMU device accesses; bounds are enforced. Bytes marks the
+// covered frames in the zero map, since the caller may write through the
+// slice — but only until the next Zero, Copy or Release of those frames:
+// Zero and Copy may record a frame as all zero, and a write behind that
+// record is lost to both. Code that only reads should use Read.
 func (m *Memory) Bytes(pa PhysAddr, n int) []byte {
+	b := m.span(pa, n)
+	if n > 0 {
+		m.dirty.mark(uint64(pa)>>PageShift, (uint64(pa)+uint64(n)-1)>>PageShift)
+	}
+	return b
+}
+
+// span returns the backing bytes of [pa, pa+n) without touching the zero
+// map, panicking when the range is out of bounds.
+func (m *Memory) span(pa PhysAddr, n int) []byte {
 	if err := m.CheckRange(pa, n); err != nil {
 		panic(err)
-	}
-	if n > 0 {
-		g0 := uint64(pa) >> granuleShift
-		g1 := (uint64(pa) + uint64(n) - 1) >> granuleShift
-		for g := g0; g <= g1; g++ {
-			m.dirty[g>>6] |= 1 << (g & 63)
-		}
 	}
 	return m.data[pa:PhysAddr(uint64(pa)+uint64(n))]
 }
 
 // Read copies n bytes at pa into dst and returns the count.
 func (m *Memory) Read(pa PhysAddr, dst []byte) int {
-	return copy(dst, m.Bytes(pa, len(dst)))
+	return copy(dst, m.span(pa, len(dst)))
 }
 
 // Write copies src into memory at pa and returns the count.
@@ -157,10 +159,57 @@ func (m *Memory) Write(pa PhysAddr, src []byte) int {
 
 // Zero clears [pa, pa+n). DAMN zeroes every chunk it takes from the page
 // allocator (§5.6 TX security argument), and the counter lets tests assert
-// that it really happened.
+// that it really happened. The counter takes all n bytes; the host clears
+// only frames the zero map has marked, and unmarks those it fully covers.
 func (m *Memory) Zero(pa PhysAddr, n int) {
-	clear(m.Bytes(pa, n))
+	b := m.span(pa, n)
+	for off := 0; off < n; {
+		a := uint64(pa) + uint64(off)
+		k := min(n-off, PageSize-int(a&PageMask))
+		if f := a >> PageShift; m.dirty.has(f) {
+			clear(b[off : off+k])
+			if k == PageSize {
+				m.dirty.unmark(f)
+			}
+		}
+		off += k
+	}
 	m.zeroedBytes.Add(int64(n))
+}
+
+// Copy copies n bytes from src to dst, with memmove semantics. Callers
+// charge the simulated copy for all n bytes; the host works frame by frame
+// and moves only what the zero map cannot vouch for: it skips spans whose
+// source and destination are both zero, clears the destination where only
+// the source is zero (unmarking a destination frame it fully covers), and
+// copies and marks otherwise.
+func (m *Memory) Copy(dst, src PhysAddr, n int) {
+	d, s := m.span(dst, n), m.span(src, n)
+	if n == 0 {
+		return
+	}
+	if dst < src+PhysAddr(n) && src < dst+PhysAddr(n) {
+		// Overlapping ranges: one memmove over the whole span.
+		m.Bytes(dst, n)
+		copy(d, s)
+		return
+	}
+	for off := 0; off < n; {
+		sa, da := uint64(src)+uint64(off), uint64(dst)+uint64(off)
+		k := min(n-off, PageSize-int(sa&PageMask), PageSize-int(da&PageMask))
+		sf, df := sa>>PageShift, da>>PageShift
+		switch {
+		case m.dirty.has(sf):
+			m.dirty.mark(df, df)
+			copy(d[off:off+k], s[off:off+k])
+		case m.dirty.has(df):
+			clear(d[off : off+k])
+			if k == PageSize {
+				m.dirty.unmark(df)
+			}
+		}
+		off += k
+	}
 }
 
 // ZeroedBytes reports the cumulative number of bytes zeroed.

@@ -9,6 +9,13 @@
 // address physical memory. Nothing in the repository holds raw Go pointers
 // into DMA-visible memory; all device access is by simulated physical
 // address, so IOMMU enforcement is airtight within the simulation.
+//
+// The bytes live in a Go array, and a host-side zero map records which
+// 4 KiB frames are known to be all zero so that Memory.Zero, Memory.Copy and
+// the recycling of backing arrays skip them. The map never changes a
+// simulated result; its one rule for callers is that a slice returned by
+// Memory.Bytes may be written only until the next Zero, Copy or Release of
+// its frames.
 package mem
 
 import (

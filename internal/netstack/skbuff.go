@@ -207,7 +207,7 @@ func (s *SKBuff) ensureSafe(t *sim.Task, n int) error {
 			return err
 		}
 		if s.safeLen > 0 {
-			s.k.Mem.Write(pa, s.k.Mem.Bytes(s.safePA, s.safeLen))
+			s.k.Mem.Copy(pa, s.safePA, s.safeLen)
 		}
 		if s.safePA != 0 {
 			s.k.Slab.Free(s.safePA)
@@ -219,8 +219,7 @@ func (s *SKBuff) ensureSafe(t *sim.Task, n int) error {
 	// the only copying DAMN ever adds, and it is proportional to what
 	// the OS actually reads (Fig 8).
 	span := n - s.safeLen
-	src := s.k.Mem.Bytes(s.headPA+mem.PhysAddr(s.safeLen), span)
-	s.k.Mem.Write(s.safePA+mem.PhysAddr(s.safeLen), src)
+	s.k.Mem.Copy(s.safePA+mem.PhysAddr(s.safeLen), s.headPA+mem.PhysAddr(s.safeLen), span)
 	perf.CPUCopy(t, s.k.MemBW, span, s.k.Model.AccessCopyCyclesPerByte, s.k.Model.CopyMemFraction)
 	s.safeLen = n
 	s.CopiedBytes += span
@@ -253,7 +252,7 @@ func (s *SKBuff) CopyToUser(t *sim.Task, n int) []byte {
 		fromSafe = n
 	}
 	if fromSafe > 0 {
-		copy(user, s.k.Mem.Bytes(s.safePA, fromSafe))
+		s.k.Mem.Read(s.safePA, user[:fromSafe])
 	}
 	filled := fromSafe
 	if n > fromSafe {
@@ -264,7 +263,7 @@ func (s *SKBuff) CopyToUser(t *sim.Task, n int) []byte {
 			end = n
 		}
 		if end > fromSafe {
-			copy(user[fromSafe:], s.k.Mem.Bytes(s.headPA+mem.PhysAddr(fromSafe), end-fromSafe))
+			s.k.Mem.Read(s.headPA+mem.PhysAddr(fromSafe), user[fromSafe:end])
 			filled = end
 		}
 	}

@@ -149,6 +149,7 @@ func RunChaosNetperf(cfg ChaosConfig) (ChaosResult, error) {
 	if err != nil {
 		return ChaosResult{}, err
 	}
+	defer ma.Close() // after finishChaos has read it
 	sup := attachChaosRecovery(&cfg, ma)
 	rx := make([]int, len(ma.Cores)/2)
 	tx := make([]int, len(ma.Cores)-len(rx))
@@ -190,6 +191,7 @@ func RunChaosMemcached(cfg ChaosConfig) (ChaosMemcachedResult, error) {
 	if err != nil {
 		return ChaosMemcachedResult{}, err
 	}
+	defer ma.Close() // after finishChaos has read it
 	sup := attachChaosRecovery(&cfg, ma)
 	var res ChaosMemcachedResult
 	res.Memcached, err = RunMemcached(MemcachedConfig{

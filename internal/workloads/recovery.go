@@ -114,6 +114,7 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	if err != nil {
 		return RecoveryResult{}, err
 	}
+	defer ma.Close()
 	sup := recovery.Attach(ma, cfg.Supervisor)
 
 	if err := ma.FillAllRings(); err != nil {

@@ -51,6 +51,8 @@ type TenantsConfig struct {
 	Supervisor recovery.Config
 	// OnMachine, when non-nil, observes the finished machine (the figure
 	// uses it to export the stats snapshot, per-tenant counters included).
+	// RunTenants closes the machine when it returns, so the hook must not
+	// keep it.
 	OnMachine func(*testbed.Machine)
 }
 
@@ -129,6 +131,7 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 	if err != nil {
 		return TenantsResult{}, err
 	}
+	defer ma.Close() // after OnMachine, the machine's last reader
 	mgr := tenant.Attach(ma, cfg.Manager)
 	sup := recovery.Attach(ma, cfg.Supervisor)
 	// The supervisor owns the single-consumer fault-record ring; records
