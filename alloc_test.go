@@ -8,10 +8,16 @@
 // A gate that has a benchmark builds its rig with a *Rig helper that returns
 // the warmed-up steady-state operation; the benchmark in bench_test.go times
 // that same operation.
+//
+// Most gates use testing.AllocsPerRun, which truncates to whole allocations
+// per op. The exact gates count every malloc over the whole loop instead
+// (see mallocs), so a path that allocates once per thousand ops fails them.
 package damn_test
 
 import (
 	"net/netip"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	damn "github.com/asplos18/damn"
@@ -57,6 +63,21 @@ func rxMachine(tb testing.TB, cores int) (*testbed.Machine, *netstack.Receiver) 
 	return ma, recv
 }
 
+// mallocs runs op n times and returns the number of heap allocations the
+// whole loop made. The GC is off while it runs, because runtime workers add a
+// few mallocs of their own during a cycle.
+func mallocs(n int, op func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // cancelStormRig returns one start-ticker / schedule / stop-ticker / drain
 // cycle on a warmed-up engine.
 func cancelStormRig() (cycle func()) {
@@ -80,8 +101,8 @@ func cancelStormRig() (cycle func()) {
 // a fresh ticker, stop closure and event per iteration (319 ns and 4
 // allocs/op before the ticker free list).
 func TestCancelStormZeroAlloc(t *testing.T) {
-	if allocs := testing.AllocsPerRun(1000, cancelStormRig()); allocs != 0 {
-		t.Fatalf("cancel storm allocates %.1f/op, want 0", allocs)
+	if n := mallocs(1000, cancelStormRig()); n != 0 {
+		t.Fatalf("cancel storm made %d mallocs in 1000 cycles, want 0", n)
 	}
 }
 
@@ -121,7 +142,8 @@ var dmaSchemes = []damn.Scheme{
 }
 
 // dmaMapUnmapRig returns one dma_map+dma_unmap round trip of a 4 KiB buffer
-// under scheme, warmed up. The buffer is freed when the test ends.
+// under scheme, warmed up past two deferred flushes. The buffer is freed when
+// the test ends.
 func dmaMapUnmapRig(tb testing.TB, scheme damn.Scheme) (cycle func()) {
 	tbd := benchMachine(tb, scheme).Testbed()
 	pa, damnOwned, err := tbd.Kernel.AllocBuffer(nil, testbed.NICDeviceID, iommu.PermWrite, 4096)
@@ -138,7 +160,7 @@ func dmaMapUnmapRig(tb testing.TB, scheme damn.Scheme) (cycle func()) {
 			tb.Fatal(err)
 		}
 	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 2*tbd.Model.DeferredBatchSize; i++ {
 		cycle()
 	}
 	return cycle
@@ -146,12 +168,13 @@ func dmaMapUnmapRig(tb testing.TB, scheme damn.Scheme) (cycle func()) {
 
 // TestDmaMapUnmapZeroAlloc gates the dma_map+dma_unmap round trip under
 // every scheme — for DAMN the §5.3 interposition, for the legacy schemes the
-// real mapping machinery (walk caches and dense device tables included).
+// real mapping machinery (walk caches and dense device tables included). The
+// 1000 pairs span four of deferred's 250-entry flushes.
 func TestDmaMapUnmapZeroAlloc(t *testing.T) {
 	for _, scheme := range dmaSchemes {
 		t.Run(string(scheme), func(t *testing.T) {
-			if allocs := testing.AllocsPerRun(1000, dmaMapUnmapRig(t, scheme)); allocs != 0 {
-				t.Fatalf("%s map/unmap allocates %.1f/op, want 0", scheme, allocs)
+			if n := mallocs(1000, dmaMapUnmapRig(t, scheme)); n != 0 {
+				t.Fatalf("%s map/unmap made %d mallocs in 1000 pairs, want 0", scheme, n)
 			}
 		})
 	}
@@ -464,8 +487,8 @@ func bypassRXRig(tb testing.TB) (inject func(), d *netstack.BypassDriver) {
 func TestBypassRXPathZeroAlloc(t *testing.T) {
 	inject, d := bypassRXRig(t)
 	harvested := d.Harvested
-	if allocs := testing.AllocsPerRun(500, inject); allocs != 0 {
-		t.Fatalf("bypass RX path allocates %.1f/segment, want 0", allocs)
+	if n := mallocs(500, inject); n != 0 {
+		t.Fatalf("bypass RX path made %d mallocs in 500 segments, want 0", n)
 	}
 	if d.Harvested < harvested+500 {
 		t.Fatalf("driver harvested %d completions during measurement; the path under test did not run", d.Harvested-harvested)
@@ -475,5 +498,28 @@ func TestBypassRXPathZeroAlloc(t *testing.T) {
 	}
 	if vq := d.Virtqueue(); vq.PublishFaults != 0 {
 		t.Fatalf("%d used-ring publishes faulted; the registered pool does not cover the ring", vq.PublishFaults)
+	}
+}
+
+// TestBypassPollNoBacklog checks that the busy-poll ticker never queues a
+// poll behind one that has not started: across 4,000 segments the poll core
+// holds at most the running poll and one waiting poll. A poll lasts at least
+// one tick, so skipping those ticks moves no poll: the driver's counters
+// equal those of a ticker that submits on every tick.
+func TestBypassPollNoBacklog(t *testing.T) {
+	inject, d := bypassRXRig(t)
+	most := 0
+	for i := 0; i < 4000; i++ {
+		inject()
+		most = max(most, d.Core().QueueLen())
+	}
+	if most > 2 {
+		t.Fatalf("poll core held %d tasks, want at most 2 (the running poll and one waiting)", most)
+	}
+	// A ticker that submits on every tick, measured on this rig; its run
+	// queue grows to 420 polls.
+	if d.Polls != 16380 || d.EmptyPolls != 12180 || d.Harvested != 4200 {
+		t.Fatalf("polls %d, empty %d, harvested %d; want 16380, 12180, 4200",
+			d.Polls, d.EmptyPolls, d.Harvested)
 	}
 }

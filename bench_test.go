@@ -19,6 +19,7 @@ package damn_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -209,7 +210,8 @@ func BenchmarkVirtqueuePostHarvest(b *testing.B) {
 // reusable ticker event make all three steady-state paths allocation-free;
 // internal/sim's TestScheduleRunSteadyStateAllocs and
 // TestEverySteadyStateAllocs and alloc_test.go's TestCancelStormZeroAlloc
-// gate that.
+// gate that. BenchmarkEngineHold times the queue at the depths the
+// perfbench mixes run, which the one-event-at-a-time benchmarks cannot show.
 
 // BenchmarkEngineScheduleRun measures the schedule+dispatch round trip: one
 // event scheduled and executed per iteration. Steady state must not
@@ -247,6 +249,88 @@ func BenchmarkEngineTicker(b *testing.B) {
 // the engine learned to compact.
 func BenchmarkEngineCancelStorm(b *testing.B) {
 	benchOp(b, cancelStormRig())
+}
+
+// holdMixes approximate the event-queue shapes of three perfbench mixes:
+// depth is the mean queue depth a probe measured at seed 1, and delay draws
+// how far ahead an event re-arms, following the push delays the probe
+// reported.
+var holdMixes = []struct {
+	name  string
+	depth int
+	delay func(r *rand.Rand) sim.Time
+}{
+	// netperf-rx-1core: a shallow queue of near-term events.
+	{"depth-11", 11, func(r *rand.Rand) sim.Time {
+		if r.Intn(2) == 0 {
+			return 10 * sim.Microsecond
+		}
+		return sim.Time(r.Intn(5000)) * sim.Nanosecond
+	}},
+	// netperf-bidir-28core: 71-85% of pushes are the generator's 10 µs
+	// re-arm, and about 95% of queued entries lie more than 100 µs ahead
+	// (TX completions queued behind the egress wire).
+	{"depth-1400", 1400, func(r *rand.Rand) sim.Time {
+		if r.Intn(100) < 78 {
+			return 10 * sim.Microsecond
+		}
+		return 100*sim.Microsecond + sim.Time(r.Int63n(int64(sim.Millisecond)))
+	}},
+	// memcached-28core: 44-46% of pushes at delay 0.
+	{"depth-6300", 6300, func(r *rand.Rand) sim.Time {
+		switch x := r.Intn(100); {
+		case x < 45:
+			return 0
+		case x < 80:
+			return sim.Time(1+r.Intn(20)) * sim.Microsecond
+		default:
+			return 100*sim.Microsecond + sim.Time(r.Int63n(int64(2*sim.Millisecond)))
+		}
+	}},
+}
+
+// BenchmarkEngineHold measures the event queue at the depths the perfbench
+// mixes run, in the classic hold model: every executed event re-arms itself
+// with a delay drawn from the mix, so the depth stays constant. One op is
+// one pop plus one push.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, mix := range holdMixes {
+		b.Run(mix.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]sim.Time, 4096) // a power of two
+			for i := range delays {
+				delays[i] = mix.delay(rng)
+			}
+			e := sim.NewEngine(1)
+			k, left := 0, -1 // left < 0: re-arm without counting
+			var fn func()
+			fn = func() {
+				if left == 0 {
+					return // draining after the timed region
+				}
+				e.After(delays[k&(len(delays)-1)], fn)
+				k++
+				if left > 0 {
+					if left--; left == 0 {
+						b.StopTimer()
+					}
+				}
+			}
+			for i := 0; i < mix.depth; i++ {
+				e.After(delays[i&(len(delays)-1)], fn)
+			}
+			for e.Processed() < uint64(20*mix.depth) {
+				e.Run(e.Now() + 10*sim.Microsecond) // reach the steady shape
+			}
+			if e.Pending() != mix.depth {
+				b.Fatalf("depth %d, want %d", e.Pending(), mix.depth)
+			}
+			left = b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.RunUntilIdle()
+		})
+	}
 }
 
 // BenchmarkBuddyAllocFree measures the buddy page allocator.

@@ -2,6 +2,7 @@ package dmaapi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -186,6 +187,8 @@ type DeferredScheme struct {
 
 	pending   []deferredEntry
 	timerSet  bool
+	flushFn   func() // the flush timer's callback, bound once
+	order     []int  // the flush's device list, reused across flushes
 	Flushes   uint64
 	MaxWindow int // high-water mark of batched entries, for tests
 }
@@ -198,7 +201,9 @@ type deferredEntry struct {
 
 // NewDeferredScheme builds Linux's default protection mode.
 func NewDeferredScheme(se *sim.Engine, u *iommu.IOMMU, model *perf.Model) *DeferredScheme {
-	return &DeferredScheme{mappingScheme: newMappingScheme(u, model), se: se}
+	s := &DeferredScheme{mappingScheme: newMappingScheme(u, model), se: se}
+	s.flushFn = s.timerFlush
+	return s
 }
 
 func (*DeferredScheme) Name() string { return "deferred" }
@@ -231,14 +236,17 @@ func (s *DeferredScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, 
 	}
 	if !s.timerSet && s.se != nil {
 		s.timerSet = true
-		s.se.After(s.model.DeferredFlushInterval, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			s.timerSet = false
-			s.flushLocked(nil)
-		})
+		s.se.After(s.model.DeferredFlushInterval, s.flushFn)
 	}
 	return nil
+}
+
+// timerFlush runs the batch when DeferredFlushInterval expires first.
+func (s *DeferredScheme) timerFlush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.timerSet = false
+	s.flushLocked(nil)
 }
 
 // Flush forces the batched invalidations to run now (tests and shutdown).
@@ -274,16 +282,14 @@ func (s *DeferredScheme) flushLocked(c perf.Charger) {
 	if task, ok := c.(*sim.Task); ok && task != nil {
 		s.invLock.Lock(task, s.model.InvLockHoldCycles)
 	}
-	devs := map[int]bool{}
-	var order []int
+	s.order = s.order[:0]
 	for _, e := range s.pending {
-		if !devs[e.dev] {
-			devs[e.dev] = true
-			order = append(order, e.dev)
+		if !slices.Contains(s.order, e.dev) {
+			s.order = append(s.order, e.dev)
 		}
 	}
-	sort.Ints(order) // invalidation order is simulation-visible; keep it deterministic
-	for _, dev := range order {
+	sort.Ints(s.order) // invalidation order is simulation-visible; keep it deterministic
+	for _, dev := range s.order {
 		if err := s.u.InvQ().Submit(iommu.Command{Kind: iommu.InvDomain, Dev: dev}); err != nil {
 			// Domain invalidations are always well-formed and a full
 			// queue drains synchronously, so a rejection here is a bug.

@@ -45,6 +45,9 @@ type BypassDriver struct {
 	batch    []device.RXDesc       // repost batch, flushed per doorbell
 	pollTask func(*sim.Task)       // bound once; reused every tick
 	stop     func()
+	// pollQueued is set while a submitted poll has not started, so the
+	// ticker does not queue another behind it.
+	pollQueued bool
 
 	// OnDeliver, when set, receives each good completion on the poll core
 	// (the run-to-completion application hook). The completion is only
@@ -176,13 +179,21 @@ func (d *BypassDriver) flushPosts(t *sim.Task) error {
 // function (also kept as d.Stop) cancels it; anything that drains the engine
 // with RunUntilIdle must stop the poller first, or the tick stream never
 // ends.
+//
+// A tick that finds a submitted poll not yet started submits nothing. A poll
+// lasts at least one tick (the spin remainder fills it), so polls run back to
+// back either way; skipping only keeps a backlog of identical polls from
+// piling up in the core's run queue.
 func (d *BypassDriver) Start() (stop func()) {
 	interval := d.k.Model.BypassPollInterval
 	if interval <= 0 {
 		interval = 2 * sim.Microsecond
 	}
 	d.stop = d.k.Sim.Every(interval, func() {
-		d.core.Submit(false, d.pollTask)
+		if !d.pollQueued {
+			d.pollQueued = true
+			d.core.Submit(false, d.pollTask)
+		}
 	})
 	return d.stop
 }
@@ -200,6 +211,7 @@ func (d *BypassDriver) Stop() {
 // and charge the spin remainder when the tick found less than a tick's
 // worth of work, because a polling core never sleeps.
 func (d *BypassDriver) poll(t *sim.Task) {
+	d.pollQueued = false
 	m := d.k.Model
 	d.Polls++
 	n := d.vq.Harvest(d.harvest)

@@ -1,6 +1,7 @@
 // Package sim is the discrete-event simulation engine underneath the
 // evaluation harness. It provides a deterministic event loop over simulated
-// time, simulated CPU cores that charge cycle costs, simulated spinlocks
+// time (a radix-heap event queue that pops in exact (time, push order)
+// order), simulated CPU cores that charge cycle costs, simulated spinlocks
 // whose contention serializes in simulated time (reproducing the
 // invalidation-lock collapse of strict IOMMU mode), and fluid-flow resources
 // that model bandwidth ceilings (the memory controller, NIC wire rate and
@@ -15,6 +16,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"github.com/asplos18/damn/internal/stats"
@@ -44,16 +47,16 @@ func (t Time) String() string {
 	return fmt.Sprintf("%.6fs", t.Seconds())
 }
 
-// event is a scheduled callback. Its (at, seq) key lives in the heap entry
-// that queues it (see eventHeap), not here.
+// event is a scheduled callback. Its time lives in the queue node that
+// holds it (see eventQueue), not here.
 type event struct {
 	fn func()
-	// cancelled events stay in the heap (removal from the middle of a
-	// heap is O(n)) but are skipped on pop: they neither execute,
+	// cancelled events stay in the queue (unlinking from the middle of a
+	// bucket is O(n)) but are skipped on pop: they neither execute,
 	// nor advance time, nor count as processed. When more than half the
-	// heap is cancelled the engine compacts it (see compact).
+	// queue is cancelled the engine compacts it (see compact).
 	cancelled bool
-	// queued tracks heap membership so cancel of a currently-executing
+	// queued tracks queue membership so cancel of a currently-executing
 	// ticker event (popped, not re-enqueued yet) doesn't corrupt the
 	// cancelled-entry accounting.
 	queued bool
@@ -80,105 +83,177 @@ type ticker struct {
 	stopFn  func()
 }
 
-// heapEntry is one queued event with its ordering key held inline: sifting
-// compares entries without dereferencing the event. seq is the tie-break
-// that makes equal-time events run FIFO, deterministically, so (at, seq) is
-// a strict total order over queued entries.
-type heapEntry struct {
-	at  Time
-	seq uint64
-	ev  *event
+// eventQueue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990)
+// over (at, seq), where seq is push order. It relies on one invariant:
+// nothing is ever queued before last, the at of the most recent minimum,
+// because simulated time only moves forward. An entry goes into bucket
+// bits.Len64(at ^ last): bucket 0 holds entries at exactly last, and bucket
+// b > 0 the entries that agree with last above bit b-1 and set that bit, so
+// every entry of bucket b precedes every entry of bucket b+1. pop takes the
+// minimum from bucket 0; when bucket 0 is empty it refills it by relinking
+// the lowest non-empty bucket against that bucket's smallest at, which moves
+// every entry to a lower bucket. Push is O(1) and pop costs a few relinks
+// amortised.
+//
+// Each bucket is a FIFO list, and that gives the exact (at, seq) order
+// without storing seq. A push carries the largest seq so far and is
+// appended; a relink moves a seq-ordered bucket, in order, into buckets that
+// are empty at that moment (they all lie below the lowest non-empty one); and
+// compaction filters buckets in place. So every bucket stays in seq order,
+// and bucket 0, whose entries share one at, pops in (at, seq) order.
+//
+// The lists link by index through one node slab with a free list, so the
+// queue's memory tracks the peak number of queued entries.
+type eventQueue struct {
+	last    Time
+	n       int    // queued entries, cancelled ones included
+	mask    uint64 // bit b is set while bucket b is non-empty
+	buckets [64]bucket
+	nodes   []queueNode
+	free    int32 // head of the slab's free list when n < len(nodes)
 }
 
-func (a *heapEntry) before(b *heapEntry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// bucket is one FIFO list: head and tail index the slab, and min is its
+// smallest at. All three are meaningful only while the bucket's mask bit is
+// set.
+type bucket struct {
+	head, tail int32
+	min        Time
 }
 
-// heapArity is the eventHeap's fan-out. Four children per node halve a
-// binary heap's depth, so a pop sifts through half the levels at up to
-// three extra comparisons per level. Arities 2, 4 and 8 measured within
-// host noise of each other on the benchmark mixes.
-const heapArity = 4
-
-// eventHeap is a heapArity-ary min-heap on (at, seq), typed so that push
-// and pop make no interface calls. Because (at, seq) is a total order, pop
-// order does not depend on the heap's shape: any correct heap over the same
-// entries yields the same sequence.
-type eventHeap []heapEntry
-
-func (h *eventHeap) push(ent heapEntry) {
-	*h = append(*h, ent)
-	h.up(len(*h) - 1)
+// queueNode is one queued event. next links the node's bucket (or the free
+// list); a bucket's tail has no valid next.
+type queueNode struct {
+	at   Time
+	ev   *event
+	next int32
 }
 
-// pop removes the minimum entry and returns its event.
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old) - 1
-	ev := old[0].ev
-	last := old[n]
-	old[n] = heapEntry{} // don't retain the popped event in the backing array
-	*h = old[:n]
-	if n > 0 {
-		h.down(0, last)
+// len reports the number of queued entries, cancelled ones included.
+func (q *eventQueue) len() int { return q.n }
+
+func (q *eventQueue) push(at Time, ev *event) {
+	var i int32
+	if q.n < len(q.nodes) {
+		i = q.free
+		q.free = q.nodes[i].next
+	} else {
+		i = int32(len(q.nodes))
+		q.nodes = append(q.nodes, queueNode{})
 	}
-	return ev
+	q.nodes[i] = queueNode{at: at, ev: ev}
+	q.n++
+	q.link(i, at)
 }
 
-func (h eventHeap) up(i int) {
-	ent := h[i]
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !ent.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ent
-}
-
-// down places ent at slot i, moving it toward the leaves until no child
-// precedes it.
-func (h eventHeap) down(i int, ent heapEntry) {
-	n := len(h)
-	for {
-		c := i*heapArity + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := min(c+heapArity, n)
-		for j := c + 1; j < end; j++ {
-			if h[j].before(&h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(&ent) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = ent
-}
-
-// init establishes the heap order over arbitrary contents.
-func (h eventHeap) init() {
-	if len(h) < 2 {
+// link appends node i, due at at, to its bucket.
+func (q *eventQueue) link(i int32, at Time) {
+	b := bits.Len64(uint64(at ^ q.last))
+	bk := &q.buckets[b]
+	if q.mask&(1<<b) == 0 {
+		q.mask |= 1 << b
+		*bk = bucket{head: i, tail: i, min: at}
 		return
 	}
-	for i := (len(h) - 2) / heapArity; i >= 0; i-- {
-		h.down(i, h[i])
+	q.nodes[bk.tail].next = i
+	bk.tail = i
+	bk.min = min(bk.min, at)
+}
+
+// peek returns the smallest queued at without relinking, so it does not
+// commit last: a Run window that stops below the minimum leaves the caller
+// free to schedule into [until, minimum). The queue must be non-empty.
+func (q *eventQueue) peek() Time {
+	return q.buckets[bits.TrailingZeros64(q.mask)].min
+}
+
+// pop removes the minimum entry and returns it. The queue must be
+// non-empty.
+func (q *eventQueue) pop() (Time, *event) {
+	if q.mask&1 == 0 {
+		q.refill()
+	}
+	bk := &q.buckets[0]
+	i := bk.head
+	if i == bk.tail {
+		q.mask &^= 1
+	} else {
+		bk.head = q.nodes[i].next
+	}
+	ev := q.nodes[i].ev
+	q.freeNode(i)
+	return q.last, ev
+}
+
+// freeNode returns unlinked node i to the slab's free list.
+func (q *eventQueue) freeNode(i int32) {
+	nd := &q.nodes[i]
+	nd.ev = nil // the slab retains no events
+	nd.next = q.free
+	q.free = i
+	q.n--
+}
+
+// refill makes the lowest non-empty bucket's smallest at the new last and
+// relinks that bucket, in order, against it. Every entry lands in a lower
+// bucket, all of them empty beforehand, and the minimum lands in bucket 0.
+func (q *eventQueue) refill() {
+	b := bits.TrailingZeros64(q.mask)
+	bk := q.buckets[b]
+	q.mask &^= 1 << b
+	q.last = bk.min
+	for i := bk.head; ; {
+		next := q.nodes[i].next
+		q.link(i, q.nodes[i].at)
+		if i == bk.tail {
+			break
+		}
+		i = next
 	}
 }
 
-// Engine is the event loop. Not safe for concurrent use: all simulation
-// activity happens on the goroutine that calls Run.
+// compact unlinks every cancelled entry and hands its event to drop. Each
+// bucket is filtered in place, so it keeps its seq order.
+func (q *eventQueue) compact(drop func(*event)) {
+	for m := q.mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		bk := &q.buckets[b]
+		kept := bucket{head: -1}
+		for i := bk.head; ; {
+			nd := &q.nodes[i]
+			next, end := nd.next, i == bk.tail
+			switch {
+			case nd.ev.cancelled:
+				drop(nd.ev)
+				q.freeNode(i)
+			case kept.head < 0:
+				kept = bucket{head: i, tail: i, min: nd.at}
+			default:
+				q.nodes[kept.tail].next = i
+				kept.tail = i
+				kept.min = min(kept.min, nd.at)
+			}
+			if end {
+				break
+			}
+			i = next
+		}
+		if kept.head < 0 {
+			q.mask &^= 1 << b
+		} else {
+			*bk = kept
+		}
+	}
+}
+
+// Engine is the event loop. Events run in (at, seq) order, seq being push
+// order, so equal-time events run FIFO; the queue is a radix heap (see
+// eventQueue), which time moving only forward makes possible. Not safe for
+// concurrent use: all simulation activity happens on the goroutine that
+// calls Run.
 type Engine struct {
 	now    Time
-	events eventHeap
-	seq    uint64
+	events eventQueue
 	rng    *rand.Rand
 
 	// free recycles popped event structs so the schedule/run hot loop
@@ -189,7 +264,7 @@ type Engine struct {
 	freeTickers []*ticker
 
 	processed uint64
-	cancelled int // cancelled events still sitting in the heap
+	cancelled int // cancelled events still sitting in the queue
 
 	// Observability (optional): metric handles are nil-safe, so the hot
 	// loop below needs no branches when stats are off.
@@ -250,23 +325,26 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 }
 
 // enqueue pushes a caller-held event (fresh from the pool, or a ticker's
-// reusable pinned event that is currently out of the heap) at time t.
+// reusable pinned event that is currently out of the queue) at time t.
+// Clamping t to now keeps the queue's invariant: nothing is queued before
+// its last minimum.
 func (e *Engine) enqueue(ev *event, t Time) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
 	ev.cancelled = false
 	ev.queued = true
-	e.events.push(heapEntry{at: t, seq: e.seq, ev: ev})
+	e.events.push(t, ev)
 }
 
-// release returns a popped event to the free pool. Pinned events stay owned
-// by their ticker — but a stopped ticker's event leaving the heap for the
-// last time (cancelled pop, or compaction) is the ticker's terminal point,
-// so the ticker itself is recycled there. Everything else drops its closure
-// (so the pool retains no callbacks) and becomes reusable.
+// release takes an event that just left the queue (popped or compacted away)
+// and returns it to the free pool. Pinned events stay owned by their ticker
+// — but a stopped ticker's event leaving the queue for the last time
+// (cancelled pop, or compaction) is the ticker's terminal point, so the
+// ticker itself is recycled there. Everything else drops its closure (so the
+// pool retains no callbacks) and becomes reusable.
 func (e *Engine) release(ev *event) {
+	ev.queued = false
 	if ev.pinned {
 		if tk := ev.tick; tk != nil && tk.stopped {
 			e.recycleTicker(tk)
@@ -286,41 +364,29 @@ func (e *Engine) recycleTicker(tk *ticker) {
 
 // cancel neutralizes a queued event: it will be discarded on pop without
 // executing, advancing time, or counting as processed. Cancelling an event
-// that is not in the heap (a ticker callback cancelling itself mid-tick) is
+// that is not in the queue (a ticker callback cancelling itself mid-tick) is
 // a no-op — the ticker's stopped flag already prevents re-enqueueing. When
-// cancelled entries outnumber live ones the heap is compacted, so a
-// start/stop ticker storm cannot grow the heap without bound.
+// cancelled entries outnumber live ones the queue is compacted, so a
+// start/stop ticker storm cannot grow the queue without bound.
 func (e *Engine) cancel(ev *event) {
 	if ev == nil || ev.cancelled || !ev.queued {
 		return
 	}
 	ev.cancelled = true
 	e.cancelled++
-	if e.cancelled >= compactMinCancelled && e.cancelled > len(e.events)/2 {
+	if e.cancelled >= compactMinCancelled && e.cancelled > e.events.len()/2 {
 		e.compact()
 	}
 }
 
-// compactMinCancelled keeps tiny heaps from thrashing through O(n) rebuilds.
+// compactMinCancelled keeps tiny queues from thrashing through O(n) passes.
 const compactMinCancelled = 16
 
-// compact rebuilds the heap without its cancelled entries. Pop order is
-// fully determined by (at, seq), so dropping dead entries and re-heapifying
-// leaves the execution order of live events bit-identical.
+// compact drops the queue's cancelled entries. Every bucket keeps its order,
+// so the execution order of live events stays bit-identical.
 func (e *Engine) compact() {
-	live := e.events[:0]
-	for _, ent := range e.events {
-		if ent.ev.cancelled {
-			ent.ev.queued = false
-			e.release(ent.ev)
-			continue
-		}
-		live = append(live, ent)
-	}
-	clear(e.events[len(live):])
-	e.events = live
+	e.events.compact(e.release)
 	e.cancelled = 0
-	e.events.init()
 }
 
 // At schedules fn to run at absolute simulated time t (>= now).
@@ -330,14 +396,14 @@ func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn) }
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Every schedules fn to run periodically with the given period until the
-// returned stop function is called. Stop cancels the ticker's pending heap
+// returned stop function is called. Stop cancels the ticker's pending queue
 // event, so a stopped ticker no longer shows up in Pending() and never
 // inflates Processed(). Stopping from inside fn is allowed.
 //
 // The ticker owns a single pinned event and two closures bound once at
 // construction: each tick re-enqueues the same struct, so steady-state
 // ticking allocates nothing. Stopped tickers are recycled through a free
-// list once their cancelled event leaves the heap, so a start/stop ticker
+// list once their cancelled event leaves the queue, so a start/stop ticker
 // storm is allocation-free too. Repeated calls of the same stop handle are
 // no-ops until a later Every reuses the ticker; a stale handle held across
 // that reuse must not be called (it would stop the new ticker).
@@ -358,7 +424,7 @@ func (e *Engine) Every(period Time, fn func()) (stop func()) {
 				return
 			}
 			// Stopped from inside fn: the event is already out of the
-			// heap, so this is the ticker's terminal point.
+			// queue, so this is the ticker's terminal point.
 			tk.e.recycleTicker(tk)
 		}
 		tk.stopFn = func() {
@@ -380,43 +446,23 @@ func (e *Engine) Every(period Time, fn func()) (stop func()) {
 // until (events at exactly until still run). Returns the number of events
 // processed.
 func (e *Engine) Run(until Time) uint64 {
-	var n uint64
-	for len(e.events) > 0 {
-		at := e.events[0].at
-		next := e.events[0].ev
-		if next.cancelled {
-			e.events.pop()
-			next.queued = false
-			e.cancelled--
-			e.release(next)
-			continue
-		}
-		if at > until {
-			break
-		}
-		e.events.pop()
-		next.queued = false
-		e.now = at
-		fn := next.fn
-		e.release(next)
-		fn()
-		n++
-	}
+	n := e.run(until)
 	if e.now < until {
 		e.now = until
 	}
-	e.processed += n
-	e.evCounter.Add(n)
 	return n
 }
 
 // RunUntilIdle processes events until none remain.
-func (e *Engine) RunUntilIdle() uint64 {
+func (e *Engine) RunUntilIdle() uint64 { return e.run(math.MaxInt64) }
+
+// run pops and executes events up to until. It looks at the next event with
+// peek, which commits nothing, so a window that stops below the minimum
+// leaves last at or below now.
+func (e *Engine) run(until Time) uint64 {
 	var n uint64
-	for len(e.events) > 0 {
-		at := e.events[0].at
-		next := e.events.pop()
-		next.queued = false
+	for e.events.len() > 0 && e.events.peek() <= until {
+		at, next := e.events.pop()
 		if next.cancelled {
 			e.cancelled--
 			e.release(next)
@@ -427,6 +473,11 @@ func (e *Engine) RunUntilIdle() uint64 {
 		e.release(next)
 		fn()
 		n++
+	}
+	if e.events.len() == 0 {
+		// Cancelled entries popped past now may have moved last beyond
+		// it; an empty queue can restart from now.
+		e.events.last = e.now
 	}
 	e.processed += n
 	e.evCounter.Add(n)
@@ -435,7 +486,7 @@ func (e *Engine) RunUntilIdle() uint64 {
 
 // Pending reports the number of queued live events (cancelled tickers
 // excluded).
-func (e *Engine) Pending() int { return len(e.events) - e.cancelled }
+func (e *Engine) Pending() int { return e.events.len() - e.cancelled }
 
 // Processed reports the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }

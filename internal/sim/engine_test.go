@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/asplos18/damn/internal/stats"
@@ -350,8 +353,8 @@ func TestTickerStormHeapBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		stop := e.Every(10*Millisecond, func() {})
 		stop()
-		if len(e.events) > 2*compactMinCancelled+2 {
-			t.Fatalf("heap grew to %d entries after %d start/stop cycles", len(e.events), i+1)
+		if e.events.len() > 2*compactMinCancelled+2 {
+			t.Fatalf("queue grew to %d entries after %d start/stop cycles", e.events.len(), i+1)
 		}
 	}
 	if e.Pending() != 0 {
@@ -378,8 +381,8 @@ func TestCompactPreservesOrder(t *testing.T) {
 			stop()
 		}
 	}
-	if e.cancelled != 0 && len(e.events) >= 150 {
-		t.Fatalf("no compaction happened: %d entries, %d cancelled", len(e.events), e.cancelled)
+	if e.cancelled != 0 && e.events.len() >= 150 {
+		t.Fatalf("no compaction happened: %d entries, %d cancelled", e.events.len(), e.cancelled)
 	}
 	e.RunUntilIdle()
 	if len(got) != 50 {
@@ -428,141 +431,335 @@ func TestEventPoolReuseKeepsDeterminism(t *testing.T) {
 	}
 }
 
-// TestRandomizedPopOrder drives the engine with a random script — bursts of
-// events at equal times, tickers started and stopped mid-run (from inside
-// callbacks and between Run windows), and stop storms large enough to
-// trigger compaction — and checks that execution order is exactly a sort by
+// popKey is the order an entry must run in: its time, then seq, its push
+// order among every entry the engine queued.
+type popKey struct {
+	at  Time
+	seq uint64
+}
+
+// popTicker is one ticker a popScript started, with the key of its pending
+// tick.
+type popTicker struct {
+	next    popKey
+	stop    func()
+	stopped bool
+}
+
+// popScript drives one engine through a test script and records every entry
+// it queues, so finish can check that execution order is exactly a sort by
 // (at, seq): every entry ever queued runs once unless its ticker was
 // stopped, and no cancelled entry runs.
+type popScript struct {
+	t           *testing.T
+	name        string
+	e           *Engine
+	rng         *rand.Rand
+	pushes      uint64          // entries queued so far
+	queued      map[popKey]bool // live entries the script expects to run
+	cancelled   map[popKey]bool // entries of stopped tickers
+	ran         []popKey
+	active      []*popTicker
+	compactions int
+	maxDepth    int    // most entries queued at once, cancelled ones included
+	budget      int    // entries the script may still queue
+	act         func() // what every fired entry does next
+}
+
+func newPopScript(t *testing.T, name string, seed int64, budget int) *popScript {
+	return &popScript{
+		t: t, name: fmt.Sprintf("%s seed %d", name, seed),
+		e: NewEngine(seed), rng: rand.New(rand.NewSource(seed)),
+		queued: map[popKey]bool{}, cancelled: map[popKey]bool{},
+		budget: budget, act: func() {},
+	}
+}
+
+// push records the entry the engine is about to queue at t.
+func (s *popScript) push(t Time) popKey {
+	s.budget--
+	s.pushes++
+	k := popKey{t, s.pushes}
+	s.queued[k] = true
+	s.maxDepth = max(s.maxDepth, s.e.events.len()+1)
+	return k
+}
+
+func (s *popScript) fire(k popKey) {
+	if s.e.Now() != k.at {
+		s.t.Fatalf("%s: entry %v ran at %v", s.name, k, s.e.Now())
+	}
+	if !s.queued[k] {
+		s.t.Fatalf("%s: entry %v ran but is not queued (cancelled: %v)", s.name, k, s.cancelled[k])
+	}
+	delete(s.queued, k)
+	s.ran = append(s.ran, k)
+}
+
+// at queues one entry at absolute time t (at or after now).
+func (s *popScript) at(t Time) {
+	k := s.push(t)
+	s.e.At(t, func() { s.fire(k); s.act() })
+}
+
+// start starts a ticker with the given period.
+func (s *popScript) start(period Time) {
+	tk := &popTicker{}
+	tk.stop = s.e.Every(period, func() {
+		s.fire(tk.next)
+		s.act()
+		if !tk.stopped {
+			// The ticker re-enqueues right after this returns.
+			tk.next = s.push(s.e.Now() + period)
+		}
+	})
+	tk.next = s.push(s.e.Now() + period)
+	s.active = append(s.active, tk)
+}
+
+// stop stops the i-th active ticker.
+func (s *popScript) stop(i int) {
+	tk := s.active[i]
+	s.active = append(s.active[:i], s.active[i+1:]...)
+	before := s.e.events.len()
+	tk.stopped = true
+	if s.queued[tk.next] {
+		delete(s.queued, tk.next)
+		s.cancelled[tk.next] = true
+	}
+	tk.stop()
+	if s.e.events.len() < before {
+		s.compactions++
+	}
+}
+
+// finish stops the remaining tickers, drains the engine and checks the
+// execution order.
+func (s *popScript) finish(minRan int) {
+	for len(s.active) > 0 {
+		s.stop(0)
+	}
+	s.e.RunUntilIdle()
+	if len(s.queued) != 0 {
+		s.t.Fatalf("%s: %d queued entries never ran", s.name, len(s.queued))
+	}
+	for i := 1; i < len(s.ran); i++ {
+		a, b := s.ran[i-1], s.ran[i]
+		if a.at > b.at || (a.at == b.at && a.seq >= b.seq) {
+			s.t.Fatalf("%s: %v ran before %v, out of (at, seq) order", s.name, a, b)
+		}
+	}
+	if len(s.ran) < minRan {
+		s.t.Fatalf("%s: only %d entries ran, want at least %d", s.name, len(s.ran), minRan)
+	}
+	s.t.Logf("%s: %d entries ran, %d cancelled, %d compactions, depth up to %d",
+		s.name, len(s.ran), len(s.cancelled), s.compactions, s.maxDepth)
+}
+
+// TestRandomizedPopOrder drives the engine with random scripts and checks
+// that execution order is exactly a sort by (at, seq) under each:
+//
+//   - mixed: bursts of events at equal times, tickers started and stopped
+//     mid-run (from inside callbacks and between Run windows), and stop
+//     storms large enough to trigger compaction;
+//   - window below the minimum: Run windows that end below the earliest
+//     queued entry, each followed by schedules into [until, minimum), which
+//     only work if a stopping Run leaves the queue's last minimum alone;
+//   - deep: over a thousand entries spread across milliseconds next to
+//     10 µs re-arms, 10 µs tickers and same-time bursts, near and far;
+//   - At after RunUntilIdle: a drain whose last popped entries are
+//     cancelled ticks beyond now, followed by schedules before, at and
+//     after those ticks.
 func TestRandomizedPopOrder(t *testing.T) {
-	type key struct {
-		at  Time
-		seq uint64
-	}
 	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine(seed)
-		var ran []key
-		queued := map[key]bool{}    // live entries the test expects to run
-		cancelled := map[key]bool{} // entries of stopped tickers
-		type tick struct {
-			next    key
-			stop    func()
-			stopped bool
-		}
-		var active []*tick
-		compactions := 0
-		budget := 5000 // entries the script may still queue
-
-		fire := func(k key) {
-			if e.Now() != k.at {
-				t.Fatalf("seed %d: entry %v ran at %v", seed, k, e.Now())
-			}
-			if !queued[k] {
-				t.Fatalf("seed %d: entry %v ran but is not queued (cancelled: %v)", seed, k, cancelled[k])
-			}
-			delete(queued, k)
-			ran = append(ran, k)
-		}
-		// Few distinct offsets, so many entries share an at.
-		offset := func() Time { return Time(rng.Intn(4)) * Microsecond }
-
-		var act func()
-		schedule := func() {
-			budget--
-			at := e.Now() + offset()
-			var k key
-			e.At(at, func() { fire(k); act() })
-			k = key{at, e.seq}
-			queued[k] = true
-		}
-		start := func() {
-			budget--
-			tk := &tick{}
-			period := Time(1+rng.Intn(3)) * Microsecond
-			tk.stop = e.Every(period, func() {
-				fire(tk.next)
-				act()
-				if !tk.stopped {
-					// The ticker re-enqueues right after this returns.
-					tk.next = key{e.Now() + period, e.seq + 1}
-					queued[tk.next] = true
-				}
-			})
-			tk.next = key{e.Now() + period, e.seq}
-			queued[tk.next] = true
-			active = append(active, tk)
-		}
-		stop := func(i int) {
-			tk := active[i]
-			active = append(active[:i], active[i+1:]...)
-			before := len(e.events)
-			tk.stopped = true
-			if queued[tk.next] {
-				delete(queued, tk.next)
-				cancelled[tk.next] = true
-			}
-			tk.stop()
-			if len(e.events) < before {
-				compactions++
-			}
-		}
-		act = func() {
-			if budget <= 0 {
-				return
-			}
-			switch r := rng.Intn(40); {
-			case r < 20:
-				for n := rng.Intn(3); n > 0; n-- {
-					schedule()
-				}
-			case r < 28:
-				start()
-			case r < 36:
-				if len(active) > 0 {
-					stop(rng.Intn(len(active)))
-				}
-			case r < 37:
-				// Stop storm: enough cancelled entries to outnumber
-				// live ones and force a compaction.
-				for n := 0; n < 2*compactMinCancelled; n++ {
-					start()
-				}
-				for len(active) > 1 {
-					stop(rng.Intn(len(active)))
-				}
-			}
-		}
-
-		for i := 0; i < 32; i++ {
-			schedule()
-		}
-		for budget > 0 {
-			act()
-			e.Run(e.Now() + offset())
-		}
-		for len(active) > 0 {
-			stop(0)
-		}
-		e.RunUntilIdle()
-
-		if len(queued) != 0 {
-			t.Fatalf("seed %d: %d queued entries never ran", seed, len(queued))
-		}
-		if compactions == 0 {
-			t.Fatalf("seed %d: no compaction happened; the script does not exercise it", seed)
-		}
-		for i := 1; i < len(ran); i++ {
-			a, b := ran[i-1], ran[i]
-			if a.at > b.at || (a.at == b.at && a.seq >= b.seq) {
-				t.Fatalf("seed %d: %v ran before %v, out of (at, seq) order", seed, a, b)
-			}
-		}
-		if len(ran) < 1000 {
-			t.Fatalf("seed %d: only %d entries ran", seed, len(ran))
-		}
-		t.Logf("seed %d: %d entries ran, %d cancelled, %d compactions", seed, len(ran), len(cancelled), compactions)
+		popMixed(t, seed)
+		popWindowBelowMin(t, seed)
+		popDeep(t, seed)
+		popAtAfterIdle(t, seed)
 	}
+}
+
+func popMixed(t *testing.T, seed int64) {
+	s := newPopScript(t, "mixed", seed, 5000)
+	// Few distinct offsets, so many entries share an at.
+	offset := func() Time { return Time(s.rng.Intn(4)) * Microsecond }
+	s.act = func() {
+		if s.budget <= 0 {
+			return
+		}
+		switch r := s.rng.Intn(40); {
+		case r < 20:
+			for n := s.rng.Intn(3); n > 0; n-- {
+				s.at(s.e.Now() + offset())
+			}
+		case r < 28:
+			s.start(Time(1+s.rng.Intn(3)) * Microsecond)
+		case r < 36:
+			if len(s.active) > 0 {
+				s.stop(s.rng.Intn(len(s.active)))
+			}
+		case r < 37:
+			// Stop storm: enough cancelled entries to outnumber live ones
+			// and force a compaction.
+			for n := 0; n < 2*compactMinCancelled; n++ {
+				s.start(Time(1+s.rng.Intn(3)) * Microsecond)
+			}
+			for len(s.active) > 1 {
+				s.stop(s.rng.Intn(len(s.active)))
+			}
+		}
+	}
+	for i := 0; i < 32; i++ {
+		s.at(s.e.Now() + offset())
+	}
+	for s.budget > 0 {
+		s.act()
+		s.e.Run(s.e.Now() + offset())
+	}
+	if s.compactions == 0 {
+		t.Fatalf("%s: no compaction happened; the script does not exercise it", s.name)
+	}
+	s.finish(1000)
+}
+
+func popWindowBelowMin(t *testing.T, seed int64) {
+	s := newPopScript(t, "window below min", seed, 4000)
+	below := 0
+	for s.budget > 0 {
+		// A minimum ahead of now, entries at and beyond it, and one far
+		// entry so the relinks span many buckets.
+		gap := Time(1+s.rng.Intn(40_000)) * Nanosecond
+		first := s.e.Now() + gap
+		for n := 1 + s.rng.Intn(3); n > 0; n-- {
+			s.at(first)
+		}
+		s.at(first + Time(s.rng.Intn(20))*Microsecond)
+		s.at(first + Time(1+s.rng.Intn(5))*Millisecond)
+		// Stop below the minimum, then schedule into [until, first).
+		until := s.e.Now() + Time(s.rng.Int63n(int64(gap)))
+		if s.e.Run(until); s.e.events.len() > 0 && s.e.events.peek() == first {
+			below++
+		}
+		s.at(until)
+		s.at(first - 1)
+		for n := s.rng.Intn(4); n > 0; n-- {
+			s.at(until + Time(s.rng.Int63n(int64(first-until))))
+		}
+		// Run past the minimum sometimes, and drain now and then.
+		switch s.rng.Intn(4) {
+		case 0:
+			s.e.Run(first + Time(s.rng.Intn(30))*Microsecond)
+		case 1:
+			s.e.RunUntilIdle()
+		}
+	}
+	if below < 100 {
+		t.Fatalf("%s: only %d windows stopped below the minimum", s.name, below)
+	}
+	s.finish(1000)
+}
+
+func popDeep(t *testing.T, seed int64) {
+	s := newPopScript(t, "deep", seed, 12000)
+	far := func() Time {
+		return s.e.Now() + 100*Microsecond + Time(s.rng.Int63n(int64(5*Millisecond)))
+	}
+	burst := func(at Time) {
+		for n := 2 + s.rng.Intn(4); n > 0; n-- {
+			s.at(at)
+		}
+	}
+	s.act = func() {
+		if s.budget <= 0 {
+			return
+		}
+		switch r := s.rng.Intn(100); {
+		case r < 45:
+			s.at(s.e.Now() + 10*Microsecond) // the generator's re-arm
+		case r < 70:
+			s.at(far())
+		case r < 74:
+			burst(s.e.Now())
+		case r < 78:
+			burst(s.e.Now() + 10*Microsecond)
+		case r < 82:
+			burst(far())
+		case r < 85:
+			s.start(10 * Microsecond)
+		case r < 88:
+			if len(s.active) > 0 {
+				s.stop(s.rng.Intn(len(s.active)))
+			}
+		}
+	}
+	for i := 0; i < 1200; i++ {
+		s.at(far())
+	}
+	for i := 0; i < 20; i++ {
+		s.at(s.e.Now() + Time(s.rng.Intn(10))*Microsecond)
+	}
+	for s.budget > 0 {
+		s.e.Run(s.e.Now() + Time(s.rng.Intn(30_000))*Nanosecond)
+	}
+	if s.maxDepth < 1000 {
+		t.Fatalf("%s: depth peaked at %d entries, want at least 1000", s.name, s.maxDepth)
+	}
+	s.finish(5000)
+}
+
+func popAtAfterIdle(t *testing.T, seed int64) {
+	s := newPopScript(t, "At after RunUntilIdle", seed, 3000)
+	stale := 0
+	for s.budget > 0 {
+		// Live entries close to now and tickers whose next tick lies
+		// beyond all of them; stopping the tickers leaves cancelled
+		// entries that the drain pops after the last live one.
+		for n := 1 + s.rng.Intn(4); n > 0; n-- {
+			s.at(s.e.Now() + Time(s.rng.Intn(20))*Microsecond)
+		}
+		var ticks []Time
+		for n := 1 + s.rng.Intn(3); n > 0; n-- {
+			s.start(Time(30+s.rng.Intn(100)) * Microsecond)
+			ticks = append(ticks, s.active[len(s.active)-1].next.at)
+		}
+		for len(s.active) > 0 {
+			s.stop(s.rng.Intn(len(s.active)))
+		}
+		s.e.RunUntilIdle()
+		for _, tick := range ticks {
+			if tick <= s.e.Now() {
+				continue // an earlier round's entry ran past it
+			}
+			stale++
+			// Before, at and after the cancelled tick.
+			s.at(s.e.Now() + Time(s.rng.Int63n(int64(tick-s.e.Now()))))
+			s.at(tick)
+			s.at(tick + Time(s.rng.Intn(10))*Microsecond)
+		}
+		s.at(s.e.Now())
+		if s.rng.Intn(2) == 0 {
+			s.e.RunUntilIdle()
+		}
+	}
+	if stale < 100 {
+		t.Fatalf("%s: only %d drains ended below a cancelled tick", s.name, stale)
+	}
+	s.finish(1000)
+}
+
+// mallocs runs op n times and returns the number of heap allocations the
+// whole loop made, with the GC off: unlike testing.AllocsPerRun, which
+// truncates to whole allocations per op, it counts every malloc.
+func mallocs(n int, op func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 func TestScheduleRunSteadyStateAllocs(t *testing.T) {
@@ -577,8 +774,8 @@ func TestScheduleRunSteadyStateAllocs(t *testing.T) {
 		e.Run(at)
 	}
 	step() // warm the pool
-	if avg := testing.AllocsPerRun(200, step); avg != 0 {
-		t.Fatalf("schedule/run steady state allocates %.1f allocs/op, want 0", avg)
+	if n := mallocs(1000, step); n != 0 {
+		t.Fatalf("schedule/run steady state made %d mallocs in 1000 steps, want 0", n)
 	}
 }
 
@@ -595,11 +792,47 @@ func TestEverySteadyStateAllocs(t *testing.T) {
 		e.Run(at)
 	}
 	tick() // warm up
-	if avg := testing.AllocsPerRun(200, tick); avg != 0 {
-		t.Fatalf("ticker steady state allocates %.1f allocs/tick, want 0", avg)
+	if n := mallocs(1000, tick); n != 0 {
+		t.Fatalf("ticker steady state made %d mallocs in 1000 ticks, want 0", n)
 	}
-	if ticks < 200 {
+	if ticks < 1000 {
 		t.Fatalf("ticker only fired %d times", ticks)
+	}
+}
+
+func TestDeepQueueSteadyStateAllocs(t *testing.T) {
+	// The bidirectional netperf mix's queue shape: 1,200 entries
+	// milliseconds ahead, each re-arming itself 1-5 ms out when it fires,
+	// next to 16 chains that re-arm every 10 µs. The depth stays constant,
+	// so once the node slab and the event pool reach it, relinking through
+	// the buckets must not allocate.
+	e := NewEngine(1)
+	k := 0
+	var far, rearm func()
+	far = func() {
+		k++
+		e.After(Millisecond+Time(k*7919%4000)*Microsecond, far)
+	}
+	rearm = func() { e.After(10*Microsecond, rearm) }
+	for i := 0; i < 1200; i++ {
+		e.After(Time(100+i*4)*Microsecond, far)
+	}
+	for i := 0; i < 16; i++ {
+		e.After(Time(i)*Microsecond/2, rearm)
+	}
+	window := func() { e.Run(e.Now() + 10*Microsecond) }
+	for i := 0; i < 1000; i++ {
+		window() // 10 ms: every far entry has fired and re-armed
+	}
+	processed := e.Processed()
+	if n := mallocs(2000, window); n != 0 {
+		t.Fatalf("deep queue made %d mallocs in 2000 windows, want 0", n)
+	}
+	if e.Processed()-processed < 2000*16 {
+		t.Fatalf("%d events ran during measurement; the re-arm chains did not", e.Processed()-processed)
+	}
+	if d := e.Pending(); d != 1216 {
+		t.Fatalf("Pending = %d, want a constant 1216", d)
 	}
 }
 
