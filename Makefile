@@ -43,19 +43,18 @@ race-full:
 # full ARQ loss-recovery cycle (fast retransmit included), the capability
 # check itself, the idle bypass busy-poll tick, a segment through the
 # virtqueue harvest/repost cycle, the netperf generator's flow-control poll,
-# and the engine's schedule/run cycle, periodic tick and ticker start/stop
-# storm must not touch the Go heap in steady state. Runs in seconds; CI fails
-# on any regression.
+# a segment forwarded between two topology shards, and the engine's
+# schedule/run cycle, periodic tick, ticker start/stop storm and topology
+# epoch barrier must not touch the Go heap in steady state. Every gate
+# counts each malloc over its whole loop and requires 0. Runs in seconds;
+# CI fails on any regression.
 alloc-gate:
 	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs' -count=1 . ./internal/sim
 
 # bench-go runs the go-test benchmarks: data-structure, engine and gated
 # hot-path micro benchmarks (each gated path timed on its alloc-gate rig),
-# one macro sub-benchmark per catalog figure, the 4-machine topology ring
-# (serial vs parallel, speedup-gated at >= 1.5x on multi-CPU hosts) and the
-# serial/parallel full-suite macro. With perfbench it is the repository's
-# host-side timing; the committed BENCH_PR*.json files are historical
-# records that nothing regenerates.
+# one macro sub-benchmark per catalog figure and the serial/parallel
+# full-suite macro. With perfbench it is the repository's host-side timing.
 bench-go:
 	$(GO) test -bench=. -benchmem -timeout 60m -run=^$$ .
 
@@ -63,13 +62,12 @@ bench-go:
 # the race detector, one process per figure, the attack matrix included. The
 # figures check themselves (the scaling figure fails on an off-core RX
 # completion, the bypass figure on its acceptance gates, the chaos harness on
-# a conservation audit); -topo-workers 4 runs the cluster figure, the only
-# one that reads it, on the parallel topology engine. Their tests run under
-# the race detector in `make race` (-short) and `make race-full`.
+# a conservation audit). Their tests run under the race detector in
+# `make race` (-short) and `make race-full`.
 figures:
 	@set -e; for f in scaling chaos recovery loss cluster tenants bypass attacks; do \
-		echo "damnbench -race -quick -topo-workers 4 -exp $$f"; \
-		$(GO) run -race ./cmd/damnbench -quick -topo-workers 4 -exp $$f; \
+		echo "damnbench -race -quick -exp $$f"; \
+		$(GO) run -race ./cmd/damnbench -quick -exp $$f; \
 	done
 
 # golden enforces the byte-identity contract: the stdout of the quick paper
@@ -92,8 +90,8 @@ golden:
 
 # The repository benchmark's own tests (perfbench is a separate module): every
 # job's digest at the reference seed must match perfbench/digests.json, and
-# 1 vs 2 job and topology workers must agree — so a host-side change that
-# moves any simulated result fails here.
+# 1 vs 2 job workers must agree — so a host-side change that moves any
+# simulated result fails here.
 perfbench:
 	cd perfbench && $(GO) test ./...
 

@@ -6,9 +6,9 @@
 //     event loop, and the per-packet paths alloc_test.go gates at 0
 //     allocs/op. A gated path is timed on its gate's own rig.
 //   - Macro: one sub-benchmark per experiments.Catalog() entry, each
-//     iteration rerunning that figure in quick mode; the 4-machine
-//     topology ring, serial against parallel; and the whole quick suite,
-//     serial against parallel. These take seconds per iteration by design.
+//     iteration rerunning that figure in quick mode, and the whole quick
+//     suite, serial against parallel. These take seconds per iteration by
+//     design.
 //
 // Run everything with:
 //
@@ -20,10 +20,8 @@ package damn_test
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	damn "github.com/asplos18/damn"
 	damncore "github.com/asplos18/damn/internal/damn"
@@ -32,7 +30,6 @@ import (
 	"github.com/asplos18/damn/internal/mem"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
-	"github.com/asplos18/damn/internal/workloads"
 )
 
 // damnCtx is a zero allocation context (core 0, standard context).
@@ -366,42 +363,6 @@ func BenchmarkCatalog(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTopologyRing measures the sharded conservative-parallel topology
-// engine: the same 4-machine DAMN ring advanced by one host worker and by
-// one worker per machine (GOMAXPROCS workers, at least two, at most one per
-// machine). The two results must be identical — host workers change wall
-// clock only. On a multi-CPU host the parallel run must also be at least
-// 1.5× faster; with one CPU the workers timeslice it and no speedup is
-// expected.
-func BenchmarkTopologyRing(b *testing.B) {
-	const machines = 4
-	workers := min(max(runtime.GOMAXPROCS(0), 2), machines)
-	ring := func(w int) (workloads.RingResult, time.Duration) {
-		start := time.Now()
-		res, err := workloads.RunRing(workloads.RingConfig{
-			Scheme: testbed.SchemeDAMN, Machines: machines, Workers: w,
-			Seed: 1, Duration: 120 * sim.Millisecond, Warmup: 10 * sim.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, time.Since(start)
-	}
-	for i := 0; i < b.N; i++ {
-		serial, serialTime := ring(1)
-		par, parTime := ring(workers)
-		if !reflect.DeepEqual(serial, par) {
-			b.Fatal("parallel topology run diverges from serial")
-		}
-		speedup := serialTime.Seconds() / parTime.Seconds()
-		b.ReportMetric(speedup, "speedup-x")
-		if runtime.NumCPU() >= 2 && speedup < 1.5 {
-			b.Fatalf("%d-machine topology speedup %.2f× with %d workers on %d CPUs (serial %.2fs, parallel %.2fs, %d epochs), want >= 1.5×",
-				machines, speedup, workers, runtime.NumCPU(), serialTime.Seconds(), parTime.Seconds(), serial.Epochs)
-		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	damnbench [-quick] [-parallel N] [-seed N] [-exp NAME[,NAME...]]
-//	          [-recovery] [-topo-workers N]
+//	          [-recovery]
 //	          [-faults P] [-fault-seed N] [-stats out.json] [-trace out.trace]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -92,9 +92,9 @@
 // -exp cluster is the multi-machine cluster figure: per scheme, a 4-sender
 // incast storm through a tail-dropping router and a 2-client/2-server
 // memcached cluster behind a load balancer, both on the sharded
-// conservative-parallel topology engine. -topo-workers N advances N machines
-// concurrently inside lookahead epochs; the figure's rows are byte-identical
-// for any value (1 = serial reference).
+// conservative topology engine, which advances a topology's machines in
+// lookahead epochs on one goroutine. -parallel spreads the schemes over
+// workers, as for any figure.
 package main
 
 import (
@@ -119,7 +119,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed of the deterministic fault schedule (used with -faults or -exp chaos)")
 	exp := flag.String("exp", "all", "experiments to run (comma separated): "+strings.Join(expNames(), ", "))
 	recover := flag.Bool("recovery", false, "fault-domain recovery: add the recovery figure to the run, and attach the device-recovery supervisor to chaos machines")
-	topoWorkers := flag.Int("topo-workers", 1, "host workers advancing a topology's machines in parallel (output is identical for any value)")
 	statsOut := flag.String("stats", "", "write per-figure metrics snapshots to this JSON file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of every simulated machine")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run (runtime/pprof) to this file")
@@ -146,8 +145,7 @@ func main() {
 	}
 
 	opts := experiments.Options{Quick: *quick, Seed: *seed, Parallel: *parallel,
-		TopoWorkers: *topoWorkers,
-		FaultRate:   *faultRate, FaultSeed: *faultSeed, Recovery: *recover}
+		FaultRate: *faultRate, FaultSeed: *faultSeed, Recovery: *recover}
 	var snaps map[string]stats.Snapshot
 	if *statsOut != "" {
 		snaps = map[string]stats.Snapshot{}

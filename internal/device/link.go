@@ -52,6 +52,9 @@ type Link struct {
 	// shares the sending engine (standalone machine, loopback tests).
 	sched func(at sim.Time, fn func())
 
+	// freeArrivals recycles Forward's in-flight records (see linkArrival).
+	freeArrivals []*linkArrival
+
 	// Drops counts segments the link lost to an injected LinkDrop (sink
 	// and router links count nothing; NIC termini count on the NIC).
 	Drops uint64
@@ -125,12 +128,41 @@ func (l *Link) Forward(wireDone sim.Time, seg Segment) {
 	if l.sink {
 		return
 	}
+	var a *linkArrival
+	if m := len(l.freeArrivals); m > 0 {
+		a = l.freeArrivals[m-1]
+		l.freeArrivals = l.freeArrivals[:m-1]
+	} else {
+		a = &linkArrival{l: l}
+		a.fire = func() {
+			seg := a.seg
+			a.seg = Segment{}
+			a.l.freeArrivals = append(a.l.freeArrivals, a)
+			a.l.arrive(seg)
+		}
+	}
+	a.seg = seg
 	at := wireDone + l.latency
 	if l.sched != nil {
-		l.sched(at, func() { l.arrive(seg) })
+		l.sched(at, a.fire)
 		return
 	}
-	l.se.At(at, func() { l.arrive(seg) })
+	l.se.At(at, a.fire)
+}
+
+// linkArrival carries one forwarded segment across the link's propagation
+// delay: Forward schedules the record's fire closure, bound once at
+// creation, instead of allocating a closure per segment, as the NIC's
+// dispatch records do. The record returns to the free list before the
+// terminus runs, so a router can re-forward the segment at once.
+//
+// On a cross-shard link the sending shard pops the free list and the
+// receiving shard pushes onto it. That is safe only because sim.Cluster
+// runs every shard's epoch on one goroutine.
+type linkArrival struct {
+	l    *Link
+	seg  Segment
+	fire func()
 }
 
 // arrive runs on the receiving side once serialization and propagation have

@@ -30,14 +30,6 @@ type Options struct {
 	// are collected in declaration order.
 	Parallel int
 
-	// TopoWorkers is the host worker count multi-machine topologies run
-	// under (see internal/topo): each machine of a topology is one shard
-	// of a conservative-parallel cluster, and this many host workers
-	// advance shards concurrently inside lookahead epochs. 0/1 runs the
-	// serial reference execution. Figure output is byte-identical for any
-	// value — the epoch merge is deterministic.
-	TopoWorkers int
-
 	// FaultRate, when positive, arms the deterministic fault-injection
 	// plane on every machine the experiments build, giving each fault kind
 	// this per-visit probability (see internal/faults). The degradation

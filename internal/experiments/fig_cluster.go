@@ -20,14 +20,14 @@ type ClusterRow struct {
 // Cluster is the multi-machine figure this repo adds beyond the paper: the
 // paper evaluates one machine against a traffic generator, but IOMMU
 // protection is paid at *both* ends of a datacenter RPC. Two topologies run
-// per scheme on the sharded conservative-parallel engine (internal/topo):
+// per scheme on the sharded conservative engine (internal/topo):
 // an incast storm — four senders blasting one receiver through a router
 // whose output port tail-drops — and a memcached cluster — two client
 // machines issuing closed-loop GET/SETs through a load-balancing router to
 // two servers. The figure reports receiver goodput, exact p99 latency and
 // drop rate under incast, and completed-request throughput and p99 request
-// latency for memcached. Host parallelism (Options.TopoWorkers) changes
-// wall-clock time only; the rows are byte-identical at any worker count.
+// latency for memcached. Each scheme is one runner job, so -parallel spreads
+// the schemes over host workers; the rows are byte-identical at any count.
 func Cluster(opts Options) ([]ClusterRow, error) {
 	warm, dur := 3*sim.Millisecond, 10*sim.Millisecond
 	if opts.Quick {
@@ -39,7 +39,7 @@ func Cluster(opts Options) ([]ClusterRow, error) {
 		// topology has many, so emit the interesting endpoint of each
 		// scenario (the incast receiver, the first memcached server).
 		ic, err := workloads.RunIncast(workloads.IncastConfig{
-			Scheme: scheme, Senders: 4, Workers: opts.TopoWorkers,
+			Scheme: scheme, Senders: 4,
 			Seed: opts.Seed + 1, Duration: dur, Warmup: warm,
 			Inspect: func(ms []*testbed.Machine) error {
 				opts.emit(fmt.Sprintf("cluster-incast/%s", scheme), ms[0])
@@ -50,7 +50,7 @@ func Cluster(opts Options) ([]ClusterRow, error) {
 			return ClusterRow{}, fmt.Errorf("cluster incast %s: %w", scheme, err)
 		}
 		mc, err := workloads.RunMemcachedCluster(workloads.MemcachedClusterConfig{
-			Scheme: scheme, Clients: 2, Servers: 2, Workers: opts.TopoWorkers,
+			Scheme: scheme, Clients: 2, Servers: 2,
 			Seed: opts.Seed + 2, Duration: dur, Warmup: warm,
 			Inspect: func(ms []*testbed.Machine) error {
 				opts.emit(fmt.Sprintf("cluster-mc/%s", scheme), ms[0])

@@ -44,19 +44,19 @@ func TestClusterFigureShape(t *testing.T) {
 
 // TestClusterFigureParallelMatchesSerial is the figure-level identity bar:
 // the cluster rows — and the rendered text — must be byte-identical
-// whether the topologies advance serially or with 4 host workers per
-// topology and 4 figure-level workers, and exactly replayable.
+// whether the scheme jobs run serially or on 4 runner workers, and exactly
+// replayable.
 func TestClusterFigureParallelMatchesSerial(t *testing.T) {
 	skipInShort(t)
-	serial, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 1, TopoWorkers: 1})
+	serial, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 4, TopoWorkers: 4})
+	par, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 4, TopoWorkers: 4})
+	again, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,40 +1,42 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // Cluster executes several engines — logical processes, one per simulated
-// machine or router — as a conservative parallel discrete-event simulation.
-// Shards only interact through cross-shard messages carrying at least the
+// machine or router — as a conservative discrete-event simulation. Shards
+// only interact through cross-shard messages carrying at least the
 // cluster's lookahead of propagation delay (link latency), which is the
 // classic conservative-synchronization precondition: inside an epoch of
-// length lookahead, no shard can affect another shard's present, so all
-// shards advance their private event queues concurrently. At the epoch
-// barrier the buffered cross-shard messages are merged into their
-// destination engines in deterministic (time, source shard, send sequence)
-// order, so the engine-level (at, seq) tie-break sees the same enqueue
-// order no matter how many host workers ran the epoch. A K-worker run is
-// therefore byte-identical to the serial (workers=1) run — the same
-// "host-fast, sim-identical" bar the experiment runner sets across jobs,
-// now applied inside one run.
+// length lookahead, no shard can affect another shard's present, so each
+// shard advances its private event queue to the epoch's end on its own.
+// At the epoch barrier the buffered cross-shard messages are merged into
+// their destination engines in deterministic (time, source shard, send
+// sequence) order, so the engine-level (at, seq) tie-break sees one
+// enqueue order for same-time deliveries — the epochs, the outboxes and
+// the merge together define the event order of a topology.
+//
+// Every epoch runs on the calling goroutine. At the topologies this
+// repository builds (a handful of shards, about 1.5 events per shard per
+// 5 µs epoch) a shard's epoch is shorter than starting and joining a
+// goroutine for it, so host parallelism belongs across topologies (the
+// experiment runner's jobs), not inside one (DESIGN.md §13).
 type Cluster struct {
-	look    Time
-	workers int
-	now     Time
-	shards  []*Shard
-	epochs  uint64
+	look   Time
+	now    Time
+	shards []*Shard
+	epochs uint64
 
 	// scratch is the barrier's merge buffer, reused across epochs.
 	scratch []xmsg
 }
 
 // Shard is one logical process: a private engine plus the outbox of
-// cross-shard messages generated during the current epoch. Only the host
-// worker running the shard's epoch touches the outbox, so no locking is
-// needed; the barrier drains it single-threaded.
+// cross-shard messages generated during the current epoch, which the
+// barrier drains.
 type Shard struct {
 	id  int
 	eng *Engine
@@ -52,16 +54,16 @@ type xmsg struct {
 }
 
 // NewCluster builds an empty cluster. lookahead must be positive and no
-// larger than the smallest cross-shard link latency the topology will use;
-// workers <= 1 runs epochs serially (the reference execution).
-func NewCluster(lookahead Time, workers int) *Cluster {
+// larger than the smallest cross-shard link latency the topology will use.
+//
+// The second argument is ignored. It was the host worker count when epochs
+// could fan out over goroutines, and stays only until the benchmark module
+// (perfbench), which still passes it, next changes.
+func NewCluster(lookahead Time, _ int) *Cluster {
 	if lookahead <= 0 {
 		panic("sim: cluster lookahead must be positive")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &Cluster{look: lookahead, workers: workers}
+	return &Cluster{look: lookahead}
 }
 
 // AddShard creates a new logical process with its own engine.
@@ -95,9 +97,6 @@ func (s *Shard) Send(dst *Shard, at Time, fn func()) {
 // Lookahead returns the epoch length.
 func (c *Cluster) Lookahead() Time { return c.look }
 
-// Workers returns the host worker count epochs run under.
-func (c *Cluster) Workers() int { return c.workers }
-
 // Now returns the cluster's epoch-barrier time (every shard's engine has
 // advanced at least this far).
 func (c *Cluster) Now() Time { return c.now }
@@ -111,47 +110,25 @@ func (c *Cluster) Shards() []*Shard { return c.shards }
 // Run advances every shard to until, one lookahead-bounded epoch at a time.
 func (c *Cluster) Run(until Time) {
 	for c.now < until {
-		end := c.now + c.look
-		if end > until {
-			end = until
+		end := min(c.now+c.look, until)
+		for _, s := range c.shards {
+			s.eng.Run(end)
 		}
-		c.runEpoch(end)
 		c.merge(end)
 		c.now = end
 		c.epochs++
 	}
 }
 
-// runEpoch advances every shard's engine to end, in parallel when the
-// cluster has workers to spare. Each shard's engine state (and everything
-// hanging off it — machine, stats, fault plane) is private to the shard, so
-// the only shared state inside an epoch is this read-only cluster struct.
-func (c *Cluster) runEpoch(end Time) {
-	if c.workers <= 1 || len(c.shards) <= 1 {
-		for _, s := range c.shards {
-			s.eng.Run(end)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, s := range c.shards {
-		wg.Add(1)
-		go func(s *Shard) {
-			defer wg.Done()
-			s.eng.Run(end)
-		}(s)
-	}
-	wg.Wait()
-}
-
 // merge drains every shard's outbox into the destination engines, sorted by
-// (time, source shard, send sequence). The destination heap orders by
-// (time, engine seq), and engine seq is assigned in enqueue order, so this
-// sort fully determines the execution order of same-time deliveries —
-// independent of which host worker ran which shard. A message landing
-// before the epoch boundary would have to rewrite its destination's past;
-// that can only come from a topology whose cross-shard latency is below the
-// cluster lookahead, which is a construction bug worth dying loudly for.
+// (time, source shard, send sequence). The destination engine runs
+// equal-time events in push order, so this sort fully determines the
+// execution order of same-time deliveries, independent of the order the
+// shards ran in. The keys are unique per message, so the sort needs no
+// stability. A message landing before the epoch boundary would have to
+// rewrite its destination's past; that can only come from a topology whose
+// cross-shard latency is below the cluster lookahead, which is a
+// construction bug worth dying loudly for.
 func (c *Cluster) merge(end Time) {
 	msgs := c.scratch[:0]
 	for _, s := range c.shards {
@@ -160,14 +137,8 @@ func (c *Cluster) merge(end Time) {
 		clear(s.out)
 		s.out = s.out[:0]
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].at != msgs[j].at {
-			return msgs[i].at < msgs[j].at
-		}
-		if msgs[i].src != msgs[j].src {
-			return msgs[i].src < msgs[j].src
-		}
-		return msgs[i].seq < msgs[j].seq
+	slices.SortFunc(msgs, func(a, b xmsg) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
 	for i := range msgs {
 		m := &msgs[i]

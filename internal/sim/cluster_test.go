@@ -1,70 +1,10 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
-
-// clusterTrace runs a little 3-shard message-passing system — every shard
-// periodically sends work to the next with exactly the lookahead of delay,
-// every execution appends to a shared-by-construction trace at the
-// receiving side — and returns the trace. With workers=1 the epochs run
-// serially; any trace divergence at higher worker counts is a merge-
-// determinism bug.
-func clusterTrace(t *testing.T, workers int) []string {
-	t.Helper()
-	const look = 10 * Microsecond
-	c := NewCluster(look, workers)
-	shards := []*Shard{c.AddShard(1), c.AddShard(2), c.AddShard(3)}
-
-	// The trace is appended to only at epoch barriers' merged deliveries
-	// and by local events — all on the owning shard — but the slice itself
-	// is shared. That is safe precisely because appends happen in the
-	// single-threaded merge-ordered deliveries; a data race here would be
-	// caught by -race and would itself be the bug.
-	var trace []string
-	traces := make([][]string, 3)
-	for i, s := range shards {
-		i, s := i, s
-		var n int
-		s.Engine().Every(look, func() {
-			n++
-			at := s.Engine().Now() + look
-			msg := fmt.Sprintf("s%d#%d", i, n)
-			dst := shards[(i+1)%3]
-			s.Send(dst, at, func() {
-				traces[dst.ID()] = append(traces[dst.ID()], fmt.Sprintf("%s@%v", msg, dst.Engine().Now()))
-			})
-		})
-	}
-	c.Run(1 * Millisecond)
-	for _, tr := range traces {
-		trace = append(trace, tr...)
-	}
-	return trace
-}
-
-func TestClusterParallelMatchesSerial(t *testing.T) {
-	serial := clusterTrace(t, 1)
-	if len(serial) == 0 {
-		t.Fatal("empty trace")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got := clusterTrace(t, workers)
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: %d events, serial %d", workers, len(got), len(serial))
-		}
-		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: event %d = %q, serial %q", workers, i, got[i], serial[i])
-			}
-		}
-	}
-}
+import "testing"
 
 func TestClusterMergeOrdersByShardAndSeq(t *testing.T) {
 	const look = 5 * Microsecond
-	c := NewCluster(look, 1)
+	c := NewCluster(look, 0)
 	a, b, dst := c.AddShard(1), c.AddShard(2), c.AddShard(3)
 
 	// Shards a and b both send two messages landing at the same instant.
@@ -93,7 +33,7 @@ func TestClusterMergeOrdersByShardAndSeq(t *testing.T) {
 }
 
 func TestClusterSameShardSendIsLocal(t *testing.T) {
-	c := NewCluster(10*Microsecond, 1)
+	c := NewCluster(10*Microsecond, 0)
 	s := c.AddShard(1)
 	ran := false
 	// A same-shard send below the lookahead is legal: it never crosses the
@@ -111,7 +51,7 @@ func TestClusterSameShardSendIsLocal(t *testing.T) {
 }
 
 func TestClusterPanicsOnSubLookaheadMessage(t *testing.T) {
-	c := NewCluster(10*Microsecond, 1)
+	c := NewCluster(10*Microsecond, 0)
 	a, b := c.AddShard(1), c.AddShard(2)
 	a.Engine().At(0, func() {
 		b2 := b
@@ -126,7 +66,7 @@ func TestClusterPanicsOnSubLookaheadMessage(t *testing.T) {
 }
 
 func TestClusterRunStopsAtUntil(t *testing.T) {
-	c := NewCluster(7*Microsecond, 2)
+	c := NewCluster(7*Microsecond, 0)
 	s := c.AddShard(1)
 	var ticks int
 	s.Engine().Every(2*Microsecond, func() { ticks++ })
@@ -139,5 +79,33 @@ func TestClusterRunStopsAtUntil(t *testing.T) {
 	}
 	if ticks != 10 {
 		t.Fatalf("ticks = %d, want 10", ticks)
+	}
+}
+
+// TestClusterEpochSteadyStateAllocs gates the epoch barrier: with two
+// shards sending each other one message per epoch (the density of
+// perfbench's sim.epoch micro), an epoch — both engines, the merge sort and
+// the deliveries — must not touch the Go heap. sort.Slice in the merge once
+// made 3 mallocs per epoch, and the goroutine per shard 5 more.
+func TestClusterEpochSteadyStateAllocs(t *testing.T) {
+	const look = 5 * Microsecond
+	c := NewCluster(look, 0)
+	a, b := c.AddShard(1), c.AddShard(2)
+	var delivered int
+	deliver := func() { delivered++ }
+	for _, pair := range [][2]*Shard{{a, b}, {b, a}} {
+		src, dst := pair[0], pair[1]
+		src.Engine().Every(look, func() { src.Send(dst, src.Engine().Now()+look, deliver) })
+	}
+	epoch := func() { c.Run(c.Now() + look) }
+	for i := 0; i < 100; i++ {
+		epoch() // warm the outboxes, the merge buffer and the event pools
+	}
+	before := delivered
+	if n := mallocs(1000, epoch); n != 0 {
+		t.Fatalf("cluster epochs made %d mallocs in 1000 epochs, want 0", n)
+	}
+	if delivered != before+2000 {
+		t.Fatalf("%d messages delivered in 1000 epochs, want 2000; the barrier under test did not run", delivered-before)
 	}
 }

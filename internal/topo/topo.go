@@ -1,12 +1,11 @@
 // Package topo builds multi-machine network topologies on top of the
-// sharded conservative-parallel event engine (sim.Cluster). Each testbed
-// machine and each router is one logical process with a private event
-// queue; they interact only through device.Link edges, whose propagation
-// latency is the lookahead that lets shards advance in parallel inside an
-// epoch. A K-worker run of a topology is byte-identical to the serial run:
-// the cluster merges cross-shard deliveries in deterministic (time, shard,
-// sequence) order at every epoch barrier, so host parallelism changes
-// wall-clock time and nothing else.
+// sharded conservative event engine (sim.Cluster). Each testbed machine and
+// each router is one logical process with a private event queue; they
+// interact only through device.Link edges, whose propagation latency is the
+// lookahead that lets each shard advance a whole epoch on its own. The
+// cluster merges cross-shard deliveries in deterministic (time, shard,
+// sequence) order at every epoch barrier, so a topology replays exactly
+// for a given seed.
 package topo
 
 import (
@@ -78,13 +77,12 @@ type Topology struct {
 }
 
 // New creates an empty topology. lookahead is the epoch length and the
-// minimum latency any cross-shard link may carry; workers is the host
-// parallelism (1 = serial reference execution).
-func New(lookahead sim.Time, workers int) *Topology {
-	return &Topology{cluster: sim.NewCluster(lookahead, workers)}
+// minimum latency any cross-shard link may carry.
+func New(lookahead sim.Time) *Topology {
+	return &Topology{cluster: sim.NewCluster(lookahead, 0)}
 }
 
-// Cluster exposes the underlying conservative-parallel engine.
+// Cluster exposes the underlying conservative engine.
 func (tp *Topology) Cluster() *sim.Cluster { return tp.cluster }
 
 // Nodes returns the machines in placement order.

@@ -21,7 +21,7 @@ func smallMachine(seed int64) testbed.MachineConfig {
 // cross-shard link faster than the cluster's lookahead — such a link would
 // let a message land inside an epoch that has already executed.
 func TestConnectRejectsSubLookaheadLatency(t *testing.T) {
-	tp := New(10*sim.Microsecond, 1)
+	tp := New(10 * sim.Microsecond)
 	defer tp.Close()
 	a, err := tp.AddMachine(smallMachine(1))
 	if err != nil {
@@ -50,7 +50,7 @@ func TestConnectRejectsSubLookaheadLatency(t *testing.T) {
 // TestRouterDropsUnroutableSegments: a route function returning an invalid
 // port must count a drop, not panic or forward.
 func TestRouterDropsUnroutableSegments(t *testing.T) {
-	tp := New(5*sim.Microsecond, 1)
+	tp := New(5 * sim.Microsecond)
 	defer tp.Close()
 	r := tp.AddRouter(1, 0, func(device.Segment) int { return 7 })
 	r.receive(device.Segment{Len: 1500})
@@ -62,7 +62,7 @@ func TestRouterDropsUnroutableSegments(t *testing.T) {
 // TestEachMachineOwnsAShard: placement puts every machine and router on its
 // own shard, so they advance as independent logical processes.
 func TestEachMachineOwnsAShard(t *testing.T) {
-	tp := New(5*sim.Microsecond, 2)
+	tp := New(5 * sim.Microsecond)
 	defer tp.Close()
 	a, err := tp.AddMachine(smallMachine(1))
 	if err != nil {

@@ -65,8 +65,9 @@ func p99(samples []sim.Time) sim.Time {
 type IncastConfig struct {
 	Scheme  testbed.Scheme
 	Senders int
-	// Workers is the host parallelism of the conservative engine
-	// (1 = serial reference execution; results are identical either way).
+	// Deprecated: Workers is ignored; every topology runs its epochs on
+	// one goroutine. It remains only for the benchmark module, which
+	// still sets it.
 	Workers  int
 	Seed     int64
 	Duration sim.Time
@@ -99,9 +100,6 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 	if cfg.Senders <= 0 {
 		cfg.Senders = 4
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 10 * sim.Millisecond
 	}
@@ -115,7 +113,7 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 		cfg.Cores = 4
 	}
 
-	tp := topo.New(ClusterLinkLatency, cfg.Workers)
+	tp := topo.New(ClusterLinkLatency)
 	defer tp.Close()
 
 	recv, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+1, cfg.Cores))
@@ -253,9 +251,10 @@ func mcServerOf(m uint32) int { return int(m>>mcReqBits) & 0xff }
 // and the server one RX unmap plus one value-sized TX map — the two-sided
 // IOMMU tax the figure measures.
 type MemcachedClusterConfig struct {
-	Scheme   testbed.Scheme
-	Clients  int
-	Servers  int
+	Scheme  testbed.Scheme
+	Clients int
+	Servers int
+	// Deprecated: Workers is ignored, as IncastConfig.Workers is.
 	Workers  int
 	Seed     int64
 	Duration sim.Time
@@ -300,9 +299,6 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 	if cfg.Servers <= 0 {
 		cfg.Servers = 2
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 10 * sim.Millisecond
 	}
@@ -322,7 +318,7 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 		return MemcachedClusterResult{}, fmt.Errorf("workloads: memcached cluster is limited to 256 clients and servers")
 	}
 
-	tp := topo.New(ClusterLinkLatency, cfg.Workers)
+	tp := topo.New(ClusterLinkLatency)
 	defer tp.Close()
 
 	// The router's first S output ports reach the servers, the next C the
@@ -500,18 +496,16 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 
 // ---------------------------------------------------------------------------
 // Ring: N machines, each streaming to its successor — the balanced
-// topology behind the wall-clock scaling leg and the determinism tests.
+// topology behind the replay tests.
 // ---------------------------------------------------------------------------
 
 // RingConfig describes an N-machine ring where machine i streams one flow
 // to machine (i+1) mod N over a direct link. Load is symmetric, so every
-// shard has equal work — the best case for conservative-parallel scaling
-// and the cleanest byte-identity probe (every machine is both endpoint
-// roles at once).
+// shard has equal work, and every machine plays both endpoint roles at
+// once — the cleanest replay probe.
 type RingConfig struct {
 	Scheme   testbed.Scheme
 	Machines int
-	Workers  int
 	Seed     int64
 	Duration sim.Time
 	Warmup   sim.Time
@@ -519,14 +513,13 @@ type RingConfig struct {
 	// Faults, when non-nil, arms every machine's fault-injection plane —
 	// link impairments then fire at each machine's ingress links,
 	// including the cross-machine forwarded path. Each machine draws from
-	// its own per-kind streams, so the combined schedule replays exactly
-	// and is independent of the host worker count.
+	// its own per-kind streams, so the combined schedule replays exactly.
 	Faults *faults.Config
 }
 
 // RingResult summarises a ring run. Two runs of the same config are
-// comparable field-by-field: any divergence between worker counts is a
-// determinism bug.
+// comparable field-by-field: any divergence between them is a determinism
+// bug.
 type RingResult struct {
 	Scheme         string
 	PerMachineGbps []float64
@@ -549,9 +542,6 @@ func RunRing(cfg RingConfig) (RingResult, error) {
 	if cfg.Machines <= 1 {
 		cfg.Machines = 3
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 5 * sim.Millisecond
 	}
@@ -562,7 +552,7 @@ func RunRing(cfg RingConfig) (RingResult, error) {
 		cfg.Cores = 2
 	}
 
-	tp := topo.New(ClusterLinkLatency, cfg.Workers)
+	tp := topo.New(ClusterLinkLatency)
 	defer tp.Close()
 
 	var nodes []*topo.Node

@@ -9,48 +9,84 @@ import (
 	"github.com/asplos18/damn/internal/testbed"
 )
 
-func quickRing(workers int) RingConfig {
+func quickRing() RingConfig {
 	return RingConfig{
-		Scheme: testbed.SchemeDAMN, Machines: 3, Workers: workers,
+		Scheme: testbed.SchemeDAMN, Machines: 3,
 		Seed: 42, Duration: 3 * sim.Millisecond, Warmup: 1 * sim.Millisecond,
 	}
 }
 
-// TestRingParallelMatchesSerial is the tentpole's identity bar on a real
-// workload: a 3-machine ring run with 1, 2 and 4 host workers must produce
-// identical results down to each shard's engine event count — host
-// parallelism changes wall-clock time and nothing else.
-func TestRingParallelMatchesSerial(t *testing.T) {
-	serial, err := RunRing(quickRing(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Segments == 0 {
-		t.Fatal("ring moved no traffic")
-	}
-	for _, workers := range []int{2, 4} {
-		got, err := RunRing(quickRing(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("workers=%d diverged:\nserial: %+v\ngot:    %+v", workers, serial, got)
-		}
-	}
-}
-
-// TestRingSeedReplay: same seed, same run; different seed, different run.
-func TestRingSeedReplay(t *testing.T) {
-	a, err := RunRing(quickRing(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunRing(quickRing(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same config diverged:\n%+v\n%+v", a, b)
+// TestTopologyReplay runs each topology workload twice with one config:
+// the ring (down to each shard's engine event count), the ring with link
+// impairments firing on every machine (down to each machine's fault
+// schedule digest), the router-and-incast shape of the cluster figure and
+// the request/response memcached cluster. The two runs must be identical,
+// and each case checks that its run did some work.
+func TestTopologyReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// run executes the workload once and fails the test if it errs or
+		// does nothing.
+		run func(t *testing.T) any
+	}{
+		{"ring", func(t *testing.T) any {
+			res, err := RunRing(quickRing())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Segments == 0 {
+				t.Fatal("ring moved no traffic")
+			}
+			return res
+		}},
+		{"chaos-ring", func(t *testing.T) any {
+			cfg := quickRing()
+			cfg.Faults = &faults.Config{Seed: 17, Rates: faults.UniformRates(0.005)}
+			res, err := RunRing(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Injected == 0 {
+				t.Fatal("no faults fired at rate 0.005")
+			}
+			if len(res.FaultDigests) != 3 {
+				t.Fatalf("expected 3 per-machine digests, got %v", res.FaultDigests)
+			}
+			return res
+		}},
+		{"incast", func(t *testing.T) any {
+			res, err := RunIncast(IncastConfig{
+				Scheme: testbed.SchemeDAMN, Senders: 3,
+				Seed: 7, Duration: 3 * sim.Millisecond, Warmup: 1 * sim.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Delivered == 0 {
+				t.Fatal("incast delivered nothing")
+			}
+			return res
+		}},
+		{"memcached-cluster", func(t *testing.T) any {
+			res, err := RunMemcachedCluster(MemcachedClusterConfig{
+				Scheme: testbed.SchemeDAMN, Clients: 2, Servers: 2,
+				Seed: 11, Duration: 3 * sim.Millisecond, Warmup: 1 * sim.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ops == 0 {
+				t.Fatal("memcached cluster completed no requests")
+			}
+			return res
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, again := tc.run(t), tc.run(t)
+			if !reflect.DeepEqual(first, again) {
+				t.Fatalf("same config diverged:\nfirst: %+v\nagain: %+v", first, again)
+			}
+		})
 	}
 }
 
@@ -62,11 +98,11 @@ func TestRingSeedReplay(t *testing.T) {
 // forwarding). Processed counts are excluded — an armed plane runs a
 // watchdog ticker, which adds events without touching traffic.
 func TestRingZeroRateFaultsMatchBaseline(t *testing.T) {
-	base, err := RunRing(quickRing(2))
+	base, err := RunRing(quickRing())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := quickRing(2)
+	cfg := quickRing()
 	cfg.Faults = &faults.Config{Seed: 99, Rates: faults.UniformRates(0)}
 	armed, err := RunRing(cfg)
 	if err != nil {
@@ -82,92 +118,13 @@ func TestRingZeroRateFaultsMatchBaseline(t *testing.T) {
 	}
 }
 
-// TestRingChaosParallelMatchesSerial puts the fault plane and the sharded
-// executor together: with link impairments firing on every machine, the
-// per-machine fault schedules (digests), counts and workload results must
-// be identical at any worker count.
-func TestRingChaosParallelMatchesSerial(t *testing.T) {
-	cfg := func(workers int) RingConfig {
-		c := quickRing(workers)
-		c.Faults = &faults.Config{Seed: 17, Rates: faults.UniformRates(0.005)}
-		return c
-	}
-	serial, err := RunRing(cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Injected == 0 {
-		t.Fatal("no faults fired at rate 0.005")
-	}
-	if len(serial.FaultDigests) != 3 {
-		t.Fatalf("expected 3 per-machine digests, got %v", serial.FaultDigests)
-	}
-	par, err := RunRing(cfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("chaos ring diverged across workers:\nserial: %+v\npar:    %+v", serial, par)
-	}
-}
-
-// TestIncastParallelMatchesSerial covers the router + heterogeneous-role
-// topology (the cluster figure's shape) at both worker counts.
-func TestIncastParallelMatchesSerial(t *testing.T) {
-	cfg := func(workers int) IncastConfig {
-		return IncastConfig{
-			Scheme: testbed.SchemeDAMN, Senders: 3, Workers: workers,
-			Seed: 7, Duration: 3 * sim.Millisecond, Warmup: 1 * sim.Millisecond,
-		}
-	}
-	serial, err := RunIncast(cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Delivered == 0 {
-		t.Fatal("incast delivered nothing")
-	}
-	par, err := RunIncast(cfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("incast diverged:\nserial: %+v\npar:    %+v", serial, par)
-	}
-}
-
-// TestMemcachedClusterParallelMatchesSerial covers the request/response
-// (bidirectional routing) topology.
-func TestMemcachedClusterParallelMatchesSerial(t *testing.T) {
-	cfg := func(workers int) MemcachedClusterConfig {
-		return MemcachedClusterConfig{
-			Scheme: testbed.SchemeDAMN, Clients: 2, Servers: 2, Workers: workers,
-			Seed: 11, Duration: 3 * sim.Millisecond, Warmup: 1 * sim.Millisecond,
-		}
-	}
-	serial, err := RunMemcachedCluster(cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Ops == 0 {
-		t.Fatal("memcached cluster completed no requests")
-	}
-	par, err := RunMemcachedCluster(cfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("memcached cluster diverged:\nserial: %+v\npar:    %+v", serial, par)
-	}
-}
-
 // TestIncastDamnAuditAcrossMachines drives the incast storm with DAMN on
 // every machine, then audits each machine's allocator through the Inspect
 // hook (which runs before teardown): cross-machine forwarding must not
 // leak or double-free DAMN chunks on either side of the wire.
 func TestIncastDamnAuditAcrossMachines(t *testing.T) {
 	res, err := RunIncast(IncastConfig{
-		Scheme: testbed.SchemeDAMN, Senders: 2, Workers: 2,
+		Scheme: testbed.SchemeDAMN, Senders: 2,
 		Seed: 3, Duration: 2 * sim.Millisecond, Warmup: 1 * sim.Millisecond,
 		Inspect: func(machines []*testbed.Machine) error {
 			for _, ma := range machines {
