@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet staticcheck build test race race-full alloc-gate bench-go figures golden perfbench ci
+.PHONY: all fmt vet staticcheck build test race race-full alloc-gate bench-go golden perfbench ci
 
 all: build
 
@@ -58,32 +58,26 @@ alloc-gate:
 bench-go:
 	$(GO) test -bench=. -benchmem -timeout 60m -run=^$$ .
 
-# figures runs each figure outside the paper suite once, in quick mode under
-# the race detector, one process per figure, the attack matrix included. The
-# figures check themselves (the scaling figure fails on an off-core RX
-# completion, the bypass figure on its acceptance gates, the chaos harness on
-# a conservation audit). Their tests run under the race detector in
-# `make race` (-short) and `make race-full`.
-figures:
-	@set -e; for f in scaling chaos recovery loss cluster tenants bypass attacks; do \
-		echo "damnbench -race -quick -exp $$f"; \
-		$(GO) run -race ./cmd/damnbench -quick -exp $$f; \
-	done
-
 # golden enforces the byte-identity contract: the stdout of the quick paper
-# suite and of each figure outside it, all at -parallel 1, must hash to the
-# digests in cmd/damnbench/testdata/golden.sha256. A change that moves any
-# printed byte fails here; one that means to must re-record the digests and
-# say why.
+# suite at -parallel 1, and of each figure outside it, must hash to the
+# digests in cmd/damnbench/testdata/golden.sha256. The figures outside the
+# paper suite, the attack matrix included, run from a race-detector binary
+# at -parallel 2, so the same pass checks that their output does not depend
+# on the worker count and runs their self-checks under the race detector
+# (the scaling figure fails on an off-core RX completion, the bypass figure
+# on its acceptance gates, the chaos harness on a conservation audit). A
+# change that moves any printed byte fails here; one that means to must
+# re-record the digests and say why.
 GOLDEN_FIGS = scaling chaos recovery loss cluster tenants bypass attacks
 golden:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/damnbench" ./cmd/damnbench; \
+	$(GO) build -race -o "$$dir/damnbench-race" ./cmd/damnbench; \
 	echo "damnbench -quick -parallel 1"; \
 	"$$dir/damnbench" -quick -parallel 1 >"$$dir/all.out"; \
 	for f in $(GOLDEN_FIGS); do \
-		echo "damnbench -quick -parallel 1 -exp $$f"; \
-		"$$dir/damnbench" -quick -parallel 1 -exp $$f >"$$dir/$$f.out"; \
+		echo "damnbench -race -quick -parallel 2 -exp $$f"; \
+		"$$dir/damnbench-race" -quick -parallel 2 -exp $$f >"$$dir/$$f.out"; \
 	done; \
 	cp cmd/damnbench/testdata/golden.sha256 "$$dir/"; \
 	cd "$$dir" && sha256sum -c golden.sha256
@@ -95,4 +89,4 @@ golden:
 perfbench:
 	cd perfbench && $(GO) test ./...
 
-ci: fmt vet build alloc-gate race figures golden perfbench
+ci: fmt vet build alloc-gate race golden perfbench

@@ -26,7 +26,8 @@ func (d *DAMN) Audit() (live int, err error) {
 
 	seenPA := map[mem.PhysAddr]bool{}
 	seenIOVA := map[iommu.IOVA]bool{}
-	for i, ch := range d.registry {
+	for i := range d.regUsed {
+		ch := d.registry[i].Load()
 		if ch == nil {
 			continue
 		}
@@ -44,13 +45,13 @@ func (d *DAMN) Audit() (live int, err error) {
 		seenIOVA[ch.iova] = true
 	}
 	for _, slot := range d.freeSlots {
-		if d.registry[slot] != nil {
+		if d.registry[slot].Load() != nil {
 			return live, fmt.Errorf("damn: free slot %d still holds a chunk", slot)
 		}
 	}
-	if len(d.freeSlots) != len(d.registry)-live {
+	if len(d.freeSlots) != d.regUsed-live {
 		return live, fmt.Errorf("damn: slot accounting broken: %d free + %d live != %d total",
-			len(d.freeSlots), live, len(d.registry))
+			len(d.freeSlots), live, d.regUsed)
 	}
 	if got, want := d.ChunksCreated-d.ChunksReleased, uint64(live); got != want {
 		return live, fmt.Errorf("damn: created-released = %d but %d chunks live", got, want)

@@ -364,11 +364,11 @@ func (d *DAMN) registerChunk(ch *chunk) {
 	if n := len(d.freeSlots); n > 0 {
 		idx = d.freeSlots[n-1]
 		d.freeSlots = d.freeSlots[:n-1]
-		d.registry[idx] = ch
 	} else {
-		d.registry = append(d.registry, ch)
-		idx = len(d.registry) - 1
+		idx = d.regUsed
+		d.regUsed++
 	}
+	d.registry[idx].Store(ch)
 	ch.regIdx = idx + 1
 	if dev := ch.cache.key.dev; dev >= 0 && dev < len(d.devGens) {
 		ch.gen = d.devGens[dev]
@@ -378,19 +378,10 @@ func (d *DAMN) registerChunk(ch *chunk) {
 	tail2 := d.mem.PageOf(ch.head.PFN() + 2)
 	tail2.Private = uint64(ch.regIdx)
 	tail2.SetFlags(mem.FlagDAMN)
-	d.publishRegistryLocked()
 	d.ChunksCreated++
 	d.footprint += int64(d.ChunkBytes())
 	d.createdC.Inc()
 	d.footprintG.Add(int64(d.ChunkBytes()))
-}
-
-// publishRegistryLocked refreshes the lock-free registry snapshot chunkOf
-// reads. Caller holds d.mu.
-func (d *DAMN) publishRegistryLocked() {
-	snap := make([]*chunk, len(d.registry))
-	copy(snap, d.registry)
-	d.regSnap.Store(snap)
 }
 
 // unregisterChunk removes the metadata (shrinker path).
@@ -401,9 +392,8 @@ func (d *DAMN) unregisterChunk(ch *chunk) {
 	tail2.ClearFlags(mem.FlagDAMN)
 	tail2.Private = 0
 	d.mem.PageOf(ch.head.PFN() + 1).Private = 0
-	d.registry[ch.regIdx-1] = nil
+	d.registry[ch.regIdx-1].Store(nil)
 	d.freeSlots = append(d.freeSlots, ch.regIdx-1)
-	d.publishRegistryLocked()
 	ch.regIdx = 0
 	d.ChunksReleased++
 	d.footprint -= int64(d.ChunkBytes())

@@ -125,12 +125,15 @@ type DAMN struct {
 	shards []regionShard
 	// registry maps small indexes (stored in tail page structs) back to
 	// chunk objects; the functional equivalent of deriving the chunk
-	// from page-struct metadata. regSnap is its copy-on-write snapshot:
-	// chunkOf (every Free and every interposed dma_map) reads it without
-	// d.mu; register/unregister republish under d.mu.
-	registry  []*chunk
+	// from page-struct metadata. It has one slot per chunk-sized run of
+	// memory, since chunks own disjoint frames, so it never grows:
+	// register/unregister store into a slot under d.mu, and chunkOf
+	// (every Free and every interposed dma_map) loads it without d.mu.
+	// Slots [0, regUsed) have been handed out; freeSlots lists those of
+	// them that are empty again.
+	registry  []atomic.Pointer[chunk]
+	regUsed   int
 	freeSlots []int
-	regSnap   atomic.Value // []*chunk
 
 	// dense is the single dense IOVA bump used in DenseHugeIOVA mode.
 	denseNext uint64
@@ -230,12 +233,13 @@ func New(m *mem.Memory, u *iommu.IOMMU, model *perf.Model, cfg Config) (*DAMN, e
 		return nil, fmt.Errorf("damn: %d cores exceed the IOVA encoding's %d", len(cfg.CoreNodes), iova.MaxCPU+1)
 	}
 	return &DAMN{
-		mem:    m,
-		iommu:  u,
-		model:  model,
-		cfg:    cfg,
-		caches: make(map[cacheKey]*dmaCache),
-		shards: make([]regionShard, len(cfg.CoreNodes)),
+		mem:      m,
+		iommu:    u,
+		model:    model,
+		cfg:      cfg,
+		caches:   make(map[cacheKey]*dmaCache),
+		shards:   make([]regionShard, len(cfg.CoreNodes)),
+		registry: make([]atomic.Pointer[chunk], m.NumPages()/cfg.ChunkPages),
 	}, nil
 }
 
@@ -419,8 +423,8 @@ func (d *DAMN) IOVAOf(addr mem.PhysAddr) (iommu.IOVA, bool) {
 }
 
 // chunkOf resolves an address to its DAMN chunk, or nil. It runs on every
-// Free and every interposed dma_map, so the registry read goes through the
-// lock-free copy-on-write snapshot.
+// Free and every interposed dma_map, so it loads the registry slot without
+// taking d.mu.
 func (d *DAMN) chunkOf(addr mem.PhysAddr) *chunk {
 	if d.mem.CheckRange(addr, 1) != nil {
 		return nil
@@ -437,9 +441,8 @@ func (d *DAMN) chunkOf(addr mem.PhysAddr) *chunk {
 		return nil
 	}
 	idx := int(flagPage.Private)
-	registry, _ := d.regSnap.Load().([]*chunk)
-	if idx < 1 || idx > len(registry) {
+	if idx < 1 || idx > len(d.registry) {
 		return nil
 	}
-	return registry[idx-1]
+	return d.registry[idx-1].Load()
 }

@@ -231,8 +231,8 @@ func (d *DAMN) ReleaseDevice(x Ctx, dev int) (releasedPages int64, pinnedChunks 
 	}
 
 	d.mu.Lock()
-	for _, ch := range d.registry {
-		if ch != nil && ch.cache.key.dev == dev {
+	for i := range d.regUsed {
+		if ch := d.registry[i].Load(); ch != nil && ch.cache.key.dev == dev {
 			pinnedChunks++
 		}
 	}

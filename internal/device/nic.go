@@ -68,12 +68,12 @@ type Segment struct {
 	Stamp  sim.Time
 	Len    int    // total bytes on the wire (headers + payload)
 	Header []byte // bytes the NIC actually materialises in memory
-	// WritePayload: materialise the whole payload in memory (security
-	// tests); otherwise only the header bytes are written and the rest
-	// of the buffer is left as allocated (throughput runs, where moving
-	// gigabytes through host RAM would only slow the simulation).
-	WritePayload bool
-	Payload      []byte // used when WritePayload
+	// Payload, when non-nil, is materialised whole in memory in place of
+	// Header (security tests); otherwise only the header bytes are
+	// written and the rest of the buffer is left as allocated (throughput
+	// runs, where moving gigabytes through host RAM would only slow the
+	// simulation).
+	Payload []byte
 	// Corrupt marks a frame mangled in flight (injected link fault); the
 	// NIC's hardware checksum validation flags it in the completion.
 	Corrupt bool
@@ -418,18 +418,7 @@ func (n *NIC) Removed() bool { return n.removed }
 func (n *NIC) Quarantine() (reclaim []RXDesc, parkedDropped int) {
 	n.quarantined = true
 	for _, r := range n.rings {
-		reclaim = append(reclaim, r.descs[r.dhead:]...)
-		r.descs, r.dhead = nil, 0
-		for _, m := range r.missed {
-			reclaim = append(reclaim, m.comp.Desc)
-		}
-		r.missed = nil
-		parkedDropped += r.parked()
-		r.pending, r.phead = nil, 0
-	}
-	if parkedDropped > 0 {
-		n.RxQuarantineDrops += uint64(parkedDropped)
-		n.quarDropC.Add(uint64(parkedDropped))
+		reclaim, parkedDropped = n.drainRing(r, reclaim, parkedDropped)
 	}
 	return reclaim, parkedDropped
 }
@@ -446,21 +435,28 @@ func (n *NIC) QuarantineRings(rings []int) (reclaim []RXDesc, parkedDropped int)
 			continue
 		}
 		n.ringQuar[ring] = true
-		r := n.rings[ring]
-		reclaim = append(reclaim, r.descs[r.dhead:]...)
-		r.descs, r.dhead = nil, 0
-		for _, m := range r.missed {
-			reclaim = append(reclaim, m.comp.Desc)
-		}
-		r.missed = nil
-		parkedDropped += r.parked()
-		r.pending, r.phead = nil, 0
-	}
-	if parkedDropped > 0 {
-		n.RxQuarantineDrops += uint64(parkedDropped)
-		n.quarDropC.Add(uint64(parkedDropped))
+		reclaim, parkedDropped = n.drainRing(n.rings[ring], reclaim, parkedDropped)
 	}
 	return reclaim, parkedDropped
+}
+
+// drainRing empties one RX ring for a quarantine: it appends the ring's
+// posted and interrupt-lost descriptors to reclaim, and drops and counts
+// its flow-control-parked segments, adding them to dropped.
+func (n *NIC) drainRing(r *rxRing, reclaim []RXDesc, dropped int) ([]RXDesc, int) {
+	reclaim = append(reclaim, r.descs[r.dhead:]...)
+	r.descs, r.dhead = nil, 0
+	for _, m := range r.missed {
+		reclaim = append(reclaim, m.comp.Desc)
+	}
+	r.missed = nil
+	if p := r.parked(); p > 0 {
+		n.RxQuarantineDrops += uint64(p)
+		n.quarDropC.Add(uint64(p))
+		dropped += p
+	}
+	r.pending, r.phead = nil, 0
+	return reclaim, dropped
 }
 
 // ResumeRings lifts a per-ring quarantine once the rings' owner has been
@@ -845,7 +841,7 @@ func (n *NIC) touchTranslations(dev int, base iommu.IOVA, span int, write bool) 
 // posted buffer through the IOMMU, as the ring's bound device identity.
 func (n *NIC) dmaWriteSegment(dev int, desc RXDesc, seg Segment) (int, error) {
 	payload := seg.Header
-	if seg.WritePayload {
+	if seg.Payload != nil {
 		payload = seg.Payload
 	}
 	if len(payload) > desc.Size {

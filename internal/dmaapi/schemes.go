@@ -185,12 +185,11 @@ type DeferredScheme struct {
 	*mappingScheme
 	se *sim.Engine
 
-	pending   []deferredEntry
-	timerSet  bool
-	flushFn   func() // the flush timer's callback, bound once
-	order     []int  // the flush's device list, reused across flushes
-	Flushes   uint64
-	MaxWindow int // high-water mark of batched entries, for tests
+	pending  []deferredEntry
+	timerSet bool
+	flushFn  func() // the flush timer's callback, bound once
+	order    []int  // the flush's device list, reused across flushes
+	Flushes  uint64
 }
 
 type deferredEntry struct {
@@ -227,9 +226,6 @@ func (s *DeferredScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, 
 		s.pending = append(s.pending, deferredEntry{dev: dev})
 	}
 	s.pending = append(s.pending, deferredEntry{dev: dev, base: base, span: span})
-	if len(s.pending) > s.MaxWindow {
-		s.MaxWindow = len(s.pending)
-	}
 	if len(s.pending) >= s.model.DeferredBatchSize {
 		s.flushLocked(c)
 		return nil

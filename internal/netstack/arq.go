@@ -49,32 +49,30 @@ import (
 
 // ArqConfig parameterises one reliable flow.
 type ArqConfig struct {
-	// Window is the sender's in-flight segment limit and the receiver's
-	// reorder window (segments, not bytes).
+	// Window is the sender's in-flight segment limit (segments, not
+	// bytes); its default matches the receiver's reorderWindow.
 	Window int
 	// SegLen is the wire length of each data segment.
 	SegLen int
-	// DupThresh is the duplicate-ACK count that triggers fast retransmit.
-	DupThresh int
 	// InitRTO seeds the retransmission timeout before the first RTT
-	// sample; MinRTO/MaxRTO clamp the estimator and the backoff.
+	// sample; minRTO/MaxRTO clamp the estimator and the backoff.
 	InitRTO sim.Time
-	MinRTO  sim.Time
 	MaxRTO  sim.Time
 }
+
+const (
+	// dupThresh is the duplicate-ACK count that triggers fast retransmit.
+	dupThresh int = 3
+	// minRTO is the estimator's and the backoff's lower clamp.
+	minRTO = 100 * sim.Microsecond
+)
 
 func (c *ArqConfig) setDefaults() {
 	if c.Window == 0 {
 		c.Window = 64
 	}
-	if c.DupThresh == 0 {
-		c.DupThresh = 3
-	}
 	if c.InitRTO == 0 {
 		c.InitRTO = sim.Millisecond
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 100 * sim.Microsecond
 	}
 	if c.MaxRTO == 0 {
 		c.MaxRTO = 10 * sim.Millisecond
@@ -246,7 +244,7 @@ func (s *ArqSender) OnAck(ack uint32) {
 	if ack == s.ackSeq && s.InFlight() > 0 {
 		s.dupAcks++
 		s.DupAcks++
-		if s.dupAcks == s.cfg.DupThresh {
+		if s.dupAcks == dupThresh {
 			s.retransmit(true)
 			s.rtoAt = s.eng.Now() + s.rto
 			s.armTimer()
@@ -288,8 +286,8 @@ func (s *ArqSender) updateRTT(r sim.Time) {
 		s.srtt = (7*s.srtt + r) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
 	if s.rto > s.cfg.MaxRTO {
 		s.rto = s.cfg.MaxRTO
@@ -359,9 +357,6 @@ type ReliableReceiver struct {
 	// Dest is the remote ArqSender the ACKs are delivered to (at TX
 	// wire-completion time, so the RTT covers the full return path).
 	Dest *ArqSender
-	// Window is the reorder window in segments; AckLen the ACK wire size.
-	Window int
-	AckLen int
 
 	expect   uint32
 	buf      []*SKBuff
@@ -375,14 +370,19 @@ type ReliableReceiver struct {
 	AckSendErrors    uint64
 }
 
+const (
+	// reorderWindow is the receiver's reorder window in segments.
+	reorderWindow int = 64
+	// ackLen is the ACK wire size.
+	ackLen int = 64
+)
+
 // NewReliableReceiver builds the receiving half of a reliable flow.
 func NewReliableReceiver(r *Receiver, drv *Driver, ackRing, ackPort int, dest *ArqSender) *ReliableReceiver {
-	rr := &ReliableReceiver{
+	return &ReliableReceiver{
 		R: r, Drv: drv, AckRing: ackRing, AckPort: ackPort, Dest: dest,
-		Window: 64, AckLen: 64, expect: 1,
+		expect: 1, buf: make([]*SKBuff, reorderWindow),
 	}
-	rr.buf = make([]*SKBuff, rr.Window)
-	return rr
 }
 
 // Expect returns the next in-order sequence number (the cumulative ACK
@@ -405,7 +405,7 @@ func (rr *ReliableReceiver) HandleSegment(t *sim.Task, skb *SKBuff) {
 		// Duplicate of already-delivered data (a retransmission that
 		// crossed our ACK, or an injected duplicate).
 		rr.dropDup(t, skb)
-	case seq >= rr.expect+uint32(rr.Window):
+	case seq >= rr.expect+uint32(reorderWindow):
 		// Beyond the reorder window: a well-behaved sender can't get
 		// here (its window matches ours), so shed it.
 		rr.DroppedOow++
@@ -460,12 +460,12 @@ func (rr *ReliableReceiver) dropDup(t *sim.Task, skb *SKBuff) {
 func (rr *ReliableReceiver) sendAck(t *sim.Task) {
 	k := rr.R.K
 	perf.Charge(t, k.Model.AckCycles)
-	skb, err := AllocSKB(k, t, rr.Drv.NIC().ID(), rr.AckLen, false)
+	skb, err := AllocSKB(k, t, rr.Drv.NIC().ID(), ackLen, false)
 	if err != nil {
 		rr.AckSendErrors++
 		return
 	}
-	if err := skb.CopyFromUser(t, nil, rr.AckLen); err != nil {
+	if err := skb.CopyFromUser(t, nil, ackLen); err != nil {
 		rr.AckSendErrors++
 		skb.Free(t)
 		return

@@ -488,15 +488,7 @@ func (d *Driver) QuarantineDrain(t *sim.Task) (reclaimed, leaked, parkedDropped 
 		d.napi[i].epoch = d.epoch
 	}
 	descs, parked := d.nic.Quarantine()
-	for _, desc := range descs {
-		rb := desc.Cookie.(*rxBuf)
-		if d.reclaimBuf(t, rb) {
-			reclaimed++
-		} else {
-			leaked++
-		}
-		d.putRXBuf(rb)
-	}
+	reclaimed, leaked = d.reclaimDescs(t, descs)
 	// The deficit described a ring that no longer exists; Reinit refills
 	// from scratch.
 	for i := range d.napi {
@@ -518,6 +510,19 @@ func (d *Driver) QuarantineDrainRings(t *sim.Task, rings []int) (reclaimed, leak
 		}
 	}
 	descs, parked := d.nic.QuarantineRings(rings)
+	reclaimed, leaked = d.reclaimDescs(t, descs)
+	for _, ring := range rings {
+		if ring >= 0 && ring < len(d.napi) {
+			d.napi[ring].shortfall = 0
+		}
+	}
+	return reclaimed, leaked, parked
+}
+
+// reclaimDescs unmaps the buffer behind every descriptor a quarantine
+// drained from the NIC and returns it to the kernel, counting the buffers
+// reclaimed and those leaked by a failed non-DAMN unmap.
+func (d *Driver) reclaimDescs(t *sim.Task, descs []device.RXDesc) (reclaimed, leaked int) {
 	for _, desc := range descs {
 		rb := desc.Cookie.(*rxBuf)
 		if d.reclaimBuf(t, rb) {
@@ -527,12 +532,7 @@ func (d *Driver) QuarantineDrainRings(t *sim.Task, rings []int) (reclaimed, leak
 		}
 		d.putRXBuf(rb)
 	}
-	for _, ring := range rings {
-		if ring >= 0 && ring < len(d.napi) {
-			d.napi[ring].shortfall = 0
-		}
-	}
-	return reclaimed, leaked, parked
+	return reclaimed, leaked
 }
 
 // Reinit brings a recovered (or hotplug-replaced) device back into service:

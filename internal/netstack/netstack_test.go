@@ -86,7 +86,7 @@ func TestRXPayloadIntegrity(t *testing.T) {
 				t.Fatal(err)
 			}
 			ma.NIC.InjectRX(0, device.Segment{
-				Flow: 1, Len: len(payload), WritePayload: true, Payload: payload,
+				Flow: 1, Len: len(payload), Payload: payload,
 			})
 			ma.Sim.RunUntilIdle()
 			ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: len(payload), Header: hdr})
@@ -508,7 +508,7 @@ func TestUserCopyRecycledBufferZeroTail(t *testing.T) {
 		if err := ma.FillAllRings(); err != nil {
 			t.Fatal(err)
 		}
-		ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: len(full), WritePayload: true, Payload: full})
+		ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: len(full), Payload: full})
 		ma.Sim.RunUntilIdle()
 		ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: len(full), Header: hdr})
 		ma.Sim.RunUntilIdle()

@@ -122,8 +122,6 @@ type Sender struct {
 	// Meta is opaque metadata stamped on outbound segments.
 	Meta uint32
 
-	// SegSize is the TSO aggregate (64 KiB).
-	SegSize int
 	// Window is the socket send-buffer size in bytes.
 	Window int
 	// ExtraCycles per segment (per-figure calibration).
@@ -140,10 +138,6 @@ type Sender struct {
 	// refills don't allocate.
 	pumpFn func(*sim.Task)
 
-	// DebugPumps counts pump task executions (test instrumentation).
-	DebugPumps uint64
-	DebugSends uint64
-
 	// Stats.
 	Bytes    uint64
 	Segments uint64
@@ -152,11 +146,8 @@ type Sender struct {
 
 // Start begins transmitting; the flow runs until Stop.
 func (s *Sender) Start() {
-	if s.SegSize == 0 {
-		s.SegSize = s.K.Model.SegmentSize
-	}
 	if s.Window == 0 {
-		s.Window = 16 * s.SegSize
+		s.Window = 16 * s.K.Model.SegmentSize
 	}
 	s.schedulePump()
 }
@@ -178,7 +169,6 @@ func (s *Sender) schedulePump() {
 	if s.pumpFn == nil {
 		s.pumpFn = func(t *sim.Task) {
 			s.pumping = false
-			s.DebugPumps++
 			s.pump(t)
 		}
 	}
@@ -188,12 +178,14 @@ func (s *Sender) schedulePump() {
 // pump fills the window; it runs as an application/syscall task.
 func (s *Sender) pump(t *sim.Task) {
 	m := s.K.Model
+	// seg is the TSO aggregate (64 KiB).
+	seg := m.SegmentSize
 	dev := s.Dev
 	if dev == 0 {
 		dev = s.Drv.NIC().ID()
 	}
-	for !s.stopped && s.inFlight+s.SegSize <= s.Window {
-		skb, err := AllocSKB(s.K, t, dev, s.SegSize, false)
+	for !s.stopped && s.inFlight+seg <= s.Window {
+		skb, err := AllocSKB(s.K, t, dev, seg, false)
 		if err != nil {
 			s.Errors++
 			return
@@ -203,7 +195,7 @@ func (s *Sender) pump(t *sim.Task) {
 		skb.Meta = s.Meta
 		skb.Owner = s
 		// The user's write(): copy at the user/kernel boundary.
-		if err := skb.CopyFromUser(t, nil, s.SegSize); err != nil {
+		if err := skb.CopyFromUser(t, nil, seg); err != nil {
 			s.Errors++
 			skb.Free(t)
 			return
@@ -221,8 +213,7 @@ func (s *Sender) pump(t *sim.Task) {
 			skb.Free(t)
 			return
 		}
-		s.inFlight += s.SegSize
-		s.DebugSends++
+		s.inFlight += seg
 	}
 }
 
@@ -232,7 +223,7 @@ func (s *Sender) TxDone(t *sim.Task, skb *SKBuff) {
 	s.Bytes += uint64(skb.Len())
 	s.Segments++
 	skb.Free(t)
-	if !s.stopped && s.inFlight+s.SegSize <= s.Window {
+	if !s.stopped && s.inFlight+s.K.Model.SegmentSize <= s.Window {
 		s.schedulePump()
 	}
 }

@@ -81,15 +81,6 @@ type Model struct {
 	SkbAllocCycles float64
 	SkbFreeCycles  float64
 
-	// RXBuffersPerSegment is how many driver RX buffers one 64 KiB LRO
-	// segment occupies — each is a separate dma_map/dma_unmap. ConnectX-4
-	// uses multi-frame striding buffers; 2 × 32 KiB reproduces the
-	// strict-mode single-core throughput of Fig 4a.
-	RXBuffersPerSegment int
-	// TXBuffersPerSegment: TSO hands the NIC one aggregated segment, but
-	// header and payload come as separate mapped frags.
-	TXBuffersPerSegment int
-
 	// ---- DMA API / IOMMU protection-scheme costs ----
 
 	// MapCycles is dma_map's CPU cost on the dynamic-mapping paths:
@@ -243,9 +234,6 @@ func Default28Core() *Model {
 		AccessCopyCyclesPerByte:   0.33,
 		SkbAllocCycles:            420,
 		SkbFreeCycles:             260,
-
-		RXBuffersPerSegment: 1,
-		TXBuffersPerSegment: 1,
 
 		MapCycles:               150,
 		UnmapCycles:             100,

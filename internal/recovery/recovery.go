@@ -64,51 +64,39 @@ func (s State) String() string {
 
 // Config tunes the supervisor. Zero fields take defaults.
 type Config struct {
-	// Window is the sliding sim-time window over which fault signals are
-	// counted.
-	Window sim.Time
-	// DegradeThreshold is the signal count in Window that moves a Healthy
-	// device to Degraded.
-	DegradeThreshold int
-	// StormThreshold is the count that declares a storm and quarantines.
-	StormThreshold int
-	// Poll is the supervisor's detection period.
-	Poll sim.Time
 	// MaxResets bounds reset attempts per quarantine before Failed.
 	MaxResets int
 	// ResetBackoff is the delay before the first reset attempt; it doubles
 	// per retry (exponential backoff in simulated time).
 	ResetBackoff sim.Time
-	// ResetTime is the simulated duration of the function-level reset
-	// itself (config-space cycling; PCIe requires 100 ms after FLR, scaled
-	// down here like every latency in the model).
-	ResetTime sim.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = 200 * sim.Microsecond
-	}
-	if c.DegradeThreshold == 0 {
-		c.DegradeThreshold = 8
-	}
-	if c.StormThreshold == 0 {
-		c.StormThreshold = 32
-	}
-	if c.Poll == 0 {
-		c.Poll = 50 * sim.Microsecond
-	}
 	if c.MaxResets == 0 {
 		c.MaxResets = 3
 	}
 	if c.ResetBackoff == 0 {
 		c.ResetBackoff = 100 * sim.Microsecond
 	}
-	if c.ResetTime == 0 {
-		c.ResetTime = 50 * sim.Microsecond
-	}
 	return c
 }
+
+const (
+	// signalWindow is the sliding sim-time window over which fault signals
+	// are counted.
+	signalWindow = 200 * sim.Microsecond
+	// degradeThreshold is the signal count in signalWindow that moves a
+	// Healthy device to Degraded.
+	degradeThreshold int = 8
+	// stormThreshold is the count that declares a storm and quarantines.
+	stormThreshold int = 32
+	// pollPeriod is the supervisor's detection period.
+	pollPeriod = 50 * sim.Microsecond
+	// resetTime is the simulated duration of the function-level reset
+	// itself (config-space cycling; PCIe requires 100 ms after FLR, scaled
+	// down here like every latency in the model).
+	resetTime = 50 * sim.Microsecond
+)
 
 // devState is the supervisor's view of one fault domain.
 type devState struct {
@@ -215,7 +203,7 @@ func Attach(ma *testbed.Machine, cfg Config) *Supervisor {
 	}
 	s.addDevice(testbed.NVMeDeviceID, nil)
 	s.initStats()
-	s.stop = s.se.Every(s.cfg.Poll, s.poll)
+	s.stop = s.se.Every(pollPeriod, s.poll)
 	return s
 }
 
@@ -329,7 +317,7 @@ func (s *Supervisor) poll() {
 		}
 		// Age the sliding window.
 		cut := 0
-		for cut < len(ds.window) && now-ds.window[cut] > s.cfg.Window {
+		for cut < len(ds.window) && now-ds.window[cut] > signalWindow {
 			cut++
 		}
 		if cut > 0 {
@@ -340,13 +328,13 @@ func (s *Supervisor) poll() {
 		}
 		switch ds.state {
 		case Healthy:
-			if len(ds.window) >= s.cfg.StormThreshold {
+			if len(ds.window) >= stormThreshold {
 				s.declareStorm(ds)
-			} else if len(ds.window) >= s.cfg.DegradeThreshold {
+			} else if len(ds.window) >= degradeThreshold {
 				s.setState(ds, Degraded)
 			}
 		case Degraded:
-			if len(ds.window) >= s.cfg.StormThreshold {
+			if len(ds.window) >= stormThreshold {
 				s.declareStorm(ds)
 			} else if len(ds.window) == 0 {
 				s.setState(ds, Healthy)
@@ -437,7 +425,7 @@ func (s *Supervisor) reset(ds *devState) {
 		}
 		// The function-level reset itself (device quiesce + config-space
 		// restore), charged as wall time on the supervising core.
-		t.ChargeTime(s.cfg.ResetTime)
+		t.ChargeTime(resetTime)
 		s.reinit(ds, t)
 	})
 }

@@ -61,52 +61,34 @@ type Transition struct {
 
 // Config tunes the containment ladder. Zero values take defaults.
 type Config struct {
-	// Poll is the violation-detection tick.
-	Poll sim.Time
-	// Window is how long a violation stays countable.
-	Window sim.Time
-	// ThrottleThreshold violations in the window move Healthy→Throttled.
-	ThrottleThreshold int
-	// StormThreshold violations move any live state →Quarantined.
-	StormThreshold int
-	// Probation is the quarantine length before re-admission is weighed.
-	Probation sim.Time
 	// MaxQuarantines is the fault budget: needing one more quarantine
 	// after this many becomes Evicted.
 	MaxQuarantines int
-	// ThrottleFactor is the fair-share fraction kept while Throttled.
-	ThrottleFactor float64
-	// ResetTime is the simulated cost of a VF function-level reset.
-	ResetTime sim.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.Poll <= 0 {
-		c.Poll = 50 * sim.Microsecond
-	}
-	if c.Window <= 0 {
-		c.Window = 200 * sim.Microsecond
-	}
-	if c.ThrottleThreshold <= 0 {
-		c.ThrottleThreshold = 8
-	}
-	if c.StormThreshold <= 0 {
-		c.StormThreshold = 32
-	}
-	if c.Probation <= 0 {
-		c.Probation = 300 * sim.Microsecond
-	}
 	if c.MaxQuarantines <= 0 {
 		c.MaxQuarantines = 2
 	}
-	if c.ThrottleFactor <= 0 {
-		c.ThrottleFactor = 0.25
-	}
-	if c.ResetTime <= 0 {
-		c.ResetTime = 20 * sim.Microsecond
-	}
 	return c
 }
+
+const (
+	// pollPeriod is the violation-detection tick.
+	pollPeriod = 50 * sim.Microsecond
+	// violationWindow is how long a violation stays countable.
+	violationWindow = 200 * sim.Microsecond
+	// throttleThreshold violations in the window move Healthy→Throttled.
+	throttleThreshold int = 8
+	// stormThreshold violations move any live state →Quarantined.
+	stormThreshold int = 32
+	// probation is the quarantine length before re-admission is weighed.
+	probation = 300 * sim.Microsecond
+	// throttleFactor is the fair-share fraction kept while Throttled.
+	throttleFactor float64 = 0.25
+	// resetTime is the simulated cost of a VF function-level reset.
+	resetTime = 20 * sim.Microsecond
+)
 
 // Tenant is one virtual function's containment state.
 type Tenant struct {
@@ -179,13 +161,13 @@ func Attach(ma *testbed.Machine, cfg Config) *Manager {
 	// per direction and each tenant's bucket is debited for both RX and TX
 	// bytes, so the shared ceiling is twice the per-direction rate (the
 	// same aggregation the NIC's own PCIe fluid resource applies).
-	m.fair = NewFairShare(rings, 2*ma.NIC.Cfg.PCIeGbps*1e9/8, cfg.ThrottleFactor)
+	m.fair = NewFairShare(rings, 2*ma.NIC.Cfg.PCIeGbps*1e9/8, throttleFactor)
 	ma.Driver.SetCapGate(m.table)
 	ma.NIC.SetAdmission(m.fair)
 	m.quarC = ma.Stats.Counter("tenant", "quarantines")
 	m.evictC = ma.Stats.Counter("tenant", "evictions")
 	m.throtC = ma.Stats.Counter("tenant", "throttles")
-	m.stop = ma.Sim.Every(cfg.Poll, m.poll)
+	m.stop = ma.Sim.Every(pollPeriod, m.poll)
 	return m
 }
 
@@ -290,7 +272,7 @@ func (m *Manager) poll() {
 		// Age the window.
 		keep := t.window[:0]
 		for _, at := range t.window {
-			if now-at <= m.cfg.Window {
+			if now-at <= violationWindow {
 				keep = append(keep, at)
 			}
 		}
@@ -298,16 +280,16 @@ func (m *Manager) poll() {
 		v := len(t.window)
 		switch t.state {
 		case Healthy:
-			if v >= m.cfg.StormThreshold {
+			if v >= stormThreshold {
 				m.quarantine(t)
-			} else if v >= m.cfg.ThrottleThreshold {
+			} else if v >= throttleThreshold {
 				m.setState(t, Throttled)
 				m.Throttles++
 				m.throtC.Inc()
 				m.fair.Throttle(t.ID, true)
 			}
 		case Throttled:
-			if v >= m.cfg.StormThreshold {
+			if v >= stormThreshold {
 				m.quarantine(t)
 			} else if v == 0 {
 				m.setState(t, Healthy)
@@ -367,11 +349,11 @@ func (m *Manager) quarantine(t *Tenant) {
 			m.ReleasedPages += released
 			m.PinnedChunks = pinned
 		}
-		task.ChargeTime(m.cfg.ResetTime)
+		task.ChargeTime(resetTime)
 		t.window = t.window[:0]
 		t.lastRecorded, _, _ = m.ma.IOMMU.DeviceFaultStats(t.Dev)
 		t.lastDenials = m.table.DenialsFor(t.ID)
-		t.probationAt = m.ma.Sim.Now() + m.cfg.Probation
+		t.probationAt = m.ma.Sim.Now() + probation
 		t.busy = false
 	})
 }

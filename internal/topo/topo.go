@@ -28,7 +28,7 @@ func (n *Node) Shard() *sim.Shard { return n.shard }
 // Router is a store-and-forward switch on its own shard: segments arriving
 // from any connected link are routed to an output port, pay that port's
 // serialization time, and are forwarded on. Output queues are bounded in
-// time: when a port's wire backlog exceeds QueueLimit the segment is
+// time: when a port's wire backlog exceeds queueLimit the segment is
 // tail-dropped — the congestion behaviour that makes incast measurable.
 type Router struct {
 	se         *sim.Engine

@@ -14,10 +14,6 @@ import (
 // randomized-but-deterministic fault schedule. The schedule is a pure
 // function of FaultSeed, so any failure replays exactly.
 type ChaosConfig struct {
-	// Scheme is the machine's protection configuration (default SchemeDAMN,
-	// the configuration with the deepest degradation chain: depot → bump →
-	// slow path → ErrNoMemory).
-	Scheme testbed.Scheme
 	// FaultSeed roots every fault kind's random stream.
 	FaultSeed int64
 	// FaultRate is the uniform per-visit injection probability applied to
@@ -65,9 +61,6 @@ type ChaosResult struct {
 }
 
 func (cfg *ChaosConfig) defaults() {
-	if cfg.Scheme == "" {
-		cfg.Scheme = testbed.SchemeDAMN
-	}
 	if cfg.FaultRate == 0 {
 		cfg.FaultRate = 0.002
 	}
@@ -92,9 +85,11 @@ func (cfg *ChaosConfig) faultConfig() *faults.Config {
 }
 
 // newChaosMachine assembles the machine under test with injection armed.
+// Chaos runs DAMN, the configuration with the deepest degradation chain:
+// depot → bump → slow path → ErrNoMemory.
 func newChaosMachine(cfg *ChaosConfig) (*testbed.Machine, error) {
 	return testbed.NewMachine(testbed.MachineConfig{
-		Scheme: cfg.Scheme,
+		Scheme: testbed.SchemeDAMN,
 		Cores:  cfg.Cores,
 		Faults: cfg.faultConfig(),
 	})
@@ -151,14 +146,7 @@ func RunChaosNetperf(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	defer ma.Close() // after finishChaos has read it
 	sup := attachChaosRecovery(&cfg, ma)
-	rx := make([]int, len(ma.Cores)/2)
-	tx := make([]int, len(ma.Cores)-len(rx))
-	for i := range rx {
-		rx[i] = i
-	}
-	for i := range tx {
-		tx[i] = len(rx) + i
-	}
+	rx, tx := splitCores(len(ma.Cores))
 	var res ChaosResult
 	res.Netperf, err = RunNetperf(NetperfConfig{
 		Machine:  ma,

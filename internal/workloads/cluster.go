@@ -19,6 +19,10 @@ import (
 // datacenter fabric hop).
 const ClusterLinkLatency = 5 * sim.Microsecond
 
+// clusterCores is the core count of every incast and memcached-cluster
+// machine.
+const clusterCores int = 4
+
 // clusterMachineCfg sizes one machine of a multi-machine topology: smaller
 // than the standalone 28-core testbed (a topology keeps every machine's
 // simulated RAM alive at once) but with the same per-core performance
@@ -72,16 +76,15 @@ type IncastConfig struct {
 	Seed     int64
 	Duration sim.Time
 	Warmup   sim.Time
-	// QueueLimit bounds the router's output-port backlog (tail-drop).
-	QueueLimit sim.Time
-	// Cores per machine.
-	Cores int
 	// Inspect, when non-nil, receives every machine (placement order:
 	// receiver first, then senders) after the run but before teardown —
 	// the hook for cross-machine allocator conservation checks
 	// (damn.Audit on both sides of the wire) and stats capture.
 	Inspect func([]*testbed.Machine) error
 }
+
+// incastQueueLimit bounds the router's output-port backlog (tail-drop).
+const incastQueueLimit = 100 * sim.Microsecond
 
 // IncastResult is one row of the cluster figure's incast half.
 type IncastResult struct {
@@ -106,21 +109,15 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 3 * sim.Millisecond
 	}
-	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = 100 * sim.Microsecond
-	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 4
-	}
 
 	tp := topo.New(ClusterLinkLatency)
 	defer tp.Close()
 
-	recv, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+1, cfg.Cores))
+	recv, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+1, clusterCores))
 	if err != nil {
 		return IncastResult{}, err
 	}
-	router := tp.AddRouter(cfg.Seed*1000+2, cfg.QueueLimit, func(device.Segment) int { return 0 })
+	router := tp.AddRouter(cfg.Seed*1000+2, incastQueueLimit, func(device.Segment) int { return 0 })
 	if _, err := tp.ConnectRouterToMachine(router, recv, 0, recv.M.Model.WireGbpsPerPort, ClusterLinkLatency); err != nil {
 		return IncastResult{}, err
 	}
@@ -128,7 +125,7 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 	receivers := map[int]*netstack.Receiver{}
 	var senders []*netstack.Sender
 	for i := 0; i < cfg.Senders; i++ {
-		node, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+10+int64(i), cfg.Cores))
+		node, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+10+int64(i), clusterCores))
 		if err != nil {
 			return IncastResult{}, err
 		}
@@ -232,6 +229,13 @@ const (
 	mcReqBytes = 256
 )
 
+const (
+	// mcDepth is the outstanding requests per client.
+	mcDepth int = 4
+	// mcValueBytes is the GET response / SET request value size.
+	mcValueBytes int = 16 << 10
+)
+
 func mcEncode(set bool, client, server int, reqid uint32) uint32 {
 	m := uint32(client)<<22 | uint32(server)<<mcReqBits | (reqid & mcReqMask)
 	if set {
@@ -244,7 +248,7 @@ func mcClientOf(m uint32) int { return int(m>>22) & 0xff }
 func mcServerOf(m uint32) int { return int(m>>mcReqBits) & 0xff }
 
 // MemcachedClusterConfig describes the distributed memcached scenario: C
-// client machines issue closed-loop GET/SET requests (Depth outstanding
+// client machines issue closed-loop GET/SET requests (mcDepth outstanding
 // each, ~10 µs think time) through a load-balancing router to S server
 // machines; responses return through the same router. Requests and
 // responses are single segments, so a GET costs the client one TX dma_map
@@ -259,11 +263,6 @@ type MemcachedClusterConfig struct {
 	Seed     int64
 	Duration sim.Time
 	Warmup   sim.Time
-	// Depth is the outstanding requests per client.
-	Depth int
-	// ValueBytes is the GET response / SET request value size.
-	ValueBytes int
-	Cores      int
 	// Inspect, when non-nil, receives every machine (placement order:
 	// servers first, then clients) after the run but before teardown.
 	Inspect func([]*testbed.Machine) error
@@ -305,15 +304,6 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 3 * sim.Millisecond
 	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 4
-	}
-	if cfg.ValueBytes <= 0 {
-		cfg.ValueBytes = 16 << 10
-	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 4
-	}
 	if cfg.Clients > 256 || cfg.Servers > 256 {
 		return MemcachedClusterResult{}, fmt.Errorf("workloads: memcached cluster is limited to 256 clients and servers")
 	}
@@ -337,7 +327,7 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 	}
 	var servers []*mcServer
 	for i := 0; i < cfg.Servers; i++ {
-		node, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+10+int64(i), cfg.Cores))
+		node, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+10+int64(i), clusterCores))
 		if err != nil {
 			return MemcachedClusterResult{}, err
 		}
@@ -352,7 +342,7 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 
 	var clients []*mcClient
 	for i := 0; i < cfg.Clients; i++ {
-		node, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+100+int64(i), cfg.Cores))
+		node, err := tp.AddMachine(clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+100+int64(i), clusterCores))
 		if err != nil {
 			return MemcachedClusterResult{}, err
 		}
@@ -389,7 +379,7 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 		m.Driver.OnDeliver = func(t *sim.Task, ring int, skb *netstack.SKBuff) {
 			meta := skb.Meta
 			srv.recv.HandleSegment(t, skb)
-			respSize := cfg.ValueBytes // GET: the value comes back
+			respSize := mcValueBytes // GET: the value comes back
 			if meta&mcSetBit != 0 {
 				respSize = mcReqBytes // SET: a small ack
 			}
@@ -431,7 +421,7 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 			server := int(reqid) % cfg.Servers
 			size := mcReqBytes
 			if set {
-				size += cfg.ValueBytes
+				size += mcValueBytes
 			}
 			skb, err := netstack.AllocSKB(m.Kernel, t, m.NIC.ID(), size, false)
 			if err != nil {
@@ -469,7 +459,7 @@ func RunMemcachedCluster(cfg MemcachedClusterConfig) (MemcachedClusterResult, er
 			crecv.HandleSegment(t, skb)
 			se.After(thinkTime, func() { c.node.M.Cores[0].Submit(false, issueFn) })
 		}
-		for k := 0; k < cfg.Depth; k++ {
+		for k := 0; k < mcDepth; k++ {
 			c.node.M.Cores[0].Submit(false, issueFn)
 		}
 	}
@@ -509,7 +499,6 @@ type RingConfig struct {
 	Seed     int64
 	Duration sim.Time
 	Warmup   sim.Time
-	Cores    int
 	// Faults, when non-nil, arms every machine's fault-injection plane —
 	// link impairments then fire at each machine's ingress links,
 	// including the cross-machine forwarded path. Each machine draws from
@@ -537,6 +526,10 @@ type RingResult struct {
 	Injected uint64
 }
 
+// ringCores is the core count of every ring machine: core 0 runs the
+// sender pump and core 1 receives.
+const ringCores int = 2
+
 // RunRing executes the ring and reports per-machine receive goodput.
 func RunRing(cfg RingConfig) (RingResult, error) {
 	if cfg.Machines <= 1 {
@@ -548,16 +541,13 @@ func RunRing(cfg RingConfig) (RingResult, error) {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 1 * sim.Millisecond
 	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 2
-	}
 
 	tp := topo.New(ClusterLinkLatency)
 	defer tp.Close()
 
 	var nodes []*topo.Node
 	for i := 0; i < cfg.Machines; i++ {
-		mcfg := clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+int64(i), cfg.Cores)
+		mcfg := clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+int64(i), ringCores)
 		if cfg.Faults != nil {
 			f := *cfg.Faults
 			f.Seed ^= int64(i) * 0x9E3779B9 // distinct per-machine schedules
@@ -581,10 +571,8 @@ func RunRing(cfg RingConfig) (RingResult, error) {
 		// Steer the inbound flow to the successor's core 1: core 0 runs its
 		// sender pump, so without the rule RSS luck decides which machines
 		// suffer send/receive contention and the ring load is lopsided.
-		if cfg.Cores > 1 {
-			if err := next.M.NIC.SteerFlow(hash, 1); err != nil {
-				return RingResult{}, err
-			}
+		if err := next.M.NIC.SteerFlow(hash, 1); err != nil {
+			return RingResult{}, err
 		}
 		senders = append(senders, &netstack.Sender{
 			K: node.M.Kernel, Drv: node.M.Driver, Core: node.M.Cores[0],

@@ -22,10 +22,8 @@ type FioConfig struct {
 	Threads int
 	// BlockSize per read.
 	BlockSize int
-	// Depth is per-thread async queue depth.
-	Depth    int
-	Duration sim.Time
-	Warmup   sim.Time
+	Duration  sim.Time
+	Warmup    sim.Time
 }
 
 // FioResult is one Fig 11 point.
@@ -46,14 +44,14 @@ type fioThread struct {
 	stop bool
 }
 
+// fioDepth is per-thread async queue depth.
+const fioDepth int = 16
+
 // RunFio executes one block-size point.
 func RunFio(cfg FioConfig) (FioResult, error) {
 	ma := cfg.Machine
 	if cfg.Threads == 0 {
 		cfg.Threads = 12
-	}
-	if cfg.Depth == 0 {
-		cfg.Depth = 16
 	}
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 4096
@@ -78,7 +76,7 @@ func RunFio(cfg FioConfig) (FioResult, error) {
 		}
 		th := &fioThread{cfg: &cfg, qp: i, core: ma.Cores[i%len(ma.Cores)], buf: p.PFN().Addr()}
 		threads[i] = th
-		for d := 0; d < cfg.Depth; d++ {
+		for d := 0; d < fioDepth; d++ {
 			th.submit()
 		}
 	}

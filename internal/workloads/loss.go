@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"net/netip"
 
 	"github.com/asplos18/damn/internal/device"
 	"github.com/asplos18/damn/internal/netstack"
@@ -18,14 +17,8 @@ import (
 // host side is a netstack.ReliableReceiver whose ACKs ride the host's TX
 // DMA path back here.
 type ARQGenerator struct {
+	flowID
 	ma      *testbed.Machine
-	port    int
-	ring    int
-	flow    int
-	segLen  int
-	src     netip.Addr
-	dst     netip.Addr
-	hash    uint32
 	arq     *netstack.ArqSender
 	stopped bool
 	pumpFn  func()
@@ -33,33 +26,20 @@ type ARQGenerator struct {
 
 // NewARQGenerator builds a reliable, flow-steered traffic source: segments
 // arrive on port, an exact-match steering rule directs the flow to ring,
-// and the embedded ArqSender's window paces injection alongside the usual
-// wire/ring backpressure.
-func NewARQGenerator(ma *testbed.Machine, port, ring, flow, segLen, window int) (*ARQGenerator, error) {
-	g := &ARQGenerator{
-		ma: ma, port: port, ring: ring, flow: flow, segLen: segLen,
-		src: netip.AddrFrom4([4]byte{192, 168, byte(flow >> 8), byte(flow)}),
-		dst: netip.AddrFrom4([4]byte{10, 0, 0, 1}),
-	}
-	g.hash = netstack.RSSHashIPv4(g.src, g.dst, uint16(10000+g.flow), 5001)
-	if err := ma.NIC.SteerFlow(g.hash, ring); err != nil {
+// and the embedded ArqSender's window (the default 64 segments) paces
+// injection alongside the usual wire/ring backpressure.
+func NewARQGenerator(ma *testbed.Machine, port, ring, flow, segLen int) (*ARQGenerator, error) {
+	g := &ARQGenerator{flowID: newFlowID(port, flow), ma: ma}
+	if err := g.steer(ma, ring); err != nil {
 		return nil, err
 	}
-	g.arq = netstack.NewArqSender(ma.Sim, netstack.ArqConfig{
-		Window: window, SegLen: segLen,
-	}, g.xmit)
+	g.arq = netstack.NewArqSender(ma.Sim, netstack.ArqConfig{SegLen: segLen}, g.xmit)
 	return g, nil
 }
 
 // Arq exposes the sending state machine (the receiver side needs it as the
 // ACK destination; tests and figures read its counters).
 func (g *ARQGenerator) Arq() *netstack.ArqSender { return g.arq }
-
-// Hash reports the flow's RSS hash; Ring the RX ring its segments land on.
-func (g *ARQGenerator) Hash() uint32 { return g.hash }
-
-// Ring reports the RX ring the flow's segments are delivered to.
-func (g *ARQGenerator) Ring() int { return g.ring }
 
 // xmit puts one (possibly retransmitted) segment on the wire. The header
 // is built once into the segment's embedded buffer — the TCP sequence
@@ -69,7 +49,7 @@ func (g *ARQGenerator) xmit(seg *netstack.ArqSegment, retx bool) {
 	if !retx {
 		payload := seg.Len - netstack.HeaderLen
 		byteSeq := (seg.Seq - 1) * uint32(payload)
-		seg.Hdr = netstack.AppendHeaders(seg.HdrBuf(), g.src, g.dst, uint16(10000+g.flow), 5001, byteSeq, payload)
+		seg.Hdr = netstack.AppendHeaders(seg.HdrBuf(), g.src, g.dst, g.sport(), dport, byteSeq, payload)
 	}
 	g.ma.NIC.InjectRX(g.port, device.Segment{
 		Flow: g.flow, Hash: g.hash, Seq: seg.Seq, Len: seg.Len, Header: seg.Hdr,
@@ -113,13 +93,7 @@ func (g *ARQGenerator) pump() {
 // LossConfig describes one loss-resilience experiment: reliable flows over
 // a machine whose fault plane drops/corrupts a fraction of wire segments.
 type LossConfig struct {
-	Machine *testbed.Machine
-	// Flows is the number of reliable flows (default one per core; flow i
-	// is steered to ring i%rings on port i%ports, with its ACKs on the
-	// same ring/port).
-	Flows int
-	// Window is the per-flow ARQ window in segments (default 64).
-	Window   int
+	Machine  *testbed.Machine
 	Duration sim.Time
 	Warmup   sim.Time
 }
@@ -159,7 +133,10 @@ type LossResult struct {
 }
 
 // RunLoss executes reliable flows over the machine's (possibly lossy)
-// fault plane and measures goodput and retransmission cost.
+// fault plane and measures goodput and retransmission cost. It runs one
+// flow per core: flow i is steered to ring i%rings on port i%ports, with
+// its ACKs on the same ring/port, and each flow's ARQ window is 64
+// segments.
 func RunLoss(cfg LossConfig) (LossResult, error) {
 	ma := cfg.Machine
 	if ma == nil {
@@ -167,12 +144,6 @@ func RunLoss(cfg LossConfig) (LossResult, error) {
 	}
 	if ma.Faults == nil {
 		return LossResult{}, fmt.Errorf("workloads: loss run needs a fault plane (zero rates are fine)")
-	}
-	if cfg.Flows == 0 {
-		cfg.Flows = len(ma.Cores)
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 64
 	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 30 * sim.Millisecond
@@ -186,20 +157,19 @@ func RunLoss(cfg LossConfig) (LossResult, error) {
 
 	rings := ma.NIC.Cfg.Rings
 	ports := ma.Model.NICPorts
-	gens := make([]*ARQGenerator, cfg.Flows)
-	recvs := make([]*netstack.Receiver, cfg.Flows)
+	flows := len(ma.Cores)
+	gens := make([]*ARQGenerator, flows)
+	recvs := make([]*netstack.Receiver, flows)
 	rrs := map[int]*netstack.ReliableReceiver{}
-	for i := 0; i < cfg.Flows; i++ {
+	for i := 0; i < flows; i++ {
 		flow := i + 1
-		g, err := NewARQGenerator(ma, i%ports, i%rings, flow, ma.Model.SegmentSize, cfg.Window)
+		g, err := NewARQGenerator(ma, i%ports, i%rings, flow, ma.Model.SegmentSize)
 		if err != nil {
 			return LossResult{}, err
 		}
 		gens[i] = g
 		recvs[i] = &netstack.Receiver{K: ma.Kernel}
-		rr := netstack.NewReliableReceiver(recvs[i], ma.Driver, g.Ring(), i%ports, g.Arq())
-		rr.Window = cfg.Window
-		rrs[flow] = rr
+		rrs[flow] = netstack.NewReliableReceiver(recvs[i], ma.Driver, g.Ring(), i%ports, g.Arq())
 	}
 	ma.Driver.OnDeliver = netstack.DemuxFlows(rrs)
 	for _, g := range gens {

@@ -127,7 +127,7 @@ func TestRetransmitQuarantineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := NewARQGenerator(ma, 0, 0, 1, ma.Model.SegmentSize, 64)
+	g, err := NewARQGenerator(ma, 0, 0, 1, ma.Model.SegmentSize)
 	if err != nil {
 		t.Fatal(err)
 	}

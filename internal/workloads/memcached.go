@@ -15,16 +15,12 @@ type MemcachedConfig struct {
 	Machine *testbed.Machine
 	// Instances is the number of memcached processes (one per core).
 	Instances int
-	// Concurrency is outstanding requests per instance (memslap load).
-	Concurrency int
 	// ValueBytes is the value size (512 KiB in the paper).
 	ValueBytes int
 	// GetRatio of operations that are GETs (0.5 in the paper).
 	GetRatio float64
 	Duration sim.Time
 	Warmup   sim.Time
-	// ExtraCycles per segment (scenario calibration).
-	ExtraCycles float64
 }
 
 // MemcachedResult is the Fig 7 row.
@@ -46,14 +42,14 @@ type memcachedInstance struct {
 	stopd bool
 }
 
+// memcachedConcurrency is outstanding requests per instance (memslap load).
+const memcachedConcurrency int = 2
+
 // RunMemcached executes Fig 7's workload.
 func RunMemcached(cfg MemcachedConfig) (MemcachedResult, error) {
 	ma := cfg.Machine
 	if cfg.Instances == 0 {
 		cfg.Instances = len(ma.Cores)
-	}
-	if cfg.Concurrency == 0 {
-		cfg.Concurrency = 2
 	}
 	if cfg.ValueBytes == 0 {
 		cfg.ValueBytes = 512 << 10
@@ -103,7 +99,7 @@ func RunMemcached(cfg MemcachedConfig) (MemcachedResult, error) {
 	}
 
 	for _, inst := range instances {
-		for s := 0; s < cfg.Concurrency; s++ {
+		for s := 0; s < memcachedConcurrency; s++ {
 			inst.sendRequest()
 		}
 	}
@@ -167,7 +163,7 @@ func (in *memcachedInstance) sendRequest() {
 // segment of a request triggers the response.
 func (in *memcachedInstance) handleRequest(t *sim.Task, skb *netstack.SKBuff) {
 	m := in.ma.Model
-	perf.Charge(t, m.RXSegCycles+in.cfg.ExtraCycles)
+	perf.Charge(t, m.RXSegCycles)
 	hdr, _ := skb.Access(t, 64)
 	isGet := len(hdr) > 0 && hdr[0] == 'G'
 	skb.CopyToUser(t, skb.Len())
@@ -214,7 +210,7 @@ func (in *memcachedInstance) transmitResponse(t *sim.Task, n int) {
 		}
 		skb.Flow = in.flow
 		skb.CopyFromUser(t, nil, l)
-		perf.Charge(t, memcachedChunkCycles+in.cfg.ExtraCycles)
+		perf.Charge(t, memcachedChunkCycles)
 		if i == 0 {
 			perf.Charge(t, m.TXSegCycles)
 		}

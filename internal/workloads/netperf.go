@@ -31,8 +31,6 @@ type NetperfConfig struct {
 	ExtraCycles float64
 	// Wakeup charges blocked-reader/writer wakeups per segment.
 	Wakeup bool
-	// Bidirectional runs add ACK competition (§6.1).
-	bidir bool
 }
 
 // NetperfResult is one row of a throughput figure.
@@ -48,50 +46,80 @@ type NetperfResult struct {
 	MemBWGBps float64
 }
 
+// flowID is one generated flow's identity, shared by both generator
+// flavours: the 4-tuple, its headers' RSS hash (what the NIC's hash unit
+// computes from the wire bytes), the port it arrives on and the RX ring
+// it lands on.
+type flowID struct {
+	port     int
+	ring     int
+	flow     int
+	src, dst netip.Addr
+	hash     uint32
+}
+
+// dport is every generated flow's TCP destination port.
+const dport = 5001
+
+func newFlowID(port, flow int) flowID {
+	f := flowID{
+		port: port, flow: flow,
+		src: netip.AddrFrom4([4]byte{192, 168, byte(flow >> 8), byte(flow)}),
+		dst: netip.AddrFrom4([4]byte{10, 0, 0, 1}),
+	}
+	f.hash = netstack.RSSHashIPv4(f.src, f.dst, f.sport(), dport)
+	return f
+}
+
+// sport is the flow's TCP source port.
+func (f *flowID) sport() uint16 { return uint16(10000 + f.flow) }
+
+// steer installs an exact-match flow steering rule (the aRFS analogue)
+// that directs the flow to ring. An out-of-range ring surfaces as an
+// error.
+func (f *flowID) steer(ma *testbed.Machine, ring int) error {
+	if err := ma.NIC.SteerFlow(f.hash, ring); err != nil {
+		return err
+	}
+	f.ring = ring
+	return nil
+}
+
+// Hash reports the flow's RSS hash.
+func (f *flowID) Hash() uint32 { return f.hash }
+
+// Ring reports the RX ring the flow's segments are delivered to.
+func (f *flowID) Ring() int { return f.ring }
+
 // Generator models the remote traffic-generation machine of §6: it offers
 // unlimited load on one flow, paced only by the wire and by flow control
 // (ring backpressure).
 type Generator struct {
+	flowID
 	ma      *testbed.Machine
-	port    int
-	ring    int
-	flow    int
 	segLen  int
-	src     netip.Addr
-	dst     netip.Addr
-	hash    uint32
 	seq     uint32
 	stopped bool
 	// pumpFn is pump bound once, so re-arming the poll allocates nothing.
 	pumpFn func()
 }
 
-// newGen builds the flow identity shared by both generator flavours: the
-// 4-tuple, its headers' RSS hash (what the NIC's hash unit computes from
-// the wire bytes), and the segment template.
 func newGen(ma *testbed.Machine, port, flow, segLen int) *Generator {
-	g := &Generator{
-		ma: ma, port: port, flow: flow, segLen: segLen,
-		src: netip.AddrFrom4([4]byte{192, 168, byte(flow >> 8), byte(flow)}),
-		dst: netip.AddrFrom4([4]byte{10, 0, 0, 1}),
-	}
-	g.hash = netstack.RSSHashIPv4(g.src, g.dst, uint16(10000+g.flow), 5001)
+	g := &Generator{flowID: newFlowID(port, flow), ma: ma, segLen: segLen}
 	g.pumpFn = g.pump
 	return g
 }
 
 // NewGenerator builds a pinned traffic source for one flow: segments of
-// segLen arrive on port and are directed to ring by an exact-match flow
-// steering rule (the aRFS analogue), so the flow lands on the core its
-// netperf instance is pinned to. Each segment carries a real
+// segLen arrive on port and are steered to ring, so the flow lands on the
+// core its netperf instance is pinned to. Each segment carries a real
 // Ethernet/IPv4/TCP header stack, so firewall hooks parse genuine protocol
-// bytes. An out-of-range ring surfaces as an error.
+// bytes.
 func NewGenerator(ma *testbed.Machine, port, ring, flow, segLen int) (*Generator, error) {
 	g := newGen(ma, port, flow, segLen)
-	if err := ma.NIC.SteerFlow(g.hash, ring); err != nil {
+	if err := g.steer(ma, ring); err != nil {
 		return nil, err
 	}
-	g.ring = ring
 	return g, nil
 }
 
@@ -104,12 +132,6 @@ func NewRSSGenerator(ma *testbed.Machine, port, flow, segLen int) *Generator {
 	g.ring = ma.NIC.RingFor(g.hash)
 	return g
 }
-
-// Hash reports the flow's RSS hash; Ring the RX ring its segments land on.
-func (g *Generator) Hash() uint32 { return g.hash }
-
-// Ring reports the RX ring the flow's segments are delivered to.
-func (g *Generator) Ring() int { return g.ring }
 
 const (
 	// genWindow is how much wire backlog the generator keeps queued.
@@ -139,7 +161,7 @@ func (g *Generator) pump() {
 	}
 	if parked < genParkLimit {
 		for nic.WireRXBacklog(g.port) < genWindow {
-			hdr := netstack.BuildHeaders(g.src, g.dst, uint16(10000+g.flow), 5001, g.seq, g.segLen-netstack.HeaderLen)
+			hdr := netstack.BuildHeaders(g.src, g.dst, g.sport(), dport, g.seq, g.segLen-netstack.HeaderLen)
 			g.seq += uint32(g.segLen - netstack.HeaderLen)
 			nic.InjectRX(g.port, device.Segment{
 				Flow: g.flow, Hash: g.hash, Len: g.segLen, Header: hdr,
@@ -164,76 +186,103 @@ func RunNetperf(cfg NetperfConfig) (NetperfResult, error) {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 20 * sim.Millisecond
 	}
-	cfg.bidir = len(cfg.RXCores) > 0 && len(cfg.TXCores) > 0
-
-	if err := ma.FillAllRings(); err != nil {
+	tr, err := startNetperf(cfg)
+	if err != nil {
 		return NetperfResult{}, err
-	}
-
-	// Receivers: one per RX instance, demuxed by flow id.
-	receivers := map[int]*netstack.Receiver{}
-	var gens []*Generator
-	for i, core := range cfg.RXCores {
-		flow := i + 1
-		recv := &netstack.Receiver{
-			K:           ma.Kernel,
-			ExtraCycles: cfg.ExtraCycles,
-			Wakeup:      cfg.Wakeup,
-			AckCost:     cfg.bidir,
-		}
-		receivers[flow] = recv
-		g, err := NewGenerator(ma, i%ma.Model.NICPorts, core, flow, ma.Model.SegmentSize)
-		if err != nil {
-			return NetperfResult{}, err
-		}
-		gens = append(gens, g)
-	}
-	if len(receivers) > 0 {
-		ma.Driver.OnDeliver = netstack.DemuxFlows(receivers)
-	}
-
-	// Senders.
-	var senders []*netstack.Sender
-	for i, core := range cfg.TXCores {
-		snd := &netstack.Sender{
-			K: ma.Kernel, Drv: ma.Driver, Core: ma.Cores[core],
-			Ring: core, PortID: i % ma.Model.NICPorts, Flow: 1000 + i,
-			ExtraCycles: cfg.ExtraCycles,
-			AckCost:     cfg.bidir,
-			Wakeup:      cfg.Wakeup,
-		}
-		senders = append(senders, snd)
-	}
-
-	for _, g := range gens {
-		g.Start()
-	}
-	for _, s := range senders {
-		s.Start()
 	}
 
 	// Warmup, then measure.
 	ma.Sim.Run(cfg.Warmup)
-	rx0, tx0 := receivedBytes(receivers), sentBytes(senders)
+	rx0, tx0 := receivedBytes(tr.receivers), sentBytes(tr.senders)
 	w := ma.OpenWindow()
 	ma.Sim.Run(ma.Sim.Now() + cfg.Duration)
 	m := w.Close()
 	res := NetperfResult{
 		Scheme:    ma.SchemeName(),
-		RXGbps:    m.Gbps(receivedBytes(receivers) - rx0),
-		TXGbps:    m.Gbps(sentBytes(senders) - tx0),
+		RXGbps:    m.Gbps(receivedBytes(tr.receivers) - rx0),
+		TXGbps:    m.Gbps(sentBytes(tr.senders) - tx0),
 		CPUUtil:   m.CPUUtil(),
 		MemBWGBps: m.MemBWGBps(),
 	}
 	res.TotalGbps = res.RXGbps + res.TXGbps
 
-	for _, g := range gens {
+	for _, g := range tr.gens {
 		g.Stop()
 	}
-	for _, s := range senders {
+	for _, s := range tr.senders {
 		s.Stop()
 	}
 	return res, nil
+}
+
+// netperfTraffic is a started netperf: one receiver per RX instance,
+// keyed by flow id, with the generator that feeds it, and one sender per
+// TX instance.
+type netperfTraffic struct {
+	receivers map[int]*netstack.Receiver
+	gens      []*Generator
+	senders   []*netstack.Sender
+}
+
+// startNetperf fills the machine's rings, builds cfg's flows, demuxes
+// deliveries by flow id and starts every generator and sender. RX
+// instance i is flow i+1 on port i mod ports, steered to its core's ring;
+// TX instance i is flow 1000+i on port i mod ports. Runs with both
+// directions add ACK competition (§6.1).
+func startNetperf(cfg NetperfConfig) (*netperfTraffic, error) {
+	ma := cfg.Machine
+	bidir := len(cfg.RXCores) > 0 && len(cfg.TXCores) > 0
+	if err := ma.FillAllRings(); err != nil {
+		return nil, err
+	}
+	tr := &netperfTraffic{receivers: map[int]*netstack.Receiver{}}
+	for i, core := range cfg.RXCores {
+		flow := i + 1
+		tr.receivers[flow] = &netstack.Receiver{
+			K:           ma.Kernel,
+			ExtraCycles: cfg.ExtraCycles,
+			Wakeup:      cfg.Wakeup,
+			AckCost:     bidir,
+		}
+		g, err := NewGenerator(ma, i%ma.Model.NICPorts, core, flow, ma.Model.SegmentSize)
+		if err != nil {
+			return nil, err
+		}
+		tr.gens = append(tr.gens, g)
+	}
+	if len(tr.receivers) > 0 {
+		ma.Driver.OnDeliver = netstack.DemuxFlows(tr.receivers)
+	}
+	for i, core := range cfg.TXCores {
+		tr.senders = append(tr.senders, &netstack.Sender{
+			K: ma.Kernel, Drv: ma.Driver, Core: ma.Cores[core],
+			Ring: core, PortID: i % ma.Model.NICPorts, Flow: 1000 + i,
+			ExtraCycles: cfg.ExtraCycles,
+			AckCost:     bidir,
+			Wakeup:      cfg.Wakeup,
+		})
+	}
+	for _, g := range tr.gens {
+		g.Start()
+	}
+	for _, s := range tr.senders {
+		s.Start()
+	}
+	return tr, nil
+}
+
+// splitCores is the bidirectional split of an n-core machine: the first
+// half of the cores receive, the rest send.
+func splitCores(n int) (rx, tx []int) {
+	rx = make([]int, n/2)
+	tx = make([]int, n-n/2)
+	for i := range rx {
+		rx[i] = i
+	}
+	for i := range tx {
+		tx[i] = len(rx) + i
+	}
+	return rx, tx
 }
 
 // receivedBytes is the payload every receiver has delivered so far.

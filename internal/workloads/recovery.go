@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/asplos18/damn/internal/faults"
-	"github.com/asplos18/damn/internal/netstack"
 	"github.com/asplos18/damn/internal/recovery"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
@@ -27,9 +26,6 @@ type RecoveryConfig struct {
 	Steady sim.Time
 	// StormLen is how long the DMA-fault rate stays raised (default 2 ms).
 	StormLen sim.Time
-	// StormRate is the per-translation fault probability during the storm
-	// (default 0.5 — a sick device, not a flaky link).
-	StormRate float64
 	// RecoveryDeadline bounds how long the run waits for the device to
 	// return to Healthy after the storm ends (default 50 ms).
 	RecoveryDeadline sim.Time
@@ -38,8 +34,6 @@ type RecoveryConfig struct {
 	Settle sim.Time
 	// Measure is the post-recovery measurement window (default 15 ms).
 	Measure sim.Time
-	// Supervisor tunes the recovery supervisor (zero = defaults).
-	Supervisor recovery.Config
 }
 
 // RecoveryResult is one row of the recovery figure.
@@ -87,9 +81,6 @@ func (cfg *RecoveryConfig) defaults() {
 	if cfg.StormLen == 0 {
 		cfg.StormLen = 2 * sim.Millisecond
 	}
-	if cfg.StormRate == 0 {
-		cfg.StormRate = 0.5
-	}
 	if cfg.RecoveryDeadline == 0 {
 		cfg.RecoveryDeadline = 50 * sim.Millisecond
 	}
@@ -100,6 +91,10 @@ func (cfg *RecoveryConfig) defaults() {
 		cfg.Measure = 15 * sim.Millisecond
 	}
 }
+
+// recoveryStormRate is the per-translation fault probability during the
+// storm: a sick device, not a flaky link.
+const recoveryStormRate float64 = 0.5
 
 // RunRecovery executes the storm-and-heal experiment and returns its row.
 func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
@@ -115,37 +110,13 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 		return RecoveryResult{}, err
 	}
 	defer ma.Close()
-	sup := recovery.Attach(ma, cfg.Supervisor)
-
-	if err := ma.FillAllRings(); err != nil {
-		return RecoveryResult{}, err
-	}
+	sup := recovery.Attach(ma, recovery.Config{})
 
 	// Bidirectional netperf: half the cores receive, half send.
-	rxCores := make([]int, len(ma.Cores)/2)
-	for i := range rxCores {
-		rxCores[i] = i
-	}
-	receivers := map[int]*netstack.Receiver{}
-	var gens []*Generator
-	for i, core := range rxCores {
-		flow := i + 1
-		receivers[flow] = &netstack.Receiver{K: ma.Kernel, AckCost: true}
-		g, err := NewGenerator(ma, i%ma.Model.NICPorts, core, flow, ma.Model.SegmentSize)
-		if err != nil {
-			return RecoveryResult{}, err
-		}
-		gens = append(gens, g)
-	}
-	ma.Driver.OnDeliver = netstack.DemuxFlows(receivers)
-	var senders []*netstack.Sender
-	for i := len(rxCores); i < len(ma.Cores); i++ {
-		snd := &netstack.Sender{
-			K: ma.Kernel, Drv: ma.Driver, Core: ma.Cores[i],
-			Ring: i, PortID: i % ma.Model.NICPorts, Flow: 1000 + i,
-			AckCost: true,
-		}
-		senders = append(senders, snd)
+	rx, tx := splitCores(len(ma.Cores))
+	tr, err := startNetperf(NetperfConfig{Machine: ma, RXCores: rx, TXCores: tx})
+	if err != nil {
+		return RecoveryResult{}, err
 	}
 	// A quarantine stalls sender pumps on Transmit errors with no
 	// completion left to restart them; the supervisor kicks them awake.
@@ -153,18 +124,12 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 		if dev != testbed.NICDeviceID {
 			return
 		}
-		for _, s := range senders {
+		for _, s := range tr.senders {
 			s.Kick()
 		}
 	}
-	for _, g := range gens {
-		g.Start()
-	}
-	for _, s := range senders {
-		s.Start()
-	}
 
-	bytesNow := func() uint64 { return receivedBytes(receivers) + sentBytes(senders) }
+	bytesNow := func() uint64 { return receivedBytes(tr.receivers) + sentBytes(tr.senders) }
 	measure := func(dur sim.Time) float64 {
 		b0, w := bytesNow(), ma.OpenWindow()
 		ma.Sim.Run(ma.Sim.Now() + dur)
@@ -180,7 +145,7 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	// drops it back. Both are ordinary sim events — the trajectory is a
 	// pure function of the seed.
 	stormStart := ma.Sim.Now()
-	ma.Faults.SetRate(faults.DMAFault, cfg.StormRate)
+	ma.Faults.SetRate(faults.DMAFault, recoveryStormRate)
 	ma.Sim.At(stormStart+cfg.StormLen, func() {
 		ma.Faults.SetRate(faults.DMAFault, 0)
 	})

@@ -39,16 +39,6 @@ type TenantsConfig struct {
 	AttackLen sim.Time
 	// StormRate is the attacker VF's DMA-fault probability (default 0.5).
 	StormRate float64
-	// ProbeEvery is the neighbour-probe cadence (default 20 µs).
-	ProbeEvery sim.Time
-	// SettleDeadline bounds the post-attack wait for the ladder to settle
-	// (default 20 ms).
-	SettleDeadline sim.Time
-	// Manager tunes the containment ladder (zero = defaults).
-	Manager tenant.Config
-	// Supervisor tunes the recovery supervisor the manager is wired
-	// through (zero = defaults).
-	Supervisor recovery.Config
 	// OnMachine, when non-nil, observes the finished machine (the figure
 	// uses it to export the stats snapshot, per-tenant counters included).
 	// RunTenants closes the machine when it returns, so the hook must not
@@ -109,13 +99,14 @@ func (cfg *TenantsConfig) defaults() {
 	if cfg.StormRate == 0 {
 		cfg.StormRate = 0.5
 	}
-	if cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = 20 * sim.Microsecond
-	}
-	if cfg.SettleDeadline == 0 {
-		cfg.SettleDeadline = 20 * sim.Millisecond
-	}
 }
+
+const (
+	// probeEvery is the neighbour-probe cadence.
+	probeEvery = 20 * sim.Microsecond
+	// settleDeadline bounds the post-attack wait for the ladder to settle.
+	settleDeadline = 20 * sim.Millisecond
+)
 
 // RunTenants executes the multi-tenant experiment and returns its row.
 func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
@@ -132,8 +123,8 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 		return TenantsResult{}, err
 	}
 	defer ma.Close() // after OnMachine, the machine's last reader
-	mgr := tenant.Attach(ma, cfg.Manager)
-	sup := recovery.Attach(ma, cfg.Supervisor)
+	mgr := tenant.Attach(ma, tenant.Config{})
+	sup := recovery.Attach(ma, recovery.Config{})
 	// The supervisor owns the single-consumer fault-record ring; records
 	// attributed to tenant VFs (not supervisor-managed devices) are
 	// forwarded into the containment windows.
@@ -222,7 +213,7 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 		ma.Faults.SetDeviceFilter(faults.DMAFault, attackerDev)
 		ma.Faults.SetRate(faults.DMAFault, cfg.StormRate)
 		probeVictim := 0
-		stopProbes := ma.Sim.Every(cfg.ProbeEvery, func() {
+		stopProbes := ma.Sim.Every(probeEvery, func() {
 			probeVictim = probeVictim%(nT-1) + 1 // rotate over victims
 			_, l := mal.ProbeNeighbor(tenant.DevOf(probeVictim), 2, 4)
 			res.ProbesLanded += l
@@ -259,7 +250,7 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 		res.VictimRatioMean /= float64(len(victims))
 
 		// Let the ladder settle (the attacker should be in containment).
-		deadline := ma.Sim.Now() + cfg.SettleDeadline
+		deadline := ma.Sim.Now() + settleDeadline
 		for ma.Sim.Now() < deadline {
 			s := tens[0].State()
 			if s == tenant.Quarantined || s == tenant.Evicted {
