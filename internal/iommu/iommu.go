@@ -12,6 +12,7 @@ package iommu
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/asplos18/damn/internal/faults"
@@ -216,10 +217,11 @@ func (u *IOMMU) TLB() *IOTLB { return u.tlb }
 func (u *IOMMU) InvQ() *InvalidationQueue { return u.invq }
 
 // AttachDevice creates (or returns) the domain for a device. Device ids
-// must be non-negative.
+// must be non-negative and fit an int32, the width IOTLB entries tag them
+// with.
 func (u *IOMMU) AttachDevice(dev int) *Domain {
-	if dev < 0 {
-		panic(fmt.Sprintf("iommu: attach of negative device id %d", dev))
+	if dev < 0 || dev > math.MaxInt32 {
+		panic(fmt.Sprintf("iommu: attach of out-of-range device id %d", dev))
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()

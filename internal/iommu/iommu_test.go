@@ -2,7 +2,9 @@ package iommu
 
 import (
 	"errors"
+	"math"
 	"testing"
+	"unsafe"
 
 	"github.com/asplos18/damn/internal/mem"
 )
@@ -385,5 +387,26 @@ func TestHitRate(t *testing.T) {
 	u.Translate(1, 0x1000, true) // hit
 	if got := u.TLB().HitRate(); got < 0.6 || got > 0.7 {
 		t.Fatalf("HitRate = %f, want 2/3", got)
+	}
+}
+
+// TestAttachDeviceIDFitsTLBTag: IOTLB entries tag their device with an
+// int32, so AttachDevice refuses an id that would alias another device's.
+func TestAttachDeviceIDFitsTLBTag(t *testing.T) {
+	if got := unsafe.Sizeof(tlbEntry{}); got != 32 {
+		t.Errorf("tlbEntry is %d bytes, want 32", got)
+	}
+	u, _ := newTestIOMMU(t)
+	wide := math.MaxInt32
+	wide++
+	for _, dev := range []int{-1, wide} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AttachDevice(%d) did not panic", dev)
+				}
+			}()
+			u.AttachDevice(dev)
+		}()
 	}
 }

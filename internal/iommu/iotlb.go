@@ -19,14 +19,16 @@ type IOTLBConfig struct {
 // caches of a server-class IOMMU.
 func DefaultIOTLBConfig() IOTLBConfig { return IOTLBConfig{Sets: 4096, Ways: 4} }
 
+// tlbEntry is 32 bytes, ordered widest field first so none pads; dev fits
+// int32 because AttachDevice rejects larger ids.
 type tlbEntry struct {
-	valid bool
-	dev   int
 	tag   IOVA // iova >> PageShift for 4 KiB; iova >> HugePageShift for 2 MiB
-	huge  bool
 	pfn   mem.PFN
-	perm  Perm
 	lru   uint64
+	dev   int32
+	valid bool
+	huge  bool
+	perm  Perm
 }
 
 // IOTLB is a set-associative translation cache shared by all devices,
@@ -93,7 +95,7 @@ func (t *IOTLB) lookup(dev int, iova IOVA) (*tlbEntry, bool) {
 		set := t.set(t.setIndex(dev, probe.tag))
 		for i := range set {
 			e := &set[i]
-			if e.valid && e.dev == dev && e.huge == probe.huge && e.tag == probe.tag {
+			if e.valid && int(e.dev) == dev && e.huge == probe.huge && e.tag == probe.tag {
 				e.lru = t.clock
 				t.Hits++
 				t.hitC.Inc()
@@ -139,7 +141,7 @@ func (t *IOTLB) insert(dev int, iova IOVA, huge bool, pfn mem.PFN, perm Perm) {
 			victim = e
 		}
 	}
-	*victim = tlbEntry{valid: true, dev: dev, tag: tag, huge: huge, pfn: pfn, perm: perm, lru: t.clock}
+	*victim = tlbEntry{valid: true, dev: int32(dev), tag: tag, huge: huge, pfn: pfn, perm: perm, lru: t.clock}
 }
 
 // InvalidateRange drops all entries of dev overlapping [iova, iova+size).
@@ -158,7 +160,7 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 		set := t.set(t.setIndex(dev, tag))
 		for i := range set {
 			e := &set[i]
-			if e.valid && !e.huge && e.dev == dev && e.tag == tag {
+			if e.valid && !e.huge && int(e.dev) == dev && e.tag == tag {
 				e.valid = false
 				t.bumpInv()
 			}
@@ -171,7 +173,7 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 		set := t.set(t.setIndex(dev, tag))
 		for i := range set {
 			e := &set[i]
-			if e.valid && e.huge && e.dev == dev && e.tag == tag {
+			if e.valid && e.huge && int(e.dev) == dev && e.tag == tag {
 				e.valid = false
 				t.bumpInv()
 			}
@@ -183,7 +185,7 @@ func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
 	end := iova + IOVA(size)
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.valid || e.dev != dev {
+		if !e.valid || int(e.dev) != dev {
 			continue
 		}
 		var lo, hi IOVA
@@ -205,9 +207,12 @@ func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
 // invalidation, what deferred mode issues when its batch overflows).
 func (t *IOTLB) InvalidateDevice(dev int) {
 	t.bumpFlush()
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.dev == dev {
+	// A local slice header: bumpInv writes through t, so t.entries would
+	// be reloaded and bounds-checked for every entry.
+	es := t.entries
+	for i := range es {
+		e := &es[i]
+		if e.valid && int(e.dev) == dev {
 			e.valid = false
 			t.bumpInv()
 		}

@@ -20,22 +20,29 @@ type Zone struct {
 	start PFN
 	end   PFN
 
-	mu        sync.Mutex
-	freeLists [MaxOrder + 1]freeList
-	nfree     int64 // free frames
+	mu sync.Mutex
+	// freeLists[o] heads an intrusive singly linked list of free order-o
+	// blocks. The link is stored in the head page struct's Private field
+	// (as Linux stores the lru linkage in the free struct page); 0 ends a
+	// list, which is safe because frame 0 is reserved.
+	freeLists [MaxOrder + 1]PFN
+	// [freshLo, freshHi) is the run of aligned MaxOrder blocks that no
+	// allocation has reached. They are on no list, so their page structs
+	// stay unbuilt; popFree(MaxOrder) hands them out highest first once
+	// the MaxOrder list is empty.
+	freshLo, freshHi PFN
+	nfree            int64 // free frames, fresh ones included
 }
 
-// freeList is an intrusive singly linked list of free block heads; the link
-// is stored in the page struct's Private field (as Linux stores the lru
-// linkage in the free struct page).
-type freeList struct {
-	head PFN // 0 means empty; frame 0 is reserved so 0 is a safe sentinel
-	n    int
-}
-
+// newZone seeds the free lists greedily with the largest aligned blocks,
+// except that the run of MaxOrder blocks stays fresh. popFree hands fresh
+// blocks out highest first, and only once the MaxOrder list is empty: the
+// order the list itself would give had the run been pushed in ascending
+// order like the other blocks, since every block freed back at MaxOrder is
+// pushed above it. Coalescing never looks inside a fresh block, because the
+// buddy of a block below MaxOrder lies in the same MaxOrder block.
 func newZone(m *Memory, node int, start, end PFN) *Zone {
 	z := &Zone{mem: m, node: node, start: start, end: end}
-	// Seed the free lists greedily with the largest aligned blocks.
 	pfn := start
 	for pfn < end {
 		order := MaxOrder
@@ -44,6 +51,13 @@ func newZone(m *Memory, node int, start, end PFN) *Zone {
 				break
 			}
 			order--
+		}
+		if order == MaxOrder {
+			z.freshLo = pfn
+			z.freshHi = pfn + (end-pfn)&^(1<<MaxOrder-1)
+			z.nfree += int64(z.freshHi - z.freshLo)
+			pfn = z.freshHi
+			continue
 		}
 		z.pushFree(pfn, order)
 		pfn += 1 << order
@@ -55,21 +69,24 @@ func (z *Zone) pushFree(pfn PFN, order int) {
 	p := z.mem.PageOf(pfn)
 	p.SetFlags(FlagBuddy)
 	p.Order = uint8(order)
-	p.Private = uint64(z.freeLists[order].head)
-	z.freeLists[order].head = pfn
-	z.freeLists[order].n++
+	p.Private = uint64(z.freeLists[order])
+	z.freeLists[order] = pfn
 	z.nfree += 1 << order
 }
 
 // popFree removes and returns the first block of the given order, or false.
 func (z *Zone) popFree(order int) (PFN, bool) {
-	pfn := z.freeLists[order].head
+	pfn := z.freeLists[order]
 	if pfn == 0 {
-		return 0, false
+		if order < MaxOrder || z.freshHi == z.freshLo {
+			return 0, false
+		}
+		z.freshHi -= 1 << MaxOrder
+		z.nfree -= 1 << MaxOrder
+		return z.freshHi, true
 	}
 	p := z.mem.PageOf(pfn)
-	z.freeLists[order].head = PFN(p.Private)
-	z.freeLists[order].n--
+	z.freeLists[order] = PFN(p.Private)
 	z.nfree -= 1 << order
 	p.ClearFlags(FlagBuddy)
 	p.Private = 0
@@ -79,16 +96,15 @@ func (z *Zone) popFree(order int) (PFN, bool) {
 // removeFree unlinks a specific block (used when merging with a buddy).
 func (z *Zone) removeFree(pfn PFN, order int) bool {
 	prev := PFN(0)
-	cur := z.freeLists[order].head
+	cur := z.freeLists[order]
 	for cur != 0 {
 		if cur == pfn {
 			p := z.mem.PageOf(cur)
 			if prev == 0 {
-				z.freeLists[order].head = PFN(p.Private)
+				z.freeLists[order] = PFN(p.Private)
 			} else {
 				z.mem.PageOf(prev).Private = p.Private
 			}
-			z.freeLists[order].n--
 			z.nfree -= 1 << order
 			p.ClearFlags(FlagBuddy)
 			p.Private = 0
@@ -153,11 +169,4 @@ func (z *Zone) freePages() int64 {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	return z.nfree
-}
-
-// freeBlocks reports the number of free blocks of one order (tests only).
-func (z *Zone) freeBlocks(order int) int {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	return z.freeLists[order].n
 }

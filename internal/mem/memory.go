@@ -15,13 +15,18 @@ import (
 var ErrNoMemory = errors.New("mem: out of memory")
 
 // Memory is the simulated physical memory of one machine: a flat byte array
-// with its zero map, plus the page-struct array and per-NUMA-node buddy
-// zones. It is safe for concurrent use on disjoint byte ranges; the buddy
-// zones serialize internally and the zero map is updated atomically.
+// with its zero map, plus the page structs and per-NUMA-node buddy zones.
+// It is safe for concurrent use on disjoint byte ranges; the buddy zones
+// serialize internally, and the zero map and the page-struct sections are
+// updated atomically.
 type Memory struct {
-	data  []byte
-	pages []Page
-	zones []*Zone
+	data []byte
+	// sections holds the page structs, one section per MaxOrder block,
+	// each built on the first PageOf into it (see PageOf).
+	sections []atomic.Pointer[section]
+	npages   int
+	perNode  int // frames per NUMA node; the last node takes the remainder
+	zones    []*Zone
 
 	// dirty is the zero map: a clear bit means the frame is all zero
 	// (see zeroMap). It has no simulated meaning.
@@ -71,23 +76,17 @@ func New(cfg Config) (*Memory, error) {
 		return nil, fmt.Errorf("mem: %d bytes is too small for %d NUMA nodes", cfg.TotalBytes, cfg.NUMANodes)
 	}
 	data, dirty := takeBacking(nPages << PageShift)
-	m := &Memory{
-		data:  data,
-		dirty: dirty,
-		pages: make([]Page, nPages),
-		zones: make([]*Zone, cfg.NUMANodes),
-	}
 	perNode := nPages / cfg.NUMANodes
-	for i := range m.pages {
-		node := i / perNode
-		if node >= cfg.NUMANodes {
-			node = cfg.NUMANodes - 1
-		}
-		m.pages[i].pfn = PFN(i)
-		m.pages[i].Node = node
+	m := &Memory{
+		data:     data,
+		dirty:    dirty,
+		sections: make([]atomic.Pointer[section], (nPages+sectionPages-1)>>sectionShift),
+		npages:   nPages,
+		perNode:  perNode,
+		zones:    make([]*Zone, cfg.NUMANodes),
 	}
 	// Reserve frame 0.
-	m.pages[0].SetFlags(FlagReserved)
+	m.PageOf(0).SetFlags(FlagReserved)
 	for n := 0; n < cfg.NUMANodes; n++ {
 		start := PFN(n * perNode)
 		end := PFN((n + 1) * perNode)
@@ -103,14 +102,59 @@ func New(cfg Config) (*Memory, error) {
 }
 
 // NumPages returns the number of physical frames.
-func (m *Memory) NumPages() int { return len(m.pages) }
+func (m *Memory) NumPages() int { return m.npages }
 
 // NumNodes returns the number of NUMA nodes.
 func (m *Memory) NumNodes() int { return len(m.zones) }
 
-// PageOf returns the page struct for a frame number.
+// A section is the page structs of one MaxOrder block: 1,024 frames, 4 MiB
+// of RAM. A buddy block never crosses a section, so code that walks a
+// block's page structs indexes one section (see block).
+type section [sectionPages]Page
+
+const (
+	sectionShift = MaxOrder
+	sectionPages = 1 << sectionShift
+	sectionMask  = sectionPages - 1
+)
+
+// PageOf returns the page struct for a frame number. A machine touches a
+// few of its sections, so each is built, its frames numbered and given
+// their node, on the first PageOf into it. Two callers that race to build
+// one publish a single copy by compare-and-swap, so every caller gets the
+// same *Page for a frame.
 func (m *Memory) PageOf(pfn PFN) *Page {
-	return &m.pages[pfn]
+	if uint64(pfn) >= uint64(m.npages) {
+		panic(fmt.Sprintf("mem: pfn %d is past the end of RAM (%d frames)", pfn, m.npages))
+	}
+	s := m.sections[pfn>>sectionShift].Load()
+	if s == nil {
+		s = m.buildSection(pfn >> sectionShift)
+	}
+	return &s[pfn&sectionMask]
+}
+
+// buildSection builds section i and publishes it, unless another caller
+// published it first, and returns the published copy.
+func (m *Memory) buildSection(i PFN) *section {
+	s := new(section)
+	base := i << sectionShift
+	for j := range s {
+		pfn := base + PFN(j)
+		s[j].pfn = pfn
+		s[j].Node = min(int(pfn)/m.perNode, len(m.zones)-1)
+	}
+	if m.sections[i].CompareAndSwap(nil, s) {
+		return s
+	}
+	return m.sections[i].Load()
+}
+
+// block returns the page structs of the 2^order block headed by head,
+// which PageOf has built.
+func (m *Memory) block(head *Page, order int) []Page {
+	i := head.pfn & sectionMask
+	return m.sections[head.pfn>>sectionShift].Load()[i : i+1<<order]
 }
 
 // PageOfAddr returns the page struct covering a physical address.
@@ -273,8 +317,9 @@ func (m *Memory) makeCompound(head *Page, order int) {
 		return
 	}
 	head.SetFlags(FlagHead)
-	for i := 1; i < 1<<order; i++ {
-		t := m.PageOf(head.pfn + PFN(i))
+	b := m.block(head, order)
+	for i := 1; i < len(b); i++ {
+		t := &b[i]
 		t.SetFlags(FlagTail)
 		t.HeadPFN = head.pfn
 		t.Private = 0
@@ -287,8 +332,9 @@ func (m *Memory) breakCompound(head *Page, order int) {
 	head.ClearFlags(FlagHead)
 	head.Order = 0
 	head.SetRefCount(0)
-	for i := 1; i < 1<<order; i++ {
-		t := m.PageOf(head.pfn + PFN(i))
+	b := m.block(head, order)
+	for i := 1; i < len(b); i++ {
+		t := &b[i]
 		t.ClearFlags(FlagTail | FlagDAMN)
 		t.HeadPFN = 0
 		t.Private = 0
@@ -305,10 +351,10 @@ func (m *Memory) SplitCompound(head *Page, order, sub int) []*Page {
 		panic(fmt.Sprintf("mem: cannot split order %d into order %d", order, sub))
 	}
 	m.breakCompound(head, order)
-	n := 1 << (order - sub)
-	heads := make([]*Page, 0, n)
-	for i := 0; i < n; i++ {
-		h := m.PageOf(head.pfn + PFN(i<<sub))
+	b := m.block(head, order)
+	heads := make([]*Page, 0, 1<<(order-sub))
+	for i := 0; i < len(b); i += 1 << sub {
+		h := &b[i]
 		m.makeCompound(h, sub)
 		heads = append(heads, h)
 	}
@@ -321,12 +367,6 @@ func (m *Memory) Head(p *Page) *Page {
 		return m.PageOf(p.HeadPFN)
 	}
 	return p
-}
-
-// FreePagesInZone reports the free frame count on a node (for tests and the
-// shrinker pressure model).
-func (m *Memory) FreePagesInZone(node int) int64 {
-	return m.zones[node].freePages()
 }
 
 // TotalFreePages reports free frames across all nodes.

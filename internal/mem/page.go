@@ -1,7 +1,7 @@
 // Package mem implements the simulated physical memory substrate that the
-// rest of the reproduction runs on: a flat byte-addressable "RAM", an array
-// of page structs (the analogue of Linux's struct page), a NUMA-zoned buddy
-// page allocator, compound pages, and a small kmalloc-style slab allocator.
+// rest of the reproduction runs on: a flat byte-addressable "RAM", page
+// structs (the analogue of Linux's struct page), a NUMA-zoned buddy page
+// allocator, compound pages, and a small kmalloc-style slab allocator.
 //
 // Everything above this package — the IOMMU, the DMA API, DAMN itself, the
 // device models — addresses memory through mem.PhysAddr values and reads or
@@ -69,7 +69,8 @@ const (
 	FlagBuddy
 )
 
-// Page is the simulated struct page. One exists for every physical frame.
+// Page is the simulated struct page. One exists for every physical frame;
+// Memory builds them a section at a time, on first use (see PageOf).
 // As in Linux, several fields are unions in spirit: Private carries
 // order-of-block for free buddy pages, slab metadata for slab pages, and
 // DAMN metadata (the chunk IOVA, the owning DMA-cache handle) on tail pages
