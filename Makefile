@@ -28,8 +28,12 @@ test:
 
 # The race detector slows the simulations ~10×; -short skips the full
 # figure reproductions (covered by `make test`) so the pass stays bounded.
+# Each test runs once there; the lazy page-struct sections and the zero map
+# are built and updated from several goroutines, so internal/mem's
+# concurrent tests then repeat ten times.
 race:
 	$(GO) test -race -short -timeout 20m ./...
+	$(GO) test -race -count=10 -run 'Concurrent|Lazy' ./internal/mem
 
 # The full race pass: every test, figure reproductions included. CI runs it
 # as its own job; budget the better part of an hour locally.

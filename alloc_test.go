@@ -265,7 +265,7 @@ func retransmitRig(tb testing.TB) (cycle func(), arq *netstack.ArqSender, recv *
 	dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
 	const segLen = 1500
 	dropNext := false
-	arq = netstack.NewArqSender(ma.Sim, netstack.ArqConfig{SegLen: segLen},
+	arq = netstack.NewArqSender(ma.Sim, segLen,
 		func(seg *netstack.ArqSegment, retx bool) {
 			if !retx {
 				payload := seg.Len - netstack.HeaderLen
@@ -398,7 +398,7 @@ func TestCapCheckZeroAlloc(t *testing.T) {
 // drains a live ticker); the gate and the pacer stay installed.
 func TestRXPathZeroAllocTenancy(t *testing.T) {
 	ma := gateMachine(t, testbed.SchemeDAMN, 2)
-	mgr := tenant.Attach(ma, tenant.Config{})
+	mgr := tenant.Attach(ma)
 	if _, err := mgr.AddTenant(0, 1, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@
 //     shadow-buffer baseline protection schemes, a miniature network stack
 //     with the §5.2 accessor interposition, and NIC/NVMe/malicious device
 //     models that DMA through the IOMMU;
-//   - the paper's evaluation: one function per table and figure.
+//   - the paper's evaluation: one function per table and figure —
+//     internal/experiments.
 //
 // Quick start — build a DAMN-protected machine and allocate a
 // device-visible packet buffer:
@@ -23,20 +24,18 @@
 //	// buf is permanently IOMMU-mapped for the NIC; m.Attacker() cannot
 //	// reach anything else.
 //
-// To regenerate the paper's results, use the Run* functions or the
-// cmd/damnbench binary; damnbench -exp attacks mounts the DMA attacks of
-// §2.1 against every configuration.
+// To regenerate the paper's results, use the cmd/damnbench binary;
+// damnbench -exp attacks mounts the DMA attacks of §2.1 against every
+// configuration.
 package damn
 
 import (
 	damncore "github.com/asplos18/damn/internal/damn"
 	"github.com/asplos18/damn/internal/device"
 	"github.com/asplos18/damn/internal/dmaapi"
-	"github.com/asplos18/damn/internal/experiments"
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/mem"
 	"github.com/asplos18/damn/internal/netstack"
-	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
 )
 
@@ -184,27 +183,3 @@ func (m *Machine) DamnAllocator() *damncore.DAMN { return m.tb.Damn }
 func (m *Machine) NewSKB(size int, rx bool) (*netstack.SKBuff, error) {
 	return netstack.AllocSKB(m.tb.Kernel, nil, testbed.NICDeviceID, size, rx)
 }
-
-// RunFor advances simulated time (e.g. to let deferred-mode timers fire).
-func (m *Machine) RunFor(d sim.Time) { m.tb.Sim.Run(m.tb.Sim.Now() + d) }
-
-// ---- Evaluation façade ----
-
-// Options re-exports the experiment options.
-type Options = experiments.Options
-
-// The full evaluation, one function per table/figure; see EXPERIMENTS.md
-// for the paper-vs-measured record.
-var (
-	RunTable1 = experiments.Table1
-	RunFig2   = experiments.Fig2
-	RunFig4   = experiments.Fig4
-	RunFig5   = experiments.Fig5
-	RunFig6   = experiments.Fig6
-	RunTable3 = experiments.Table3
-	RunFig7   = experiments.Fig7
-	RunFig8   = experiments.Fig8
-	RunFig9   = experiments.Fig9
-	RunFig10  = experiments.Fig10
-	RunFig11  = experiments.Fig11
-)

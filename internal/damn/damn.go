@@ -169,20 +169,16 @@ type DAMN struct {
 	shrinkPagesC *stats.Counter
 	shardClampC  *stats.Counter
 	footprintG   *stats.Gauge
-	// Per-device clamp attribution: with tenants mapped to virtual
-	// functions, a noisy tenant must not hide behind the machine-global
-	// clamp counter. Guarded by clampMu (clamps are off the fast path —
-	// zero in a healthy run).
-	reg            *stats.Registry
-	clampMu        sync.Mutex
-	shardClampsBy  []uint64
-	shardClampDevC []*stats.Counter
-	allocCyc       *stats.FloatCounter
-	freeCyc        *stats.FloatCounter
-	refillCyc      *stats.FloatCounter
-	buildCyc       *stats.FloatCounter
-	teardownCyc    *stats.FloatCounter
-	teardownInvPS  *stats.FloatCounter
+	// reg carries the per-device clamp counters: with tenants mapped to
+	// virtual functions, a noisy tenant must not hide behind the
+	// machine-global clamp counter.
+	reg           *stats.Registry
+	allocCyc      *stats.FloatCounter
+	freeCyc       *stats.FloatCounter
+	refillCyc     *stats.FloatCounter
+	buildCyc      *stats.FloatCounter
+	teardownCyc   *stats.FloatCounter
+	teardownInvPS *stats.FloatCounter
 }
 
 // SetStats attaches a metrics registry: the allocator records magazine and
@@ -260,46 +256,20 @@ func (d *DAMN) FootprintBytes() int64 {
 
 // noteShardClamp records one out-of-range-CPU alias to shard 0, attributed
 // to the device (and hence tenant) whose request carried the bogus CPU id.
-// dev < 0 means the caller had no device identity in scope.
+// dev < 0 means the caller had no device identity in scope. Clamps are off
+// the fast path (zero in a healthy run), so the per-device counter is
+// looked up in the registry each time.
 func (d *DAMN) noteShardClamp(dev int) {
 	d.shardClamps.Add(1)
 	d.shardClampC.Add(1)
-	if dev < 0 {
-		return
-	}
-	d.clampMu.Lock()
-	defer d.clampMu.Unlock()
-	for dev >= len(d.shardClampsBy) {
-		d.shardClampsBy = append(d.shardClampsBy, 0)
-	}
-	d.shardClampsBy[dev]++
-	if d.reg != nil {
-		for dev >= len(d.shardClampDevC) {
-			d.shardClampDevC = append(d.shardClampDevC, nil)
-		}
-		c := d.shardClampDevC[dev]
-		if c == nil {
-			c = d.reg.Counter("damn", fmt.Sprintf("shard_cpu_clamps_dev%d", dev))
-			d.shardClampDevC[dev] = c
-		}
-		c.Inc()
+	if dev >= 0 && d.reg != nil {
+		d.reg.Counter("damn", fmt.Sprintf("shard_cpu_clamps_dev%d", dev)).Inc()
 	}
 }
 
 // ShardClamps reports how many requests carried a CPU id outside the
 // machine and were aliased to shard 0. Zero in a healthy system.
 func (d *DAMN) ShardClamps() uint64 { return d.shardClamps.Load() }
-
-// ShardClampsFor reports shard clamps attributed to one device — the
-// per-tenant flavour of ShardClamps.
-func (d *DAMN) ShardClampsFor(dev int) uint64 {
-	d.clampMu.Lock()
-	defer d.clampMu.Unlock()
-	if dev < 0 || dev >= len(d.shardClampsBy) {
-		return 0
-	}
-	return d.shardClampsBy[dev]
-}
 
 // nodeOf returns the NUMA node of a core (clamped).
 func (d *DAMN) nodeOf(cpu int) int {

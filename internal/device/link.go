@@ -68,19 +68,6 @@ func NewLink(name string, se *sim.Engine, gbps float64) *Link {
 		wire: sim.NewFluidResource(name, gbps*1e9/8)}
 }
 
-// Name returns the link's resource name.
-func (l *Link) Name() string { return l.name }
-
-// Latency returns the link's one-way propagation delay.
-func (l *Link) Latency() sim.Time { return l.latency }
-
-// SetLatency sets the one-way propagation delay (topology wiring).
-func (l *Link) SetLatency(d sim.Time) { l.latency = d }
-
-// SetFaults points the link's impairment draws at an injector — the
-// receiving machine's fault plane.
-func (l *Link) SetFaults(inj *faults.Injector) { l.inj = inj }
-
 // ConnectNIC terminates the link at a NIC port: forwarded segments arrive
 // at that NIC (after serialization + latency), pass the receiving machine's
 // link impairments, and are steered to an RX ring. sched, when non-nil,

@@ -566,13 +566,6 @@ func (n *NIC) RXParked(ring int) (int, error) {
 // the generator's pacing signal.
 func (n *NIC) WireRXBacklog(port int) sim.Time { return n.ingress[port].Backlog(n.se.Now()) }
 
-// WireTXBacklog is the outbound equivalent.
-func (n *NIC) WireTXBacklog(port int) sim.Time { return n.egress[port].Backlog(n.se.Now()) }
-
-// Ingress returns the link terminating at a port — where a topology (or a
-// traffic generator) feeds this machine.
-func (n *NIC) Ingress(port int) *Link { return n.ingress[port] }
-
 // Egress returns the link a port transmits onto; a topology connects it to
 // a peer NIC or router port.
 func (n *NIC) Egress(port int) *Link { return n.egress[port] }
@@ -825,10 +818,6 @@ func (n *NIC) ReapMissed(ring int) []RXCompletion {
 	r.missed = r.missed[:0]
 	return comps
 }
-
-// MissedCompletions reports interrupt-lost completions awaiting the
-// watchdog on a ring.
-func (n *NIC) MissedCompletions(ring int) int { return len(n.rings[ring].missed) }
 
 // touchTranslations exercises the IOMMU translation for every page a
 // transfer spans (the functional DMA only materialises a prefix, but the

@@ -96,6 +96,3 @@ func (d *NVMe) SubmitRead(qp int, v iommu.IOVA, size int, done func(t *sim.Task,
 	})
 	return nil
 }
-
-// InFlight reports outstanding commands on a queue pair.
-func (d *NVMe) InFlight(qp int) int { return d.inFlight[qp] }

@@ -18,7 +18,6 @@ package dmaapi
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/asplos18/damn/internal/faults"
 	"github.com/asplos18/damn/internal/iommu"
@@ -94,7 +93,6 @@ type Engine struct {
 	Model  *perf.Model
 	scheme Scheme
 
-	mu         sync.Mutex
 	interposer Interposer
 	inj        *faults.Injector
 

@@ -167,10 +167,3 @@ func (s *ShadowScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, di
 	s.pools[m.key].free[m.class] = append(s.pools[m.key].free[m.class], m.buf)
 	return nil
 }
-
-// LiveMappings reports outstanding shadow mappings (tests).
-func (s *ShadowScheme) LiveMappings() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mappings)
-}

@@ -292,7 +292,7 @@ func faultStorm(scheme testbed.Scheme, opts Options) (outcome, error) {
 		return outcome{}, err
 	}
 	defer done()
-	sup := recovery.Attach(ma, recovery.Config{})
+	sup := recovery.Attach(ma)
 	defer sup.Stop()
 	stop := ma.Sim.Every(2*sim.Microsecond, func() {
 		attacker.TryRead(iommu.IOVA(0xfeed0000), 64)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/asplos18/damn/internal/faults"
 	"github.com/asplos18/damn/internal/workloads"
 )
 
@@ -33,11 +34,10 @@ type ChaosRow struct {
 // a paper experiment — it is the robustness gate that every degradation
 // path stays panic-free and conservation holds.
 func Chaos(opts Options) ([]ChaosRow, error) {
-	rate := opts.FaultRate
-	if rate <= 0 {
-		rate = 0.002
+	cfg := workloads.ChaosConfig{FaultSeed: opts.FaultSeed, Recovery: opts.Recovery}
+	if opts.FaultRate > 0 {
+		cfg.Rates = faults.UniformRates(opts.FaultRate)
 	}
-	cfg := workloads.ChaosConfig{FaultSeed: opts.FaultSeed, FaultRate: rate, Recovery: opts.Recovery}
 
 	// Two independent jobs: each chaos workload builds its own machine.
 	runs := []func(opts Options) (ChaosRow, error){

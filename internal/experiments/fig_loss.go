@@ -86,7 +86,7 @@ func Loss(opts Options) ([]LossRow, error) {
 		if sp.chaos {
 			// The chaos schedule storms the DMA path too; the supervisor
 			// quarantines and heals, and the ARQ pumps ride out the outage.
-			sup = recovery.Attach(ma, recovery.Config{})
+			sup = recovery.Attach(ma)
 		}
 		res, err := workloads.RunLoss(workloads.LossConfig{
 			Machine: ma, Warmup: warm, Duration: dur,

@@ -199,14 +199,6 @@ func (inj *Injector) SetDeviceFilter(k Kind, dev int) {
 	inj.devFilter[k] = dev
 }
 
-// Rate reports kind k's current per-visit injection probability.
-func (inj *Injector) Rate(k Kind) float64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.rates[k]
-}
-
 // Should reports whether fault kind k fires at this fault-point visit.
 // A nil injector never fires. Kinds with rate zero draw nothing, so their
 // streams stay aligned whatever other code paths execute.

@@ -479,22 +479,6 @@ func (d *Domain) walkHuge(iova IOVA, create bool) *pte {
 	return &table[indexAt(iova, hugeLevel)]
 }
 
-// lookup translates one IOVA page through the page tables only (no IOTLB).
-// Caller holds u.mu. Returns the physical address of iova and its perm.
-func (d *Domain) lookup(iova IOVA) (mem.PhysAddr, Perm, bool) {
-	e := d.walk(iova, false)
-	if e == nil || !e.present {
-		return 0, 0, false
-	}
-	if e.huge {
-		base := e.pfn.Addr()
-		off := mem.PhysAddr(iova & IOVA(mem.HugePageMask))
-		return base + off, e.perm, true
-	}
-	off := mem.PhysAddr(iova & IOVA(mem.PageMask))
-	return e.pfn.Addr() + off, e.perm, true
-}
-
 // MappedPages returns the number of currently mapped 4 KiB pages in the
 // device's domain.
 func (u *IOMMU) MappedPages(dev int) int64 {

@@ -3,6 +3,7 @@ package iommu
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -254,6 +255,43 @@ func TestPassthrough(t *testing.T) {
 	}
 	if got != pa+5 {
 		t.Fatalf("passthrough translate = %#x", got)
+	}
+}
+
+// TestPassthroughDMAPastTopOfAddressSpace: a passthrough domain hands the
+// device's IOVA to the copy as the physical address, so a device can name
+// a range that ends at or past 2^64. Both directions must fail the RAM
+// bounds check with nothing copied, never panic.
+func TestPassthroughDMAPastTopOfAddressSpace(t *testing.T) {
+	u, m := newTestIOMMU(t)
+	u.AttachDevice(1).Passthrough = true
+	for _, c := range []struct {
+		iova IOVA
+		n    int
+	}{
+		{0xFFFFFFFFFFFFF000, 4096},
+		{1<<64 - 100, 100},
+	} {
+		buf := make([]byte, c.n)
+		for i := range buf {
+			buf[i] = 0xAB
+		}
+		if n, err := u.DMAWrite(1, c.iova, buf); n != 0 || err == nil || !strings.Contains(err.Error(), "out of RAM bounds") {
+			t.Errorf("DMAWrite(%#x, %d) = %d, %v; want 0 and the out-of-RAM error", c.iova, c.n, n, err)
+		}
+		if n, err := u.DMARead(1, c.iova, buf); n != 0 || err == nil || !strings.Contains(err.Error(), "out of RAM bounds") {
+			t.Errorf("DMARead(%#x, %d) = %d, %v; want 0 and the out-of-RAM error", c.iova, c.n, n, err)
+		}
+		for i, b := range buf {
+			if b != 0xAB {
+				t.Fatalf("DMARead(%#x) wrote %#x into byte %d of the device buffer", c.iova, b, i)
+			}
+		}
+	}
+	for pa, b := range m.Bytes(0, m.NumPages()*mem.PageSize) {
+		if b != 0 {
+			t.Fatalf("a rejected DMA wrote RAM at %#x", pa)
+		}
 	}
 }
 

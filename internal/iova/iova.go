@@ -26,8 +26,6 @@ var ErrExhausted = errors.New("iova: space exhausted")
 
 // Space boundaries.
 const (
-	// Bits of usable IOVA space (VT-d 4-level).
-	Bits = 48
 	// DAMNBit is the partition bit: set ⇒ DAMN-owned IOVA.
 	DAMNBit = iommu.IOVA(1) << 47
 	// APISpaceLo/Hi bound the standard DMA API region (bit 47 clear);
@@ -148,11 +146,4 @@ func (a *Allocator) FreeBytes() uint64 {
 		n += s.size
 	}
 	return n
-}
-
-// Live reports the number of outstanding allocations.
-func (a *Allocator) Live() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.allocated)
 }

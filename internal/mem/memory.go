@@ -58,13 +58,6 @@ type Config struct {
 	NUMANodes int
 }
 
-// DefaultConfig models the paper's evaluation server: 128 GiB would be
-// wasteful to back with real bytes, so tests use smaller memories; the
-// evaluation harness sizes memory to the working set it actually touches.
-func DefaultConfig() Config {
-	return Config{TotalBytes: 512 << 20, NUMANodes: 2}
-}
-
 // New constructs a Memory. Frame 0 is reserved (a NULL physical address is
 // never handed out), as on real hardware where low memory is firmware-owned.
 func New(cfg Config) (*Memory, error) {
@@ -160,9 +153,12 @@ func (m *Memory) block(head *Page, order int) []Page {
 // PageOfAddr returns the page struct covering a physical address.
 func (m *Memory) PageOfAddr(pa PhysAddr) *Page { return m.PageOf(PFNOf(pa)) }
 
-// CheckRange validates that [pa, pa+n) lies inside simulated RAM.
+// CheckRange validates that [pa, pa+n) lies inside simulated RAM. The
+// comparison never forms pa+n, which wraps for a range that a device
+// places at the top of the 64-bit address space.
 func (m *Memory) CheckRange(pa PhysAddr, n int) error {
-	if n < 0 || uint64(pa)+uint64(n) > uint64(len(m.data)) {
+	size := uint64(len(m.data))
+	if n < 0 || uint64(pa) > size || uint64(n) > size-uint64(pa) {
 		return fmt.Errorf("mem: physical range [%#x,+%d) out of bounds (RAM is %d bytes)", pa, n, len(m.data))
 	}
 	return nil

@@ -247,6 +247,35 @@ func TestBytesBounds(t *testing.T) {
 	m.Bytes(PhysAddr(8<<20)-10, 100)
 }
 
+// TestCheckRangeEdges pins the bounds check at the end of RAM and at the
+// top of the 64-bit address space, where pa+n wraps: a passthrough device
+// supplies pa, so a wrapping range must fail the check, not pass it and
+// panic in the copy.
+func TestCheckRangeEdges(t *testing.T) {
+	const size = 8 << 20
+	m := newTestMemory(t, size, 1)
+	for _, c := range []struct {
+		pa   PhysAddr
+		n    int
+		fits bool
+	}{
+		{0, size, true},
+		{size - 4096, 4096, true},
+		{size, 0, true},
+		{size - 4096, 4097, false},
+		{size, 1, false},
+		{size + 1, 0, false},
+		{0, -1, false},
+		{0xFFFFFFFFFFFFF000, 4096, false},
+		{1<<64 - 100, 100, false},
+	} {
+		err := m.CheckRange(c.pa, c.n)
+		if (err == nil) != c.fits {
+			t.Errorf("CheckRange(%#x, %d) = %v, want fits=%v", c.pa, c.n, err, c.fits)
+		}
+	}
+}
+
 func TestPageFlagOps(t *testing.T) {
 	var p Page
 	p.SetFlags(FlagDAMN | FlagSlab)

@@ -104,9 +104,6 @@ func (f *atomicFlags) has(bits PageFlags) bool { return PageFlags(f.v.Load())&bi
 // PFN returns the frame number this page struct describes.
 func (p *Page) PFN() PFN { return p.pfn }
 
-// Flags returns the current flag word.
-func (p *Page) Flags() PageFlags { return PageFlags(p.flags.v.Load()) }
-
 // SetFlags sets the given flag bits.
 func (p *Page) SetFlags(bits PageFlags) { p.flags.set(bits) }
 

@@ -47,37 +47,19 @@ import (
 // drops a flow's segments would retransmit forever — the loss workloads
 // install no hooks, and real stacks have the same pathology.
 
-// ArqConfig parameterises one reliable flow.
-type ArqConfig struct {
-	// Window is the sender's in-flight segment limit (segments, not
-	// bytes); its default matches the receiver's reorderWindow.
-	Window int
-	// SegLen is the wire length of each data segment.
-	SegLen int
-	// InitRTO seeds the retransmission timeout before the first RTT
-	// sample; minRTO/MaxRTO clamp the estimator and the backoff.
-	InitRTO sim.Time
-	MaxRTO  sim.Time
-}
-
 const (
+	// arqWindow is the sender's in-flight segment limit (segments, not
+	// bytes): the receiver's reorder window, so every segment in flight
+	// fits the receiver's buffer.
+	arqWindow = reorderWindow
 	// dupThresh is the duplicate-ACK count that triggers fast retransmit.
 	dupThresh int = 3
-	// minRTO is the estimator's and the backoff's lower clamp.
-	minRTO = 100 * sim.Microsecond
+	// initRTO seeds the retransmission timeout before the first RTT
+	// sample; minRTO/maxRTO clamp the estimator and the backoff.
+	initRTO = sim.Millisecond
+	minRTO  = 100 * sim.Microsecond
+	maxRTO  = 10 * sim.Millisecond
 )
-
-func (c *ArqConfig) setDefaults() {
-	if c.Window == 0 {
-		c.Window = 64
-	}
-	if c.InitRTO == 0 {
-		c.InitRTO = sim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 10 * sim.Millisecond
-	}
-}
 
 // ArqSegment is one in-flight data segment. Segments are pooled by the
 // sender; the embedded header buffer keeps retransmission header rebuilds
@@ -101,9 +83,6 @@ type ArqSegment struct {
 // transmit callback to AppendHeaders into without allocating.
 func (s *ArqSegment) HdrBuf() []byte { return s.hdrBuf[:0] }
 
-// Sends reports how many times the segment has been transmitted.
-func (s *ArqSegment) Sends() int { return s.sends }
-
 // ArqSender is the sending half of a reliable flow: a sliding window of
 // unacknowledged segments, an RTT estimator, and the retransmission
 // machinery. It does not touch the wire itself — the xmit callback does
@@ -111,7 +90,8 @@ func (s *ArqSegment) Sends() int { return s.sends }
 // driver), so the same state machine serves either direction.
 type ArqSender struct {
 	eng *sim.Engine
-	cfg ArqConfig
+	// segLen is the wire length of each data segment.
+	segLen int
 	// xmit transmits a segment; retx marks retransmissions (the segment's
 	// header is already built then and must be reused, not rebuilt).
 	xmit func(seg *ArqSegment, retx bool)
@@ -149,17 +129,16 @@ type ArqSender struct {
 	DupAcks     uint64
 }
 
-// NewArqSender builds a sender on the engine; xmit performs the actual
-// transmission of a (possibly retransmitted) segment.
-func NewArqSender(eng *sim.Engine, cfg ArqConfig, xmit func(seg *ArqSegment, retx bool)) *ArqSender {
-	cfg.setDefaults()
+// NewArqSender builds a sender of segLen-byte segments on the engine; xmit
+// performs the actual transmission of a (possibly retransmitted) segment.
+func NewArqSender(eng *sim.Engine, segLen int, xmit func(seg *ArqSegment, retx bool)) *ArqSender {
 	s := &ArqSender{
 		eng:     eng,
-		cfg:     cfg,
+		segLen:  segLen,
 		xmit:    xmit,
 		nextSeq: 1,
 		ackSeq:  1,
-		rto:     cfg.InitRTO,
+		rto:     initRTO,
 	}
 	s.timerFn = s.onTimer
 	return s
@@ -170,13 +149,10 @@ func (s *ArqSender) InFlight() int { return len(s.unacked) - s.head }
 
 // CanSend reports whether the window admits another segment — the
 // backpressure the traffic source honours.
-func (s *ArqSender) CanSend() bool { return s.InFlight() < s.cfg.Window }
+func (s *ArqSender) CanSend() bool { return s.InFlight() < arqWindow }
 
 // AckSeq returns the cumulative acknowledgment point.
 func (s *ArqSender) AckSeq() uint32 { return s.ackSeq }
-
-// NextSeq returns the next sequence number to be assigned.
-func (s *ArqSender) NextSeq() uint32 { return s.nextSeq }
 
 // RTO returns the current retransmission timeout.
 func (s *ArqSender) RTO() sim.Time { return s.rto }
@@ -190,7 +166,7 @@ func (s *ArqSender) SendNext() {
 	seg := s.getSeg()
 	seg.Seq = s.nextSeq
 	s.nextSeq++
-	seg.Len = s.cfg.SegLen
+	seg.Len = s.segLen
 	seg.sends = 1
 	seg.sentAt = s.eng.Now()
 	wasIdle := s.InFlight() == 0
@@ -289,8 +265,8 @@ func (s *ArqSender) updateRTT(r sim.Time) {
 	if s.rto < minRTO {
 		s.rto = minRTO
 	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 }
 
@@ -319,8 +295,8 @@ func (s *ArqSender) onTimer() {
 	}
 	s.Timeouts++
 	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 	s.dupAcks = 0
 	s.retransmit(false)

@@ -14,7 +14,7 @@ import (
 
 func TestArqRTOEstimator(t *testing.T) {
 	eng := sim.NewEngine(1)
-	arq := netstack.NewArqSender(eng, netstack.ArqConfig{SegLen: 100}, func(*netstack.ArqSegment, bool) {})
+	arq := netstack.NewArqSender(eng, 100, func(*netstack.ArqSegment, bool) {})
 
 	// First sample: srtt = R, rttvar = R/2, rto = srtt + 4*rttvar = 3R.
 	arq.SendNext()
@@ -43,16 +43,16 @@ func TestArqRTOEstimator(t *testing.T) {
 func TestArqTimeoutBackoffAndKarn(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var sends, retx int
-	arq := netstack.NewArqSender(eng, netstack.ArqConfig{
-		SegLen: 100, InitRTO: sim.Millisecond, MaxRTO: 4 * sim.Millisecond,
-	}, func(seg *netstack.ArqSegment, isRetx bool) {
+	arq := netstack.NewArqSender(eng, 100, func(seg *netstack.ArqSegment, isRetx bool) {
 		sends++
 		if isRetx {
 			retx++
 		}
 	})
 
-	arq.SendNext() // never acked: timeouts fire with exponential backoff
+	// Never acked: timeouts fire with exponential backoff from the 1 ms
+	// initial RTO until the 10 ms clamp holds it.
+	arq.SendNext()
 	eng.Run(sim.Millisecond)
 	if arq.Timeouts != 1 || arq.TimeoutRetx != 1 {
 		t.Fatalf("after 1ms: timeouts=%d retx=%d, want 1/1", arq.Timeouts, arq.TimeoutRetx)
@@ -64,12 +64,20 @@ func TestArqTimeoutBackoffAndKarn(t *testing.T) {
 	if got, want := arq.RTO(), 4*sim.Millisecond; got != want {
 		t.Fatalf("rto after second timeout: %v, want %v", got, want)
 	}
-	eng.Run(7 * sim.Millisecond) // third timeout at t=3ms+4ms; clamped
-	if got, want := arq.RTO(), 4*sim.Millisecond; got != want {
+	eng.Run(7 * sim.Millisecond) // third timeout at t=3ms+4ms
+	if got, want := arq.RTO(), 8*sim.Millisecond; got != want {
+		t.Fatalf("rto after third timeout: %v, want %v", got, want)
+	}
+	eng.Run(15 * sim.Millisecond) // fourth timeout at t=7ms+8ms; clamped
+	if got, want := arq.RTO(), 10*sim.Millisecond; got != want {
 		t.Fatalf("rto clamp: %v, want %v", got, want)
 	}
-	if arq.Timeouts != 3 {
-		t.Fatalf("timeouts: %d, want 3", arq.Timeouts)
+	eng.Run(25 * sim.Millisecond) // fifth timeout at t=15ms+10ms; stays clamped
+	if got, want := arq.RTO(), 10*sim.Millisecond; got != want {
+		t.Fatalf("rto clamp after fifth timeout: %v, want %v", got, want)
+	}
+	if arq.Timeouts != 5 {
+		t.Fatalf("timeouts: %d, want 5", arq.Timeouts)
 	}
 
 	// Karn's rule: the segment was retransmitted, so its eventual ack
@@ -82,7 +90,7 @@ func TestArqTimeoutBackoffAndKarn(t *testing.T) {
 		t.Fatalf("in-flight after ack: %d", arq.InFlight())
 	}
 	eng.RunUntilIdle() // pending timer dies quietly with nothing in flight
-	if arq.Timeouts != 3 {
+	if arq.Timeouts != 5 {
 		t.Fatalf("spurious timeout after ack: %d", arq.Timeouts)
 	}
 }
@@ -90,7 +98,7 @@ func TestArqTimeoutBackoffAndKarn(t *testing.T) {
 func TestArqFastRetransmitOnDupAcks(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var retxSeqs []uint32
-	arq := netstack.NewArqSender(eng, netstack.ArqConfig{SegLen: 100}, func(seg *netstack.ArqSegment, isRetx bool) {
+	arq := netstack.NewArqSender(eng, 100, func(seg *netstack.ArqSegment, isRetx bool) {
 		if isRetx {
 			retxSeqs = append(retxSeqs, seg.Seq)
 		}
@@ -123,7 +131,7 @@ func TestArqFastRetransmitOnDupAcks(t *testing.T) {
 func TestArqPartialAckNeedsOwnDupAcks(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var retxSeqs []uint32
-	arq := netstack.NewArqSender(eng, netstack.ArqConfig{SegLen: 100}, func(seg *netstack.ArqSegment, isRetx bool) {
+	arq := netstack.NewArqSender(eng, 100, func(seg *netstack.ArqSegment, isRetx bool) {
 		if isRetx {
 			retxSeqs = append(retxSeqs, seg.Seq)
 		}
@@ -161,8 +169,9 @@ func TestArqPartialAckNeedsOwnDupAcks(t *testing.T) {
 
 func TestArqWindowBackpressure(t *testing.T) {
 	eng := sim.NewEngine(1)
-	arq := netstack.NewArqSender(eng, netstack.ArqConfig{Window: 4, SegLen: 100}, func(*netstack.ArqSegment, bool) {})
-	for i := 0; i < 4; i++ {
+	arq := netstack.NewArqSender(eng, 100, func(*netstack.ArqSegment, bool) {})
+	// The window admits 64 segments, the receiver's reorder window.
+	for i := 0; i < 64; i++ {
 		if !arq.CanSend() {
 			t.Fatalf("window closed early at %d", i)
 		}
@@ -179,7 +188,7 @@ func TestArqWindowBackpressure(t *testing.T) {
 
 func TestArqLazyTimerNoSpuriousTimeout(t *testing.T) {
 	eng := sim.NewEngine(1)
-	arq := netstack.NewArqSender(eng, netstack.ArqConfig{SegLen: 100, InitRTO: sim.Millisecond}, func(*netstack.ArqSegment, bool) {})
+	arq := netstack.NewArqSender(eng, 100, func(*netstack.ArqSegment, bool) {})
 
 	// Seg 1 at t=0 arms the timer for t=1ms. Its ack at t=0.5ms samples
 	// RTT=500µs (rto becomes 500 + 4*250 = 1.5ms); seg 2 goes out at
@@ -231,7 +240,7 @@ func newArqHarness(t *testing.T, scheme testbed.Scheme) *arqHarness {
 	dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
 	hash := netstack.RSSHashIPv4(src, dst, 10001, 5001)
 	const segLen = 1500
-	h.arq = netstack.NewArqSender(ma.Sim, netstack.ArqConfig{SegLen: segLen}, func(seg *netstack.ArqSegment, retx bool) {
+	h.arq = netstack.NewArqSender(ma.Sim, segLen, func(seg *netstack.ArqSegment, retx bool) {
 		if !retx {
 			seg.Hdr = netstack.AppendHeaders(seg.HdrBuf(), src, dst, 10001, 5001, seg.Seq, segLen-netstack.HeaderLen)
 		}

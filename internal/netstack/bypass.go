@@ -49,11 +49,6 @@ type BypassDriver struct {
 	// ticker does not queue another behind it.
 	pollQueued bool
 
-	// OnDeliver, when set, receives each good completion on the poll core
-	// (the run-to-completion application hook). The completion is only
-	// valid for the duration of the call.
-	OnDeliver func(t *sim.Task, comp device.RXCompletion)
-
 	// Stats.
 	Polls      uint64 // poll ticks executed
 	EmptyPolls uint64 // ticks that found nothing (pure spin)
@@ -231,9 +226,6 @@ func (d *BypassDriver) poll(t *sim.Task) {
 			// run-to-completion processing, no syscall, no skbuff.
 			work += m.BypassRXSegCycles
 			d.Bytes += uint64(comp.Seg.Len)
-			if d.OnDeliver != nil {
-				d.OnDeliver(t, *comp)
-			}
 		}
 		// Permanent mappings: repost the same descriptor unchanged.
 		d.batch = append(d.batch, comp.Desc)

@@ -398,9 +398,13 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 	}
 }
 
-// watchdogPollCycles is the CPU cost of one NAPI-style watchdog poll that
-// found work (ring scan + bookkeeping).
-const watchdogPollCycles = 600
+const (
+	// watchdogPollCycles is the CPU cost of one NAPI-style watchdog poll
+	// that found work (ring scan + bookkeeping).
+	watchdogPollCycles = 600
+	// watchdogPeriod is the interval between watchdog polls of a ring.
+	watchdogPeriod = 100 * sim.Microsecond
+)
 
 // EnableWatchdog arms a NAPI-style poll on every ring: each period it reaps
 // completions whose interrupts were lost and reposts the descriptors whose
@@ -411,15 +415,12 @@ const watchdogPollCycles = 600
 // flow-control signal, not losses. The testbed arms it only when fault
 // injection is on; at a zero fault rate it never finds work, so the event
 // stream matches a machine without it. Returns a stop function.
-func (d *Driver) EnableWatchdog(period sim.Time) (stop func()) {
-	if period <= 0 {
-		period = 100 * sim.Microsecond
-	}
+func (d *Driver) EnableWatchdog() (stop func()) {
 	stops := make([]func(), 0, d.nic.Cfg.Rings)
 	for ring := 0; ring < d.nic.Cfg.Rings; ring++ {
 		ring := ring
 		n := &d.napi[ring]
-		stops = append(stops, d.k.Sim.Every(period, func() {
+		stops = append(stops, d.k.Sim.Every(watchdogPeriod, func() {
 			if d.nic.RingQuarantined(ring) {
 				// A quarantined or resetting device owns no ring state:
 				// reposting into it would hand buffers to a domain that
@@ -470,9 +471,6 @@ func (d *Driver) Shortfall() int {
 	}
 	return n
 }
-
-// Epoch reports the current quarantine epoch (tests).
-func (d *Driver) Epoch() uint64 { return d.epoch }
 
 // QuarantineDrain fences the NIC and tears down the driver's ring state:
 // every descriptor still posted (or parked in an interrupt-lost completion)

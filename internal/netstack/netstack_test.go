@@ -110,7 +110,7 @@ func TestTXEndToEndAllSchemes(t *testing.T) {
 			ma := newMachine(t, scheme, 2)
 			snd := &netstack.Sender{
 				K: ma.Kernel, Drv: ma.Driver, Core: ma.Cores[0],
-				Ring: 0, PortID: 0, Flow: 1, Window: 4 * ma.Model.SegmentSize,
+				Ring: 0, PortID: 0, Flow: 1,
 			}
 			snd.Start()
 			ma.Sim.Run(2 * sim.Millisecond)
@@ -131,17 +131,14 @@ func TestTXEndToEndAllSchemes(t *testing.T) {
 
 func TestSenderWindowEnforced(t *testing.T) {
 	ma := newMachine(t, testbed.SchemeOff, 1)
-	seg := ma.Model.SegmentSize
-	snd := &netstack.Sender{
-		K: ma.Kernel, Drv: ma.Driver, Core: ma.Cores[0],
-		Window: 2 * seg, // at most 2 segments in flight
-	}
+	snd := &netstack.Sender{K: ma.Kernel, Drv: ma.Driver, Core: ma.Cores[0]}
 	snd.Start()
 	// Run less than one wire time (64 KiB at 100 Gb/s ≈ 5.2 us): no
-	// completion can have arrived, so exactly 2 segments are in flight.
+	// completion can have arrived, so exactly the 16-segment window is
+	// in flight.
 	ma.Sim.Run(1 * sim.Microsecond)
-	if got := ma.NIC.TxSegments; got != 2 {
-		t.Fatalf("window violated: %d segments posted, want 2", got)
+	if got := ma.NIC.TxSegments; got != 16 {
+		t.Fatalf("window violated: %d segments posted, want 16", got)
 	}
 	snd.Stop()
 	ma.Sim.RunUntilIdle()

@@ -140,9 +140,6 @@ func AdoptBuffer(k *Kernel, dev int, rights iommu.Perm, pa mem.PhysAddr, capacit
 // Len returns the logical payload length.
 func (s *SKBuff) Len() int { return s.dataLen }
 
-// Cap returns the head buffer capacity.
-func (s *SKBuff) Cap() int { return s.headCap }
-
 // HeadPA exposes the head buffer address (driver/mapping use only; stack
 // code must use the accessors).
 func (s *SKBuff) HeadPA() mem.PhysAddr { return s.headPA }

@@ -119,11 +119,6 @@ type Sender struct {
 	// Hash is the RSS hash stamped on outbound segments; the far end of a
 	// topology link steers by it. Zero lands on the receiver's ring 0.
 	Hash uint32
-	// Meta is opaque metadata stamped on outbound segments.
-	Meta uint32
-
-	// Window is the socket send-buffer size in bytes.
-	Window int
 	// ExtraCycles per segment (per-figure calibration).
 	ExtraCycles float64
 	// AckCost charges bidirectional ACK competition.
@@ -144,13 +139,11 @@ type Sender struct {
 	Errors   uint64
 }
 
+// senderWindow is the socket send-buffer size, in TSO segments.
+const senderWindow int = 16
+
 // Start begins transmitting; the flow runs until Stop.
-func (s *Sender) Start() {
-	if s.Window == 0 {
-		s.Window = 16 * s.K.Model.SegmentSize
-	}
-	s.schedulePump()
-}
+func (s *Sender) Start() { s.schedulePump() }
 
 // Stop halts the flow after in-flight segments drain.
 func (s *Sender) Stop() { s.stopped = true }
@@ -184,7 +177,7 @@ func (s *Sender) pump(t *sim.Task) {
 	if dev == 0 {
 		dev = s.Drv.NIC().ID()
 	}
-	for !s.stopped && s.inFlight+seg <= s.Window {
+	for !s.stopped && s.inFlight+seg <= senderWindow*seg {
 		skb, err := AllocSKB(s.K, t, dev, seg, false)
 		if err != nil {
 			s.Errors++
@@ -192,7 +185,6 @@ func (s *Sender) pump(t *sim.Task) {
 		}
 		skb.Flow = s.Flow
 		skb.Hash = s.Hash
-		skb.Meta = s.Meta
 		skb.Owner = s
 		// The user's write(): copy at the user/kernel boundary.
 		if err := skb.CopyFromUser(t, nil, seg); err != nil {
@@ -223,7 +215,7 @@ func (s *Sender) TxDone(t *sim.Task, skb *SKBuff) {
 	s.Bytes += uint64(skb.Len())
 	s.Segments++
 	skb.Free(t)
-	if !s.stopped && s.inFlight+s.K.Model.SegmentSize <= s.Window {
+	if seg := s.K.Model.SegmentSize; !s.stopped && s.inFlight+seg <= senderWindow*seg {
 		s.schedulePump()
 	}
 }

@@ -24,15 +24,16 @@ func TestSenderStopDrains(t *testing.T) {
 		t.Fatalf("NIC sent %d, sender completed %d", ma.NIC.TxSegments, snd.Segments)
 	}
 	// Buffer accounting balances: DAMN footprint is bounded by the
-	// window, not the total transmitted.
-	if ma.Damn.FootprintBytes() > int64(snd.Window)*4 {
-		t.Fatalf("footprint %d for window %d", ma.Damn.FootprintBytes(), snd.Window)
+	// 16-segment window, not the total transmitted.
+	if window := int64(16 * ma.Model.SegmentSize); ma.Damn.FootprintBytes() > window*4 {
+		t.Fatalf("footprint %d for window %d", ma.Damn.FootprintBytes(), window)
 	}
 }
 
 func TestSenderSurvivesTinyTxRing(t *testing.T) {
-	// A TX ring smaller than the window: PostTX fails sometimes; the
-	// sender must retry via completions without losing accounting.
+	// A TX ring smaller than the 16-segment window: PostTX fails
+	// sometimes; the sender must retry via completions without losing
+	// accounting.
 	ma, err := testbed.NewMachine(testbed.MachineConfig{
 		Scheme: testbed.SchemeOff, MemBytes: 128 << 20, Cores: 1, RingSize: 4,
 	})
@@ -46,7 +47,7 @@ func TestSenderSurvivesTinyTxRing(t *testing.T) {
 	})
 	drv := netstack.NewDriver(ma.Kernel, nic)
 	drv.OnTxDone = netstack.DispatchTxDone
-	snd := &netstack.Sender{K: ma.Kernel, Drv: drv, Core: ma.Cores[0], Window: 8 * ma.Model.SegmentSize}
+	snd := &netstack.Sender{K: ma.Kernel, Drv: drv, Core: ma.Cores[0]}
 	snd.Start()
 	ma.Sim.Run(2 * sim.Millisecond)
 	snd.Stop()

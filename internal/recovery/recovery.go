@@ -62,26 +62,12 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Config tunes the supervisor. Zero fields take defaults.
-type Config struct {
-	// MaxResets bounds reset attempts per quarantine before Failed.
-	MaxResets int
-	// ResetBackoff is the delay before the first reset attempt; it doubles
-	// per retry (exponential backoff in simulated time).
-	ResetBackoff sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxResets == 0 {
-		c.MaxResets = 3
-	}
-	if c.ResetBackoff == 0 {
-		c.ResetBackoff = 100 * sim.Microsecond
-	}
-	return c
-}
-
 const (
+	// maxResets bounds reset attempts per quarantine before Failed.
+	maxResets int = 3
+	// resetBackoff is the delay before the first reset attempt; it
+	// doubles per retry (exponential backoff in simulated time).
+	resetBackoff = 100 * sim.Microsecond
 	// signalWindow is the sliding sim-time window over which fault signals
 	// are counted.
 	signalWindow = 200 * sim.Microsecond
@@ -129,7 +115,6 @@ type Supervisor struct {
 	dma   *dmaapi.Engine
 	damn  *damn.DAMN // nil on non-DAMN schemes
 	model *perf.Model
-	cfg   Config
 	devs  map[int]*devState
 	order []int
 	stop  func()
@@ -186,7 +171,7 @@ type Transition struct {
 // detection poll. Supervised devices: the NIC (with its driver) when
 // present, plus the NVMe identity (fault counting only — it has no driver
 // in this testbed). Stop the returned supervisor's poll via Stop.
-func Attach(ma *testbed.Machine, cfg Config) *Supervisor {
+func Attach(ma *testbed.Machine) *Supervisor {
 	s := &Supervisor{
 		se:    ma.Sim,
 		core:  ma.Cores[0],
@@ -194,7 +179,6 @@ func Attach(ma *testbed.Machine, cfg Config) *Supervisor {
 		dma:   ma.DMA,
 		damn:  ma.Damn,
 		model: ma.Model,
-		cfg:   cfg.withDefaults(),
 		devs:  make(map[int]*devState),
 		reg:   ma.Stats,
 	}
@@ -398,7 +382,7 @@ func (s *Supervisor) quarantine(ds *devState, removal bool) {
 
 func (s *Supervisor) scheduleReset(ds *devState) {
 	// Exponential backoff charged to simulated time: 1x, 2x, 4x...
-	delay := s.cfg.ResetBackoff << uint(ds.resets)
+	delay := resetBackoff << uint(ds.resets)
 	s.se.After(delay, func() { s.reset(ds) })
 }
 
@@ -447,7 +431,7 @@ func (s *Supervisor) reinit(ds *devState, t *sim.Task) {
 	}
 	if err != nil {
 		s.u.DetachDevice(ds.dev)
-		if ds.resets >= s.cfg.MaxResets {
+		if ds.resets >= maxResets {
 			s.failDevice(ds)
 			return
 		}

@@ -61,7 +61,7 @@ func runUntilState(t *testing.T, ma *testbed.Machine, sup *recovery.Supervisor, 
 // conservation invariants intact and the recovery evidence recorded.
 func TestStormQuarantineHeal(t *testing.T) {
 	ma := newMachine(t, testbed.SchemeDAMN)
-	sup := recovery.Attach(ma, recovery.Config{})
+	sup := recovery.Attach(ma)
 	if err := ma.FillAllRings(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStormQuarantineHeal(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() ([]recovery.Transition, uint64) {
 		ma := newMachine(t, testbed.SchemeDAMN)
-		sup := recovery.Attach(ma, recovery.Config{})
+		sup := recovery.Attach(ma)
 		if err := ma.FillAllRings(); err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestDeterminism(t *testing.T) {
 // no re-attach (Failed); hotplugging a replacement heals the domain.
 func TestRemovalAndHotplug(t *testing.T) {
 	ma := newMachine(t, testbed.SchemeDAMN)
-	sup := recovery.Attach(ma, recovery.Config{})
+	sup := recovery.Attach(ma)
 	if err := ma.FillAllRings(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,11 @@ func TestRemovalAndHotplug(t *testing.T) {
 
 // TestBoundedRetriesFail: when reinitialisation keeps failing (allocation
 // faults at rate 1.0 starve every ring refill), the supervisor must retry
-// with backoff at most MaxResets times and then park the device as Failed —
-// not loop forever.
+// with backoff at most 3 times and then park the device as Failed — not
+// loop forever.
 func TestBoundedRetriesFail(t *testing.T) {
 	ma := newMachine(t, testbed.SchemeDeferred)
-	sup := recovery.Attach(ma, recovery.Config{MaxResets: 2})
+	sup := recovery.Attach(ma)
 	if err := ma.FillAllRings(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestBoundedRetriesFail(t *testing.T) {
 	if sup.Failures != 1 {
 		t.Errorf("failures = %d, want 1", sup.Failures)
 	}
-	if got := sup.ResetsFor(testbed.NICDeviceID); got != 2 {
-		t.Errorf("reset attempts = %d, want exactly MaxResets=2", got)
+	if got := sup.ResetsFor(testbed.NICDeviceID); got != 3 {
+		t.Errorf("reset attempts = %d, want exactly 3", got)
 	}
 	if ma.IOMMU.Attached(testbed.NICDeviceID) {
 		t.Error("failed device left attached")
@@ -214,11 +214,7 @@ func TestBoundedRetriesFail(t *testing.T) {
 // reinitialisation the rings must be full again without watchdog help.
 func TestWatchdogQuarantineInterplay(t *testing.T) {
 	ma := newMachine(t, testbed.SchemeDAMN)
-	sup := recovery.Attach(ma, recovery.Config{
-		// Slow the reset down so several watchdog periods elapse while
-		// the device is down.
-		ResetBackoff: 2 * sim.Millisecond,
-	})
+	sup := recovery.Attach(ma)
 	if err := ma.FillAllRings(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +234,28 @@ func TestWatchdogQuarantineInterplay(t *testing.T) {
 	if posted() != 0 {
 		t.Fatalf("quarantine left %d descriptors posted", posted())
 	}
-	// Let the watchdog run while the device is down: no repost may land.
-	for i := 0; i < 10; i++ {
-		ma.Sim.Run(ma.Sim.Now() + 100*sim.Microsecond)
-		if sup.State(testbed.NICDeviceID) != recovery.Quarantined {
-			break
-		}
+	// The device stays fenced from the quarantine until reinitialisation,
+	// at least the 100 µs reset backoff, which is the watchdog's period:
+	// the watchdog ticks at least once while the device is down. Step
+	// through the whole window; no repost may land.
+	deadline := ma.Sim.Now() + 100*sim.Millisecond
+	for ma.NIC.Quarantined() && ma.Sim.Now() < deadline {
 		if posted() != 0 {
 			t.Fatalf("watchdog reposted %d descriptors into a quarantined device", posted())
 		}
+		ma.Sim.Run(ma.Sim.Now() + 5*sim.Microsecond)
+	}
+	var down, up sim.Time
+	for _, tr := range sup.Transitions {
+		switch tr.To {
+		case recovery.Quarantined:
+			down = tr.At
+		case recovery.Reinitializing:
+			up = tr.At
+		}
+	}
+	if up-down < 100*sim.Microsecond {
+		t.Fatalf("device was down %v, less than one watchdog period", up-down)
 	}
 
 	runUntilState(t, ma, sup, recovery.Healthy)

@@ -268,7 +268,6 @@ type Engine struct {
 
 	// Observability (optional): metric handles are nil-safe, so the hot
 	// loop below needs no branches when stats are off.
-	stats     *stats.Registry
 	evCounter *stats.Counter
 	taskCount *stats.Counter
 	irqCount  *stats.Counter
@@ -285,15 +284,11 @@ func NewEngine(seed int64) *Engine {
 // SetStats attaches a metrics registry: the engine counts processed events
 // and cores record task counts and duration distributions into it.
 func (e *Engine) SetStats(r *stats.Registry) {
-	e.stats = r
 	e.evCounter = r.Counter("sim", "events_processed")
 	e.taskCount = r.Counter("sim", "tasks")
 	e.irqCount = r.Counter("sim", "irq_tasks")
 	e.taskHist = r.Histogram("sim", "task_ps")
 }
-
-// Stats returns the attached registry (nil when none).
-func (e *Engine) Stats() *stats.Registry { return e.stats }
 
 // SetTracer attaches a trace sink under the given trace process ID; cores
 // emit one span per executed task (tid = core ID).

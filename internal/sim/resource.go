@@ -47,10 +47,6 @@ func (l *SpinLock) LockFor(t *Task, hold Time) {
 	l.Acquisitions++
 }
 
-// ContendedAt reports whether the lock is (still) held at the given time —
-// an arriving acquirer would have to spin.
-func (l *SpinLock) ContendedAt(now Time) bool { return l.freeAt > now }
-
 // Utilization returns the lock's recent busy fraction, computed over
 // rolling ~50 us windows. Callers use it to model contention-dependent
 // hold-time inflation (cache-line bouncing): handing a contended lock
@@ -116,17 +112,6 @@ func (r *FluidResource) Reserve(now Time, units float64) Time {
 	d := Time(units / r.Rate * float64(Second))
 	r.freeAt = start + d
 	r.used += units
-	return r.freeAt
-}
-
-// ReserveTime occupies the resource for a fixed duration (e.g. an IOMMU
-// page walk stalling a DMA pipeline) and returns the completion time.
-func (r *FluidResource) ReserveTime(now Time, d Time) Time {
-	start := now
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	r.freeAt = start + d
 	return r.freeAt
 }
 

@@ -59,21 +59,10 @@ type Transition struct {
 	From, To State
 }
 
-// Config tunes the containment ladder. Zero values take defaults.
-type Config struct {
-	// MaxQuarantines is the fault budget: needing one more quarantine
-	// after this many becomes Evicted.
-	MaxQuarantines int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxQuarantines <= 0 {
-		c.MaxQuarantines = 2
-	}
-	return c
-}
-
 const (
+	// maxQuarantines is the fault budget: a tenant needing one more
+	// quarantine after this many becomes Evicted.
+	maxQuarantines int = 2
 	// pollPeriod is the violation-detection tick.
 	pollPeriod = 50 * sim.Microsecond
 	// violationWindow is how long a violation stays countable.
@@ -121,7 +110,6 @@ func (t *Tenant) Quarantines() int { return t.quarantines }
 // and DAMN generation.
 type Manager struct {
 	ma    *testbed.Machine
-	cfg   Config
 	table *Table
 	fair  *FairShare
 
@@ -151,10 +139,9 @@ type Manager struct {
 // Attach wires a tenant manager to a machine: installs the capability gate
 // on the driver, the fair-share pacer on the NIC, and arms the violation
 // poll. The machine behaves identically until AddTenant assigns rings.
-func Attach(ma *testbed.Machine, cfg Config) *Manager {
-	cfg = cfg.withDefaults()
+func Attach(ma *testbed.Machine) *Manager {
 	rings := ma.NIC.Cfg.Rings
-	m := &Manager{ma: ma, cfg: cfg, byDev: map[int]*Tenant{}}
+	m := &Manager{ma: ma, byDev: map[int]*Tenant{}}
 	m.table = NewTable(rings)
 	m.table.SetStats(ma.Stats)
 	// The admission ceiling is the NIC's aggregate DMA budget: PCIeGbps is
@@ -184,9 +171,6 @@ func (m *Manager) Table() *Table { return m.table }
 
 // Fair exposes the fair-share pacer.
 func (m *Manager) Fair() *FairShare { return m.fair }
-
-// Tenants lists tenants in registration order.
-func (m *Manager) Tenants() []*Tenant { return m.tenants }
 
 // TenantByID returns a registered tenant, or nil.
 func (m *Manager) TenantByID(id int) *Tenant {
@@ -301,7 +285,7 @@ func (m *Manager) poll() {
 					// Still hostile through its own quarantine (DMA
 					// probes from a detached function keep faulting):
 					// spend another quarantine or run out of budget.
-					if t.quarantines >= m.cfg.MaxQuarantines {
+					if t.quarantines >= maxQuarantines {
 						m.evict(t)
 					} else {
 						m.quarantine(t)

@@ -130,7 +130,7 @@ func runUntil(t *testing.T, ma *testbed.Machine, what string, cond func() bool) 
 // quiet window restores it.
 func TestLadderThrottleRecover(t *testing.T) {
 	ma := newMachine(t)
-	mgr := tenant.Attach(ma, tenant.Config{})
+	mgr := tenant.Attach(ma)
 	ten, err := mgr.AddTenant(0, 1, []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestLadderThrottleRecover(t *testing.T) {
 // probation re-admits it.
 func TestLadderQuarantineReadmit(t *testing.T) {
 	ma := newMachine(t)
-	mgr := tenant.Attach(ma, tenant.Config{})
+	mgr := tenant.Attach(ma)
 	ten, err := mgr.AddTenant(0, 1, []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -214,11 +214,11 @@ func TestLadderQuarantineReadmit(t *testing.T) {
 }
 
 // TestLadderEvict: a persistent attacker that keeps presenting revoked
-// capabilities straight through its own quarantine exhausts the fault
-// budget and is evicted for good.
+// capabilities straight through its own quarantines exhausts the fault
+// budget of two quarantines and is evicted for good.
 func TestLadderEvict(t *testing.T) {
 	ma := newMachine(t)
-	mgr := tenant.Attach(ma, tenant.Config{MaxQuarantines: 1})
+	mgr := tenant.Attach(ma)
 	ten, err := mgr.AddTenant(0, 1, []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +239,12 @@ func TestLadderEvict(t *testing.T) {
 	}
 	if got := ten.State(); got != tenant.Evicted {
 		t.Fatalf("persistent attacker state = %s, want evicted", got)
+	}
+	if got := ten.Quarantines(); got != 2 {
+		t.Errorf("evicted after %d quarantines, want 2", got)
+	}
+	if mgr.Evictions != 1 {
+		t.Errorf("Evictions = %d, want 1", mgr.Evictions)
 	}
 	if !ma.NIC.RingQuarantined(0) {
 		t.Error("evicted tenant's ring not fenced")

@@ -324,7 +324,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 			// Lost completion interrupts and shrunken rings recover via
 			// the driver's watchdog poll; armed only under injection so
 			// the fault-free event stream is untouched.
-			ma.StopWatchdog = ma.Driver.EnableWatchdog(0)
+			ma.StopWatchdog = ma.Driver.EnableWatchdog()
 		}
 	}
 	return ma, nil

@@ -45,9 +45,6 @@ type Router struct {
 // Shard returns the cluster shard the router runs on.
 func (r *Router) Shard() *sim.Shard { return r.shard }
 
-// Ports returns the number of attached output ports.
-func (r *Router) Ports() int { return len(r.ports) }
-
 // receive is the terminus of every link pointing at the router; it runs on
 // the router's shard.
 func (r *Router) receive(seg device.Segment) {

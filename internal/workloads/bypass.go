@@ -17,10 +17,11 @@ type BypassConfig struct {
 	Rings    int
 	Duration sim.Time
 	Warmup   sim.Time
-	// IdleWindow, measured before any load is offered, captures the
-	// busy-poll burn of an idle bypass app (default 2 ms).
-	IdleWindow sim.Time
 }
+
+// bypassIdleWindow, measured before any load is offered, captures the
+// busy-poll burn of an idle bypass app.
+const bypassIdleWindow = 2 * sim.Millisecond
 
 // BypassResult is one row of the bypass figure.
 type BypassResult struct {
@@ -65,9 +66,6 @@ func RunBypass(cfg BypassConfig) (BypassResult, error) {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 20 * sim.Millisecond
 	}
-	if cfg.IdleWindow == 0 {
-		cfg.IdleWindow = 2 * sim.Millisecond
-	}
 	if cfg.Rings > ma.NIC.Cfg.Rings {
 		return BypassResult{}, fmt.Errorf("workloads: %d bypass rings on a %d-ring NIC", cfg.Rings, ma.NIC.Cfg.Rings)
 	}
@@ -99,7 +97,7 @@ func RunBypass(cfg BypassConfig) (BypassResult, error) {
 
 	// Idle window: the poll loops spin against an empty used ring.
 	idle := ma.OpenWindow()
-	ma.Sim.Run(ma.Sim.Now() + cfg.IdleWindow)
+	ma.Sim.Run(ma.Sim.Now() + bypassIdleWindow)
 	idleBurn := idle.Close().BusyCores()
 
 	// One steered line-rate flow per ring, ports round-robined.

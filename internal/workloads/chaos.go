@@ -16,16 +16,9 @@ import (
 type ChaosConfig struct {
 	// FaultSeed roots every fault kind's random stream.
 	FaultSeed int64
-	// FaultRate is the uniform per-visit injection probability applied to
-	// every fault kind (default 0.002). Rates overrides it per kind when
-	// non-nil.
-	FaultRate float64
-	Rates     map[faults.Kind]float64
-	// Cores for the machine (default 4: chaos runs favour iteration speed
-	// over fidelity to the 28-core testbed).
-	Cores    int
-	Duration sim.Time
-	Warmup   sim.Time
+	// Rates is each fault kind's per-visit injection probability; nil
+	// applies chaosRate to every kind.
+	Rates map[faults.Kind]float64
 	// Recovery attaches the fault-domain supervisor, so a chaos run that
 	// degrades into a fault storm gets quarantined and healed instead of
 	// limping. The supervisor's own work is part of the schedule under
@@ -60,26 +53,24 @@ type ChaosResult struct {
 	Snapshot stats.Snapshot
 }
 
-func (cfg *ChaosConfig) defaults() {
-	if cfg.FaultRate == 0 {
-		cfg.FaultRate = 0.002
-	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 4
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 30 * sim.Millisecond
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 10 * sim.Millisecond
-	}
-}
+const (
+	// chaosRate is the uniform per-visit injection probability of every
+	// fault kind when ChaosConfig.Rates is nil.
+	chaosRate = 0.002
+	// chaosCores is the machine's core count: chaos runs favour
+	// iteration speed over fidelity to the 28-core testbed.
+	chaosCores int = 4
+	// chaosWarmup and chaosDuration are the workload's warm-up and
+	// measurement windows.
+	chaosWarmup   = 10 * sim.Millisecond
+	chaosDuration = 30 * sim.Millisecond
+)
 
-// faultConfig builds the machine's fault plane from the chaos knobs.
+// faultConfig builds the machine's fault plane from the chaos config.
 func (cfg *ChaosConfig) faultConfig() *faults.Config {
 	rates := cfg.Rates
 	if rates == nil {
-		rates = faults.UniformRates(cfg.FaultRate)
+		rates = faults.UniformRates(chaosRate)
 	}
 	return &faults.Config{Seed: cfg.FaultSeed, Rates: rates}
 }
@@ -90,7 +81,7 @@ func (cfg *ChaosConfig) faultConfig() *faults.Config {
 func newChaosMachine(cfg *ChaosConfig) (*testbed.Machine, error) {
 	return testbed.NewMachine(testbed.MachineConfig{
 		Scheme: testbed.SchemeDAMN,
-		Cores:  cfg.Cores,
+		Cores:  chaosCores,
 		Faults: cfg.faultConfig(),
 	})
 }
@@ -100,7 +91,7 @@ func attachChaosRecovery(cfg *ChaosConfig, ma *testbed.Machine) *recovery.Superv
 	if !cfg.Recovery {
 		return nil
 	}
-	return recovery.Attach(ma, recovery.Config{})
+	return recovery.Attach(ma)
 }
 
 // finish stops the watchdog and supervisor, runs the conservation audit and
@@ -139,7 +130,6 @@ func finishChaos(ma *testbed.Machine, sup *recovery.Supervisor, res *ChaosResult
 // degradation paths keep the machine alive. The run fails only if a layer
 // panics or the allocator's conservation invariants break.
 func RunChaosNetperf(cfg ChaosConfig) (ChaosResult, error) {
-	cfg.defaults()
 	ma, err := newChaosMachine(&cfg)
 	if err != nil {
 		return ChaosResult{}, err
@@ -152,8 +142,8 @@ func RunChaosNetperf(cfg ChaosConfig) (ChaosResult, error) {
 		Machine:  ma,
 		RXCores:  rx,
 		TXCores:  tx,
-		Duration: cfg.Duration,
-		Warmup:   cfg.Warmup,
+		Duration: chaosDuration,
+		Warmup:   chaosWarmup,
 	})
 	if err != nil {
 		return ChaosResult{}, err
@@ -174,7 +164,6 @@ type ChaosMemcachedResult struct {
 // fault schedule — the RX-and-TX-coupled flow where a lost completion stalls
 // a memslap slot until the watchdog reaps it.
 func RunChaosMemcached(cfg ChaosConfig) (ChaosMemcachedResult, error) {
-	cfg.defaults()
 	ma, err := newChaosMachine(&cfg)
 	if err != nil {
 		return ChaosMemcachedResult{}, err
@@ -184,8 +173,8 @@ func RunChaosMemcached(cfg ChaosConfig) (ChaosMemcachedResult, error) {
 	var res ChaosMemcachedResult
 	res.Memcached, err = RunMemcached(MemcachedConfig{
 		Machine:  ma,
-		Duration: cfg.Duration,
-		Warmup:   cfg.Warmup,
+		Duration: chaosDuration,
+		Warmup:   chaosWarmup,
 	})
 	if err != nil {
 		return ChaosMemcachedResult{}, err

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"github.com/asplos18/damn/internal/faults"
+	"github.com/asplos18/damn/internal/netstack"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
+	"github.com/asplos18/damn/internal/topo"
 )
 
-func quickRing() RingConfig {
-	return RingConfig{
+func quickRing() ringConfig {
+	return ringConfig{
 		Scheme: testbed.SchemeDAMN, Machines: 3,
 		Seed: 42, Duration: 3 * sim.Millisecond, Warmup: 1 * sim.Millisecond,
 	}
@@ -30,7 +32,7 @@ func TestTopologyReplay(t *testing.T) {
 		run func(t *testing.T) any
 	}{
 		{"ring", func(t *testing.T) any {
-			res, err := RunRing(quickRing())
+			res, err := runRing(quickRing())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +44,7 @@ func TestTopologyReplay(t *testing.T) {
 		{"chaos-ring", func(t *testing.T) any {
 			cfg := quickRing()
 			cfg.Faults = &faults.Config{Seed: 17, Rates: faults.UniformRates(0.005)}
-			res, err := RunRing(cfg)
+			res, err := runRing(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,13 +100,13 @@ func TestTopologyReplay(t *testing.T) {
 // forwarding). Processed counts are excluded — an armed plane runs a
 // watchdog ticker, which adds events without touching traffic.
 func TestRingZeroRateFaultsMatchBaseline(t *testing.T) {
-	base, err := RunRing(quickRing())
+	base, err := runRing(quickRing())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := quickRing()
 	cfg.Faults = &faults.Config{Seed: 99, Rates: faults.UniformRates(0)}
-	armed, err := RunRing(cfg)
+	armed, err := runRing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,4 +146,141 @@ func TestIncastDamnAuditAcrossMachines(t *testing.T) {
 	if res.Delivered == 0 {
 		t.Fatal("incast delivered nothing")
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Ring: N machines, each streaming to its successor — the balanced
+// topology behind the replay tests.
+// ---------------------------------------------------------------------------
+
+// ringConfig describes an N-machine ring where machine i streams one flow
+// to machine (i+1) mod N over a direct link. Load is symmetric, so every
+// shard has equal work, and every machine plays both endpoint roles at
+// once — the cleanest replay probe.
+type ringConfig struct {
+	Scheme   testbed.Scheme
+	Machines int
+	Seed     int64
+	Duration sim.Time
+	Warmup   sim.Time
+	// Faults, when non-nil, arms every machine's fault-injection plane —
+	// link impairments then fire at each machine's ingress links,
+	// including the cross-machine forwarded path. Each machine draws from
+	// its own per-kind streams, so the combined schedule replays exactly.
+	Faults *faults.Config
+}
+
+// ringResult summarises a ring run. Two runs of the same config are
+// comparable field-by-field: any divergence between them is a determinism
+// bug.
+type ringResult struct {
+	Scheme         string
+	PerMachineGbps []float64
+	TotalGbps      float64
+	Segments       uint64
+	Epochs         uint64
+	// Processed is each shard's engine event count — the strictest cheap
+	// identity probe (every event execution shows up here).
+	Processed []uint64
+	// FaultDigests is each machine's fault-schedule digest (nil when the
+	// ring runs fault-free): a replay/divergence probe for the fault plane
+	// across shards.
+	FaultDigests []uint64
+	// Injected is the total injected faults across machines.
+	Injected uint64
+}
+
+// ringCores is the core count of every ring machine: core 0 runs the
+// sender pump and core 1 receives.
+const ringCores int = 2
+
+// runRing executes the ring and reports per-machine receive goodput.
+func runRing(cfg ringConfig) (ringResult, error) {
+	if cfg.Machines <= 1 {
+		cfg.Machines = 3
+	}
+	if cfg.Duration == 0 {
+		cfg.Duration = 5 * sim.Millisecond
+	}
+	if cfg.Warmup == 0 {
+		cfg.Warmup = 1 * sim.Millisecond
+	}
+
+	tp := topo.New(ClusterLinkLatency)
+	defer tp.Close()
+
+	var nodes []*topo.Node
+	for i := 0; i < cfg.Machines; i++ {
+		mcfg := clusterMachineCfg(cfg.Scheme, cfg.Seed*1000+int64(i), ringCores)
+		if cfg.Faults != nil {
+			f := *cfg.Faults
+			f.Seed ^= int64(i) * 0x9E3779B9 // distinct per-machine schedules
+			mcfg.Faults = &f
+		}
+		node, err := tp.AddMachine(mcfg)
+		if err != nil {
+			return ringResult{}, err
+		}
+		nodes = append(nodes, node)
+	}
+
+	receivers := make([]*netstack.Receiver, cfg.Machines)
+	var senders []*netstack.Sender
+	for i, node := range nodes {
+		next := nodes[(i+1)%cfg.Machines]
+		if err := tp.ConnectMachines(node, 0, next, 0, ClusterLinkLatency); err != nil {
+			return ringResult{}, err
+		}
+		hash := netstack.RSSHashIPv4(clusterAddr(i), clusterAddr((i+1)%cfg.Machines), uint16(10000+i), 5001)
+		// Steer the inbound flow to the successor's core 1: core 0 runs its
+		// sender pump, so without the rule RSS luck decides which machines
+		// suffer send/receive contention and the ring load is lopsided.
+		if err := next.M.NIC.SteerFlow(hash, 1); err != nil {
+			return ringResult{}, err
+		}
+		senders = append(senders, &netstack.Sender{
+			K: node.M.Kernel, Drv: node.M.Driver, Core: node.M.Cores[0],
+			Ring: 0, PortID: 0, Flow: 200 + i, Hash: hash,
+		})
+		receivers[i] = &netstack.Receiver{K: node.M.Kernel}
+		recv := receivers[i]
+		node.M.Driver.OnDeliver = func(t *sim.Task, ring int, skb *netstack.SKBuff) {
+			recv.HandleSegment(t, skb)
+		}
+	}
+	for _, n := range nodes {
+		if err := n.M.FillAllRings(); err != nil {
+			return ringResult{}, err
+		}
+	}
+	for _, s := range senders {
+		s.Start()
+	}
+
+	tp.Run(cfg.Warmup)
+	rx0 := make([]uint64, cfg.Machines)
+	for i, r := range receivers {
+		rx0[i] = r.Bytes
+	}
+	t0 := tp.Cluster().Now()
+	tp.Run(t0 + cfg.Duration)
+	dt := (tp.Cluster().Now() - t0).Seconds()
+
+	res := ringResult{Scheme: string(cfg.Scheme), Epochs: tp.Cluster().Epochs()}
+	for i, r := range receivers {
+		g := float64(r.Bytes-rx0[i]) * 8 / dt / 1e9
+		res.PerMachineGbps = append(res.PerMachineGbps, g)
+		res.TotalGbps += g
+		res.Segments += r.Segments
+	}
+	for _, s := range tp.Cluster().Shards() {
+		res.Processed = append(res.Processed, s.Engine().Processed())
+	}
+	for _, n := range nodes {
+		if n.M.Faults != nil {
+			res.FaultDigests = append(res.FaultDigests, n.M.Faults.ScheduleDigest())
+			res.Injected += n.M.Faults.InjectedTotal()
+		}
+	}
+	return res, nil
 }

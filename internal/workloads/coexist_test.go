@@ -25,7 +25,7 @@ func TestDamnCoexistsWithFallbackScheme(t *testing.T) {
 	// Drive both workloads over the same simulated window: submit fio's
 	// storage load (cores of the second socket) without advancing time,
 	// then let RunNetperf drive the engine for both.
-	fioCfg := FioConfig{Machine: ma, NVMe: nvme, Threads: 8, BlockSize: 4096}
+	fioCfg := FioConfig{Machine: ma, NVMe: nvme, BlockSize: 4096}
 	netCfg := NetperfConfig{
 		Machine: ma, RXCores: []int{0, 1, 2, 3},
 		Warmup: 5 * sim.Millisecond, Duration: 30 * sim.Millisecond,
@@ -71,7 +71,7 @@ func startFioThreads(t *testing.T, cfg FioConfig) *fioThreads {
 	t.Helper()
 	ma := cfg.Machine
 	ft := &fioThreads{t0: ma.Sim.Now()}
-	for i := 0; i < cfg.Threads; i++ {
+	for i := 0; i < fioThreadCount; i++ {
 		p, err := ma.Mem.AllocPages(0, i%ma.Model.NumNodes)
 		if err != nil {
 			t.Fatal(err)

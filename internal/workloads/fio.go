@@ -18,8 +18,6 @@ import (
 type FioConfig struct {
 	Machine *testbed.Machine
 	NVMe    *device.NVMe
-	// Threads (12 in the paper), one queue pair and one core each.
-	Threads int
 	// BlockSize per read.
 	BlockSize int
 	Duration  sim.Time
@@ -44,15 +42,17 @@ type fioThread struct {
 	stop bool
 }
 
-// fioDepth is per-thread async queue depth.
-const fioDepth int = 16
+const (
+	// fioThreadCount is the number of fio threads (12 in the paper), one
+	// queue pair and one core each.
+	fioThreadCount int = 12
+	// fioDepth is per-thread async queue depth.
+	fioDepth int = 16
+)
 
 // RunFio executes one block-size point.
 func RunFio(cfg FioConfig) (FioResult, error) {
 	ma := cfg.Machine
-	if cfg.Threads == 0 {
-		cfg.Threads = 12
-	}
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 4096
 	}
@@ -63,7 +63,7 @@ func RunFio(cfg FioConfig) (FioResult, error) {
 		cfg.Warmup = 10 * sim.Millisecond
 	}
 
-	threads := make([]*fioThread, cfg.Threads)
+	threads := make([]*fioThread, fioThreadCount)
 	for i := range threads {
 		// O_DIRECT user buffer: page-aligned anonymous memory.
 		order := 0

@@ -66,18 +66,18 @@ func TestRunnerResultsGolden(t *testing.T) {
 		{"bypass", func(t *testing.T) (any, error) {
 			ma := goldenMachine(t, testbed.MachineConfig{Scheme: testbed.SchemeBypassProt})
 			return RunBypass(BypassConfig{
-				Machine: ma, Rings: 3, IdleWindow: goldenWindow,
+				Machine: ma, Rings: 3,
 				Warmup: 1 * sim.Millisecond, Duration: goldenWindow,
 			})
-		}, BypassResult{Scheme: "bypass-prot", RXGbps: 105.87132136119544, CPUUtil: 1.0000263298873089,
-			CPUPerMBus: 226.69625360973595, IdleBurnCores: 2.9990126740444887,
-			MemBWGBps: 6.616957585074715, Polls: 0x28b5, Harvested: 0x327, Doorbells: 0x32a}},
+		}, BypassResult{Scheme: "bypass-prot", RXGbps: 106.04602651195648, CPUUtil: 1.0000485447960057,
+			CPUPerMBus: 226.32781127728583, IdleBurnCores: 3,
+			MemBWGBps: 6.62787665699728, Polls: 0x22d7, Harvested: 0x327, Doorbells: 0x32a}},
 
 		{"fio", func(t *testing.T) (any, error) {
 			ma := goldenMachine(t, testbed.MachineConfig{Scheme: testbed.SchemeStrict, MemBytes: 128 << 20, NoNIC: true})
 			nvme := device.NewNVMe(ma.Sim, ma.IOMMU, ma.Model, ma.Cores, device.DefaultP3700(testbed.NVMeDeviceID))
 			return RunFio(FioConfig{
-				Machine: ma, NVMe: nvme, Threads: 3, BlockSize: 16384,
+				Machine: ma, NVMe: nvme, BlockSize: 16384,
 				Warmup: 1 * sim.Millisecond, Duration: goldenWindow,
 			})
 		}, FioResult{Scheme: "strict", BlockSize: 16384, IOPS: 209930.88718311422,
@@ -85,11 +85,8 @@ func TestRunnerResultsGolden(t *testing.T) {
 
 		{"scaling", func(t *testing.T) (any, error) {
 			ma := goldenMachine(t, testbed.MachineConfig{Scheme: testbed.SchemeDAMN})
-			return RunScaling(ScalingConfig{
-				Machine: ma, FlowsPerRing: 2,
-				Warmup: 1 * sim.Millisecond, Duration: goldenWindow,
-			})
-		}, ScalingResult{Scheme: "damn", Cores: 3, RXGbps: 105.87132136119544, CPUUtil: 0.5410427918485293}},
+			return RunScaling(ScalingConfig{Machine: ma, Warmup: 1 * sim.Millisecond, Duration: goldenWindow})
+		}, ScalingResult{Scheme: "damn", Cores: 3, RXGbps: 105.87132136119544, CPUUtil: 0.541037370522211}},
 
 		{"loss", func(t *testing.T) (any, error) {
 			ma := lossMachine(t, testbed.SchemeDAMN, 1, 5)
@@ -102,15 +99,14 @@ func TestRunnerResultsGolden(t *testing.T) {
 
 		{"recovery", func(t *testing.T) (any, error) {
 			return RunRecovery(RecoveryConfig{
-				Scheme: testbed.SchemeDAMN, FaultSeed: 7, Cores: 3,
-				Warmup: 2 * sim.Millisecond, Steady: goldenWindow, StormLen: goldenWindow,
-				RecoveryDeadline: 20 * sim.Millisecond, Settle: 1 * sim.Millisecond, Measure: goldenWindow,
+				Scheme: testbed.SchemeDAMN, FaultSeed: 7,
+				Warmup: 2 * sim.Millisecond, Steady: goldenWindow, Measure: goldenWindow,
 			})
-		}, RecoveryResult{Scheme: "damn", SteadyGbps: 161.951674755492, StormGbps: 111.63659133631003,
-			RecoveredGbps: 146.7523266392808, DetectPS: 628515943, MTTRPS: 100000000,
-			FinalState: "healthy", Storms: 0x4, Quarantines: 0x4, Resets: 0x4,
-			ReleasedPages: 15792, PinnedChunks: 16, DamnLiveChunks: 279, FaultRecords: 0xb9a,
-			FaultOverflows: 0xe84, ScheduleDigest: 0x5392cd9b83ead6a7}},
+		}, RecoveryResult{Scheme: "damn", SteadyGbps: 197.41682035998485, StormGbps: 109.838336,
+			RecoveredGbps: 200.91092337520584, DetectPS: 85561050, MTTRPS: 100000000,
+			FinalState: "healthy", Storms: 0x3, Quarantines: 0x3, Resets: 0x3,
+			ReleasedPages: 14304, PinnedChunks: 14, DamnLiveChunks: 489, FaultRecords: 0x923,
+			FaultOverflows: 0xec7, ScheduleDigest: 0x8c1fa5d042556575}},
 
 		{"tenants", func(t *testing.T) (any, error) {
 			return RunTenants(TenantsConfig{

@@ -12,10 +12,13 @@ type Graph500Config struct {
 	Machine *testbed.Machine
 	// Cores the instance runs on (8 in the paper, split across sockets).
 	Cores []int
-	// Vertices and Degree define the problem (2^20 and 256).
+	// Vertices defines the problem size (2^20), at graph500Degree edges
+	// per vertex.
 	Vertices int
-	Degree   int
 }
+
+// graph500Degree is the graph's average degree.
+const graph500Degree int = 256
 
 // Graph500Instance is one running BFS loop.
 type Graph500Instance struct {
@@ -35,9 +38,6 @@ const edgeQuantum = 50_000
 func StartGraph500(cfg Graph500Config) *Graph500Instance {
 	if cfg.Vertices == 0 {
 		cfg.Vertices = 1 << 20
-	}
-	if cfg.Degree == 0 {
-		cfg.Degree = 256
 	}
 	g := &Graph500Instance{cfg: cfg}
 	g.startIteration()
@@ -64,7 +64,7 @@ func (g *Graph500Instance) startIteration() {
 		return
 	}
 	g.iterStart = g.cfg.Machine.Sim.Now()
-	totalEdges := int64(g.cfg.Vertices) * int64(g.cfg.Degree)
+	totalEdges := int64(g.cfg.Vertices) * int64(graph500Degree)
 	per := totalEdges / int64(len(g.cfg.Cores))
 	g.remaining = make([]int64, len(g.cfg.Cores))
 	for i := range g.remaining {

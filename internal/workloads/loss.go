@@ -33,7 +33,7 @@ func NewARQGenerator(ma *testbed.Machine, port, ring, flow, segLen int) (*ARQGen
 	if err := g.steer(ma, ring); err != nil {
 		return nil, err
 	}
-	g.arq = netstack.NewArqSender(ma.Sim, netstack.ArqConfig{SegLen: segLen}, g.xmit)
+	g.arq = netstack.NewArqSender(ma.Sim, segLen, g.xmit)
 	return g, nil
 }
 

@@ -122,7 +122,7 @@ func TestRetransmitQuarantineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ma.Close()
-	sup := recovery.Attach(ma, recovery.Config{})
+	sup := recovery.Attach(ma)
 	if err := ma.FillAllRings(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,10 @@ import (
 // non-default sizes that make the benchmark network-bound).
 type MemcachedConfig struct {
 	Machine *testbed.Machine
-	// Instances is the number of memcached processes (one per core).
-	Instances int
 	// ValueBytes is the value size (512 KiB in the paper).
 	ValueBytes int
-	// GetRatio of operations that are GETs (0.5 in the paper).
-	GetRatio float64
-	Duration sim.Time
-	Warmup   sim.Time
+	Duration   sim.Time
+	Warmup     sim.Time
 }
 
 // MemcachedResult is the Fig 7 row.
@@ -42,20 +38,19 @@ type memcachedInstance struct {
 	stopd bool
 }
 
-// memcachedConcurrency is outstanding requests per instance (memslap load).
-const memcachedConcurrency int = 2
+const (
+	// memcachedConcurrency is outstanding requests per instance (memslap
+	// load).
+	memcachedConcurrency int = 2
+	// memcachedGetRatio is the fraction of operations that are GETs.
+	memcachedGetRatio float64 = 0.5
+)
 
 // RunMemcached executes Fig 7's workload.
 func RunMemcached(cfg MemcachedConfig) (MemcachedResult, error) {
 	ma := cfg.Machine
-	if cfg.Instances == 0 {
-		cfg.Instances = len(ma.Cores)
-	}
 	if cfg.ValueBytes == 0 {
 		cfg.ValueBytes = 512 << 10
-	}
-	if cfg.GetRatio == 0 {
-		cfg.GetRatio = 0.5
 	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 60 * sim.Millisecond
@@ -70,11 +65,11 @@ func RunMemcached(cfg MemcachedConfig) (MemcachedResult, error) {
 	// Instance order is simulation-visible (it decides the seq numbers of
 	// the initial request storm), so keep instances in a slice and use the
 	// map only for flow lookup — ranging over the map here would make runs
-	// irreproducible.
-	instances := make([]*memcachedInstance, 0, cfg.Instances)
+	// irreproducible. There is one memcached process per core.
+	instances := make([]*memcachedInstance, 0, len(ma.Cores))
 	byFlow := map[int]*memcachedInstance{}
-	for i := 0; i < cfg.Instances; i++ {
-		inst := &memcachedInstance{cfg: &cfg, ma: ma, core: i % len(ma.Cores), flow: i + 1}
+	for i := 0; i < len(ma.Cores); i++ {
+		inst := &memcachedInstance{cfg: &cfg, ma: ma, core: i, flow: i + 1}
 		// Memcached frames are not TCP/IPv4, so the NIC's hash unit falls
 		// back to the flow hash; an aRFS rule pins each instance's flow to
 		// the ring (= core) the server thread runs on.
@@ -132,7 +127,7 @@ func (in *memcachedInstance) sendRequest() {
 		return
 	}
 	in.seq++
-	isGet := float64(in.seq%100)/100.0 < in.cfg.GetRatio
+	isGet := float64(in.seq%100)/100.0 < memcachedGetRatio
 	segSize := in.ma.Model.SegmentSize
 	port := in.flow % in.ma.Model.NICPorts
 

@@ -85,9 +85,6 @@ func (f *flowID) steer(ma *testbed.Machine, ring int) error {
 	return nil
 }
 
-// Hash reports the flow's RSS hash.
-func (f *flowID) Hash() uint32 { return f.hash }
-
 // Ring reports the RX ring the flow's segments are delivered to.
 func (f *flowID) Ring() int { return f.ring }
 

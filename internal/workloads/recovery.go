@@ -18,20 +18,10 @@ import (
 type RecoveryConfig struct {
 	Scheme    testbed.Scheme
 	FaultSeed int64
-	// Cores for the machine (default 4, like the chaos harness).
-	Cores int
 	// Warmup precedes the steady-state measurement (default 10 ms).
 	Warmup sim.Time
 	// Steady is the pre-storm measurement window (default 15 ms).
 	Steady sim.Time
-	// StormLen is how long the DMA-fault rate stays raised (default 2 ms).
-	StormLen sim.Time
-	// RecoveryDeadline bounds how long the run waits for the device to
-	// return to Healthy after the storm ends (default 50 ms).
-	RecoveryDeadline sim.Time
-	// Settle separates recovery from the recovered-throughput measurement
-	// (default 3 ms).
-	Settle sim.Time
 	// Measure is the post-recovery measurement window (default 15 ms).
 	Measure sim.Time
 }
@@ -69,32 +59,32 @@ func (cfg *RecoveryConfig) defaults() {
 	if cfg.Scheme == "" {
 		cfg.Scheme = testbed.SchemeDAMN
 	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 4
-	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 10 * sim.Millisecond
 	}
 	if cfg.Steady == 0 {
 		cfg.Steady = 15 * sim.Millisecond
 	}
-	if cfg.StormLen == 0 {
-		cfg.StormLen = 2 * sim.Millisecond
-	}
-	if cfg.RecoveryDeadline == 0 {
-		cfg.RecoveryDeadline = 50 * sim.Millisecond
-	}
-	if cfg.Settle == 0 {
-		cfg.Settle = 3 * sim.Millisecond
-	}
 	if cfg.Measure == 0 {
 		cfg.Measure = 15 * sim.Millisecond
 	}
 }
 
-// recoveryStormRate is the per-translation fault probability during the
-// storm: a sick device, not a flaky link.
-const recoveryStormRate float64 = 0.5
+const (
+	// recoveryCores is the machine's core count, like the chaos harness.
+	recoveryCores int = 4
+	// recoveryStormRate is the per-translation fault probability during
+	// the storm: a sick device, not a flaky link.
+	recoveryStormRate float64 = 0.5
+	// recoveryStormLen is how long the DMA-fault rate stays raised.
+	recoveryStormLen = 2 * sim.Millisecond
+	// recoveryDeadline bounds how long the run waits for the device to
+	// return to Healthy after the storm ends.
+	recoveryDeadline = 50 * sim.Millisecond
+	// recoverySettle separates recovery from the recovered-throughput
+	// measurement.
+	recoverySettle = 3 * sim.Millisecond
+)
 
 // RunRecovery executes the storm-and-heal experiment and returns its row.
 func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
@@ -103,14 +93,14 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	// only injected failure, raised and lowered by scheduled events.
 	ma, err := testbed.NewMachine(testbed.MachineConfig{
 		Scheme: cfg.Scheme,
-		Cores:  cfg.Cores,
+		Cores:  recoveryCores,
 		Faults: &faults.Config{Seed: cfg.FaultSeed, Rates: map[faults.Kind]float64{}},
 	})
 	if err != nil {
 		return RecoveryResult{}, err
 	}
 	defer ma.Close()
-	sup := recovery.Attach(ma, recovery.Config{})
+	sup := recovery.Attach(ma)
 
 	// Bidirectional netperf: half the cores receive, half send.
 	rx, tx := splitCores(len(ma.Cores))
@@ -146,19 +136,19 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	// pure function of the seed.
 	stormStart := ma.Sim.Now()
 	ma.Faults.SetRate(faults.DMAFault, recoveryStormRate)
-	ma.Sim.At(stormStart+cfg.StormLen, func() {
+	ma.Sim.At(stormStart+recoveryStormLen, func() {
 		ma.Faults.SetRate(faults.DMAFault, 0)
 	})
-	res.StormGbps = measure(cfg.StormLen)
+	res.StormGbps = measure(recoveryStormLen)
 
 	// Step deterministically until the supervisor heals the device (or the
 	// deadline expires and the row reports the terminal state).
-	deadline := ma.Sim.Now() + cfg.RecoveryDeadline
+	deadline := ma.Sim.Now() + recoveryDeadline
 	for ma.Sim.Now() < deadline && sup.State(testbed.NICDeviceID) != recovery.Healthy {
 		ma.Sim.Run(ma.Sim.Now() + 100*sim.Microsecond)
 	}
 
-	ma.Sim.Run(ma.Sim.Now() + cfg.Settle)
+	ma.Sim.Run(ma.Sim.Now() + recoverySettle)
 	res.RecoveredGbps = measure(cfg.Measure)
 
 	sup.Stop()

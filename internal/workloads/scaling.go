@@ -13,12 +13,9 @@ import (
 // core's NAPI context allocates, maps, and invalidates on its own DAMN
 // shard and throughput should grow with core count.
 type ScalingConfig struct {
-	Machine *testbed.Machine
-	// FlowsPerRing is how many flows the selector places on every ring
-	// (default 4 — enough to keep a ring busy through one flow's pauses).
-	FlowsPerRing int
-	Duration     sim.Time
-	Warmup       sim.Time
+	Machine  *testbed.Machine
+	Duration sim.Time
+	Warmup   sim.Time
 	// ExtraCycles is the per-segment workload overhead (calibration).
 	ExtraCycles float64
 	// Wakeup charges blocked-reader wakeups per segment.
@@ -38,15 +35,19 @@ type ScalingResult struct {
 	ShardClamps uint64
 }
 
+// scalingFlowsPerRing is how many flows the selector places on every ring:
+// enough to keep a ring busy through one flow's pauses.
+const scalingFlowsPerRing int = 4
+
 // selectScalingFlows picks flow ids whose RSS hash covers every ring with
-// perRing flows each. Selection is a pure function of the fixed Toeplitz
-// key and the ring count: it walks candidate flow ids in order and keeps a
-// flow only if the ring its hash maps to still needs one, so the same core
-// count always yields the same flow set — the determinism contract extends
-// through ring placement.
-func selectScalingFlows(ma *testbed.Machine, perRing int) ([]*Generator, error) {
+// scalingFlowsPerRing flows each. Selection is a pure function of the
+// fixed Toeplitz key and the ring count: it walks candidate flow ids in
+// order and keeps a flow only if the ring its hash maps to still needs
+// one, so the same core count always yields the same flow set — the
+// determinism contract extends through ring placement.
+func selectScalingFlows(ma *testbed.Machine) ([]*Generator, error) {
 	rings := ma.NIC.Cfg.Rings
-	need := rings * perRing
+	need := rings * scalingFlowsPerRing
 	counts := make([]int, rings)
 	var gens []*Generator
 	for flow := 1; len(gens) < need; flow++ {
@@ -54,7 +55,7 @@ func selectScalingFlows(ma *testbed.Machine, perRing int) ([]*Generator, error) 
 			return nil, fmt.Errorf("workloads: RSS left a ring short after %d candidate flows (rings=%d)", flow-1, rings)
 		}
 		g := NewRSSGenerator(ma, len(gens)%ma.Model.NICPorts, flow, ma.Model.SegmentSize)
-		if counts[g.Ring()] >= perRing {
+		if counts[g.Ring()] >= scalingFlowsPerRing {
 			continue
 		}
 		counts[g.Ring()]++
@@ -69,9 +70,6 @@ func RunScaling(cfg ScalingConfig) (ScalingResult, error) {
 	if ma == nil {
 		return ScalingResult{}, fmt.Errorf("workloads: nil machine")
 	}
-	if cfg.FlowsPerRing == 0 {
-		cfg.FlowsPerRing = 4
-	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 100 * sim.Millisecond
 	}
@@ -82,7 +80,7 @@ func RunScaling(cfg ScalingConfig) (ScalingResult, error) {
 		return ScalingResult{}, err
 	}
 
-	gens, err := selectScalingFlows(ma, cfg.FlowsPerRing)
+	gens, err := selectScalingFlows(ma)
 	if err != nil {
 		return ScalingResult{}, err
 	}

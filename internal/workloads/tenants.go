@@ -37,8 +37,6 @@ type TenantsConfig struct {
 	// AttackLen is the hostile window (default 10 ms; the victim-goodput
 	// measurement spans exactly this window).
 	AttackLen sim.Time
-	// StormRate is the attacker VF's DMA-fault probability (default 0.5).
-	StormRate float64
 	// OnMachine, when non-nil, observes the finished machine (the figure
 	// uses it to export the stats snapshot, per-tenant counters included).
 	// RunTenants closes the machine when it returns, so the hook must not
@@ -96,12 +94,11 @@ func (cfg *TenantsConfig) defaults() {
 	if cfg.AttackLen == 0 {
 		cfg.AttackLen = 10 * sim.Millisecond
 	}
-	if cfg.StormRate == 0 {
-		cfg.StormRate = 0.5
-	}
 }
 
 const (
+	// tenantsStormRate is the attacker VF's DMA-fault probability.
+	tenantsStormRate float64 = 0.5
 	// probeEvery is the neighbour-probe cadence.
 	probeEvery = 20 * sim.Microsecond
 	// settleDeadline bounds the post-attack wait for the ladder to settle.
@@ -123,8 +120,8 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 		return TenantsResult{}, err
 	}
 	defer ma.Close() // after OnMachine, the machine's last reader
-	mgr := tenant.Attach(ma, tenant.Config{})
-	sup := recovery.Attach(ma, recovery.Config{})
+	mgr := tenant.Attach(ma)
+	sup := recovery.Attach(ma)
 	// The supervisor owns the single-consumer fault-record ring; records
 	// attributed to tenant VFs (not supervisor-managed devices) are
 	// forwarded into the containment windows.
@@ -211,7 +208,7 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 		mgr.Table().Present(0, tenant.Handle{Tenant: 0, Epoch: ^uint32(0)})
 		mgr.Table().Present(nT, tenant.Handle{Tenant: nT + 7})
 		ma.Faults.SetDeviceFilter(faults.DMAFault, attackerDev)
-		ma.Faults.SetRate(faults.DMAFault, cfg.StormRate)
+		ma.Faults.SetRate(faults.DMAFault, tenantsStormRate)
 		probeVictim := 0
 		stopProbes := ma.Sim.Every(probeEvery, func() {
 			probeVictim = probeVictim%(nT-1) + 1 // rotate over victims

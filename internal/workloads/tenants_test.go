@@ -82,7 +82,7 @@ func TestTenantsFaultStormIsolation(t *testing.T) {
 	res, err := RunTenants(TenantsConfig{
 		Scheme: testbed.SchemeDAMN, Tenants: 2, FaultSeed: 7,
 		Warmup: 2 * sim.Millisecond, Measure: 4 * sim.Millisecond,
-		Attack: true, AttackLen: 4 * sim.Millisecond, StormRate: 0.8,
+		Attack: true, AttackLen: 4 * sim.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
