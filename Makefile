@@ -64,24 +64,26 @@ bench-go:
 
 # golden enforces the byte-identity contract: the stdout of the quick paper
 # suite at -parallel 1, and of each figure outside it, must hash to the
-# digests in cmd/damnbench/testdata/golden.sha256. The figures outside the
+# digests in cmd/damnbench/testdata/golden.sha256, and so must the -stats
+# JSON each run writes (every machine's metrics snapshot), so a change that
+# moves a count no figure prints fails here too. The figures outside the
 # paper suite, the attack matrix included, run from a race-detector binary
 # at -parallel 2, so the same pass checks that their output does not depend
 # on the worker count and runs their self-checks under the race detector
 # (the scaling figure fails on an off-core RX completion, the bypass figure
 # on its acceptance gates, the chaos harness on a conservation audit). A
-# change that moves any printed byte fails here; one that means to must
-# re-record the digests and say why.
+# change that moves any printed byte or metric fails here; one that means to
+# must re-record the digests and say why.
 GOLDEN_FIGS = scaling chaos recovery loss cluster tenants bypass attacks
 golden:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/damnbench" ./cmd/damnbench; \
 	$(GO) build -race -o "$$dir/damnbench-race" ./cmd/damnbench; \
 	echo "damnbench -quick -parallel 1"; \
-	"$$dir/damnbench" -quick -parallel 1 >"$$dir/all.out"; \
+	"$$dir/damnbench" -quick -parallel 1 -stats "$$dir/all.json" >"$$dir/all.out"; \
 	for f in $(GOLDEN_FIGS); do \
 		echo "damnbench -race -quick -parallel 2 -exp $$f"; \
-		"$$dir/damnbench-race" -quick -parallel 2 -exp $$f >"$$dir/$$f.out"; \
+		"$$dir/damnbench-race" -quick -parallel 2 -exp $$f -stats "$$dir/$$f.json" >"$$dir/$$f.out"; \
 	done; \
 	cp cmd/damnbench/testdata/golden.sha256 "$$dir/"; \
 	cd "$$dir" && sha256sum -c golden.sha256

@@ -21,8 +21,9 @@
 // scheme × datapoint jobs out across N workers (default GOMAXPROCS;
 // -parallel 1 reproduces the fully serial run). Every job owns a private
 // simulated machine and RNG and results are collected in declaration order,
-// so stdout is byte-identical for every N; per-figure timing goes to stderr
-// to keep it that way. -stats writes a JSON document with every machine's
+// so stdout is byte-identical for every N; per-figure timing and the lines
+// reporting the -stats and -trace files go to stderr to keep stdout the
+// figures alone. -stats writes a JSON document with every machine's
 // metrics registry keyed "<figure>/<scheme>"; -trace writes a Chrome
 // trace_event file (load in chrome://tracing or Perfetto) with one process
 // per simulated machine and one thread per core — tracing shares one sink
@@ -171,18 +172,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "stats: %v\n", err)
 			exit(1)
 		}
-		fmt.Printf("wrote %d metric snapshots to %s\n", len(snaps), *statsOut)
+		fmt.Fprintf(os.Stderr, "wrote %d metric snapshots to %s\n", len(snaps), *statsOut)
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, opts.Tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			exit(1)
 		}
-		fmt.Printf("wrote %d trace events to %s", opts.Tracer.Len(), *traceOut)
+		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s", opts.Tracer.Len(), *traceOut)
 		if d := opts.Tracer.Dropped(); d > 0 {
-			fmt.Printf(" (%d dropped past the event limit)", d)
+			fmt.Fprintf(os.Stderr, " (%d dropped past the event limit)", d)
 		}
-		fmt.Println()
+		fmt.Fprintln(os.Stderr)
 	}
 	exit(0)
 }
