@@ -177,7 +177,7 @@ func (c *dmaCache) getChunk(x Ctx) (*chunk, error) {
 func (c *dmaCache) putChunk(x Ctx, ch *chunk) {
 	cc := c.cpu(x)
 	if cc.loaded == nil {
-		cc.loaded = newMagazine(c.depot.m)
+		cc.loaded = newMagazine(c.depot.MagazineSize())
 	}
 	if !cc.loaded.full() {
 		cc.loaded.push(ch)
@@ -186,7 +186,7 @@ func (c *dmaCache) putChunk(x Ctx, ch *chunk) {
 	if cc.previous == nil || !cc.previous.full() {
 		cc.loaded, cc.previous = cc.previous, cc.loaded
 		if cc.loaded == nil {
-			cc.loaded = newMagazine(c.depot.m)
+			cc.loaded = newMagazine(c.depot.MagazineSize())
 		}
 		cc.loaded.push(ch)
 		return
@@ -380,8 +380,6 @@ func (d *DAMN) registerChunk(ch *chunk) {
 	tail2.SetFlags(mem.FlagDAMN)
 	d.ChunksCreated++
 	d.footprint += int64(d.ChunkBytes())
-	d.createdC.Inc()
-	d.footprintG.Add(int64(d.ChunkBytes()))
 }
 
 // unregisterChunk removes the metadata (shrinker path).
@@ -397,6 +395,4 @@ func (d *DAMN) unregisterChunk(ch *chunk) {
 	ch.regIdx = 0
 	d.ChunksReleased++
 	d.footprint -= int64(d.ChunkBytes())
-	d.releasedC.Inc()
-	d.footprintG.Add(-int64(d.ChunkBytes()))
 }

@@ -163,12 +163,8 @@ type DAMN struct {
 	magHitC      *stats.Counter
 	depotHitC    *stats.Counter
 	buildC       *stats.Counter
-	createdC     *stats.Counter
-	releasedC    *stats.Counter
 	shrinkRunsC  *stats.Counter
 	shrinkPagesC *stats.Counter
-	shardClampC  *stats.Counter
-	footprintG   *stats.Gauge
 	// reg carries the per-device clamp counters: with tenants mapped to
 	// virtual functions, a noisy tenant must not hide behind the
 	// machine-global clamp counter.
@@ -182,19 +178,28 @@ type DAMN struct {
 }
 
 // SetStats attaches a metrics registry: the allocator records magazine and
-// depot hit rates, chunk creation/teardown, shrinker reclaim, and the
-// simulated cycles it charges per cost category.
+// depot hit rates, chunk builds, shrinker reclaim, and the simulated cycles
+// it charges per cost category; chunk creation and teardown, the footprint
+// and the shard clamps are views of the counts it keeps.
 func (d *DAMN) SetStats(r *stats.Registry) {
 	d.reg = r
 	d.magHitC = r.Counter("damn", "magazine_hits")
 	d.depotHitC = r.Counter("damn", "depot_hits")
 	d.buildC = r.Counter("damn", "chunk_builds")
-	d.createdC = r.Counter("damn", "chunks_created")
-	d.releasedC = r.Counter("damn", "chunks_released")
+	r.CounterFunc("damn", "chunks_created", func() uint64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.ChunksCreated
+	})
+	r.CounterFunc("damn", "chunks_released", func() uint64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.ChunksReleased
+	})
 	d.shrinkRunsC = r.Counter("damn", "shrink_runs")
 	d.shrinkPagesC = r.Counter("damn", "shrink_pages")
-	d.shardClampC = r.Counter("damn", "shard_cpu_clamps")
-	d.footprintG = r.Gauge("damn", "footprint_bytes")
+	r.CounterFunc("damn", "shard_cpu_clamps", d.ShardClamps)
+	r.GaugeFunc("damn", "footprint_bytes", d.FootprintBytes)
 	d.allocCyc = r.FloatCounter("perf", "cycles_damn_alloc")
 	d.freeCyc = r.FloatCounter("perf", "cycles_damn_free")
 	d.refillCyc = r.FloatCounter("perf", "cycles_damn_refill")
@@ -261,7 +266,6 @@ func (d *DAMN) FootprintBytes() int64 {
 // looked up in the registry each time.
 func (d *DAMN) noteShardClamp(dev int) {
 	d.shardClamps.Add(1)
-	d.shardClampC.Add(1)
 	if dev >= 0 && d.reg != nil {
 		d.reg.Counter("damn", fmt.Sprintf("shard_cpu_clamps_dev%d", dev)).Inc()
 	}

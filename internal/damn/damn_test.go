@@ -5,11 +5,13 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
 	"github.com/asplos18/damn/internal/mem"
 	"github.com/asplos18/damn/internal/perf"
+	"github.com/asplos18/damn/internal/stats"
 )
 
 const testDev = 3
@@ -912,5 +914,49 @@ func TestConcurrentChunkRegistry(t *testing.T) {
 	churn()
 	if _, err := f.d.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatsViewsReadUnderLock: the registry reads DAMN's chunk counts and
+// footprint under d.mu, as FootprintBytes does. A snapshot taken while
+// another goroutine builds chunks is race-free, and one taken while d.mu is
+// held waits for it.
+func TestStatsViewsReadUnderLock(t *testing.T) {
+	f := newFixture(t, nil)
+	reg := stats.NewRegistry()
+	f.d.SetStats(reg)
+	const chunks = 64
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < chunks; i++ {
+			if _, err := f.d.Alloc(Ctx{}, testDev, iommu.PermWrite, f.d.MaxAlloc()); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for len(done) == 0 {
+		reg.Snapshot()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	f.d.mu.Lock()
+	snapped := make(chan stats.Snapshot)
+	go func() { snapped <- reg.Snapshot() }()
+	select {
+	case <-snapped:
+		t.Fatal("snapshot read DAMN's counts without d.mu")
+	case <-time.After(20 * time.Millisecond):
+	}
+	f.d.mu.Unlock()
+	snap := <-snapped
+	if got := snap.Counter("damn/chunks_created"); got != f.d.ChunksCreated || got < chunks {
+		t.Errorf("damn/chunks_created = %d, want %d (>= %d)", got, f.d.ChunksCreated, chunks)
+	}
+	if got := snap.Gauges["damn/footprint_bytes"]; got != f.d.FootprintBytes() {
+		t.Errorf("damn/footprint_bytes = %d, want %d", got, f.d.FootprintBytes())
 	}
 }

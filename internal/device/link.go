@@ -183,7 +183,6 @@ func (l *Link) Inject(seg Segment) {
 		// paced; otherwise a generator polling the backlog would spin.
 		l.wire.Reserve(l.se.Now(), float64(seg.Len))
 		n.RxQuarantineDrops++
-		n.quarDropC.Inc()
 		return
 	}
 	if l.inj.Should(faults.LinkDrop) {

@@ -193,27 +193,24 @@ type NIC struct {
 	txProbe      []byte
 
 	// Observability (nil-safe handles; see SetStats).
-	rxSegC    *stats.Counter
-	rxByteC   *stats.Counter
-	txSegC    *stats.Counter
-	txByteC   *stats.Counter
-	faultC    *stats.Counter
-	stallC    *stats.Counter
-	quarDropC *stats.Counter
-	rxSizeH   *stats.Histogram
-	txSizeH   *stats.Histogram
+	rxSizeH *stats.Histogram
+	txSizeH *stats.Histogram
 }
 
-// SetStats attaches a metrics registry mirroring the NIC's traffic and DMA
-// fault counters, plus segment-size histograms.
+// SetStats attaches a metrics registry: views of the NIC's traffic and DMA
+// fault counts, plus segment-size histograms.
 func (n *NIC) SetStats(r *stats.Registry) {
-	n.rxSegC = r.Counter("device", "nic_rx_segments")
-	n.rxByteC = r.Counter("device", "nic_rx_bytes")
-	n.txSegC = r.Counter("device", "nic_tx_segments")
-	n.txByteC = r.Counter("device", "nic_tx_bytes")
-	n.faultC = r.Counter("device", "nic_dma_faults")
-	n.stallC = r.Counter("device", "nic_rx_stalls")
-	n.quarDropC = r.Counter("device", "nic_quarantine_drops")
+	for name, count := range map[string]*uint64{
+		"nic_rx_segments":      &n.RxSegments,
+		"nic_rx_bytes":         &n.RxBytes,
+		"nic_tx_segments":      &n.TxSegments,
+		"nic_tx_bytes":         &n.TxBytes,
+		"nic_dma_faults":       &n.RxBlocked,
+		"nic_rx_stalls":        &n.RxStalls,
+		"nic_quarantine_drops": &n.RxQuarantineDrops,
+	} {
+		r.CounterFunc("device", name, func() uint64 { return *count })
+	}
 	n.rxSizeH = r.Histogram("device", "nic_rx_segment_bytes")
 	n.txSizeH = r.Histogram("device", "nic_tx_segment_bytes")
 }
@@ -452,7 +449,6 @@ func (n *NIC) drainRing(r *rxRing, reclaim []RXDesc, dropped int) ([]RXDesc, int
 	r.missed = nil
 	if p := r.parked(); p > 0 {
 		n.RxQuarantineDrops += uint64(p)
-		n.quarDropC.Add(uint64(p))
 		dropped += p
 	}
 	r.pending, r.phead = nil, 0
@@ -590,7 +586,6 @@ func (n *NIC) arriveFromWire(l *Link, seg Segment) {
 	ring := n.RingFor(seg.Hash)
 	if n.RingQuarantined(ring) {
 		n.RxQuarantineDrops++
-		n.quarDropC.Inc()
 		return
 	}
 	if l.inj.Should(faults.LinkDrop) {
@@ -709,7 +704,6 @@ func (n *NIC) tryDeliver(ring int, seg Segment) {
 		// In-flight wire time elapsed before the quarantine hit: the
 		// segment dies at the fence instead of parking forever.
 		n.RxQuarantineDrops++
-		n.quarDropC.Inc()
 		return
 	}
 	r := n.rings[ring]
@@ -718,7 +712,6 @@ func (n *NIC) tryDeliver(ring int, seg Segment) {
 		// park until the driver posts buffers.
 		r.park(seg)
 		n.RxStalls++
-		n.stallC.Inc()
 		return
 	}
 	n.deliver(ring, seg)
@@ -762,12 +755,9 @@ func (n *NIC) deliver(ring int, seg Segment) {
 		// buffer is still returned to the driver with 0 bytes (model of
 		// a DMA fault + driver error handling).
 		n.RxBlocked++
-		n.faultC.Inc()
 	}
 	n.RxSegments++
 	n.RxBytes += uint64(seg.Len)
-	n.rxSegC.Inc()
-	n.rxByteC.Add(uint64(seg.Len))
 	n.rxSizeH.Observe(float64(seg.Len))
 
 	comp := RXCompletion{Desc: desc, Seg: seg, Written: written, BadCSum: seg.Corrupt}
@@ -899,14 +889,11 @@ func (n *NIC) PostTX(ring, port int, desc TXDesc) error {
 	}
 	if err != nil {
 		n.RxBlocked++ // reuse the blocked counter for TX faults too
-		n.faultC.Inc()
 	}
 
 	wireDone := n.egress[port].Reserve(done, desc.Size)
 	n.TxSegments++
 	n.TxBytes += uint64(desc.Size)
-	n.txSegC.Inc()
-	n.txByteC.Add(uint64(desc.Size))
 	n.txSizeH.Observe(float64(desc.Size))
 	d := n.getTXDispatch()
 	d.ring = ring

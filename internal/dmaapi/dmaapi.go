@@ -112,7 +112,6 @@ type Engine struct {
 	ipUnmapC *stats.Counter
 	sgMapC   *stats.Counter
 	sgUnmapC *stats.Counter
-	everDMAG *stats.Gauge
 }
 
 // statsSink is implemented by schemes that export their own metrics.
@@ -132,7 +131,7 @@ func (e *Engine) SetStats(r *stats.Registry) {
 	e.ipUnmapC = r.Counter("dmaapi", "unmaps_interposed")
 	e.sgMapC = r.Counter("dmaapi", "sg_map_entries")
 	e.sgUnmapC = r.Counter("dmaapi", "sg_unmap_entries")
-	e.everDMAG = r.Gauge("dmaapi", "ever_dma_pages")
+	r.GaugeFunc("dmaapi", "ever_dma_pages", e.EverDMAPages)
 	if s, ok := e.scheme.(statsSink); ok {
 		s.SetStats(r)
 	}
@@ -234,7 +233,6 @@ func (e *Engine) recordExposure(pa mem.PhysAddr, size int) {
 			e.everDMACount++
 		}
 	}
-	e.everDMAG.Set(e.everDMACount)
 }
 
 // EverDMAPages returns how many distinct physical pages have ever been

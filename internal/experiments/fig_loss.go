@@ -16,12 +16,6 @@ import (
 // the completion ring), so both loss flavours feed the retransmission path.
 var lossRates = []float64{0, 0.1, 0.5, 1, 2, 5}
 
-// lossChaosRate is the uniform all-kinds fault rate of the figure's chaos
-// column: the reliable flows run under the full chaos schedule (DMA faults,
-// drops, duplicates, reordering, corruption) with the recovery supervisor
-// attached, and the column reports what goodput survives it.
-const lossChaosRate = 0.002
-
 // LossRow is one datapoint of the loss-resilience figure: one scheme at one
 // loss rate (or, with Chaos set, under the uniform chaos schedule).
 type LossRow struct {
@@ -66,7 +60,11 @@ func Loss(opts Options) ([]LossRow, error) {
 			faults.LinkCorrupt: 0.2 * sp.pct / 100,
 		}
 		if sp.chaos {
-			rates = faults.UniformRates(lossChaosRate)
+			// The chaos column: the reliable flows run under the chaos
+			// harness's schedule (DMA faults, drops, duplicates,
+			// reordering, corruption) with the recovery supervisor
+			// attached, and the column reports what goodput survives it.
+			rates = faults.UniformRates(workloads.ChaosRate)
 		}
 		ma, err := testbed.NewMachine(testbed.MachineConfig{
 			Scheme:   sp.scheme,

@@ -139,7 +139,6 @@ type Injector struct {
 	digest uint64
 
 	// Observability (nil-safe handles; see SetStats).
-	injectedC [numKinds]*stats.Counter
 	recoveryH [numKinds]*stats.Histogram
 }
 
@@ -159,14 +158,14 @@ func New(cfg Config) *Injector {
 	return inj
 }
 
-// SetStats attaches a metrics registry: one injected-fault counter and one
+// SetStats attaches a metrics registry: one injected-fault count and one
 // recovery-latency histogram per fault kind, under the "faults" component.
 func (inj *Injector) SetStats(r *stats.Registry) {
 	if inj == nil {
 		return
 	}
 	for _, k := range Kinds {
-		inj.injectedC[k] = r.Counter("faults", "injected_"+k.String())
+		r.CounterFunc("faults", "injected_"+k.String(), func() uint64 { return inj.counts[k] })
 		inj.recoveryH[k] = r.Histogram("faults", "recovery_ps_"+k.String())
 	}
 }
@@ -211,7 +210,6 @@ func (inj *Injector) Should(k Kind) bool {
 	if fired {
 		bit = 1
 		inj.counts[k]++
-		inj.injectedC[k].Inc()
 	}
 	inj.digest = (inj.digest ^ (uint64(k)<<1 | bit)) * 1099511628211
 	return fired

@@ -23,35 +23,21 @@ func (u *IOMMU) Translate(dev int, iova IOVA, write bool) (mem.PhysAddr, error) 
 // caller to propagate. Caller holds u.mu.
 func (u *IOMMU) faultLocked(dev int, iova IOVA, want Perm, write, injected bool) Fault {
 	u.BlockedDMAs++
-	u.blockedC.Inc()
-	if dev >= 0 {
-		for dev >= len(u.blockedBy) {
-			u.blockedBy = append(u.blockedBy, 0)
-		}
-		u.blockedBy[dev]++
-		if u.reg != nil {
-			for dev >= len(u.blockedDevC) {
-				u.blockedDevC = append(u.blockedDevC, nil)
-			}
-			c := u.blockedDevC[dev]
-			if c == nil {
-				c = u.reg.Counter("iommu", fmt.Sprintf("blocked_dmas_dev%d", dev))
-				u.blockedDevC[dev] = c
-			}
-			c.Inc()
-		}
-	}
+	u.countDev(&u.blockedBy, "blocked_dmas", dev)
 	f := Fault{Dev: dev, Addr: iova, Wanted: want, Write: write}
 	u.faults = append(u.faults, f)
-	u.fq.push(FaultRecord{Fault: f, Injected: injected})
+	if u.fq.push(FaultRecord{Fault: f, Injected: injected}) {
+		u.countDev(&u.fq.recordedBy, "fault_records", dev)
+	} else {
+		u.countDev(&u.fq.overflowsBy, "fault_overflows", dev)
+	}
 	// A genuinely blocked DMA aimed at an address another device owns is a
 	// neighbour probe: attribute it to the prober so the attack figures have
 	// denial evidence per source. Injected faults are hardware hiccups on
 	// valid mappings, not probes.
 	if !injected && u.classify != nil {
 		if owner, ok := u.classify(dev, iova); ok && owner != dev {
-			bumpDev(&u.fq.probesBy, dev)
-			u.fq.devCounter(&u.fq.probeDevC, "neighbor_probes_blocked", dev).Inc()
+			u.countDev(&u.fq.probesBy, "neighbor_probes_blocked", dev)
 		}
 	}
 	return f
@@ -79,7 +65,6 @@ func (u *IOMMU) BlockedDMAsFor(dev int) uint64 {
 
 func (u *IOMMU) translateLocked(dev int, iova IOVA, write bool) (mem.PhysAddr, error) {
 	u.Translations++
-	u.transC.Inc()
 	d := u.domain(dev)
 	if d == nil {
 		return 0, u.faultLocked(dev, iova, permFor(write), write, false)

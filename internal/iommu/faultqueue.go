@@ -1,11 +1,5 @@
 package iommu
 
-import (
-	"fmt"
-
-	"github.com/asplos18/damn/internal/stats"
-)
-
 // VT-d hardware does not raise a Go error at the device: a blocked DMA
 // aborts silently on the bus and the IOMMU deposits a *fault record* into a
 // bounded ring the OS reads later (primary fault logging). FaultQueue
@@ -49,67 +43,21 @@ type FaultQueue struct {
 	// decodes to a *different* device's range — neighbour probes, the
 	// cross-tenant attack signature (see IOMMU.SetProbeClassifier).
 	probesBy []uint64
-
-	recordC    *stats.Counter
-	overflowC  *stats.Counter
-	reg        *stats.Registry
-	recordDevC []*stats.Counter
-	overDevC   []*stats.Counter
-	probeDevC  []*stats.Counter
 }
 
-func (fq *FaultQueue) setStats(r *stats.Registry) {
-	fq.reg = r
-	fq.recordC = r.Counter("iommu", "fault_records")
-	fq.overflowC = r.Counter("iommu", "fault_overflows")
-}
-
-// devCounter lazily creates the per-device flavour of a fault counter the
-// first time device dev faults. Caller holds the IOMMU mutex.
-func (fq *FaultQueue) devCounter(cache *[]*stats.Counter, name string, dev int) *stats.Counter {
-	if fq.reg == nil || dev < 0 {
-		return nil // nil-safe handle: stats not attached
-	}
-	for dev >= len(*cache) {
-		*cache = append(*cache, nil)
-	}
-	c := (*cache)[dev]
-	if c == nil {
-		c = fq.reg.Counter("iommu", fmt.Sprintf("%s_dev%d", name, dev))
-		(*cache)[dev] = c
-	}
-	return c
-}
-
-// bumpDev adds one to the device's slot of a dense attribution slice,
-// growing it on first sight of the device. Caller holds the IOMMU mutex.
-func bumpDev(counts *[]uint64, dev int) {
-	if dev < 0 {
-		return
-	}
-	for dev >= len(*counts) {
-		*counts = append(*counts, 0)
-	}
-	(*counts)[dev]++
-}
-
-// push deposits a record, dropping it (and counting the overflow) when the
-// ring is full. Caller holds the IOMMU mutex.
-func (fq *FaultQueue) push(rec FaultRecord) {
+// push deposits a record and reports whether it was kept: when the ring is
+// full the record is dropped and only the overflow is counted. Caller holds
+// the IOMMU mutex.
+func (fq *FaultQueue) push(rec FaultRecord) bool {
 	if fq.count == FaultRecordDepth {
 		fq.Overflows++
-		fq.overflowC.Inc()
-		bumpDev(&fq.overflowsBy, rec.Dev)
-		fq.devCounter(&fq.overDevC, "fault_overflows", rec.Dev).Inc()
-		return
+		return false
 	}
 	fq.buf[fq.tail] = rec
 	fq.tail = (fq.tail + 1) % FaultRecordDepth
 	fq.count++
 	fq.Recorded++
-	fq.recordC.Inc()
-	bumpDev(&fq.recordedBy, rec.Dev)
-	fq.devCounter(&fq.recordDevC, "fault_records", rec.Dev).Inc()
+	return true
 }
 
 // Pending reports deposited, not-yet-read records.

@@ -2,6 +2,7 @@ package iommu
 
 import (
 	"testing"
+	"time"
 
 	"github.com/asplos18/damn/internal/faults"
 	"github.com/asplos18/damn/internal/mem"
@@ -200,5 +201,46 @@ func TestPerDeviceFaultAttribution(t *testing.T) {
 	}
 	if n := u.BlockedDMAsFor(1); n != 1 {
 		t.Fatalf("device 1 blocked DMAs after detach = %d, want 1", n)
+	}
+}
+
+// TestStatsViewsReadUnderLock: the registry reads the IOMMU's counts under
+// u.mu. A snapshot taken while another goroutine translates is race-free,
+// and one taken while u.mu is held waits for it.
+func TestStatsViewsReadUnderLock(t *testing.T) {
+	u, m := newTestIOMMU(t)
+	reg := stats.NewRegistry()
+	u.SetStats(reg)
+	u.AttachDevice(1)
+	if err := u.Map(1, 0x1000, allocPA(t, m, 0), mem.PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{}, 1)
+	go func() {
+		for i := 0; i < 1000; i++ {
+			u.Translate(1, 0x1000, false)
+			u.Translate(2, 0x9000, false) // device 2 is not attached: a fault
+		}
+		done <- struct{}{}
+	}()
+	for len(done) == 0 {
+		reg.Snapshot()
+	}
+
+	u.mu.Lock()
+	snapped := make(chan stats.Snapshot)
+	go func() { snapped <- reg.Snapshot() }()
+	select {
+	case <-snapped:
+		t.Fatal("snapshot read the IOMMU's counts without u.mu")
+	case <-time.After(20 * time.Millisecond):
+	}
+	u.mu.Unlock()
+	snap := <-snapped
+	if got := snap.Counter("iommu/translations"); got != 2000 {
+		t.Errorf("iommu/translations = %d, want 2000", got)
+	}
+	if got := snap.Counter("iommu/blocked_dmas_dev2"); got != 1000 {
+		t.Errorf("iommu/blocked_dmas_dev2 = %d, want 1000", got)
 	}
 }

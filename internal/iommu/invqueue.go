@@ -78,11 +78,8 @@ type InvalidationQueue struct {
 	ITETimeouts uint64 // injected invalidation time-outs survived
 
 	// Observability (nil-safe handles; see SetStats).
-	submittedC *stats.Counter
-	processedC *stats.Counter
 	wrapDrainC *stats.Counter
 	rejectedC  *stats.Counter
-	iteC       *stats.Counter
 	depthHist  *stats.Histogram
 	drainHist  *stats.Histogram
 }
@@ -92,14 +89,13 @@ func NewInvalidationQueue(tlb *IOTLB) *InvalidationQueue {
 	return &InvalidationQueue{tlb: tlb}
 }
 
-// SetStats attaches a metrics registry: command counts, the queue-depth
-// distribution observed at submit, and the batch sizes the hardware drains.
+// SetStats attaches a metrics registry: wrap drains, rejected commands, the
+// queue-depth distribution observed at submit, and the batch sizes the
+// hardware drains. The queue's own counts are views IOMMU.SetStats
+// registers.
 func (q *InvalidationQueue) SetStats(r *stats.Registry) {
-	q.submittedC = r.Counter("iommu", "invq_submitted")
-	q.processedC = r.Counter("iommu", "invq_processed")
 	q.wrapDrainC = r.Counter("iommu", "invq_wrap_drains")
 	q.rejectedC = r.Counter("iommu", "invq_rejected")
-	q.iteC = r.Counter("iommu", "ite_timeouts")
 	q.depthHist = r.Histogram("iommu", "invq_depth")
 	q.drainHist = r.Histogram("iommu", "invq_drain_batch")
 }
@@ -128,7 +124,6 @@ func (q *InvalidationQueue) Submit(cmd Command) error {
 	q.tail = (q.tail + 1) % InvQueueDepth
 	q.count++
 	q.Submitted++
-	q.submittedC.Inc()
 	return nil
 }
 
@@ -168,7 +163,6 @@ func (q *InvalidationQueue) Drain() int {
 		q.execute(cmd)
 	}
 	if n > 0 {
-		q.processedC.Add(uint64(n))
 		q.drainHist.Observe(float64(n))
 	}
 	return n
@@ -194,7 +188,6 @@ func (q *InvalidationQueue) DrainRetry(c perf.Charger, timeout sim.Time) int {
 	backoff := timeout
 	for attempt := 0; attempt < maxITERetries && q.inj.Should(faults.InvTimeout); attempt++ {
 		q.ITETimeouts++
-		q.iteC.Inc()
 		perf.ChargeTime(c, backoff)
 		waited += backoff
 		backoff *= 2

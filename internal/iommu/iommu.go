@@ -153,14 +153,8 @@ type IOMMU struct {
 	// storm is attributable to one fault domain (dense, indexed by dev).
 	blockedBy []uint64
 
-	// Observability (nil-safe handles; see SetStats).
-	reg         *stats.Registry
-	mapC        *stats.Counter
-	unmapC      *stats.Counter
-	transC      *stats.Counter
-	blockedC    *stats.Counter
-	detachC     *stats.Counter
-	blockedDevC []*stats.Counter
+	// reg receives the per-device views a device's first fault registers.
+	reg *stats.Registry
 }
 
 // domain returns the attached domain for dev, or nil. Caller holds u.mu.
@@ -173,19 +167,57 @@ func (u *IOMMU) domain(dev int) *Domain {
 
 // SetStats attaches a metrics registry to the IOMMU and its IOTLB and
 // invalidation queue, so a run's translation, invalidation and fault
-// activity is exported alongside every other layer.
+// activity is exported alongside every other layer. The counts the IOMMU
+// keeps are views read under u.mu; a device's per-device fault views are
+// registered at its first fault of each kind.
 func (u *IOMMU) SetStats(r *stats.Registry) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.reg = r
-	u.mapC = r.Counter("iommu", "mappings")
-	u.unmapC = r.Counter("iommu", "unmappings")
-	u.transC = r.Counter("iommu", "translations")
-	u.blockedC = r.Counter("iommu", "blocked_dmas")
-	u.detachC = r.Counter("iommu", "domain_detaches")
-	u.fq.setStats(r)
-	u.tlb.SetStats(r)
+	for name, count := range map[string]*uint64{
+		"mappings":             &u.Mappings,
+		"unmappings":           &u.Unmappings,
+		"translations":         &u.Translations,
+		"blocked_dmas":         &u.BlockedDMAs,
+		"domain_detaches":      &u.Detaches,
+		"iotlb_hits":           &u.tlb.Hits,
+		"iotlb_misses":         &u.tlb.Misses,
+		"iotlb_invalidations":  &u.tlb.Invalidations,
+		"iotlb_flush_commands": &u.tlb.FlushCommands,
+		"fault_records":        &u.fq.Recorded,
+		"fault_overflows":      &u.fq.Overflows,
+		"invq_submitted":       &u.invq.Submitted,
+		"invq_processed":       &u.invq.Processed,
+		"ite_timeouts":         &u.invq.ITETimeouts,
+	} {
+		u.view(name, func() uint64 { return *count })
+	}
 	u.invq.SetStats(r)
+}
+
+// view registers an iommu counter view that reads under u.mu.
+func (u *IOMMU) view(name string, read func() uint64) {
+	u.reg.CounterFunc("iommu", name, func() uint64 {
+		u.mu.Lock()
+		defer u.mu.Unlock()
+		return read()
+	})
+}
+
+// countDev adds one to dev's slot of a dense per-device count, growing it
+// on first sight of the device, and registers the view name_dev<dev> when
+// the device is first counted there. Caller holds u.mu.
+func (u *IOMMU) countDev(counts *[]uint64, name string, dev int) {
+	if dev < 0 {
+		return
+	}
+	for dev >= len(*counts) {
+		*counts = append(*counts, 0)
+	}
+	(*counts)[dev]++
+	if (*counts)[dev] == 1 {
+		u.view(fmt.Sprintf("%s_dev%d", name, dev), func() uint64 { return (*counts)[dev] })
+	}
 }
 
 // SetFaults attaches the machine's fault-injection plane: injected DMA
@@ -257,7 +289,6 @@ func (u *IOMMU) DetachDevice(dev int) (abandonedPages int64, ok bool) {
 	d.invalidateWalkCache()
 	u.domains[dev] = nil
 	u.Detaches++
-	u.detachC.Inc()
 	return d.mappedPages, true
 }
 
@@ -326,7 +357,6 @@ func (u *IOMMU) Map(dev int, iova IOVA, pa mem.PhysAddr, size int, perm Perm) er
 	d.mappedPages += int64(pages)
 	d.everMapped += int64(pages)
 	u.Mappings++
-	u.mapC.Inc()
 	return nil
 }
 
@@ -360,7 +390,6 @@ func (u *IOMMU) MapHuge(dev int, iova IOVA, pa mem.PhysAddr, perm Perm) error {
 	d.mappedPages += pages
 	d.everMapped += pages
 	u.Mappings++
-	u.mapC.Inc()
 	return nil
 }
 
@@ -391,7 +420,6 @@ func (u *IOMMU) Unmap(dev int, iova IOVA, size int) error {
 	}
 	d.mappedPages -= int64(pages)
 	u.Unmappings++
-	u.unmapC.Inc()
 	return nil
 }
 
@@ -411,7 +439,6 @@ func (u *IOMMU) UnmapHuge(dev int, iova IOVA) error {
 	*e = pte{}
 	d.mappedPages -= int64(mem.HugePageSize / mem.PageSize)
 	u.Unmappings++
-	u.unmapC.Inc()
 	return nil
 }
 

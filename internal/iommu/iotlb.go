@@ -1,9 +1,6 @@
 package iommu
 
-import (
-	"github.com/asplos18/damn/internal/mem"
-	"github.com/asplos18/damn/internal/stats"
-)
+import "github.com/asplos18/damn/internal/mem"
 
 // IOTLBConfig sizes the translation cache. The defaults approximate the
 // IOTLB of a server-class VT-d implementation; what matters for the
@@ -44,21 +41,6 @@ type IOTLB struct {
 	Misses        uint64
 	Invalidations uint64 // individual entries dropped
 	FlushCommands uint64 // invalidation commands processed
-
-	// Observability (nil-safe handles; see SetStats).
-	hitC   *stats.Counter
-	missC  *stats.Counter
-	invC   *stats.Counter
-	flushC *stats.Counter
-}
-
-// SetStats attaches a metrics registry mirroring the hit/miss/invalidation
-// counters, so runs expose them alongside every other layer's metrics.
-func (t *IOTLB) SetStats(r *stats.Registry) {
-	t.hitC = r.Counter("iommu", "iotlb_hits")
-	t.missC = r.Counter("iommu", "iotlb_misses")
-	t.invC = r.Counter("iommu", "iotlb_invalidations")
-	t.flushC = r.Counter("iommu", "iotlb_flush_commands")
 }
 
 // NewIOTLB builds an empty cache.
@@ -98,26 +80,12 @@ func (t *IOTLB) lookup(dev int, iova IOVA) (*tlbEntry, bool) {
 			if e.valid && int(e.dev) == dev && e.huge == probe.huge && e.tag == probe.tag {
 				e.lru = t.clock
 				t.Hits++
-				t.hitC.Inc()
 				return e, true
 			}
 		}
 	}
 	t.Misses++
-	t.missC.Inc()
 	return nil, false
-}
-
-// bumpInv counts one dropped entry in both the raw and registry counters.
-func (t *IOTLB) bumpInv() {
-	t.Invalidations++
-	t.invC.Inc()
-}
-
-// bumpFlush counts one processed invalidation command.
-func (t *IOTLB) bumpFlush() {
-	t.FlushCommands++
-	t.flushC.Inc()
 }
 
 // insert fills the cache after a page-table walk.
@@ -148,7 +116,7 @@ func (t *IOTLB) insert(dev int, iova IOVA, huge bool, pfn mem.PFN, perm Perm) {
 // Small ranges probe only the sets their pages index to (hardware walks the
 // cache by set); huge ranges fall back to a full sweep.
 func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
-	t.bumpFlush()
+	t.FlushCommands++
 	pages := (size + mem.PageSize - 1) >> mem.PageShift
 	if pages > 64 {
 		t.invalidateRangeSweep(dev, iova, size)
@@ -162,7 +130,7 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 			e := &set[i]
 			if e.valid && !e.huge && int(e.dev) == dev && e.tag == tag {
 				e.valid = false
-				t.bumpInv()
+				t.Invalidations++
 			}
 		}
 	}
@@ -175,7 +143,7 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 			e := &set[i]
 			if e.valid && e.huge && int(e.dev) == dev && e.tag == tag {
 				e.valid = false
-				t.bumpInv()
+				t.Invalidations++
 			}
 		}
 	}
@@ -198,7 +166,7 @@ func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
 		}
 		if lo < end && iova < hi {
 			e.valid = false
-			t.bumpInv()
+			t.Invalidations++
 		}
 	}
 }
@@ -206,26 +174,26 @@ func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
 // InvalidateDevice drops every entry belonging to dev (a domain-selective
 // invalidation, what deferred mode issues when its batch overflows).
 func (t *IOTLB) InvalidateDevice(dev int) {
-	t.bumpFlush()
-	// A local slice header: bumpInv writes through t, so t.entries would
-	// be reloaded and bounds-checked for every entry.
+	t.FlushCommands++
+	// A local slice header: the count writes through t, so t.entries
+	// would be reloaded and bounds-checked for every entry.
 	es := t.entries
 	for i := range es {
 		e := &es[i]
 		if e.valid && int(e.dev) == dev {
 			e.valid = false
-			t.bumpInv()
+			t.Invalidations++
 		}
 	}
 }
 
 // InvalidateAll drops everything (global invalidation).
 func (t *IOTLB) InvalidateAll() {
-	t.bumpFlush()
+	t.FlushCommands++
 	for i := range t.entries {
 		if e := &t.entries[i]; e.valid {
 			e.valid = false
-			t.bumpInv()
+			t.Invalidations++
 		}
 	}
 }

@@ -79,39 +79,33 @@ type Driver struct {
 	WatchdogRuns    uint64 // watchdog polls that found work
 	WatchdogReaps   uint64 // completions recovered after a lost interrupt
 
-	// Observability (nil-safe handles; see SetStats).
-	reg           *stats.Registry
-	wrongCoreTenC []*stats.Counter
-	rxDelivC      *stats.Counter
-	rxWrongCPUC   *stats.Counter
-	rxDropC       *stats.Counter
-	rxCsumC       *stats.Counter
-	rxUnmapC      *stats.Counter
-	rxUnmapRelC   *stats.Counter
-	rxStaleC      *stats.Counter
-	txUnmapC      *stats.Counter
-	txDoneC       *stats.Counter
-	watchdogC     *stats.Counter
-	wdReapedC     *stats.Counter
-	wdRefillC     *stats.Counter
+	// Observability (nil-safe handle; see SetStats). reg receives the
+	// per-tenant wrong-core views.
+	reg       *stats.Registry
+	wdRefillC *stats.Counter
 }
 
-// SetStats attaches a metrics registry mirroring the driver's delivery and
-// drop counters, plus the degradation-path accounting (checksum drops,
-// quarantined unmap failures, watchdog recoveries).
+// SetStats attaches a metrics registry: views of the driver's delivery and
+// drop counts and of the degradation-path accounting (checksum drops,
+// quarantined unmap failures, watchdog recoveries), plus a counter of the
+// descriptors the watchdog reposts.
 func (d *Driver) SetStats(r *stats.Registry) {
 	d.reg = r
-	d.rxDelivC = r.Counter("netstack", "rx_delivered")
-	d.rxWrongCPUC = r.Counter("netstack", "rx_wrong_core")
-	d.rxDropC = r.Counter("netstack", "rx_dropped")
-	d.rxCsumC = r.Counter("netstack", "rx_csum_drops")
-	d.rxUnmapC = r.Counter("netstack", "rx_unmap_errors")
-	d.rxUnmapRelC = r.Counter("netstack", "rx_unmap_released")
-	d.rxStaleC = r.Counter("netstack", "rx_stale_drops")
-	d.txUnmapC = r.Counter("netstack", "tx_unmap_errors")
-	d.txDoneC = r.Counter("netstack", "tx_completed")
-	d.watchdogC = r.Counter("netstack", "watchdog_runs")
-	d.wdReapedC = r.Counter("netstack", "watchdog_reaped")
+	for name, count := range map[string]*uint64{
+		"rx_delivered":      &d.RxDelivered,
+		"rx_wrong_core":     &d.RxWrongCore,
+		"rx_dropped":        &d.RxDropped,
+		"rx_csum_drops":     &d.RxCsumDrops,
+		"rx_unmap_errors":   &d.RxUnmapErrors,
+		"rx_unmap_released": &d.RxUnmapReleased,
+		"rx_stale_drops":    &d.RxStaleDrops,
+		"tx_unmap_errors":   &d.TxUnmapErrors,
+		"tx_completed":      &d.TxCompleted,
+		"watchdog_runs":     &d.WatchdogRuns,
+		"watchdog_reaped":   &d.WatchdogReaps,
+	} {
+		r.CounterFunc("netstack", name, func() uint64 { return *count })
+	}
 	d.wdRefillC = r.Counter("netstack", "watchdog_refills")
 }
 
@@ -130,8 +124,9 @@ func (d *Driver) SetCapGate(g CapGate) { d.cap = g }
 
 // SetRingTenant labels a ring with its owning tenant for stats
 // attribution; tenant < 0 clears the label. The per-tenant wrong-core
-// counter (netstack/rx_wrong_core_t<id>) is created lazily on first use,
-// so machines without tenants snapshot exactly as before.
+// view (netstack/rx_wrong_core_t<id>) is registered at the tenant's first
+// wrong-core completion, so machines without tenants snapshot exactly as
+// before.
 func (d *Driver) SetRingTenant(ring, tenant int) {
 	if ring < 0 || ring >= len(d.ringTenants) {
 		return
@@ -150,24 +145,18 @@ func (d *Driver) RxWrongCoreFor(tenant int) uint64 {
 // noteWrongCore attributes wrong-core completions to the ring's tenant.
 func (d *Driver) noteWrongCore(ring int, n uint64) {
 	ten := d.ringTenants[ring]
-	if ten < 0 {
+	if ten < 0 || n == 0 {
 		return
 	}
 	for ten >= len(d.rxWrongCoreBy) {
 		d.rxWrongCoreBy = append(d.rxWrongCoreBy, 0)
 	}
-	d.rxWrongCoreBy[ten] += n
-	if d.reg != nil {
-		for ten >= len(d.wrongCoreTenC) {
-			d.wrongCoreTenC = append(d.wrongCoreTenC, nil)
-		}
-		c := d.wrongCoreTenC[ten]
-		if c == nil {
-			c = d.reg.Counter("netstack", fmt.Sprintf("rx_wrong_core_t%d", ten))
-			d.wrongCoreTenC[ten] = c
-		}
-		c.Add(n)
+	if d.rxWrongCoreBy[ten] == 0 {
+		d.reg.CounterFunc("netstack", fmt.Sprintf("rx_wrong_core_t%d", ten), func() uint64 {
+			return d.rxWrongCoreBy[ten]
+		})
 	}
+	d.rxWrongCoreBy[ten] += n
 }
 
 // rxBuf is the driver's per-posted-buffer state, carried through the ring
@@ -278,12 +267,10 @@ func (d *Driver) postOne(t *sim.Task, ring int) error {
 func (d *Driver) reclaimBuf(t *sim.Task, rb *rxBuf) (freed bool) {
 	if err := d.k.DMA.Unmap(t, rb.dev, rb.iova, d.RxBufSize, dmaapi.FromDevice); err != nil {
 		d.RxUnmapErrors++
-		d.rxUnmapC.Inc()
 		if !rb.damn {
 			return false
 		}
 		d.RxUnmapReleased++
-		d.rxUnmapRelC.Inc()
 	}
 	_ = d.k.FreeBuffer(t, rb.pa, rb.damn)
 	return true
@@ -296,7 +283,6 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 		// buffer allocations and invalidations) only ever touch the DAMN
 		// shard of the ring's bound core. Must stay zero; DESIGN.md §11.
 		d.RxWrongCore += uint64(len(comps))
-		d.rxWrongCPUC.Add(uint64(len(comps)))
 		d.noteWrongCore(ring, uint64(len(comps)))
 	}
 	for _, comp := range comps {
@@ -306,9 +292,7 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 			// popped before the teardown, so the drain never saw it.
 			// Reclaim the buffer but leave the (rebuilt) ring alone.
 			d.RxStaleDrops++
-			d.rxStaleC.Inc()
 			d.RxDropped++
-			d.rxDropC.Inc()
 			d.reclaimBuf(t, rb)
 			d.putRXBuf(rb)
 			continue
@@ -320,7 +304,6 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 			// conservation must survive containment — count the drop, and
 			// post no replacement: a capability-less ring drains.
 			d.RxDropped++
-			d.rxDropC.Inc()
 			d.reclaimBuf(t, rb)
 			d.putRXBuf(rb)
 			continue
@@ -336,14 +319,11 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 			// reclaimBuf). Either way, count the drop and keep the
 			// ring alive and receiving.
 			d.RxUnmapErrors++
-			d.rxUnmapC.Inc()
 			if rb.damn {
 				d.RxUnmapReleased++
-				d.rxUnmapRelC.Inc()
 				_ = d.k.FreeBuffer(t, rb.pa, true)
 			}
 			d.RxDropped++
-			d.rxDropC.Inc()
 			d.putRXBuf(rb)
 			if err := d.postOne(t, ring); err != nil {
 				d.napi[ring].shortfall++ // watchdog restores it
@@ -357,7 +337,6 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 			// traffic (flow control) until memory frees up or the
 			// watchdog restores the recorded shortfall.
 			d.RxDropped++
-			d.rxDropC.Inc()
 			d.napi[ring].shortfall++
 		}
 		if comp.Written == 0 && comp.Seg.Len > 0 && len(comp.Seg.Header) > 0 {
@@ -365,7 +344,6 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 			// packet to deliver; recycle the buffer.
 			_ = d.k.FreeBuffer(t, rb.pa, rb.damn)
 			d.RxDropped++
-			d.rxDropC.Inc()
 			d.putRXBuf(rb)
 			continue
 		}
@@ -374,9 +352,7 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 			// recycle, exactly as a real driver does.
 			_ = d.k.FreeBuffer(t, rb.pa, rb.damn)
 			d.RxCsumDrops++
-			d.rxCsumC.Inc()
 			d.RxDropped++
-			d.rxDropC.Inc()
 			d.putRXBuf(rb)
 			continue
 		}
@@ -389,7 +365,6 @@ func (d *Driver) handleRX(t *sim.Task, ring int, comps []device.RXCompletion) {
 		skb.Stamp = comp.Seg.Stamp
 		d.putRXBuf(rb)
 		d.RxDelivered++
-		d.rxDelivC.Inc()
 		if d.OnDeliver != nil {
 			d.OnDeliver(t, ring, skb)
 		} else {
@@ -436,10 +411,8 @@ func (d *Driver) EnableWatchdog() (stop func()) {
 			n.core.Submit(true, func(t *sim.Task) {
 				perf.Charge(t, watchdogPollCycles)
 				d.WatchdogRuns++
-				d.watchdogC.Inc()
 				if len(comps) > 0 {
 					d.WatchdogReaps += uint64(len(comps))
-					d.wdReapedC.Add(uint64(len(comps)))
 					d.handleRX(t, ring, comps)
 				}
 				// Repost what the interrupt path failed to; under injected
@@ -603,10 +576,8 @@ func (d *Driver) handleTXComplete(t *sim.Task, ring int, descs []device.TXDesc) 
 			// safe; the stale IOMMU mapping leaks until the domain is
 			// torn down. Count it and let the flow continue.
 			d.TxUnmapErrors++
-			d.txUnmapC.Inc()
 		}
 		d.TxCompleted++
-		d.txDoneC.Inc()
 		if d.OnTxDone != nil {
 			d.OnTxDone(t, ring, skb)
 		} else {

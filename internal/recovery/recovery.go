@@ -103,8 +103,6 @@ type devState struct {
 	// busy blocks the poller from re-triggering while a transition
 	// sequence is in flight on the event queue.
 	busy bool
-
-	stateG *stats.Gauge
 }
 
 // Supervisor drives fault-domain containment for one machine.
@@ -147,11 +145,6 @@ type Supervisor struct {
 	ReleasedPages int64
 	PinnedChunks  int
 
-	stormsC    *stats.Counter
-	quarC      *stats.Counter
-	resetC     *stats.Counter
-	reinitC    *stats.Counter
-	failC      *stats.Counter
 	mttrG      *stats.Gauge
 	recoveryH  *stats.Histogram
 	detectH    *stats.Histogram
@@ -193,9 +186,7 @@ func Attach(ma *testbed.Machine) *Supervisor {
 
 func (s *Supervisor) addDevice(dev int, drv *netstack.Driver) {
 	ds := &devState{dev: dev, drv: drv, state: Healthy, enteredAt: s.se.Now()}
-	if s.reg != nil {
-		ds.stateG = s.reg.Gauge("recovery", fmt.Sprintf("state_dev%d", dev))
-	}
+	s.reg.GaugeFunc("recovery", fmt.Sprintf("state_dev%d", dev), func() int64 { return int64(ds.state) })
 	s.devs[dev] = ds
 	s.order = append(s.order, dev)
 	sort.Ints(s.order)
@@ -203,14 +194,15 @@ func (s *Supervisor) addDevice(dev int, drv *netstack.Driver) {
 
 func (s *Supervisor) initStats() {
 	r := s.reg
-	if r == nil {
-		return
+	for name, count := range map[string]*uint64{
+		"storms":      &s.Storms,
+		"quarantines": &s.Quarantines,
+		"resets":      &s.Resets,
+		"reinits":     &s.Reinits,
+		"failures":    &s.Failures,
+	} {
+		r.CounterFunc("recovery", name, func() uint64 { return *count })
 	}
-	s.stormsC = r.Counter("recovery", "storms")
-	s.quarC = r.Counter("recovery", "quarantines")
-	s.resetC = r.Counter("recovery", "resets")
-	s.reinitC = r.Counter("recovery", "reinits")
-	s.failC = r.Counter("recovery", "failures")
 	s.mttrG = r.Gauge("recovery", "mttr_ps")
 	s.recoveryH = r.Histogram("recovery", "recovery_ps")
 	s.detectH = r.Histogram("recovery", "detect_ps")
@@ -261,15 +253,10 @@ func (s *Supervisor) StateTime(dev int, st State) sim.Time {
 func (s *Supervisor) setState(ds *devState, to State) {
 	now := s.se.Now()
 	ds.stateTime[ds.state] += now - ds.enteredAt
-	if c := s.stateTimeC[ds.state]; c != nil {
-		c.Add(float64(now - ds.enteredAt))
-	}
+	s.stateTimeC[ds.state].Add(float64(now - ds.enteredAt))
 	s.Transitions = append(s.Transitions, Transition{Dev: ds.dev, From: ds.state, To: to, At: now})
 	ds.state = to
 	ds.enteredAt = now
-	if ds.stateG != nil {
-		ds.stateG.Set(int64(to))
-	}
 }
 
 // poll is the detection tick: harvest fault signals, age the window, drive
@@ -329,13 +316,8 @@ func (s *Supervisor) poll() {
 
 func (s *Supervisor) declareStorm(ds *devState) {
 	s.Storms++
-	if s.stormsC != nil {
-		s.stormsC.Inc()
-	}
 	ds.stormStart = ds.window[0]
-	if s.detectH != nil {
-		s.detectH.Observe(float64(s.se.Now() - ds.stormStart))
-	}
+	s.detectH.Observe(float64(s.se.Now() - ds.stormStart))
 	ds.resets = 0
 	s.quarantine(ds, false)
 }
@@ -352,9 +334,6 @@ func (s *Supervisor) quarantine(ds *devState, removal bool) {
 		s.setState(ds, Quarantined)
 		ds.quarantinedAt = s.se.Now()
 		s.Quarantines++
-		if s.quarC != nil {
-			s.quarC.Inc()
-		}
 		// Order matters: drain the driver while the domain is still
 		// attached (legacy unmaps must succeed so IOVA slots recycle),
 		// then flush the scheme's deferred batch for this device, then
@@ -393,9 +372,6 @@ func (s *Supervisor) reset(ds *devState) {
 	s.setState(ds, Resetting)
 	s.Resets++
 	ds.resets++
-	if s.resetC != nil {
-		s.resetC.Inc()
-	}
 	s.core.Submit(true, func(t *sim.Task) {
 		// Domain-wide invalidation: the IOTLB may cache translations from
 		// the destroyed domain; InvDomain works detached.
@@ -421,9 +397,6 @@ func (s *Supervisor) reset(ds *devState) {
 func (s *Supervisor) reinit(ds *devState, t *sim.Task) {
 	s.setState(ds, Reinitializing)
 	s.Reinits++
-	if s.reinitC != nil {
-		s.reinitC.Inc()
-	}
 	s.u.AttachDevice(ds.dev)
 	var err error
 	if ds.drv != nil {
@@ -450,12 +423,8 @@ func (s *Supervisor) recovered(ds *devState) {
 		ds.lastShortfall = ds.drv.Shortfall()
 	}
 	mttr := s.se.Now() - ds.quarantinedAt
-	if s.recoveryH != nil {
-		s.recoveryH.Observe(float64(mttr))
-	}
-	if s.mttrG != nil {
-		s.mttrG.Set(int64(mttr))
-	}
+	s.recoveryH.Observe(float64(mttr))
+	s.mttrG.Set(int64(mttr))
 	if s.OnRecovered != nil {
 		s.OnRecovered(ds.dev)
 	}
@@ -465,9 +434,6 @@ func (s *Supervisor) failDevice(ds *devState) {
 	s.setState(ds, Failed)
 	ds.busy = false
 	s.Failures++
-	if s.failC != nil {
-		s.failC.Inc()
-	}
 }
 
 // MTTR returns the last observed quarantine-to-healthy latency for a

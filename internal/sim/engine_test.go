@@ -844,7 +844,7 @@ func TestEngineStatsCountsEvents(t *testing.T) {
 		e.After(Time(i)*Microsecond, func() {})
 	}
 	e.RunUntilIdle()
-	if got := r.Counter("sim", "events_processed").Value(); got != 4 {
+	if got := r.Snapshot().Counter("sim/events_processed"); got != 4 {
 		t.Fatalf("sim/events_processed = %d, want 4", got)
 	}
 }

@@ -6,19 +6,27 @@
 // into one Registry owned by its testbed.Machine, so every simulated cycle
 // charge, IOTLB invalidation and cache hit is attributable after a run.
 //
-// The registry is safe for concurrent use (counters and gauges are atomics,
-// histograms take a small lock), and metric handles are cheap to cache: the
-// hot layers look their counters up once and bump them with a single atomic
-// add per event. All methods are nil-safe on the metric types so callers
-// never need to guard instrumentation sites.
+// A metric is a handle or a view. A count that a component already keeps
+// for its own use or for the figures (IOTLB hits, translations, NIC
+// segments, chunks created) is a view: the component registers a function
+// with CounterFunc or GaugeFunc that reads the count, and Snapshot calls it,
+// so the event path pays nothing for the metric. A count only the registry
+// keeps (DAMN magazine hits, per-scheme DMA API maps, task counts, every
+// histogram and float counter) is a handle: the component looks it up once
+// and bumps it per event. Handles are atomics (histograms take a small
+// lock) and nil-safe, so callers never guard instrumentation sites, and a
+// nil registry ignores views as it hands out nil handles.
+//
+// Snapshot reads component state through the views, so it must run on the
+// goroutine that drives the machine, or after the machine stops.
 package stats
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -154,19 +162,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // snapshot returns the exported form. Only non-empty buckets are kept, keyed
 // by their upper bound (2^i).
 func (h *Histogram) snapshot() HistogramSnapshot {
@@ -190,23 +185,57 @@ type metricKey struct {
 
 func (k metricKey) String() string { return k.component + "/" + k.name }
 
-// Registry holds every metric of one simulated machine.
+// Registry holds every metric of one simulated machine: the handles it
+// keeps and the views that read counts their components keep.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[metricKey]*Counter
-	floats   map[metricKey]*FloatCounter
-	gauges   map[metricKey]*Gauge
-	hists    map[metricKey]*Histogram
+	mu           sync.Mutex
+	counters     map[metricKey]*Counter
+	floats       map[metricKey]*FloatCounter
+	gauges       map[metricKey]*Gauge
+	hists        map[metricKey]*Histogram
+	counterViews map[metricKey]func() uint64
+	gaugeViews   map[metricKey]func() int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[metricKey]*Counter),
-		floats:   make(map[metricKey]*FloatCounter),
-		gauges:   make(map[metricKey]*Gauge),
-		hists:    make(map[metricKey]*Histogram),
+		counters:     make(map[metricKey]*Counter),
+		floats:       make(map[metricKey]*FloatCounter),
+		gauges:       make(map[metricKey]*Gauge),
+		hists:        make(map[metricKey]*Histogram),
+		counterViews: make(map[metricKey]func() uint64),
+		gaugeViews:   make(map[metricKey]func() int64),
 	}
+}
+
+// handle returns (creating if needed) the handle stored under k in m. It
+// panics if views holds k: a key is a handle or a view, never both.
+func handle[T, V any](r *Registry, m map[metricKey]*T, views map[metricKey]V, k metricKey) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := views[k]; ok {
+		panic(fmt.Sprintf("stats: %s is a view, not a handle", k))
+	}
+	h, ok := m[k]
+	if !ok {
+		h = new(T)
+		m[k] = h
+	}
+	return h
+}
+
+// addView registers fn under k in views. It panics if k already names a
+// handle in m or a view.
+func addView[T, V any](r *Registry, m map[metricKey]*T, views map[metricKey]V, k metricKey, fn V) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, isHandle := m[k]
+	_, isView := views[k]
+	if isHandle || isView {
+		panic(fmt.Sprintf("stats: %s is already registered", k))
+	}
+	views[k] = fn
 }
 
 // Counter returns (creating if needed) the named counter. A nil registry
@@ -215,15 +244,7 @@ func (r *Registry) Counter(component, name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{component, name}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return handle(r, r.counters, r.counterViews, metricKey{component, name})
 }
 
 // FloatCounter returns (creating if needed) the named float accumulator.
@@ -231,15 +252,7 @@ func (r *Registry) FloatCounter(component, name string) *FloatCounter {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{component, name}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.floats[k]
-	if !ok {
-		c = &FloatCounter{}
-		r.floats[k] = c
-	}
-	return c
+	return handle[FloatCounter, struct{}](r, r.floats, nil, metricKey{component, name})
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -247,15 +260,7 @@ func (r *Registry) Gauge(component, name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{component, name}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
+	return handle(r, r.gauges, r.gaugeViews, metricKey{component, name})
 }
 
 // Histogram returns (creating if needed) the named histogram.
@@ -263,15 +268,23 @@ func (r *Registry) Histogram(component, name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{component, name}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[k]
-	if !ok {
-		h = &Histogram{}
-		r.hists[k] = h
+	return handle[Histogram, struct{}](r, r.hists, nil, metricKey{component, name})
+}
+
+// CounterFunc registers a counter view: Snapshot reports fn() under the
+// key. fn reads a count its component keeps, under the component's lock
+// if it has one. A nil registry ignores the view.
+func (r *Registry) CounterFunc(component, name string, fn func() uint64) {
+	if r != nil {
+		addView(r, r.counters, r.counterViews, metricKey{component, name}, fn)
 	}
-	return h
+}
+
+// GaugeFunc registers a gauge view, as CounterFunc does a counter view.
+func (r *Registry) GaugeFunc(component, name string, fn func() int64) {
+	if r != nil {
+		addView(r, r.gauges, r.gaugeViews, metricKey{component, name}, fn)
+	}
 }
 
 // HistogramBucket is one exported log2 bucket: Count observations <= Le.
@@ -299,6 +312,10 @@ type Snapshot struct {
 }
 
 // Snapshot exports every metric. A nil registry exports an empty snapshot.
+// Views run after the registry lock is released: a component may register
+// a view while it holds its own lock (the IOMMU does, on a device's first
+// fault), so a view that took that lock under this one would invert the
+// order.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
@@ -310,7 +327,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for k, c := range r.counters {
 		s.Counters[k.String()] = c.Value()
 	}
@@ -323,6 +339,15 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, h := range r.hists {
 		s.Histograms[k.String()] = h.snapshot()
 	}
+	counterViews := maps.Clone(r.counterViews)
+	gaugeViews := maps.Clone(r.gaugeViews)
+	r.mu.Unlock()
+	for k, fn := range counterViews {
+		s.Counters[k.String()] = fn()
+	}
+	for k, fn := range gaugeViews {
+		s.Gauges[k.String()] = fn()
+	}
 	return s
 }
 
@@ -334,52 +359,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// Keys returns every metric key in the snapshot, sorted — handy for stable
-// textual dumps.
-func (s Snapshot) Keys() []string {
-	var keys []string
-	for k := range s.Counters {
-		keys = append(keys, k)
-	}
-	for k := range s.Floats {
-		keys = append(keys, k)
-	}
-	for k := range s.Gauges {
-		keys = append(keys, k)
-	}
-	for k := range s.Histograms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// String renders a compact human-readable dump (debugging aid).
-func (s Snapshot) String() string {
-	var out string
-	for _, k := range s.Keys() {
-		switch {
-		case hasKey(s.Counters, k):
-			out += fmt.Sprintf("%s = %d\n", k, s.Counters[k])
-		case hasKey(s.Floats, k):
-			out += fmt.Sprintf("%s = %.1f\n", k, s.Floats[k])
-		case hasKey(s.Gauges, k):
-			out += fmt.Sprintf("%s = %d\n", k, s.Gauges[k])
-		default:
-			h := s.Histograms[k]
-			out += fmt.Sprintf("%s = {n=%d mean=%.1f max=%.1f}\n", k, h.Count, meanOf(h), h.Max)
-		}
-	}
-	return out
-}
-
-func hasKey[V any](m map[string]V, k string) bool { _, ok := m[k]; return ok }
-
-func meanOf(h HistogramSnapshot) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }

@@ -10,8 +10,8 @@ import (
 // Chrome trace_event JSON format, loadable in chrome://tracing or Perfetto.
 // The mapping from the simulator: one traced machine is a "process", each
 // simulated core is a "thread", and every task the core executes becomes a
-// complete ("X") event spanning its simulated start and duration. Queue
-// depths and rates go down as counter ("C") events.
+// complete ("X") event spanning its simulated start and duration. Metadata
+// ("M") events name the processes and threads.
 //
 // Timestamps arrive in simulated picoseconds and are emitted in the format's
 // microseconds. All methods are nil-safe, so instrumentation sites need no
@@ -25,7 +25,7 @@ type Tracer struct {
 }
 
 // traceEvent is one trace_event record. Fields follow the Trace Event
-// Format: ph is the phase (X=complete, C=counter, M=metadata, i=instant).
+// Format: ph is the phase (X=complete, M=metadata).
 type traceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -110,24 +110,6 @@ func (t *Tracer) Span(pid, tid int, name, cat string, startPS, durPS int64) {
 		dur = 0.001
 	}
 	t.add(traceEvent{Name: name, Cat: cat, Ph: "X", TS: psToUS(startPS), Dur: dur, PID: pid, TID: tid})
-}
-
-// Instant records a zero-duration marker.
-func (t *Tracer) Instant(pid, tid int, name, cat string, tsPS int64) {
-	if t == nil {
-		return
-	}
-	t.add(traceEvent{Name: name, Cat: cat, Ph: "i", TS: psToUS(tsPS), PID: pid, TID: tid,
-		Args: map[string]any{"s": "t"}})
-}
-
-// CounterEvent records a sampled counter value (rendered as a track).
-func (t *Tracer) CounterEvent(pid int, name string, tsPS int64, value float64) {
-	if t == nil {
-		return
-	}
-	t.add(traceEvent{Name: name, Ph: "C", TS: psToUS(tsPS), PID: pid,
-		Args: map[string]any{"value": value}})
 }
 
 // Len reports the number of recorded events (metadata included).

@@ -36,8 +36,8 @@ type Handle struct {
 // which tenant owns each ring, and the handle each ring currently
 // presents. It implements netstack.CapGate; CheckRing is called by the
 // driver before every map and unmap on a tenant-owned ring and must stay
-// allocation-free (the per-tenant denial counters are created when the
-// tenant is registered, never on the check path).
+// allocation-free (the per-tenant denial views are registered when the
+// tenant is, never on the check path).
 type Table struct {
 	epochs    []uint32
 	ringOwner []int
@@ -49,11 +49,8 @@ type Table struct {
 	// denialsBy attributes denials to the ring's owning tenant.
 	denialsBy []uint64
 
-	checksC  *stats.Counter
-	denialsC *stats.Counter
-	revokesC *stats.Counter
-	denTenC  []*stats.Counter
-	reg      *stats.Registry
+	// reg receives the per-tenant denial views.
+	reg *stats.Registry
 }
 
 // NewTable builds a capability table for a NIC with the given ring count.
@@ -71,26 +68,31 @@ func NewTable(rings int) *Table {
 	return t
 }
 
-// SetStats attaches a metrics registry: the aggregate capability counters
-// (tenant/cap_checks, cap_denials, cap_revocations). Per-tenant denial
-// counters are added as tenants register.
+// SetStats attaches a metrics registry: views of the aggregate capability
+// counts (tenant/cap_checks, cap_denials, cap_revocations). Per-tenant
+// denial views are added as tenants register.
 func (t *Table) SetStats(r *stats.Registry) {
 	t.reg = r
-	t.checksC = r.Counter("tenant", "cap_checks")
-	t.denialsC = r.Counter("tenant", "cap_denials")
-	t.revokesC = r.Counter("tenant", "cap_revocations")
+	for name, count := range map[string]*uint64{
+		"cap_checks":      &t.Checks,
+		"cap_denials":     &t.Denials,
+		"cap_revocations": &t.Revocations,
+	} {
+		r.CounterFunc("tenant", name, func() uint64 { return *count })
+	}
 }
 
-// Register sizes the table for a tenant id and creates its per-tenant
-// denial counter, keeping the deny path allocation-free afterwards.
+// Register sizes the table for a tenant id, one slot at a time, and adds
+// each new slot's denial view (tenant/cap_denials_t<id>), keeping the deny
+// path free of registry work.
 func (t *Table) Register(tenant int) {
 	for tenant >= len(t.epochs) {
+		id := len(t.epochs)
 		t.epochs = append(t.epochs, 0)
 		t.denialsBy = append(t.denialsBy, 0)
-		t.denTenC = append(t.denTenC, nil)
-	}
-	if t.reg != nil && t.denTenC[tenant] == nil {
-		t.denTenC[tenant] = t.reg.Counter("tenant", fmt.Sprintf("cap_denials_t%d", tenant))
+		t.reg.CounterFunc("tenant", fmt.Sprintf("cap_denials_t%d", id), func() uint64 {
+			return t.denialsBy[id]
+		})
 	}
 }
 
@@ -134,36 +136,24 @@ func (t *Table) Revoke(tenant int) {
 	}
 	t.epochs[tenant]++
 	t.Revocations++
-	if t.revokesC != nil {
-		t.revokesC.Inc()
-	}
 }
 
 // CheckRing validates the capability a ring currently presents against its
 // owner's epoch. Unowned rings pass unconditionally (and uncounted — a
 // tenancy-free machine's stats stay byte-identical). This is the
-// netstack.CapGate fast path: two loads, two compares, counter bumps.
+// netstack.CapGate fast path: two loads, two compares, count bumps.
 func (t *Table) CheckRing(ring int) bool {
 	owner := t.ringOwner[ring]
 	if owner < 0 {
 		return true
 	}
 	t.Checks++
-	if t.checksC != nil {
-		t.checksC.Inc()
-	}
 	h := t.presented[ring]
 	if h.Tenant == owner && h.Epoch == t.epochs[owner] {
 		return true
 	}
 	t.Denials++
 	t.denialsBy[owner]++
-	if t.denialsC != nil {
-		t.denialsC.Inc()
-	}
-	if c := t.denTenC[owner]; c != nil {
-		c.Inc()
-	}
 	return false
 }
 

@@ -6,7 +6,6 @@ import (
 	damncore "github.com/asplos18/damn/internal/damn"
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/sim"
-	"github.com/asplos18/damn/internal/stats"
 	"github.com/asplos18/damn/internal/testbed"
 )
 
@@ -88,7 +87,6 @@ type Tenant struct {
 
 	state         State
 	window        []sim.Time
-	lastRecorded  uint64
 	lastDenials   uint64
 	quarantines   int
 	quarantinedAt sim.Time
@@ -119,8 +117,8 @@ type Manager struct {
 
 	// viaSupervisor: fault records arrive through the recovery
 	// supervisor's OnForeignRecord hook (the IOMMU ring is
-	// single-consumer); the poll then skips its own recorded-count
-	// harvest to avoid double counting.
+	// single-consumer); the poll then leaves the ring to the supervisor
+	// instead of reading it itself.
 	viaSupervisor bool
 
 	// Evidence.
@@ -130,10 +128,6 @@ type Manager struct {
 	Throttles     uint64
 	ReleasedPages int64
 	PinnedChunks  int
-
-	quarC  *stats.Counter
-	evictC *stats.Counter
-	throtC *stats.Counter
 }
 
 // Attach wires a tenant manager to a machine: installs the capability gate
@@ -151,9 +145,13 @@ func Attach(ma *testbed.Machine) *Manager {
 	m.fair = NewFairShare(rings, 2*ma.NIC.Cfg.PCIeGbps*1e9/8, throttleFactor)
 	ma.Driver.SetCapGate(m.table)
 	ma.NIC.SetAdmission(m.fair)
-	m.quarC = ma.Stats.Counter("tenant", "quarantines")
-	m.evictC = ma.Stats.Counter("tenant", "evictions")
-	m.throtC = ma.Stats.Counter("tenant", "throttles")
+	for name, count := range map[string]*uint64{
+		"quarantines": &m.Quarantines,
+		"evictions":   &m.Evictions,
+		"throttles":   &m.Throttles,
+	} {
+		ma.Stats.CounterFunc("tenant", name, func() uint64 { return *count })
+	}
 	m.stop = ma.Sim.Every(pollPeriod, m.poll)
 	return m
 }
@@ -210,7 +208,6 @@ func (m *Manager) AddTenant(id int, weight float64, rings []int) (*Tenant, error
 		m.ma.Driver.SetRingTenant(r, id)
 	}
 	m.fair.AddTenant(id, weight, rings, m.ma.Sim.Now())
-	t.lastRecorded, _, _ = m.ma.IOMMU.DeviceFaultStats(dev)
 	m.tenants = append(m.tenants, t)
 	m.byDev[dev] = t
 	return t, nil
@@ -224,29 +221,34 @@ func (m *Manager) AddTenant(id int, weight float64, rings []int) (*Tenant, error
 //	sup.OnForeignRecord = mgr.BindSupervisor()
 func (m *Manager) BindSupervisor() func(rec iommu.FaultRecord) {
 	m.viaSupervisor = true
-	return func(rec iommu.FaultRecord) {
-		if t := m.byDev[rec.Dev]; t != nil && t.state != Evicted {
-			t.window = append(t.window, m.ma.Sim.Now())
-		}
+	return m.ingest
+}
+
+// ingest counts one fault record against the live tenant whose VF raised
+// it; records from other devices are dropped.
+func (m *Manager) ingest(rec iommu.FaultRecord) {
+	if t := m.byDev[rec.Dev]; t != nil && t.state != Evicted {
+		t.window = append(t.window, m.ma.Sim.Now())
 	}
 }
 
 // poll is the detection tick: harvest per-tenant violation signals
 // (fault records attributed to the VF, capability denials), age windows,
 // and walk the ladder. Tenants are visited in registration order so the
-// event stream is deterministic.
+// event stream is deterministic. Without a supervisor the manager is the
+// fault-record ring's only reader: it drains the ring every tick, as the
+// supervisor does, so a storm longer than the ring still reaches the
+// ladder instead of overflowing it.
 func (m *Manager) poll() {
 	now := m.ma.Sim.Now()
+	if !m.viaSupervisor {
+		for _, rec := range m.ma.IOMMU.ReadFaultRecords() {
+			m.ingest(rec)
+		}
+	}
 	for _, t := range m.tenants {
 		if t.state == Evicted || t.busy {
 			continue
-		}
-		if !m.viaSupervisor {
-			recorded, _, _ := m.ma.IOMMU.DeviceFaultStats(t.Dev)
-			for i := t.lastRecorded; i < recorded; i++ {
-				t.window = append(t.window, now)
-			}
-			t.lastRecorded = recorded
 		}
 		denials := m.table.DenialsFor(t.ID)
 		for i := t.lastDenials; i < denials; i++ {
@@ -269,7 +271,6 @@ func (m *Manager) poll() {
 			} else if v >= throttleThreshold {
 				m.setState(t, Throttled)
 				m.Throttles++
-				m.throtC.Inc()
 				m.fair.Throttle(t.ID, true)
 			}
 		case Throttled:
@@ -319,7 +320,6 @@ func (m *Manager) quarantine(t *Tenant) {
 	t.quarantinedAt = m.ma.Sim.Now()
 	t.quarantines++
 	m.Quarantines++
-	m.quarC.Inc()
 	m.table.Revoke(t.ID)
 	m.ma.Cores[0].Submit(true, func(task *sim.Task) {
 		m.ma.Driver.QuarantineDrainRings(task, t.Rings)
@@ -335,7 +335,6 @@ func (m *Manager) quarantine(t *Tenant) {
 		}
 		task.ChargeTime(resetTime)
 		t.window = t.window[:0]
-		t.lastRecorded, _, _ = m.ma.IOMMU.DeviceFaultStats(t.Dev)
 		t.lastDenials = m.table.DenialsFor(t.ID)
 		t.probationAt = m.ma.Sim.Now() + probation
 		t.busy = false
@@ -362,7 +361,6 @@ func (m *Manager) readmit(t *Tenant) {
 		m.fair.Throttle(t.ID, false)
 		m.setState(t, Healthy)
 		t.window = t.window[:0]
-		t.lastRecorded, _, _ = m.ma.IOMMU.DeviceFaultStats(t.Dev)
 		t.lastDenials = m.table.DenialsFor(t.ID)
 		t.busy = false
 	})
@@ -373,5 +371,4 @@ func (m *Manager) readmit(t *Tenant) {
 func (m *Manager) evict(t *Tenant) {
 	m.setState(t, Evicted)
 	m.Evictions++
-	m.evictC.Inc()
 }

@@ -2,9 +2,12 @@ package tenant_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/asplos18/damn/internal/device"
 	"github.com/asplos18/damn/internal/faults"
+	"github.com/asplos18/damn/internal/recovery"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/tenant"
 	"github.com/asplos18/damn/internal/testbed"
@@ -262,5 +265,74 @@ func TestLadderEvict(t *testing.T) {
 		if i >= len(seen) || seen[i] != s {
 			t.Fatalf("transition sequence %v, want prefix %v", seen, want)
 		}
+	}
+}
+
+// stormResult is what a VF 0 fault storm leaves behind.
+type stormResult struct {
+	state       tenant.State
+	quarantines int
+	ladder      []tenant.State
+	// recorded and overflowed are VF 0's fault records deposited in, and
+	// lost to, the IOMMU's fault-record ring.
+	recorded, overflowed uint64
+}
+
+// stormVF0 runs tenants 0 and 1 on rings 0 and 1 while VF 0 DMAs into an
+// unmapped IOVA every 5 µs, for 5 ms or until VF 0 is evicted. supervised
+// attaches the recovery supervisor and routes its foreign fault records
+// into the manager; otherwise the manager reads the fault-record ring
+// itself.
+func stormVF0(t *testing.T, supervised bool) stormResult {
+	t.Helper()
+	ma := newMachine(t)
+	defer ma.Close()
+	mgr := tenant.Attach(ma)
+	if supervised {
+		sup := recovery.Attach(ma)
+		sup.OnForeignRecord = mgr.BindSupervisor()
+	}
+	ten, err := mgr.AddTenant(0, 1, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.AddTenant(1, 1, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ma.FillAllRings(); err != nil {
+		t.Fatal(err)
+	}
+	vf := device.NewMalicious(ma.IOMMU, tenant.DevOf(0))
+	stop := ma.Sim.Every(5*sim.Microsecond, func() { vf.TryRead(0x1000, 64) })
+	defer stop()
+	deadline := ma.Sim.Now() + 5*sim.Millisecond
+	for ma.Sim.Now() < deadline && ten.State() != tenant.Evicted {
+		ma.Sim.Run(ma.Sim.Now() + 50*sim.Microsecond)
+	}
+	res := stormResult{state: ten.State(), quarantines: ten.Quarantines()}
+	for _, tr := range mgr.Transitions {
+		res.ladder = append(res.ladder, tr.To)
+	}
+	res.recorded, res.overflowed, _ = ma.IOMMU.DeviceFaultStats(tenant.DevOf(0))
+	return res
+}
+
+// TestLadderEvictFaultStormStandalone: a manager with no recovery
+// supervisor sees every fault of a storming VF, not just the first 64 the
+// fault-record ring holds, so it walks the VF to eviction as a supervised
+// manager does, with the same records and the same ladder.
+func TestLadderEvictFaultStormStandalone(t *testing.T) {
+	got := stormVF0(t, false)
+	if got.state != tenant.Evicted {
+		t.Fatalf("storming VF state = %s, want evicted", got.state)
+	}
+	if got.quarantines != 2 {
+		t.Errorf("evicted after %d quarantines, want 2", got.quarantines)
+	}
+	if got.overflowed != 0 {
+		t.Errorf("%d of VF 0's fault records overflowed the ring (%d recorded)", got.overflowed, got.recorded)
+	}
+	if want := stormVF0(t, true); !reflect.DeepEqual(got, want) {
+		t.Errorf("standalone %+v, supervised %+v", got, want)
 	}
 }

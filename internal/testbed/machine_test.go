@@ -1,8 +1,11 @@
 package testbed
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/asplos18/damn/internal/damn"
 	"github.com/asplos18/damn/internal/dmaapi"
 	"github.com/asplos18/damn/internal/iommu"
 )
@@ -141,5 +144,40 @@ func TestMachineDeviceIsolationAcrossDevices(t *testing.T) {
 	f = faults[len(faults)-1]
 	if f.Dev != NVMeDeviceID {
 		t.Fatalf("fault attributed to dev %d", f.Dev)
+	}
+}
+
+// TestMachineShardClampAttribution: DAMN requests that carry a CPU id the
+// machine does not have are counted machine-wide and against the device
+// that made them, and against no other device.
+func TestMachineShardClampAttribution(t *testing.T) {
+	ma, err := NewMachine(MachineConfig{Scheme: SchemeDAMN, MemBytes: 128 << 20, Cores: 4, RingSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ma.Close()
+	x := damn.Ctx{CPU: 999}
+	for i := 0; i < 3; i++ {
+		pa, err := ma.Damn.Alloc(x, NVMeDeviceID, iommu.PermWrite, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ma.Damn.Free(x, pa); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := ma.StatsSnapshot()
+	total := snap.Counter("damn/shard_cpu_clamps")
+	if total == 0 || total != ma.Damn.ShardClamps() {
+		t.Fatalf("damn/shard_cpu_clamps = %d, ShardClamps() = %d, want equal and positive", total, ma.Damn.ShardClamps())
+	}
+	key := fmt.Sprintf("damn/shard_cpu_clamps_dev%d", NVMeDeviceID)
+	if got := snap.Counter(key); got != total {
+		t.Errorf("%s = %d, want the machine's %d", key, got, total)
+	}
+	for k := range snap.Counters {
+		if strings.HasPrefix(k, "damn/shard_cpu_clamps_dev") && k != key {
+			t.Errorf("clamp attributed to another device: %s = %d", k, snap.Counters[k])
+		}
 	}
 }

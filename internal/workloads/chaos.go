@@ -17,7 +17,7 @@ type ChaosConfig struct {
 	// FaultSeed roots every fault kind's random stream.
 	FaultSeed int64
 	// Rates is each fault kind's per-visit injection probability; nil
-	// applies chaosRate to every kind.
+	// applies ChaosRate to every kind.
 	Rates map[faults.Kind]float64
 	// Recovery attaches the fault-domain supervisor, so a chaos run that
 	// degrades into a fault storm gets quarantined and healed instead of
@@ -53,10 +53,13 @@ type ChaosResult struct {
 	Snapshot stats.Snapshot
 }
 
+// ChaosRate is the chaos schedule's uniform per-visit injection
+// probability of every fault kind: the chaos harness applies it when
+// ChaosConfig.Rates is nil, and the loss figure's chaos column runs under
+// it.
+const ChaosRate = 0.002
+
 const (
-	// chaosRate is the uniform per-visit injection probability of every
-	// fault kind when ChaosConfig.Rates is nil.
-	chaosRate = 0.002
 	// chaosCores is the machine's core count: chaos runs favour
 	// iteration speed over fidelity to the 28-core testbed.
 	chaosCores int = 4
@@ -70,7 +73,7 @@ const (
 func (cfg *ChaosConfig) faultConfig() *faults.Config {
 	rates := cfg.Rates
 	if rates == nil {
-		rates = faults.UniformRates(chaosRate)
+		rates = faults.UniformRates(ChaosRate)
 	}
 	return &faults.Config{Seed: cfg.FaultSeed, Rates: rates}
 }
