@@ -28,12 +28,8 @@ test:
 
 # The race detector slows the simulations ~10×; -short skips the full
 # figure reproductions (covered by `make test`) so the pass stays bounded.
-# Each test runs once there; the lazy page-struct sections and the zero map
-# are built and updated from several goroutines, so internal/mem's
-# concurrent tests then repeat ten times.
 race:
 	$(GO) test -race -short -timeout 20m ./...
-	$(GO) test -race -count=10 -run 'Concurrent|Lazy' ./internal/mem
 
 # The full race pass: every test, figure reproductions included. CI runs it
 # as its own job; budget the better part of an hour locally.
@@ -71,7 +67,9 @@ bench-go:
 # at -parallel 2, so the same pass checks that their output does not depend
 # on the worker count and runs their self-checks under the race detector
 # (the scaling figure fails on an off-core RX completion, the bypass figure
-# on its acceptance gates, the chaos harness on a conservation audit). A
+# on its acceptance gates, the chaos harness on a conservation audit). One
+# goroutine drives a machine and its components hold no host locks, so that
+# race binary is also the check that two jobs share no machine state. A
 # change that moves any printed byte or metric fails here; one that means to
 # must re-record the digests and say why.
 GOLDEN_FIGS = scaling chaos recovery loss cluster tenants bypass attacks

@@ -21,13 +21,10 @@ import (
 // harness runs it after every faulted workload: graceful degradation means
 // dropping packets, never losing or double-owning chunks.
 func (d *DAMN) Audit() (live int, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
 	seenPA := map[mem.PhysAddr]bool{}
 	seenIOVA := map[iommu.IOVA]bool{}
 	for i := range d.regUsed {
-		ch := d.registry[i].Load()
+		ch := d.registry[i]
 		if ch == nil {
 			continue
 		}
@@ -45,7 +42,7 @@ func (d *DAMN) Audit() (live int, err error) {
 		seenIOVA[ch.iova] = true
 	}
 	for _, slot := range d.freeSlots {
-		if d.registry[slot].Load() != nil {
+		if d.registry[slot] != nil {
 			return live, fmt.Errorf("damn: free slot %d still holds a chunk", slot)
 		}
 	}

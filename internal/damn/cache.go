@@ -2,7 +2,6 @@ package damn
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
@@ -46,7 +45,7 @@ type dmaCache struct {
 	depot depot
 
 	// depotSpare holds chunks carved from a superblock but not yet
-	// handed out (DenseHugeIOVA mode only; guarded by DAMN.mu).
+	// handed out (DenseHugeIOVA mode only).
 	depotSpare []*chunk
 }
 
@@ -177,7 +176,7 @@ func (c *dmaCache) getChunk(x Ctx) (*chunk, error) {
 func (c *dmaCache) putChunk(x Ctx, ch *chunk) {
 	cc := c.cpu(x)
 	if cc.loaded == nil {
-		cc.loaded = newMagazine(c.depot.MagazineSize())
+		cc.loaded = newMagazine(c.depot.m)
 	}
 	if !cc.loaded.full() {
 		cc.loaded.push(ch)
@@ -186,7 +185,7 @@ func (c *dmaCache) putChunk(x Ctx, ch *chunk) {
 	if cc.previous == nil || !cc.previous.full() {
 		cc.loaded, cc.previous = cc.previous, cc.loaded
 		if cc.loaded == nil {
-			cc.loaded = newMagazine(c.depot.MagazineSize())
+			cc.loaded = newMagazine(c.depot.m)
 		}
 		cc.loaded.push(ch)
 		return
@@ -273,11 +272,9 @@ type regionKey struct {
 
 // regionShard holds one CPU's identity-region allocators. IOVA regions are
 // per-(cpu, rights, dev) by construction (Figure 3 encodes the CPU into the
-// address), so sharding by CPU removes the global allocator lock from chunk
-// creation: cores only contend when the shrinker releases another core's
-// slots back.
+// address), so chunk creation on one core draws only from that core's
+// shard; only the shrinker returns slots to another core's shard.
 type regionShard struct {
-	mu      sync.Mutex
 	regions map[regionKey]*regionAlloc
 }
 
@@ -303,8 +300,6 @@ func (d *DAMN) allocEncodedIOVA(cpu int, rights iommu.Perm, dev int) (iommu.IOVA
 		d.noteShardClamp(dev)
 	}
 	s := d.shard(cpu, dev)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	key := regionKey{rights: rights, dev: dev}
 	r := s.regions[key]
 	if r == nil {
@@ -325,8 +320,6 @@ func (d *DAMN) allocEncodedIOVA(cpu int, rights iommu.Perm, dev int) (iommu.IOVA
 // (shrinker and dead-chunk teardown paths).
 func (d *DAMN) releaseRegionSlot(cpu int, rights iommu.Perm, dev int, off uint64) {
 	s := d.shard(cpu, dev)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if r := s.regions[regionKey{rights: rights, dev: dev}]; r != nil {
 		r.release(off)
 	}
@@ -358,8 +351,6 @@ func (r *regionAlloc) release(off uint64) { r.free = append(r.free, off) }
 // registerChunk writes the §5.5 metadata: flag F plus the registry index on
 // the third page, the IOVA on the second page, and accounts the footprint.
 func (d *DAMN) registerChunk(ch *chunk) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var idx int
 	if n := len(d.freeSlots); n > 0 {
 		idx = d.freeSlots[n-1]
@@ -368,7 +359,7 @@ func (d *DAMN) registerChunk(ch *chunk) {
 		idx = d.regUsed
 		d.regUsed++
 	}
-	d.registry[idx].Store(ch)
+	d.registry[idx] = ch
 	ch.regIdx = idx + 1
 	if dev := ch.cache.key.dev; dev >= 0 && dev < len(d.devGens) {
 		ch.gen = d.devGens[dev]
@@ -384,13 +375,11 @@ func (d *DAMN) registerChunk(ch *chunk) {
 
 // unregisterChunk removes the metadata (shrinker path).
 func (d *DAMN) unregisterChunk(ch *chunk) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	tail2 := d.mem.PageOf(ch.head.PFN() + 2)
 	tail2.ClearFlags(mem.FlagDAMN)
 	tail2.Private = 0
 	d.mem.PageOf(ch.head.PFN() + 1).Private = 0
-	d.registry[ch.regIdx-1].Store(nil)
+	d.registry[ch.regIdx-1] = nil
 	d.freeSlots = append(d.freeSlots, ch.regIdx-1)
 	ch.regIdx = 0
 	d.ChunksReleased++

@@ -27,8 +27,6 @@ package damn
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
@@ -114,24 +112,17 @@ type DAMN struct {
 	model *perf.Model
 	cfg   Config
 
-	mu     sync.Mutex
 	caches map[cacheKey]*dmaCache
-	// cacheSnap is a copy-on-write snapshot of caches: Alloc/Free read it
-	// without taking d.mu (the §5.4 point — the hot path is per-core), and
-	// the rare cache creation republishes it under d.mu.
-	cacheSnap atomic.Value // map[cacheKey]*dmaCache
 	// shards hold the per-CPU identity-region IOVA allocators: chunk
-	// creation on one core never contends with another core's.
+	// creation on one core draws only from its own shard.
 	shards []regionShard
 	// registry maps small indexes (stored in tail page structs) back to
 	// chunk objects; the functional equivalent of deriving the chunk
 	// from page-struct metadata. It has one slot per chunk-sized run of
-	// memory, since chunks own disjoint frames, so it never grows:
-	// register/unregister store into a slot under d.mu, and chunkOf
-	// (every Free and every interposed dma_map) loads it without d.mu.
+	// memory, since chunks own disjoint frames, so it never grows.
 	// Slots [0, regUsed) have been handed out; freeSlots lists those of
 	// them that are empty again.
-	registry  []atomic.Pointer[chunk]
+	registry  []*chunk
 	regUsed   int
 	freeSlots []int
 
@@ -141,10 +132,8 @@ type DAMN struct {
 	// devGens counts device resets, indexed by device id: chunks record the
 	// generation they were created under, and a chunk whose generation is
 	// stale is dead — its mapping died with the old domain (see
-	// ReleaseDevice). genSnap is the lock-free read-side copy consulted on
-	// every chunk recycle.
+	// ReleaseDevice).
 	devGens []uint64
-	genSnap atomic.Value // []uint64
 
 	// Stats for Fig 10 / EXPERIMENTS.md.
 	ChunksCreated  uint64
@@ -154,7 +143,7 @@ type DAMN struct {
 	// shardClamps counts requests whose CPU id was out of range and got
 	// aliased to shard/magazine 0 — see (*DAMN).shard. Non-zero means the
 	// per-core affinity invariant was violated somewhere upstream.
-	shardClamps atomic.Uint64
+	shardClamps uint64
 
 	// Observability (nil-safe handles; see SetStats). magHitC counts chunk
 	// gets served by a per-core magazine, depotHitC by a depot exchange,
@@ -186,16 +175,8 @@ func (d *DAMN) SetStats(r *stats.Registry) {
 	d.magHitC = r.Counter("damn", "magazine_hits")
 	d.depotHitC = r.Counter("damn", "depot_hits")
 	d.buildC = r.Counter("damn", "chunk_builds")
-	r.CounterFunc("damn", "chunks_created", func() uint64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.ChunksCreated
-	})
-	r.CounterFunc("damn", "chunks_released", func() uint64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.ChunksReleased
-	})
+	r.CounterFunc("damn", "chunks_created", func() uint64 { return d.ChunksCreated })
+	r.CounterFunc("damn", "chunks_released", func() uint64 { return d.ChunksReleased })
 	d.shrinkRunsC = r.Counter("damn", "shrink_runs")
 	d.shrinkPagesC = r.Counter("damn", "shrink_pages")
 	r.CounterFunc("damn", "shard_cpu_clamps", d.ShardClamps)
@@ -240,7 +221,7 @@ func New(m *mem.Memory, u *iommu.IOMMU, model *perf.Model, cfg Config) (*DAMN, e
 		cfg:      cfg,
 		caches:   make(map[cacheKey]*dmaCache),
 		shards:   make([]regionShard, len(cfg.CoreNodes)),
-		registry: make([]atomic.Pointer[chunk], m.NumPages()/cfg.ChunkPages),
+		registry: make([]*chunk, m.NumPages()/cfg.ChunkPages),
 	}, nil
 }
 
@@ -253,11 +234,7 @@ func (d *DAMN) MaxAlloc() int { return d.ChunkBytes() }
 
 // FootprintBytes reports the memory currently owned by DAMN (in-use
 // buffers, bump chunks, magazines and depot) — the Fig 10 metric.
-func (d *DAMN) FootprintBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.footprint
-}
+func (d *DAMN) FootprintBytes() int64 { return d.footprint }
 
 // noteShardClamp records one out-of-range-CPU alias to shard 0, attributed
 // to the device (and hence tenant) whose request carried the bogus CPU id.
@@ -265,7 +242,7 @@ func (d *DAMN) FootprintBytes() int64 {
 // the fast path (zero in a healthy run), so the per-device counter is
 // looked up in the registry each time.
 func (d *DAMN) noteShardClamp(dev int) {
-	d.shardClamps.Add(1)
+	d.shardClamps++
 	if dev >= 0 && d.reg != nil {
 		d.reg.Counter("damn", fmt.Sprintf("shard_cpu_clamps_dev%d", dev)).Inc()
 	}
@@ -273,7 +250,7 @@ func (d *DAMN) noteShardClamp(dev int) {
 
 // ShardClamps reports how many requests carried a CPU id outside the
 // machine and were aliased to shard 0. Zero in a healthy system.
-func (d *DAMN) ShardClamps() uint64 { return d.shardClamps.Load() }
+func (d *DAMN) ShardClamps() uint64 { return d.shardClamps }
 
 // nodeOf returns the NUMA node of a core (clamped).
 func (d *DAMN) nodeOf(cpu int) int {
@@ -283,26 +260,12 @@ func (d *DAMN) nodeOf(cpu int) int {
 	return d.cfg.CoreNodes[cpu]
 }
 
-// cache returns (creating on demand) the DMA cache for a key. The common
-// case — the cache exists — is a lock-free snapshot read; only the first
-// allocation against a new (dev, rights, node) identity takes d.mu.
+// cache returns (creating on demand) the DMA cache for a key.
 func (d *DAMN) cache(key cacheKey) *dmaCache {
-	if m, _ := d.cacheSnap.Load().(map[cacheKey]*dmaCache); m != nil {
-		if c := m[key]; c != nil {
-			return c
-		}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c, ok := d.caches[key]
-	if !ok {
+	c := d.caches[key]
+	if c == nil {
 		c = newDMACache(d, key)
 		d.caches[key] = c
-		snap := make(map[cacheKey]*dmaCache, len(d.caches))
-		for k, v := range d.caches {
-			snap[k] = v
-		}
-		d.cacheSnap.Store(snap)
 	}
 	return c
 }
@@ -397,8 +360,7 @@ func (d *DAMN) IOVAOf(addr mem.PhysAddr) (iommu.IOVA, bool) {
 }
 
 // chunkOf resolves an address to its DAMN chunk, or nil. It runs on every
-// Free and every interposed dma_map, so it loads the registry slot without
-// taking d.mu.
+// Free and every interposed dma_map.
 func (d *DAMN) chunkOf(addr mem.PhysAddr) *chunk {
 	if d.mem.CheckRange(addr, 1) != nil {
 		return nil
@@ -418,5 +380,5 @@ func (d *DAMN) chunkOf(addr mem.PhysAddr) *chunk {
 	if idx < 1 || idx > len(d.registry) {
 		return nil
 	}
-	return d.registry[idx-1].Load()
+	return d.registry[idx-1]
 }

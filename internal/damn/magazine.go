@@ -1,10 +1,6 @@
 package damn
 
-import (
-	"sync"
-
-	"github.com/asplos18/damn/internal/sim"
-)
+import "github.com/asplos18/damn/internal/sim"
 
 // magazine is an M-element LIFO stack of free chunks (Bonwick & Adams,
 // USENIX ATC'01, as adopted by §5.4). Being per-core, push/pop need no
@@ -28,13 +24,11 @@ func (m *magazine) pop() *chunk {
 func (m *magazine) push(ch *chunk) { m.chunks = append(m.chunks, ch) }
 
 // depot is the shared second-level store: full and empty magazines behind a
-// lock. Cores only come here when both their magazines are exhausted (or
-// both full), so the lock is off the fast path — the property that makes
-// magazines scale (§5.4).
+// lock, whose cost chargeLock bills to the simulated core. Cores only come
+// here when both their magazines are exhausted (or both full), so the lock
+// is off the fast path — the property that makes magazines scale (§5.4).
 type depot struct {
-	m int
-
-	mu sync.Mutex
+	m int // the current (possibly grown) magazine capacity
 
 	full  []*magazine
 	empty []*magazine
@@ -58,8 +52,8 @@ const (
 	magMaxSize = 64
 )
 
-// adapt is called under dp.mu on every exchange; it enlarges the magazine
-// size when the depot is hit frequently.
+// adapt is called on every exchange; it enlarges the magazine size when the
+// depot is hit frequently.
 func (dp *depot) adapt() {
 	dp.sinceGrow++
 	if dp.sinceGrow >= magGrowThreshold && dp.m < magMaxSize {
@@ -69,13 +63,6 @@ func (dp *depot) adapt() {
 		}
 		dp.sinceGrow = 0
 	}
-}
-
-// MagazineSize reports the current (possibly grown) magazine capacity.
-func (dp *depot) MagazineSize() int {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	return dp.m
 }
 
 const depotLockHoldCycles = 220
@@ -92,8 +79,6 @@ func (dp *depot) chargeLock(x Ctx) {
 // exchangeForFull hands the depot an empty magazine (may be nil) and
 // returns a full one, or nil if the depot has none cached.
 func (dp *depot) exchangeForFull(x Ctx, give *magazine) *magazine {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
 	dp.chargeLock(x)
 	dp.Exchanges++
 	dp.adapt()
@@ -110,8 +95,6 @@ func (dp *depot) exchangeForFull(x Ctx, give *magazine) *magazine {
 
 // exchangeForEmpty hands the depot a full magazine and returns an empty one.
 func (dp *depot) exchangeForEmpty(x Ctx, give *magazine) *magazine {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
 	dp.chargeLock(x)
 	dp.Exchanges++
 	dp.adapt()
@@ -127,8 +110,6 @@ func (dp *depot) exchangeForEmpty(x Ctx, give *magazine) *magazine {
 // drainFull removes and returns all chunks cached in the depot's full
 // magazines (shrinker path).
 func (dp *depot) drainFull() []*chunk {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
 	var out []*chunk
 	for _, m := range dp.full {
 		out = append(out, m.chunks...)

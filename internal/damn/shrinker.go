@@ -24,7 +24,6 @@ func (d *DAMN) Shrink(x Ctx) int64 {
 	// Release order is simulation-visible (unmaps and IOTLB invalidations
 	// are charged work), so walk the caches in sorted-key order rather
 	// than map order.
-	d.mu.Lock()
 	keys := make([]cacheKey, 0, len(d.caches))
 	for k := range d.caches {
 		keys = append(keys, k)
@@ -39,14 +38,9 @@ func (d *DAMN) Shrink(x Ctx) int64 {
 		}
 		return a.node < b.node
 	})
-	caches := make([]*dmaCache, 0, len(keys))
-	for _, k := range keys {
-		caches = append(caches, d.caches[k])
-	}
-	d.mu.Unlock()
-
 	var released int64
-	for _, c := range caches {
+	for _, k := range keys {
+		c := d.caches[k]
 		var victims []*chunk
 		// Depot first: those chunks are coldest.
 		victims = append(victims, c.depot.drainFull()...)
@@ -113,15 +107,12 @@ func (d *DAMN) releaseChunk(x Ctx, c *dmaCache, ch *chunk) int64 {
 }
 
 // chunkIsDead reports whether the chunk predates the device's current
-// generation: its mapping died with a destroyed domain. It runs on every
-// chunk recycle, so it reads the lock-free generation snapshot (device
-// resets are rare; they republish it under d.mu).
+// generation: its mapping died with a destroyed domain.
 func (d *DAMN) chunkIsDead(ch *chunk) bool {
-	gens, _ := d.genSnap.Load().([]uint64)
 	dev := ch.cache.key.dev
 	var gen uint64
-	if dev >= 0 && dev < len(gens) {
-		gen = gens[dev]
+	if dev >= 0 && dev < len(d.devGens) {
+		gen = d.devGens[dev]
 	}
 	return ch.gen != gen
 }
@@ -162,14 +153,10 @@ func (d *DAMN) ReleaseDevice(x Ctx, dev int) (releasedPages int64, pinnedChunks 
 	if dev < 0 {
 		return 0, 0
 	}
-	d.mu.Lock()
 	for dev >= len(d.devGens) {
 		d.devGens = append(d.devGens, 0)
 	}
 	d.devGens[dev]++
-	gens := make([]uint64, len(d.devGens))
-	copy(gens, d.devGens)
-	d.genSnap.Store(gens)
 	keys := make([]cacheKey, 0, len(d.caches))
 	for k := range d.caches {
 		if k.dev == dev {
@@ -183,13 +170,8 @@ func (d *DAMN) ReleaseDevice(x Ctx, dev int) (releasedPages int64, pinnedChunks 
 		}
 		return a.node < b.node
 	})
-	caches := make([]*dmaCache, 0, len(keys))
 	for _, k := range keys {
-		caches = append(caches, d.caches[k])
-	}
-	d.mu.Unlock()
-
-	for _, c := range caches {
+		c := d.caches[k]
 		// Retire the bump allocators' carving references. A chunk with no
 		// outstanding buffers recycles immediately — and, being from a
 		// stale generation now, tears down on the spot; one with live
@@ -221,21 +203,17 @@ func (d *DAMN) ReleaseDevice(x Ctx, dev int) (releasedPages int64, pinnedChunks 
 				}
 			}
 		}
-		d.mu.Lock()
 		victims = append(victims, c.depotSpare...)
 		c.depotSpare = nil
-		d.mu.Unlock()
 		for _, ch := range victims {
 			releasedPages += d.releaseDeadChunk(x, c, ch)
 		}
 	}
 
-	d.mu.Lock()
-	for i := range d.regUsed {
-		if ch := d.registry[i].Load(); ch != nil && ch.cache.key.dev == dev {
+	for _, ch := range d.registry[:d.regUsed] {
+		if ch != nil && ch.cache.key.dev == dev {
 			pinnedChunks++
 		}
 	}
-	d.mu.Unlock()
 	return releasedPages, pinnedChunks
 }

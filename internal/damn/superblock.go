@@ -27,19 +27,15 @@ const superblockOrder = 9 // 512 pages = 2 MiB
 // list, allocating and huge-mapping a new superblock when empty.
 func (c *dmaCache) newChunkFromSuperblock(x Ctx) (*chunk, error) {
 	d := c.d
-	d.mu.Lock()
-	spare := c.depotSpare
-	if len(spare) > 0 {
-		ch := spare[len(spare)-1]
-		c.depotSpare = spare[:len(spare)-1]
-		d.mu.Unlock()
+	if n := len(c.depotSpare); n > 0 {
+		ch := c.depotSpare[n-1]
+		c.depotSpare = c.depotSpare[:n-1]
 		return ch, nil
 	}
 	// Reserve a dense 2 MiB IOVA slot (bit 47 set so dma_unmap still
 	// recognises the buffer as DAMN's, but no identity encoding).
 	base := iova.DAMNBit | iommu.IOVA(d.denseNext)
 	d.denseNext += mem.HugePageSize
-	d.mu.Unlock()
 
 	head, err := d.mem.AllocPages(superblockOrder, c.key.node)
 	if err != nil {
@@ -65,8 +61,6 @@ func (c *dmaCache) newChunkFromSuperblock(x Ctx) (*chunk, error) {
 		d.registerChunk(ch)
 		chunks = append(chunks, ch)
 	}
-	d.mu.Lock()
 	c.depotSpare = append(c.depotSpare, chunks[1:]...)
-	d.mu.Unlock()
 	return chunks[0], nil
 }

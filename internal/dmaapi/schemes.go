@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
@@ -32,9 +31,8 @@ func (*OffScheme) Unmap(perf.Charger, int, iommu.IOVA, int, Direction) error { r
 
 // mappingScheme is the shared machinery of strict and deferred: a real IOVA
 // allocator plus IOMMU page-table updates on every map/unmap. What differs
-// is invalidation policy.
+// is invalidation policy, so each defines its own Unmap.
 type mappingScheme struct {
-	mu    sync.Mutex
 	u     *iommu.IOMMU
 	model *perf.Model
 	alloc *iova.Allocator
@@ -87,7 +85,8 @@ func newMappingScheme(u *iommu.IOMMU, model *perf.Model) *mappingScheme {
 	}
 }
 
-func (s *mappingScheme) mapCommon(c perf.Charger, dev int, pa mem.PhysAddr, size int, dir Direction) (iommu.IOVA, error) {
+// Map allocates an IOVA range and installs its page-table entries.
+func (s *mappingScheme) Map(c perf.Charger, dev int, pa mem.PhysAddr, size int, dir Direction) (iommu.IOVA, error) {
 	perf.ChargeCat(c, s.mapCyc, s.model.MapCycles*float64(frames(size, dir)))
 	// Page-align the mapping: the IOMMU maps whole pages, which is why
 	// DMA-API protection is only page-granular (§4: a sub-page buffer
@@ -137,15 +136,7 @@ func NewStrictScheme(u *iommu.IOMMU, model *perf.Model) *StrictScheme {
 
 func (*StrictScheme) Name() string { return "strict" }
 
-func (s *StrictScheme) Map(c perf.Charger, dev int, pa mem.PhysAddr, size int, dir Direction) (iommu.IOVA, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mapCommon(c, dev, pa, size, dir)
-}
-
 func (s *StrictScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, dir Direction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	base, span, err := s.unmapCommon(c, dev, v, size, dir)
 	if err != nil {
 		return err
@@ -207,15 +198,7 @@ func NewDeferredScheme(se *sim.Engine, u *iommu.IOMMU, model *perf.Model) *Defer
 
 func (*DeferredScheme) Name() string { return "deferred" }
 
-func (s *DeferredScheme) Map(c perf.Charger, dev int, pa mem.PhysAddr, size int, dir Direction) (iommu.IOVA, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mapCommon(c, dev, pa, size, dir)
-}
-
 func (s *DeferredScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, dir Direction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	base, span, err := s.unmapCommon(c, dev, v, size, dir)
 	if err != nil {
 		return err
@@ -227,7 +210,7 @@ func (s *DeferredScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, 
 	}
 	s.pending = append(s.pending, deferredEntry{dev: dev, base: base, span: span})
 	if len(s.pending) >= s.model.DeferredBatchSize {
-		s.flushLocked(c)
+		s.Flush(c)
 		return nil
 	}
 	if !s.timerSet && s.se != nil {
@@ -239,17 +222,8 @@ func (s *DeferredScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, 
 
 // timerFlush runs the batch when DeferredFlushInterval expires first.
 func (s *DeferredScheme) timerFlush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.timerSet = false
-	s.flushLocked(nil)
-}
-
-// Flush forces the batched invalidations to run now (tests and shutdown).
-func (s *DeferredScheme) Flush(c perf.Charger) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked(c)
+	s.Flush(nil)
 }
 
 // ResetDevice implements dmaapi.DeviceResetter: a device reset flushes the
@@ -262,13 +236,11 @@ func (s *DeferredScheme) ResetDevice(c perf.Charger, dev int) {
 
 // PendingInvalidations reports the current window size: unmapped buffers
 // the device can still reach.
-func (s *DeferredScheme) PendingInvalidations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
+func (s *DeferredScheme) PendingInvalidations() int { return len(s.pending) }
 
-func (s *DeferredScheme) flushLocked(c perf.Charger) {
+// Flush runs the batched invalidations now. A full batch, the flush timer
+// and a device reset call it.
+func (s *DeferredScheme) Flush(c perf.Charger) {
 	if len(s.pending) == 0 {
 		return
 	}

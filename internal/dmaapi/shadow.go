@@ -2,7 +2,6 @@ package dmaapi
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
@@ -19,7 +18,6 @@ import (
 // moved over the network is copied one extra time, which is the CPU and
 // memory-bandwidth tax the paper measures (§4.2).
 type ShadowScheme struct {
-	mu    sync.Mutex
 	mem   *mem.Memory
 	u     *iommu.IOMMU
 	model *perf.Model
@@ -128,8 +126,6 @@ func (s *ShadowScheme) get(c perf.Charger, key poolKey, size int) (shadowBuf, in
 }
 
 func (s *ShadowScheme) Map(c perf.Charger, dev int, pa mem.PhysAddr, size int, dir Direction) (iommu.IOVA, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	perf.Charge(c, s.model.ShadowMgmtCycles)
 	key := poolKey{dev: dev, perm: dir.Perm()}
 	buf, class, err := s.get(c, key, size)
@@ -147,8 +143,6 @@ func (s *ShadowScheme) Map(c perf.Charger, dev int, pa mem.PhysAddr, size int, d
 }
 
 func (s *ShadowScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, dir Direction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	perf.Charge(c, s.model.ShadowMgmtCycles)
 	m, ok := s.mappings[v]
 	if !ok {

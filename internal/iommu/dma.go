@@ -13,19 +13,51 @@ import (
 // behaviour that makes deferred invalidation a security/performance trade.
 // write selects the permission that must be present.
 func (u *IOMMU) Translate(dev int, iova IOVA, write bool) (mem.PhysAddr, error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.translateLocked(dev, iova, write)
+	u.Translations++
+	d := u.Domain(dev)
+	if d == nil {
+		return 0, u.fault(dev, iova, permFor(write), write, false)
+	}
+	if d.Passthrough {
+		return mem.PhysAddr(iova), nil
+	}
+	need := permFor(write)
+	// An injected translation fault blocks the DMA even though the mapping
+	// is valid — hardware hiccups (ATS glitches, poisoned walks) that real
+	// VT-d units report through the fault-record queue.
+	if u.inj.ShouldDev(faults.DMAFault, dev) {
+		return 0, u.fault(dev, iova, need, write, true)
+	}
+	if e, ok := u.tlb.lookup(dev, iova); ok {
+		if e.perm&need == 0 {
+			return 0, u.fault(dev, iova, need, write, false)
+		}
+		if e.huge {
+			return e.pfn.Addr() + mem.PhysAddr(iova&IOVA(mem.HugePageMask)), nil
+		}
+		return e.pfn.Addr() + mem.PhysAddr(iova&IOVA(mem.PageMask)), nil
+	}
+	// IOTLB miss: walk the page tables.
+	e := d.walk(iova, false)
+	if e == nil || !e.present {
+		return 0, u.fault(dev, iova, need, write, false)
+	}
+	if e.perm&need == 0 {
+		return 0, u.fault(dev, iova, need, write, false)
+	}
+	u.tlb.insert(dev, iova, e.huge, e.pfn, e.perm)
+	if e.huge {
+		return e.pfn.Addr() + mem.PhysAddr(iova&IOVA(mem.HugePageMask)), nil
+	}
+	return e.pfn.Addr() + mem.PhysAddr(iova&IOVA(mem.PageMask)), nil
 }
 
-// faultLocked records a blocked DMA in the fault log, the bounded VT-d
-// fault-record queue and the counters, and returns the Fault for the
-// caller to propagate. Caller holds u.mu.
-func (u *IOMMU) faultLocked(dev int, iova IOVA, want Perm, write, injected bool) Fault {
+// fault records a blocked DMA in the bounded VT-d fault-record queue and
+// the counters, and returns the Fault for the caller to propagate.
+func (u *IOMMU) fault(dev int, iova IOVA, want Perm, write, injected bool) Fault {
 	u.BlockedDMAs++
 	u.countDev(&u.blockedBy, "blocked_dmas", dev)
 	f := Fault{Dev: dev, Addr: iova, Wanted: want, Write: write}
-	u.faults = append(u.faults, f)
 	if u.fq.push(FaultRecord{Fault: f, Injected: injected}) {
 		u.countDev(&u.fq.recordedBy, "fault_records", dev)
 	} else {
@@ -47,60 +79,16 @@ func (u *IOMMU) faultLocked(dev int, iova IOVA, want Perm, write, injected bool)
 // blocked DMAs as neighbour probes (see the classify field). Passing nil
 // disables classification.
 func (u *IOMMU) SetProbeClassifier(fn func(dev int, v IOVA) (owner int, ok bool)) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	u.classify = fn
 }
 
 // BlockedDMAsFor reports how many DMAs from one source device the IOMMU has
 // blocked — the per-fault-domain flavour of BlockedDMAs.
 func (u *IOMMU) BlockedDMAsFor(dev int) uint64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if dev < 0 || dev >= len(u.blockedBy) {
 		return 0
 	}
 	return u.blockedBy[dev]
-}
-
-func (u *IOMMU) translateLocked(dev int, iova IOVA, write bool) (mem.PhysAddr, error) {
-	u.Translations++
-	d := u.domain(dev)
-	if d == nil {
-		return 0, u.faultLocked(dev, iova, permFor(write), write, false)
-	}
-	if d.Passthrough {
-		return mem.PhysAddr(iova), nil
-	}
-	need := permFor(write)
-	// An injected translation fault blocks the DMA even though the mapping
-	// is valid — hardware hiccups (ATS glitches, poisoned walks) that real
-	// VT-d units report through the fault-record queue.
-	if u.inj.ShouldDev(faults.DMAFault, dev) {
-		return 0, u.faultLocked(dev, iova, need, write, true)
-	}
-	if e, ok := u.tlb.lookup(dev, iova); ok {
-		if e.perm&need == 0 {
-			return 0, u.faultLocked(dev, iova, need, write, false)
-		}
-		if e.huge {
-			return e.pfn.Addr() + mem.PhysAddr(iova&IOVA(mem.HugePageMask)), nil
-		}
-		return e.pfn.Addr() + mem.PhysAddr(iova&IOVA(mem.PageMask)), nil
-	}
-	// IOTLB miss: walk the page tables.
-	e := d.walk(iova, false)
-	if e == nil || !e.present {
-		return 0, u.faultLocked(dev, iova, need, write, false)
-	}
-	if e.perm&need == 0 {
-		return 0, u.faultLocked(dev, iova, need, write, false)
-	}
-	u.tlb.insert(dev, iova, e.huge, e.pfn, e.perm)
-	if e.huge {
-		return e.pfn.Addr() + mem.PhysAddr(iova&IOVA(mem.HugePageMask)), nil
-	}
-	return e.pfn.Addr() + mem.PhysAddr(iova&IOVA(mem.PageMask)), nil
 }
 
 func permFor(write bool) Perm {
@@ -110,21 +98,14 @@ func permFor(write bool) Perm {
 	return PermRead
 }
 
-// TranslateSpan translates every 4 KiB page of [iova, iova+span) in one
-// critical section — the batched form of Translate a device uses when it
-// walks a whole segment. Counters, IOTLB state and fault records are
-// identical to span/PageSize individual Translate calls; the batching only
-// saves the per-page lock round trip. Faults do not abort the span (the
-// device touches each page independently); the first error is returned.
+// TranslateSpan translates every 4 KiB page of [iova, iova+span), as a
+// device does when it walks a whole segment. Faults do not abort the span
+// (the device touches each page independently); the first error is
+// returned.
 func (u *IOMMU) TranslateSpan(dev int, iova IOVA, span int, write bool) error {
-	if span <= 0 {
-		return nil
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	var first error
 	for off := 0; off < span; off += mem.PageSize {
-		if _, err := u.translateLocked(dev, iova+IOVA(off), write); err != nil && first == nil {
+		if _, err := u.Translate(dev, iova+IOVA(off), write); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -146,12 +127,10 @@ func (u *IOMMU) DMAWrite(dev int, iova IOVA, buf []byte) (int, error) {
 }
 
 func (u *IOMMU) dma(dev int, iova IOVA, buf []byte, write bool) (int, error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	done := 0
 	for done < len(buf) {
 		va := iova + IOVA(done)
-		pa, err := u.translateLocked(dev, va, write)
+		pa, err := u.Translate(dev, va, write)
 		if err != nil {
 			return done, err
 		}

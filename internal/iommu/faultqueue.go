@@ -3,7 +3,7 @@ package iommu
 // VT-d hardware does not raise a Go error at the device: a blocked DMA
 // aborts silently on the bus and the IOMMU deposits a *fault record* into a
 // bounded ring the OS reads later (primary fault logging). FaultQueue
-// models that ring: faultLocked pushes a record for every blocked DMA, and
+// models that ring: Translate pushes a record for every blocked DMA, and
 // when the ring is full the record is lost and only an overflow counter
 // advances — exactly the information loss real hardware exhibits under a
 // fault storm.
@@ -21,8 +21,7 @@ type FaultRecord struct {
 	Injected bool
 }
 
-// FaultQueue is the bounded VT-d-style fault-record ring. It is guarded by
-// the owning IOMMU's mutex.
+// FaultQueue is the bounded VT-d-style fault-record ring.
 type FaultQueue struct {
 	buf   [FaultRecordDepth]FaultRecord
 	head  int
@@ -46,8 +45,7 @@ type FaultQueue struct {
 }
 
 // push deposits a record and reports whether it was kept: when the ring is
-// full the record is dropped and only the overflow is counted. Caller holds
-// the IOMMU mutex.
+// full the record is dropped and only the overflow is counted.
 func (fq *FaultQueue) push(rec FaultRecord) bool {
 	if fq.count == FaultRecordDepth {
 		fq.Overflows++
@@ -63,8 +61,7 @@ func (fq *FaultQueue) push(rec FaultRecord) bool {
 // Pending reports deposited, not-yet-read records.
 func (fq *FaultQueue) Pending() int { return fq.count }
 
-// drain pops every pending record in FIFO order. Caller holds the IOMMU
-// mutex.
+// drain pops every pending record in FIFO order.
 func (fq *FaultQueue) drain() []FaultRecord {
 	if fq.count == 0 {
 		return nil
@@ -81,23 +78,13 @@ func (fq *FaultQueue) drain() []FaultRecord {
 // ReadFaultRecords is the OS side of primary fault logging: it pops and
 // returns every pending record, clearing the ring the way the fault-status
 // register write-back does.
-func (u *IOMMU) ReadFaultRecords() []FaultRecord {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.fq.drain()
-}
+func (u *IOMMU) ReadFaultRecords() []FaultRecord { return u.fq.drain() }
 
 // PendingFaultRecords reports deposited, not-yet-read records.
-func (u *IOMMU) PendingFaultRecords() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.fq.Pending()
-}
+func (u *IOMMU) PendingFaultRecords() int { return u.fq.Pending() }
 
 // FaultQueueStats reports (recorded, overflowed) record counts.
 func (u *IOMMU) FaultQueueStats() (recorded, overflowed uint64) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	return u.fq.Recorded, u.fq.Overflows
 }
 
@@ -107,8 +94,6 @@ func (u *IOMMU) FaultQueueStats() (recorded, overflowed uint64) {
 // instead of the machine; probesBlocked isolates the subset of blocked DMAs
 // that aimed at a sibling device's IOVA range (neighbour probes).
 func (u *IOMMU) DeviceFaultStats(dev int) (recorded, overflowed, probesBlocked uint64) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if dev >= 0 && dev < len(u.fq.recordedBy) {
 		recorded = u.fq.recordedBy[dev]
 	}

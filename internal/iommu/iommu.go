@@ -13,7 +13,6 @@ package iommu
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/asplos18/damn/internal/faults"
 	"github.com/asplos18/damn/internal/mem"
@@ -99,8 +98,7 @@ type Domain struct {
 	// memoizes the last leaf table (one 2 MiB window of 4 KiB ptes) and
 	// the last page directory (one 1 GiB window of level-1 entries), so
 	// consecutive translations within a buffer skip the radix descent.
-	// Host-side only: no simulated cost or state depends on it. Guarded
-	// by the IOMMU mutex like the tables themselves.
+	// Host-side only: no simulated cost or state depends on it.
 	wcLeaf     *[ptFanout]pte
 	wcLeafBase IOVA // 2 MiB-aligned base covered by wcLeaf
 	wcDir      *[ptFanout]pte
@@ -120,9 +118,8 @@ func (d *Domain) invalidateWalkCache() {
 	d.wcDir = nil
 }
 
-// IOMMU is the unit: domains plus the shared IOTLB and fault log.
+// IOMMU is the unit: domains plus the shared IOTLB and fault-record queue.
 type IOMMU struct {
-	mu  sync.Mutex
 	mem *mem.Memory
 	// domains is dense, indexed by device id (nil = not attached). Device
 	// ids are small integers (bus/device/function analogues), so a slice
@@ -133,8 +130,7 @@ type IOMMU struct {
 	invq    *InvalidationQueue
 	inj     *faults.Injector
 
-	faults []Fault
-	fq     FaultQueue
+	fq FaultQueue
 	// classify, when installed, maps a faulting IOVA back to the device
 	// that owns it (DAMN IOVAs encode their owner). A blocked DMA whose
 	// decoded owner differs from the requester is a *neighbour probe* — a
@@ -157,22 +153,12 @@ type IOMMU struct {
 	reg *stats.Registry
 }
 
-// domain returns the attached domain for dev, or nil. Caller holds u.mu.
-func (u *IOMMU) domain(dev int) *Domain {
-	if dev < 0 || dev >= len(u.domains) {
-		return nil
-	}
-	return u.domains[dev]
-}
-
 // SetStats attaches a metrics registry to the IOMMU and its IOTLB and
 // invalidation queue, so a run's translation, invalidation and fault
 // activity is exported alongside every other layer. The counts the IOMMU
-// keeps are views read under u.mu; a device's per-device fault views are
-// registered at its first fault of each kind.
+// keeps are views; a device's per-device fault views are registered at its
+// first fault of each kind.
 func (u *IOMMU) SetStats(r *stats.Registry) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	u.reg = r
 	for name, count := range map[string]*uint64{
 		"mappings":             &u.Mappings,
@@ -190,23 +176,14 @@ func (u *IOMMU) SetStats(r *stats.Registry) {
 		"invq_processed":       &u.invq.Processed,
 		"ite_timeouts":         &u.invq.ITETimeouts,
 	} {
-		u.view(name, func() uint64 { return *count })
+		r.CounterFunc("iommu", name, func() uint64 { return *count })
 	}
 	u.invq.SetStats(r)
 }
 
-// view registers an iommu counter view that reads under u.mu.
-func (u *IOMMU) view(name string, read func() uint64) {
-	u.reg.CounterFunc("iommu", name, func() uint64 {
-		u.mu.Lock()
-		defer u.mu.Unlock()
-		return read()
-	})
-}
-
 // countDev adds one to dev's slot of a dense per-device count, growing it
 // on first sight of the device, and registers the view name_dev<dev> when
-// the device is first counted there. Caller holds u.mu.
+// the device is first counted there.
 func (u *IOMMU) countDev(counts *[]uint64, name string, dev int) {
 	if dev < 0 {
 		return
@@ -216,7 +193,7 @@ func (u *IOMMU) countDev(counts *[]uint64, name string, dev int) {
 	}
 	(*counts)[dev]++
 	if (*counts)[dev] == 1 {
-		u.view(fmt.Sprintf("%s_dev%d", name, dev), func() uint64 { return (*counts)[dev] })
+		u.reg.CounterFunc("iommu", fmt.Sprintf("%s_dev%d", name, dev), func() uint64 { return (*counts)[dev] })
 	}
 }
 
@@ -224,8 +201,6 @@ func (u *IOMMU) countDev(counts *[]uint64, name string, dev int) {
 // translation faults (delivered through the fault-record queue) and
 // invalidation-queue timeouts.
 func (u *IOMMU) SetFaults(inj *faults.Injector) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	u.inj = inj
 	u.invq.inj = inj
 }
@@ -255,8 +230,6 @@ func (u *IOMMU) AttachDevice(dev int) *Domain {
 	if dev < 0 || dev > math.MaxInt32 {
 		panic(fmt.Sprintf("iommu: attach of out-of-range device id %d", dev))
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	for dev >= len(u.domains) {
 		u.domains = append(u.domains, nil)
 	}
@@ -270,7 +243,7 @@ func (u *IOMMU) AttachDevice(dev int) *Domain {
 
 // DetachDevice tears down the device's domain: its page tables are dropped
 // wholesale and every in-flight DMA from the device faults from this moment
-// on (translateLocked treats a missing domain as a blocked DMA). This is the
+// on (Translate treats a missing domain as a blocked DMA). This is the
 // quarantine primitive — the VT-d analogue of clearing the device's context
 // entry. The IOTLB may still hold stale entries for the old domain; the
 // caller must push an InvDomain through the invalidation queue before the
@@ -280,9 +253,7 @@ func (u *IOMMU) AttachDevice(dev int) *Domain {
 // Returns the number of pages that were still mapped (the mappings the
 // reset abandons) and whether a domain existed at all.
 func (u *IOMMU) DetachDevice(dev int) (abandonedPages int64, ok bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	d := u.domain(dev)
+	d := u.Domain(dev)
 	if d == nil {
 		return 0, false
 	}
@@ -293,26 +264,14 @@ func (u *IOMMU) DetachDevice(dev int) (abandonedPages int64, ok bool) {
 }
 
 // Attached reports whether the device currently has a domain.
-func (u *IOMMU) Attached(dev int) bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.domain(dev) != nil
-}
+func (u *IOMMU) Attached(dev int) bool { return u.Domain(dev) != nil }
 
-// Domain returns the domain for dev, or nil.
+// Domain returns the attached domain for dev, or nil.
 func (u *IOMMU) Domain(dev int) *Domain {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.domain(dev)
-}
-
-// Faults returns a copy of the fault log.
-func (u *IOMMU) Faults() []Fault {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	out := make([]Fault, len(u.faults))
-	copy(out, u.faults)
-	return out
+	if dev < 0 || dev >= len(u.domains) {
+		return nil
+	}
+	return u.domains[dev]
 }
 
 // indexAt returns the page-table index of iova at the given level
@@ -337,9 +296,7 @@ func (u *IOMMU) Map(dev int, iova IOVA, pa mem.PhysAddr, size int, perm Perm) er
 	if err := u.mem.CheckRange(pa, size); err != nil {
 		return err
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	d := u.domain(dev)
+	d := u.Domain(dev)
 	if d == nil {
 		return fmt.Errorf("iommu: device %d not attached", dev)
 	}
@@ -369,9 +326,7 @@ func (u *IOMMU) MapHuge(dev int, iova IOVA, pa mem.PhysAddr, perm Perm) error {
 	if err := u.mem.CheckRange(pa, mem.HugePageSize); err != nil {
 		return err
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	d := u.domain(dev)
+	d := u.Domain(dev)
 	if d == nil {
 		return fmt.Errorf("iommu: device %d not attached", dev)
 	}
@@ -401,9 +356,7 @@ func (u *IOMMU) Unmap(dev int, iova IOVA, size int) error {
 	if iova&IOVA(mem.PageMask) != 0 || size <= 0 {
 		return fmt.Errorf("iommu: bad unmap [%#x,+%d)", iova, size)
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	d := u.domain(dev)
+	d := u.Domain(dev)
 	if d == nil {
 		return fmt.Errorf("iommu: device %d not attached", dev)
 	}
@@ -425,9 +378,7 @@ func (u *IOMMU) Unmap(dev int, iova IOVA, size int) error {
 
 // UnmapHuge removes a 2 MiB mapping.
 func (u *IOMMU) UnmapHuge(dev int, iova IOVA) error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	d := u.domain(dev)
+	d := u.Domain(dev)
 	if d == nil {
 		return fmt.Errorf("iommu: device %d not attached", dev)
 	}
@@ -444,7 +395,6 @@ func (u *IOMMU) UnmapHuge(dev int, iova IOVA) error {
 
 // walk descends to the leaf pte for iova, allocating interior nodes when
 // create is set. Returns nil if a level is missing and create is false.
-// Caller holds u.mu.
 //
 // The paging-structure cache short-circuits the descent: a hit on the leaf
 // memo resolves in one index, a hit on the directory memo skips the top two
@@ -509,9 +459,7 @@ func (d *Domain) walkHuge(iova IOVA, create bool) *pte {
 // MappedPages returns the number of currently mapped 4 KiB pages in the
 // device's domain.
 func (u *IOMMU) MappedPages(dev int) int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if d := u.domain(dev); d != nil {
+	if d := u.Domain(dev); d != nil {
 		return d.mappedPages
 	}
 	return 0
@@ -520,9 +468,7 @@ func (u *IOMMU) MappedPages(dev int) int64 {
 // EverMappedPages returns the cumulative count of pages ever mapped for the
 // device (the monotone curve of Fig 9).
 func (u *IOMMU) EverMappedPages(dev int) int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if d := u.domain(dev); d != nil {
+	if d := u.Domain(dev); d != nil {
 		return d.everMapped
 	}
 	return 0

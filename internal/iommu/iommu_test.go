@@ -98,8 +98,8 @@ func TestUnattachedDeviceBlocked(t *testing.T) {
 	if u.BlockedDMAs != 1 {
 		t.Fatalf("BlockedDMAs = %d", u.BlockedDMAs)
 	}
-	if len(u.Faults()) != 1 {
-		t.Fatalf("fault log has %d entries", len(u.Faults()))
+	if recs := u.ReadFaultRecords(); len(recs) != 1 || recs[0].Dev != 9 {
+		t.Fatalf("fault records = %+v, want one from device 9", recs)
 	}
 }
 

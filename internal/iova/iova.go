@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/asplos18/damn/internal/iommu"
 )
@@ -37,10 +36,8 @@ const (
 )
 
 // Allocator hands out page-aligned IOVA ranges from [lo, hi], top-down,
-// first-fit, as the Linux intel-iommu allocator does. It is safe for
-// concurrent use.
+// first-fit, as the Linux intel-iommu allocator does.
 type Allocator struct {
-	mu   sync.Mutex
 	lo   iommu.IOVA
 	hi   iommu.IOVA
 	free []span // sorted by base, non-overlapping, coalesced
@@ -81,8 +78,6 @@ func (a *Allocator) Alloc(size int) (iommu.IOVA, error) {
 		return 0, fmt.Errorf("iova: bad size %d", size)
 	}
 	need := (uint64(size) + 0xFFF) &^ 0xFFF
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for i := len(a.free) - 1; i >= 0; i-- {
 		s := &a.free[i]
 		if s.size < need {
@@ -102,8 +97,6 @@ func (a *Allocator) Alloc(size int) (iommu.IOVA, error) {
 
 // Free releases a range returned by Alloc.
 func (a *Allocator) Free(base iommu.IOVA) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	size, ok := a.allocated[base]
 	if !ok {
 		return fmt.Errorf("iova: free of unallocated base %#x", base)
@@ -114,11 +107,7 @@ func (a *Allocator) Free(base iommu.IOVA) error {
 }
 
 // SizeOf reports the allocated size of base, or 0.
-func (a *Allocator) SizeOf(base iommu.IOVA) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.allocated[base]
-}
+func (a *Allocator) SizeOf(base iommu.IOVA) int { return a.allocated[base] }
 
 // insertFree adds a span back, keeping the list sorted and coalesced.
 func (a *Allocator) insertFree(s span) {
@@ -139,8 +128,6 @@ func (a *Allocator) insertFree(s span) {
 
 // FreeBytes reports the total free IOVA space (tests).
 func (a *Allocator) FreeBytes() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var n uint64
 	for _, s := range a.free {
 		n += s.size

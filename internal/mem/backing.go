@@ -50,12 +50,13 @@ func takeBacking(size int) ([]byte, zeroMap) {
 // scrub clears exactly the frames the zero map has marked and clears the
 // map.
 func scrub(b backing) {
-	for wi := range b.dirty {
-		for w := b.dirty[wi].Swap(0); w != 0; w &= w - 1 {
+	for wi, w := range b.dirty {
+		for ; w != 0; w &= w - 1 {
 			lo := (wi*64 + bits.TrailingZeros64(w)) << PageShift
 			clear(b.data[lo : lo+PageSize])
 		}
 	}
+	clear(b.dirty)
 }
 
 // Release parks the data array in the backing pool for the next Memory of

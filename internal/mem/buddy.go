@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // MaxOrder is the largest block the buddy allocator manages: 2^10 pages =
 // 4 MiB, matching Linux's MAX_ORDER-1 = 10 on x86.
@@ -20,7 +17,6 @@ type Zone struct {
 	start PFN
 	end   PFN
 
-	mu sync.Mutex
 	// freeLists[o] heads an intrusive singly linked list of free order-o
 	// blocks. The link is stored in the head page struct's Private field
 	// (as Linux stores the lru linkage in the free struct page); 0 ends a
@@ -118,8 +114,6 @@ func (z *Zone) removeFree(pfn PFN, order int) bool {
 
 // alloc returns a 2^order frame block, splitting larger blocks as needed.
 func (z *Zone) alloc(order int) (PFN, bool) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
 	for o := order; o <= MaxOrder; o++ {
 		pfn, ok := z.popFree(o)
 		if !ok {
@@ -142,8 +136,6 @@ func (z *Zone) free(pfn PFN, order int) {
 	if pfn < z.start || pfn+(1<<order) > z.end {
 		panic(fmt.Sprintf("mem: freeing pfn %d order %d outside zone %d [%d,%d)", pfn, order, z.node, z.start, z.end))
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
 	for order < MaxOrder {
 		buddy := pfn ^ (1 << order)
 		if buddy < z.start || buddy+(1<<order) > z.end {
@@ -162,11 +154,4 @@ func (z *Zone) free(pfn PFN, order int) {
 		order++
 	}
 	z.pushFree(pfn, order)
-}
-
-// freePages reports the number of free frames in the zone.
-func (z *Zone) freePages() int64 {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	return z.nfree
 }

@@ -3,7 +3,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/asplos18/damn/internal/faults"
 )
@@ -16,14 +15,12 @@ var ErrNoMemory = errors.New("mem: out of memory")
 
 // Memory is the simulated physical memory of one machine: a flat byte array
 // with its zero map, plus the page structs and per-NUMA-node buddy zones.
-// It is safe for concurrent use on disjoint byte ranges; the buddy zones
-// serialize internally, and the zero map and the page-struct sections are
-// updated atomically.
+// Like every component of a machine, it is driven by one goroutine.
 type Memory struct {
 	data []byte
 	// sections holds the page structs, one section per MaxOrder block,
 	// each built on the first PageOf into it (see PageOf).
-	sections []atomic.Pointer[section]
+	sections []*section
 	npages   int
 	perNode  int // frames per NUMA node; the last node takes the remainder
 	zones    []*Zone
@@ -33,13 +30,13 @@ type Memory struct {
 	dirty zeroMap
 
 	// Counters for the evaluation harness (Fig 9 / Fig 10).
-	allocatedPages atomic.Int64
-	zeroedBytes    atomic.Int64
+	allocatedPages int64
+	zeroedBytes    int64
 
 	// Memory-pressure reclaim (§5.4's shrinker interface).
-	shrinkers      shrinkerRegistry
-	reclaimRuns    atomic.Int64
-	reclaimedPages atomic.Int64
+	shrinkers      []ShrinkFunc
+	reclaimRuns    int64
+	reclaimedPages int64
 
 	inj *faults.Injector
 }
@@ -73,7 +70,7 @@ func New(cfg Config) (*Memory, error) {
 	m := &Memory{
 		data:     data,
 		dirty:    dirty,
-		sections: make([]atomic.Pointer[section], (nPages+sectionPages-1)>>sectionShift),
+		sections: make([]*section, (nPages+sectionPages-1)>>sectionShift),
 		npages:   nPages,
 		perNode:  perNode,
 		zones:    make([]*Zone, cfg.NUMANodes),
@@ -113,22 +110,19 @@ const (
 
 // PageOf returns the page struct for a frame number. A machine touches a
 // few of its sections, so each is built, its frames numbered and given
-// their node, on the first PageOf into it. Two callers that race to build
-// one publish a single copy by compare-and-swap, so every caller gets the
-// same *Page for a frame.
+// their node, on the first PageOf into it.
 func (m *Memory) PageOf(pfn PFN) *Page {
 	if uint64(pfn) >= uint64(m.npages) {
 		panic(fmt.Sprintf("mem: pfn %d is past the end of RAM (%d frames)", pfn, m.npages))
 	}
-	s := m.sections[pfn>>sectionShift].Load()
+	s := m.sections[pfn>>sectionShift]
 	if s == nil {
 		s = m.buildSection(pfn >> sectionShift)
 	}
 	return &s[pfn&sectionMask]
 }
 
-// buildSection builds section i and publishes it, unless another caller
-// published it first, and returns the published copy.
+// buildSection builds section i and stores it.
 func (m *Memory) buildSection(i PFN) *section {
 	s := new(section)
 	base := i << sectionShift
@@ -137,17 +131,15 @@ func (m *Memory) buildSection(i PFN) *section {
 		s[j].pfn = pfn
 		s[j].Node = min(int(pfn)/m.perNode, len(m.zones)-1)
 	}
-	if m.sections[i].CompareAndSwap(nil, s) {
-		return s
-	}
-	return m.sections[i].Load()
+	m.sections[i] = s
+	return s
 }
 
 // block returns the page structs of the 2^order block headed by head,
 // which PageOf has built.
 func (m *Memory) block(head *Page, order int) []Page {
 	i := head.pfn & sectionMask
-	return m.sections[head.pfn>>sectionShift].Load()[i : i+1<<order]
+	return m.sections[head.pfn>>sectionShift][i : i+1<<order]
 }
 
 // PageOfAddr returns the page struct covering a physical address.
@@ -214,7 +206,7 @@ func (m *Memory) Zero(pa PhysAddr, n int) {
 		}
 		off += k
 	}
-	m.zeroedBytes.Add(int64(n))
+	m.zeroedBytes += int64(n)
 }
 
 // Copy copies n bytes from src to dst, with memmove semantics. Callers
@@ -253,10 +245,10 @@ func (m *Memory) Copy(dst, src PhysAddr, n int) {
 }
 
 // ZeroedBytes reports the cumulative number of bytes zeroed.
-func (m *Memory) ZeroedBytes() int64 { return m.zeroedBytes.Load() }
+func (m *Memory) ZeroedBytes() int64 { return m.zeroedBytes }
 
 // AllocatedPages reports the number of pages currently held by callers.
-func (m *Memory) AllocatedPages() int64 { return m.allocatedPages.Load() }
+func (m *Memory) AllocatedPages() int64 { return m.allocatedPages }
 
 // AllocPages allocates 2^order physically contiguous frames on the given
 // NUMA node (falling back to other nodes if the preferred one is exhausted)
@@ -279,7 +271,7 @@ func (m *Memory) AllocPages(order int, node int) (*Page, error) {
 		for attempt := 0; attempt < len(m.zones); attempt++ {
 			z := m.zones[(node+attempt)%len(m.zones)]
 			if pfn, ok := z.alloc(order); ok {
-				m.allocatedPages.Add(1 << order)
+				m.allocatedPages += 1 << order
 				head := m.PageOf(pfn)
 				m.makeCompound(head, order)
 				return head, nil
@@ -300,7 +292,7 @@ func (m *Memory) FreePages(head *Page, order int) {
 		panic(fmt.Sprintf("mem: double free of pfn %d", head.pfn))
 	}
 	m.breakCompound(head, order)
-	m.allocatedPages.Add(-(1 << order))
+	m.allocatedPages -= 1 << order
 	m.zones[head.Node].free(head.pfn, order)
 }
 
@@ -369,7 +361,7 @@ func (m *Memory) Head(p *Page) *Page {
 func (m *Memory) TotalFreePages() int64 {
 	var n int64
 	for _, z := range m.zones {
-		n += z.freePages()
+		n += z.nfree
 	}
 	return n
 }

@@ -360,34 +360,6 @@ func TestBuddyRandomized(t *testing.T) {
 	}
 }
 
-func TestConcurrentAllocFree(t *testing.T) {
-	m := newTestMemory(t, 64<<20, 2)
-	initial := m.TotalFreePages()
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(seed int64) {
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 500; i++ {
-				order := rng.Intn(4)
-				p, err := m.AllocPages(order, rng.Intn(2))
-				if err != nil {
-					continue
-				}
-				// Touch the memory to catch overlapping handouts.
-				m.Write(p.PFN().Addr(), []byte{byte(seed)})
-				m.FreePages(p, order)
-			}
-			done <- nil
-		}(int64(g))
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if got := m.TotalFreePages(); got != initial {
-		t.Fatalf("leaked frames under concurrency: %d free, want %d", got, initial)
-	}
-}
-
 func TestShrinkerRunsUnderPressure(t *testing.T) {
 	m := newTestMemory(t, 1<<20, 1) // 256 pages
 	// A cache subsystem holds half the memory and registers a shrinker.

@@ -18,10 +18,7 @@
 // its frames.
 package mem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Page geometry. These mirror x86-64: 4 KiB base pages and 2 MiB huge pages
 // (used by the IOMMU for "huge IOVA page" mappings, Table 3 of the paper).
@@ -77,8 +74,8 @@ const (
 // of DAMN chunks — storing that metadata in otherwise-unused tail page
 // structs is precisely the trick §5.5 of the paper describes.
 type Page struct {
-	flags    atomicFlags
-	refcount atomic.Int32
+	flags    PageFlags
+	refcount int32
 
 	// Order is valid on a compound head: log2 of the number of pages.
 	Order uint8
@@ -95,44 +92,41 @@ type Page struct {
 	pfn PFN
 }
 
-type atomicFlags struct{ v atomic.Uint32 }
-
-func (f *atomicFlags) set(bits PageFlags)      { f.v.Or(uint32(bits)) }
-func (f *atomicFlags) clear(bits PageFlags)    { f.v.And(^uint32(bits)) }
-func (f *atomicFlags) has(bits PageFlags) bool { return PageFlags(f.v.Load())&bits == bits }
-
 // PFN returns the frame number this page struct describes.
 func (p *Page) PFN() PFN { return p.pfn }
 
 // SetFlags sets the given flag bits.
-func (p *Page) SetFlags(bits PageFlags) { p.flags.set(bits) }
+func (p *Page) SetFlags(bits PageFlags) { p.flags |= bits }
 
 // ClearFlags clears the given flag bits.
-func (p *Page) ClearFlags(bits PageFlags) { p.flags.clear(bits) }
+func (p *Page) ClearFlags(bits PageFlags) { p.flags &^= bits }
 
 // Has reports whether all the given flag bits are set.
-func (p *Page) Has(bits PageFlags) bool { return p.flags.has(bits) }
+func (p *Page) Has(bits PageFlags) bool { return p.flags&bits == bits }
 
 // Get increments the page reference count and returns the new value.
 // This is the interface DAMN's chunk refcounting uses (§5.4: "using the
 // existing OS page reference-count interface").
-func (p *Page) Get() int32 { return p.refcount.Add(1) }
+func (p *Page) Get() int32 {
+	p.refcount++
+	return p.refcount
+}
 
 // Put decrements the page reference count and returns the new value.
 func (p *Page) Put() int32 {
-	n := p.refcount.Add(-1)
-	if n < 0 {
+	p.refcount--
+	if p.refcount < 0 {
 		panic(fmt.Sprintf("mem: refcount of pfn %d went negative", p.pfn))
 	}
-	return n
+	return p.refcount
 }
 
 // RefCount returns the current reference count.
-func (p *Page) RefCount() int32 { return p.refcount.Load() }
+func (p *Page) RefCount() int32 { return p.refcount }
 
 // SetRefCount forces the reference count; used when (re)initialising a
 // freshly allocated block.
-func (p *Page) SetRefCount(n int32) { p.refcount.Store(n) }
+func (p *Page) SetRefCount(n int32) { p.refcount = n }
 
 // IsCompoundHead reports whether this page heads a compound allocation.
 func (p *Page) IsCompoundHead() bool { return p.Has(FlagHead) }

@@ -1,7 +1,5 @@
 package mem
 
-import "sync"
-
 // Shrinker support — the interface §5.4 of the paper points at ("modern
 // OSes provide a standard interface for the OS to request a cache to
 // release memory back to the system if memory pressure occurs", citing the
@@ -12,34 +10,24 @@ import "sync"
 // ShrinkFunc releases cached memory and returns the number of pages freed.
 type ShrinkFunc func() int64
 
-type shrinkerRegistry struct {
-	mu  sync.Mutex
-	fns []ShrinkFunc
-}
-
 // RegisterShrinker adds a reclaim callback.
 func (m *Memory) RegisterShrinker(fn ShrinkFunc) {
-	m.shrinkers.mu.Lock()
-	defer m.shrinkers.mu.Unlock()
-	m.shrinkers.fns = append(m.shrinkers.fns, fn)
+	m.shrinkers = append(m.shrinkers, fn)
 }
 
 // reclaim runs every shrinker and reports the pages released.
 func (m *Memory) reclaim() int64 {
-	m.shrinkers.mu.Lock()
-	fns := append([]ShrinkFunc(nil), m.shrinkers.fns...)
-	m.shrinkers.mu.Unlock()
 	var total int64
-	for _, fn := range fns {
+	for _, fn := range m.shrinkers {
 		total += fn()
 	}
-	m.reclaimRuns.Add(1)
-	m.reclaimedPages.Add(total)
+	m.reclaimRuns++
+	m.reclaimedPages += total
 	return total
 }
 
 // ReclaimRuns reports how many times memory pressure invoked the shrinkers.
-func (m *Memory) ReclaimRuns() int64 { return m.reclaimRuns.Load() }
+func (m *Memory) ReclaimRuns() int64 { return m.reclaimRuns }
 
 // ReclaimedPages reports the cumulative pages released under pressure.
-func (m *Memory) ReclaimedPages() int64 { return m.reclaimedPages.Load() }
+func (m *Memory) ReclaimedPages() int64 { return m.reclaimedPages }

@@ -3,7 +3,6 @@ package mem
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -38,7 +37,7 @@ func newEagerMemory(t testing.TB, bytes int64, nodes int) *Memory {
 func builtSections(m *Memory) int {
 	n := 0
 	for i := range m.sections {
-		if m.sections[i].Load() != nil {
+		if m.sections[i] != nil {
 			n++
 		}
 	}
@@ -183,60 +182,37 @@ func TestLazyPageOfPastEndPanics(t *testing.T) {
 	}
 }
 
-// TestLazyConcurrentSectionBuild: goroutines race PageOf against
-// AllocPages into one unbuilt section, and every caller must end up with
-// the one published page struct per frame, with the allocations' compound
-// linkage on it. Run it under -race.
-func TestLazyConcurrentSectionBuild(t *testing.T) {
-	const workers = 8
+// TestLazySectionBuildKeepsLinkage: allocations build an unbuilt section,
+// and afterwards every frame of it has one page struct, numbered and on
+// its node, with the allocations' compound linkage on it.
+func TestLazySectionBuildKeepsLinkage(t *testing.T) {
 	m := newTestMemory(t, 16<<20, 2)
 	// Node 1 owns frames [2048, 4096), two fresh MaxOrder blocks, and its
 	// first allocation takes the higher one.
 	const base PFN = 3072
-	if m.sections[base>>sectionShift].Load() != nil {
+	if m.sections[base>>sectionShift] != nil {
 		t.Fatal("node 1's top section is built before any allocation")
 	}
-	start := make(chan struct{})
-	seen := make([][]*Page, workers)
-	heads := make([]*Page, workers)
-	var wg sync.WaitGroup
-	for g := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if g%2 == 0 {
-				p, err := m.AllocPages(4, 1)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				heads[g] = p
-			}
-			seen[g] = make([]*Page, sectionPages)
-			for i := range seen[g] {
-				seen[g][i] = m.PageOf(base + PFN(i))
-			}
-		}()
+	var heads []*Page
+	for range 4 {
+		p, err := m.AllocPages(4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads = append(heads, p)
 	}
-	close(start)
-	wg.Wait()
-	for g, pages := range seen {
-		for i, p := range pages {
-			if want := m.PageOf(base + PFN(i)); p != want {
-				t.Fatalf("goroutine %d got a different page struct for pfn %d", g, base+PFN(i))
-			}
-			if p.PFN() != base+PFN(i) || p.Node != 1 {
-				t.Fatalf("page struct for pfn %d says pfn %d, node %d", base+PFN(i), p.PFN(), p.Node)
-			}
+	for i := PFN(0); i < sectionPages; i++ {
+		p := m.PageOf(base + i)
+		if p != m.PageOf(base+i) {
+			t.Fatalf("two page structs for pfn %d", base+i)
+		}
+		if p.PFN() != base+i || p.Node != 1 {
+			t.Fatalf("page struct for pfn %d says pfn %d, node %d", base+i, p.PFN(), p.Node)
 		}
 	}
 	for _, h := range heads {
-		if h == nil {
-			continue
-		}
 		if h != m.PageOf(h.PFN()) || h.PFN()>>sectionShift != base>>sectionShift {
-			t.Fatalf("allocation at pfn %d is not in the shared section", h.PFN())
+			t.Fatalf("allocation at pfn %d is not in the built section", h.PFN())
 		}
 		if !h.IsCompoundHead() || m.Head(m.PageOf(h.PFN()+15)) != h {
 			t.Fatalf("compound at pfn %d lost its linkage", h.PFN())

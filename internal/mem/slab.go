@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Slab is a kmalloc-style size-class allocator layered on the buddy
 // allocator. The reproduction uses it for "ordinary" kernel allocations:
@@ -16,7 +13,6 @@ import (
 type Slab struct {
 	mem *Memory
 
-	mu      sync.Mutex
 	classes []*sizeClass
 	// large allocations (> the biggest class) get whole page blocks;
 	// track their order by head PFN for free.
@@ -78,8 +74,6 @@ func (s *Slab) Alloc(size, node int) (PhysAddr, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("mem: slab alloc of size %d", size)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ci := s.classFor(size)
 	if ci < 0 {
 		// Whole-page allocation.
@@ -142,8 +136,6 @@ func (s *Slab) newSlabPage(objSize, node int) (*slabPage, error) {
 
 // Free releases an object previously returned by Alloc.
 func (s *Slab) Free(pa PhysAddr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	pfn := PFNOf(pa)
 	head := s.mem.Head(s.mem.PageOf(pfn))
 	if order, ok := s.largeOrders[head.PFN()]; ok {
@@ -199,8 +191,4 @@ func (s *Slab) Free(pa PhysAddr) {
 }
 
 // BytesAllocated reports the live allocation footprint.
-func (s *Slab) BytesAllocated() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesAllocated
-}
+func (s *Slab) BytesAllocated() int64 { return s.bytesAllocated }

@@ -1,7 +1,5 @@
 package mem
 
-import "sync/atomic"
-
 // zeroMap is the host-side zero map of one Memory: one bit per 4 KiB
 // frame, and a clear bit means every byte of the frame is zero. A set bit
 // only means the frame may hold non-zero bytes. Bytes and Write set bits;
@@ -10,15 +8,12 @@ import "sync/atomic"
 // and lets the backing pool scrub only set frames on reuse. It has no
 // simulated meaning: every cycle and counter is charged for the full
 // length whatever the map lets the host skip.
-//
-// Words are updated with atomic Or/And, so accessors on disjoint frames
-// that share a word need no lock.
-type zeroMap []atomic.Uint64
+type zeroMap []uint64
 
 func newZeroMap(frames int) zeroMap { return make(zeroMap, (frames+63)/64) }
 
 // has reports whether frame f may hold non-zero bytes.
-func (z zeroMap) has(f uint64) bool { return z[f>>6].Load()&(1<<(f&63)) != 0 }
+func (z zeroMap) has(f uint64) bool { return z[f>>6]&(1<<(f&63)) != 0 }
 
 // mark records that frames f0 through f1 may hold non-zero bytes.
 func (z zeroMap) mark(f0, f1 uint64) {
@@ -30,13 +25,9 @@ func (z zeroMap) mark(f0, f1 uint64) {
 		if w == f1>>6 {
 			mask &= ^uint64(0) >> (63 - f1&63)
 		}
-		// Most marks land on frames already set; a plain load keeps
-		// them off the atomic read-modify-write.
-		if z[w].Load()&mask != mask {
-			z[w].Or(mask)
-		}
+		z[w] |= mask
 	}
 }
 
 // unmark records that frame f is all zero.
-func (z zeroMap) unmark(f uint64) { z[f>>6].And(^(uint64(1) << (f & 63))) }
+func (z zeroMap) unmark(f uint64) { z[f>>6] &^= 1 << (f & 63) }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -102,57 +101,4 @@ func TestZeroMapMatchesReference(t *testing.T) {
 			m.Release()
 		})
 	}
-}
-
-// TestZeroMapConcurrentDisjointFrames has goroutines call Bytes, Zero and
-// Copy at once on disjoint frames that share zero-map words: goroutine g
-// owns every frame f with f%workers == g. Under -race this fails on any
-// non-atomic update of the map.
-func TestZeroMapConcurrentDisjointFrames(t *testing.T) {
-	const workers, frames = 8, 128
-	m := newTestMemory(t, frames<<PageShift, 1)
-	defer m.Release()
-	refs := make([][]byte, workers) // per worker, its frames back to back
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			own := frames / workers
-			ref := make([]byte, own<<PageShift)
-			pa := func(i, off int) PhysAddr { return PhysAddr((i*workers+g)<<PageShift + off) }
-			for step := 0; step < 2000; step++ {
-				i, off := rng.Intn(own), rng.Intn(PageSize)
-				n := rng.Intn(PageSize - off + 1)
-				lo := i<<PageShift + off
-				switch rng.Intn(3) {
-				case 0:
-					src := randomBytes(rng, n)
-					copy(m.Bytes(pa(i, off), n), src)
-					copy(ref[lo:], src)
-				case 1:
-					if rng.Intn(2) == 0 {
-						off, n, lo = 0, PageSize, i<<PageShift
-					}
-					m.Zero(pa(i, off), n)
-					clear(ref[lo : lo+n])
-				case 2:
-					j := rng.Intn(own)
-					m.Copy(pa(i, off), pa(j, off), n)
-					copy(ref[lo:lo+n], ref[j<<PageShift+off:])
-				}
-			}
-			refs[g] = ref
-		}(g)
-	}
-	wg.Wait()
-	for f := 0; f < frames; f++ {
-		g, i := f%workers, f/workers
-		want := refs[g][i<<PageShift : (i+1)<<PageShift]
-		if !bytes.Equal(m.data[f<<PageShift:(f+1)<<PageShift], want) {
-			t.Fatalf("frame %d (worker %d) differs from its reference", f, g)
-		}
-	}
-	checkZeroMap(t, m, "after concurrent ops")
 }

@@ -280,22 +280,13 @@ func Default28Core() *Model {
 }
 
 // Charger is the cost-charging surface of sim.Task; every kernel-path
-// function takes one so that functional tests can pass a NopCharger and the
-// evaluation passes real tasks.
+// function takes one. The evaluation passes real tasks; functional tests
+// pass nil, and every helper below charges nothing to a nil Charger.
 type Charger interface {
 	Charge(cycles float64)
 	ChargeTime(d sim.Time)
-	StallUntil(at sim.Time)
 	Now() sim.Time
 }
-
-// NopCharger discards all costs; used by purely functional unit tests.
-type NopCharger struct{}
-
-func (NopCharger) Charge(float64)      {}
-func (NopCharger) ChargeTime(sim.Time) {}
-func (NopCharger) StallUntil(sim.Time) {}
-func (NopCharger) Now() sim.Time       { return 0 }
 
 // IsNilCharger reports whether c is nil, including a typed-nil *sim.Task
 // wrapped in the interface.

@@ -97,7 +97,9 @@ type devState struct {
 	resets        int
 	enteredAt     sim.Time
 	quarantinedAt sim.Time
-	stormStart    sim.Time
+	// mttr is the quarantine-to-healthy latency of the last heal.
+	mttr       sim.Time
+	stormStart sim.Time
 	// stateTime accumulates sim time spent per state.
 	stateTime [Failed + 1]sim.Time
 	// busy blocks the poller from re-triggering while a transition
@@ -422,9 +424,9 @@ func (s *Supervisor) recovered(ds *devState) {
 	if ds.drv != nil {
 		ds.lastShortfall = ds.drv.Shortfall()
 	}
-	mttr := s.se.Now() - ds.quarantinedAt
-	s.recoveryH.Observe(float64(mttr))
-	s.mttrG.Set(int64(mttr))
+	ds.mttr = s.se.Now() - ds.quarantinedAt
+	s.recoveryH.Observe(float64(ds.mttr))
+	s.mttrG.Set(int64(ds.mttr))
 	if s.OnRecovered != nil {
 		s.OnRecovered(ds.dev)
 	}
@@ -439,15 +441,8 @@ func (s *Supervisor) failDevice(ds *devState) {
 // MTTR returns the last observed quarantine-to-healthy latency for a
 // device, or 0 if it never recovered.
 func (s *Supervisor) MTTR(dev int) sim.Time {
-	ds := s.devs[dev]
-	if ds == nil {
-		return 0
-	}
-	for i := len(s.Transitions) - 1; i >= 0; i-- {
-		tr := s.Transitions[i]
-		if tr.Dev == dev && tr.To == Healthy && tr.From == Reinitializing {
-			return tr.At - ds.quarantinedAt
-		}
+	if ds := s.devs[dev]; ds != nil {
+		return ds.mttr
 	}
 	return 0
 }

@@ -16,13 +16,15 @@ import (
 func newMachine(t *testing.T, scheme testbed.Scheme) *testbed.Machine {
 	t.Helper()
 	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme: scheme,
-		Cores:  2,
-		Faults: &faults.Config{Seed: 1, Rates: map[faults.Kind]float64{}},
+		Scheme:   scheme,
+		MemBytes: 64 << 20,
+		Cores:    2,
+		Faults:   &faults.Config{Seed: 1, Rates: map[faults.Kind]float64{}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ma.Close)
 	return ma
 }
 
@@ -118,6 +120,32 @@ func TestStormQuarantineHeal(t *testing.T) {
 	}
 	if sup.StateTime(testbed.NICDeviceID, recovery.Quarantined) <= 0 {
 		t.Error("no time accounted to Quarantined")
+	}
+}
+
+// TestMTTRHoldsThroughSecondQuarantine: MTTR reports the last heal's
+// quarantine-to-healthy latency, the one the mttr_ps gauge records, and
+// keeps reporting it while the device sits in a second quarantine.
+func TestMTTRHoldsThroughSecondQuarantine(t *testing.T) {
+	ma := newMachine(t, testbed.SchemeDAMN)
+	sup := recovery.Attach(ma)
+	if err := ma.FillAllRings(); err != nil {
+		t.Fatal(err)
+	}
+	for heal := 1; heal <= 2; heal++ {
+		stormUntil(t, ma, sup, recovery.Quarantined)
+		runUntilState(t, ma, sup, recovery.Healthy)
+		mttr := sup.MTTR(testbed.NICDeviceID)
+		if mttr <= 0 {
+			t.Fatalf("heal %d: MTTR = %v, want > 0", heal, mttr)
+		}
+		if g := ma.Stats.Snapshot().Gauges["recovery/mttr_ps"]; g != int64(mttr) {
+			t.Fatalf("heal %d: MTTR = %v, mttr_ps gauge = %d ps", heal, mttr, g)
+		}
+		stormUntil(t, ma, sup, recovery.Quarantined)
+		if got := sup.MTTR(testbed.NICDeviceID); got != mttr {
+			t.Fatalf("heal %d: MTTR in the next quarantine = %v, want the heal's %v", heal, got, mttr)
+		}
 	}
 }
 

@@ -13,33 +13,32 @@
 // so the event path pays nothing for the metric. A count only the registry
 // keeps (DAMN magazine hits, per-scheme DMA API maps, task counts, every
 // histogram and float counter) is a handle: the component looks it up once
-// and bumps it per event. Handles are atomics (histograms take a small
-// lock) and nil-safe, so callers never guard instrumentation sites, and a
-// nil registry ignores views as it hands out nil handles.
+// and bumps it per event. Handles are plain fields and nil-safe, so callers
+// never guard instrumentation sites, and a nil registry ignores views as it
+// hands out nil handles.
 //
-// Snapshot reads component state through the views, so it must run on the
-// goroutine that drives the machine, or after the machine stops.
+// A Registry belongs to one machine and, like every component of it, is
+// driven by the one goroutine that drives the machine: handles are bumped
+// and Snapshot reads the views on that goroutine, or after the machine
+// stops. Only the Tracer is shared across machines, and it takes a lock.
 package stats
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
-	v atomic.Uint64
+	v uint64
 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
-		c.v.Add(n)
+		c.v += n
 	}
 }
 
@@ -51,25 +50,18 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // FloatCounter accumulates a float64 total (cycle charges are fractional).
 type FloatCounter struct {
-	bits atomic.Uint64
+	v float64
 }
 
 // Add accumulates v into the counter.
 func (c *FloatCounter) Add(v float64) {
-	if c == nil {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
+	if c != nil {
+		c.v += v
 	}
 }
 
@@ -78,25 +70,25 @@ func (c *FloatCounter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	return math.Float64frombits(c.bits.Load())
+	return c.v
 }
 
 // Gauge is a point-in-time integer metric (queue depths, footprints).
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Set stores the current value.
 func (g *Gauge) Set(v int64) {
 	if g != nil {
-		g.v.Store(v)
+		g.v = v
 	}
 }
 
 // Add adjusts the gauge by delta (may be negative).
 func (g *Gauge) Add(delta int64) {
 	if g != nil {
-		g.v.Add(delta)
+		g.v += delta
 	}
 }
 
@@ -105,7 +97,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
 // histBuckets is the bucket count of a log-scale histogram: bucket i counts
@@ -116,7 +108,6 @@ const histBuckets = 65
 // Histogram is a log2-bucketed distribution of non-negative observations
 // (latencies in picoseconds, queue depths, batch sizes).
 type Histogram struct {
-	mu      sync.Mutex
 	buckets [histBuckets]uint64
 	count   uint64
 	sum     float64
@@ -139,7 +130,6 @@ func (h *Histogram) Observe(v float64) {
 			b = histBuckets - 1
 		}
 	}
-	h.mu.Lock()
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -149,7 +139,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[b]++
 	h.count++
 	h.sum += v
-	h.mu.Unlock()
 }
 
 // Count returns the number of observations.
@@ -157,16 +146,12 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.count
 }
 
 // snapshot returns the exported form. Only non-empty buckets are kept, keyed
 // by their upper bound (2^i).
 func (h *Histogram) snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := HistogramSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 	for i, n := range h.buckets {
 		if n == 0 {
@@ -188,7 +173,6 @@ func (k metricKey) String() string { return k.component + "/" + k.name }
 // Registry holds every metric of one simulated machine: the handles it
 // keeps and the views that read counts their components keep.
 type Registry struct {
-	mu           sync.Mutex
 	counters     map[metricKey]*Counter
 	floats       map[metricKey]*FloatCounter
 	gauges       map[metricKey]*Gauge
@@ -211,9 +195,7 @@ func NewRegistry() *Registry {
 
 // handle returns (creating if needed) the handle stored under k in m. It
 // panics if views holds k: a key is a handle or a view, never both.
-func handle[T, V any](r *Registry, m map[metricKey]*T, views map[metricKey]V, k metricKey) *T {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func handle[T, V any](m map[metricKey]*T, views map[metricKey]V, k metricKey) *T {
 	if _, ok := views[k]; ok {
 		panic(fmt.Sprintf("stats: %s is a view, not a handle", k))
 	}
@@ -227,9 +209,7 @@ func handle[T, V any](r *Registry, m map[metricKey]*T, views map[metricKey]V, k 
 
 // addView registers fn under k in views. It panics if k already names a
 // handle in m or a view.
-func addView[T, V any](r *Registry, m map[metricKey]*T, views map[metricKey]V, k metricKey, fn V) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func addView[T, V any](m map[metricKey]*T, views map[metricKey]V, k metricKey, fn V) {
 	_, isHandle := m[k]
 	_, isView := views[k]
 	if isHandle || isView {
@@ -244,7 +224,7 @@ func (r *Registry) Counter(component, name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return handle(r, r.counters, r.counterViews, metricKey{component, name})
+	return handle(r.counters, r.counterViews, metricKey{component, name})
 }
 
 // FloatCounter returns (creating if needed) the named float accumulator.
@@ -252,7 +232,7 @@ func (r *Registry) FloatCounter(component, name string) *FloatCounter {
 	if r == nil {
 		return nil
 	}
-	return handle[FloatCounter, struct{}](r, r.floats, nil, metricKey{component, name})
+	return handle[FloatCounter, struct{}](r.floats, nil, metricKey{component, name})
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -260,7 +240,7 @@ func (r *Registry) Gauge(component, name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return handle(r, r.gauges, r.gaugeViews, metricKey{component, name})
+	return handle(r.gauges, r.gaugeViews, metricKey{component, name})
 }
 
 // Histogram returns (creating if needed) the named histogram.
@@ -268,22 +248,22 @@ func (r *Registry) Histogram(component, name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return handle[Histogram, struct{}](r, r.hists, nil, metricKey{component, name})
+	return handle[Histogram, struct{}](r.hists, nil, metricKey{component, name})
 }
 
 // CounterFunc registers a counter view: Snapshot reports fn() under the
-// key. fn reads a count its component keeps, under the component's lock
-// if it has one. A nil registry ignores the view.
+// key. fn reads a count its component keeps. A nil registry ignores the
+// view.
 func (r *Registry) CounterFunc(component, name string, fn func() uint64) {
 	if r != nil {
-		addView(r, r.counters, r.counterViews, metricKey{component, name}, fn)
+		addView(r.counters, r.counterViews, metricKey{component, name}, fn)
 	}
 }
 
 // GaugeFunc registers a gauge view, as CounterFunc does a counter view.
 func (r *Registry) GaugeFunc(component, name string, fn func() int64) {
 	if r != nil {
-		addView(r, r.gauges, r.gaugeViews, metricKey{component, name}, fn)
+		addView(r.gauges, r.gaugeViews, metricKey{component, name}, fn)
 	}
 }
 
@@ -312,10 +292,6 @@ type Snapshot struct {
 }
 
 // Snapshot exports every metric. A nil registry exports an empty snapshot.
-// Views run after the registry lock is released: a component may register
-// a view while it holds its own lock (the IOMMU does, on a device's first
-// fault), so a view that took that lock under this one would invert the
-// order.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
@@ -326,7 +302,6 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
 	for k, c := range r.counters {
 		s.Counters[k.String()] = c.Value()
 	}
@@ -339,13 +314,10 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, h := range r.hists {
 		s.Histograms[k.String()] = h.snapshot()
 	}
-	counterViews := maps.Clone(r.counterViews)
-	gaugeViews := maps.Clone(r.gaugeViews)
-	r.mu.Unlock()
-	for k, fn := range counterViews {
+	for k, fn := range r.counterViews {
 		s.Counters[k.String()] = fn()
 	}
-	for k, fn := range gaugeViews {
+	for k, fn := range r.gaugeViews {
 		s.Gauges[k.String()] = fn()
 	}
 	return s

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -114,32 +113,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegistryConcurrency(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				r.Counter("sim", "events").Inc()
-				r.FloatCounter("perf", "cycles").Add(0.5)
-				r.Histogram("sim", "dur").Observe(float64(j))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("sim", "events").Value(); got != 8000 {
-		t.Fatalf("concurrent counter = %d, want 8000", got)
-	}
-	if got := r.FloatCounter("perf", "cycles").Value(); got != 4000 {
-		t.Fatalf("concurrent float counter = %v, want 4000", got)
-	}
-	if got := r.Histogram("sim", "dur").Count(); got != 8000 {
-		t.Fatalf("concurrent histogram count = %d, want 8000", got)
-	}
-}
-
 func TestTracerChromeFormat(t *testing.T) {
 	tr := NewTracer()
 	pid := tr.Process("fig4/damn")
@@ -206,24 +179,6 @@ func TestViewsReadComponentCounts(t *testing.T) {
 	}
 	if snap.Counter("iommu/invq_rejected") != 1 || len(snap.Counters) != 2 || len(snap.Gauges) != 1 {
 		t.Fatalf("snapshot = %+v, want one handle beside the two views", snap)
-	}
-}
-
-// TestViewsRunOutsideRegistryLock: Snapshot releases the registry lock
-// before it calls a view, because a component registers views while holding
-// its own lock and its views take that lock.
-func TestViewsRunOutsideRegistryLock(t *testing.T) {
-	r := NewRegistry()
-	r.CounterFunc("iommu", "translations", func() uint64 {
-		if !r.mu.TryLock() {
-			t.Error("view called under the registry lock")
-			return 0
-		}
-		r.mu.Unlock()
-		return 1
-	})
-	if got := r.Snapshot().Counter("iommu/translations"); got != 1 {
-		t.Fatalf("view = %d, want 1", got)
 	}
 }
 

@@ -16,13 +16,15 @@ import (
 func newMachine(t *testing.T) *testbed.Machine {
 	t.Helper()
 	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme: testbed.SchemeDAMN,
-		Cores:  2,
-		Faults: &faults.Config{Seed: 1, Rates: map[faults.Kind]float64{}},
+		Scheme:   testbed.SchemeDAMN,
+		MemBytes: 64 << 20,
+		Cores:    2,
+		Faults:   &faults.Config{Seed: 1, Rates: map[faults.Kind]float64{}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ma.Close)
 	return ma
 }
 

@@ -112,7 +112,7 @@ type Machine struct {
 	Driver *netstack.Driver
 
 	// Stats collects metrics from every layer of this machine; always
-	// non-nil (the handles are cheap atomics even when nobody reads them).
+	// non-nil (a handle is a plain field, cheap even when nobody reads it).
 	Stats *stats.Registry
 
 	// Faults is the machine's fault-injection plane; nil when Cfg.Faults

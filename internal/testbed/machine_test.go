@@ -136,14 +136,15 @@ func TestMachineDeviceIsolationAcrossDevices(t *testing.T) {
 	if _, err := ma.IOMMU.Translate(NVMeDeviceID, v, true); err == nil {
 		t.Fatal("NVMe identity used a NIC mapping")
 	}
-	var f iommu.Fault
-	faults := ma.IOMMU.Faults()
-	if len(faults) == 0 {
+	recs := ma.IOMMU.ReadFaultRecords()
+	if len(recs) == 0 {
 		t.Fatal("no fault recorded")
 	}
-	f = faults[len(faults)-1]
-	if f.Dev != NVMeDeviceID {
+	if f := recs[len(recs)-1]; f.Dev != NVMeDeviceID {
 		t.Fatalf("fault attributed to dev %d", f.Dev)
+	}
+	if n := ma.IOMMU.BlockedDMAsFor(NVMeDeviceID); n != 1 {
+		t.Fatalf("blocked DMAs from the NVMe identity = %d, want 1", n)
 	}
 }
 
