@@ -43,10 +43,12 @@ race-full:
 # full ARQ loss-recovery cycle (fast retransmit included), the capability
 # check itself, the idle bypass busy-poll tick, a segment through the
 # virtqueue harvest/repost cycle, the netperf generator's flow-control poll,
-# a segment forwarded between two topology shards, and the engine's
+# a segment forwarded between two topology shards, memcached's
+# request/response cycle under every scheme, and the engine's
 # schedule/run cycle, periodic tick, ticker start/stop storm and topology
 # epoch barrier must not touch the Go heap in steady state. Every gate
-# counts each malloc over its whole loop and requires 0. Runs in seconds;
+# counts each malloc over its whole loop and requires 0 (the memcached gate:
+# equal counts for two runs whose windows differ by 10 ms). Runs in seconds;
 # CI fails on any regression.
 alloc-gate:
 	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs' -count=1 . ./internal/sim

@@ -574,3 +574,56 @@ func TestLinkForwardZeroAlloc(t *testing.T) {
 		t.Fatalf("%d segments arrived in 10000 epochs, want 10000; the path under test did not run", arrived-before)
 	}
 }
+
+// TestMemcachedSteadyStateAllocs gates Fig 7's request/response cycle under
+// every scheme: a RunMemcached whose window is 10 ms longer must make exactly
+// as many mallocs as one on an identical machine, so the extra requests,
+// responses and 4 KiB response chunks allocate nothing. Each run's set-up
+// (instances, flow table, bound request callbacks) is the same in both, so it
+// cancels. The runner once allocated a closure per chunk, a header slice per
+// injected segment and a method value per op: 23k-35k extra mallocs per
+// scheme here.
+//
+// The pools behind the cycle (tasks, events, skbs, NIC dispatch records)
+// grow whenever a core's backlog reaches a new peak, which happens most at
+// the switches between memslap's runs of 50 GETs and 50 SETs (ROADMAP item
+// 6). After Fig 7's 25 ms warm-up strict's task pool still grew by 33 tasks
+// in the extra window; warm-ups from 200 to 260 ms in 10 ms steps left 1 to
+// 629 mallocs in some scheme's window except at 230 and 240 ms. The runs
+// share a 235 ms warm-up, which puts every scheme's extra window inside a
+// GET run, after its pools have stopped growing.
+func TestMemcachedSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 2.5 s of memcached traffic")
+	}
+	const warm, window = 235 * sim.Millisecond, 10 * sim.Millisecond
+	run := func(scheme testbed.Scheme, duration sim.Time) (n, txSegs uint64) {
+		ma, err := testbed.NewMachine(testbed.MachineConfig{Scheme: scheme, MemBytes: 1 << 30, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ma.Close()
+		var res workloads.MemcachedResult
+		n = mallocs(1, func() {
+			res, err = workloads.RunMemcached(workloads.MemcachedConfig{Machine: ma, Warmup: warm, Duration: duration})
+		})
+		if err != nil || res.TPS == 0 {
+			t.Fatalf("%s: TPS %.0f, err %v; the cycle under test did not run", scheme, res.TPS, err)
+		}
+		return n, ma.NIC.TxSegments
+	}
+	for _, scheme := range testbed.AllSchemes {
+		t.Run(string(scheme), func(t *testing.T) {
+			short, tx0 := run(scheme, window)
+			long, tx1 := run(scheme, 2*window)
+			if short != long {
+				t.Fatalf("%s: %d mallocs with a %v window, %d with %v; want equal",
+					scheme, short, window, long, 2*window)
+			}
+			// At least one 128-chunk GET response per instance.
+			if tx1-tx0 < 128*28 {
+				t.Fatalf("%s: the extra window sent %d response chunks; the GET path did not run", scheme, tx1-tx0)
+			}
+		})
+	}
+}

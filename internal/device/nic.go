@@ -183,14 +183,13 @@ type NIC struct {
 	RxQuarantineDrops uint64 // segments dropped at a quarantined device
 
 	// Free lists recycling the per-packet scheduling records (each holds
-	// its event and task closures, bound once at creation), plus the TX
-	// payload-probe scratch buffer — the steady-state per-packet path
-	// allocates nothing. Records are host-side only: they carry no
-	// simulated memory and change no event or task ordering.
+	// its event and task closures, bound once at creation), so the
+	// steady-state per-packet path allocates nothing. Records are
+	// host-side only: they carry no simulated memory and change no event
+	// or task ordering.
 	freeArrivals []*rxArrival
 	freeRXD      []*rxDispatch
 	freeTXD      []*txDispatch
-	txProbe      []byte
 
 	// Observability (nil-safe handles; see SetStats).
 	rxSizeH *stats.Histogram
@@ -868,18 +867,10 @@ func (n *NIC) PostTX(ring, port int, desc TXDesc) error {
 	}
 
 	missesBefore := n.u.TLB().Misses
-	// Fetch (a prefix of) the payload through the IOMMU; for throughput
-	// runs reading one cache line per buffer exercises translation
-	// without bulk copying.
-	probe := desc.Size
-	if probe > 256 {
-		probe = 256
-	}
-	if cap(n.txProbe) < probe {
-		n.txProbe = make([]byte, 256)
-	}
-	buf := n.txProbe[:probe]
-	_, err := n.u.DMARead(dev, desc.IOVA, buf)
+	// Fetch a prefix of the payload through the IOMMU. The wire carries
+	// the segment's metadata, not its bytes, so the fetch translates and
+	// faults like a real read but copies nothing.
+	_, err := n.u.DMATouch(dev, desc.IOVA, min(desc.Size, 256))
 	n.touchTranslations(dev, desc.IOVA, desc.Size, false)
 	misses := n.u.TLB().Misses - missesBefore
 	if misses > 0 && n.walker != nil {

@@ -117,18 +117,28 @@ func (u *IOMMU) TranslateSpan(dev int, iova IOVA, span int, write bool) error {
 // Translation happens page by page; a fault anywhere aborts the transfer at
 // the fault boundary and returns the fault plus the byte count completed.
 func (u *IOMMU) DMARead(dev int, iova IOVA, buf []byte) (int, error) {
-	return u.dma(dev, iova, buf, false)
+	return u.dma(dev, iova, buf, len(buf), false)
+}
+
+// DMATouch performs a device read of n bytes at iova that delivers them
+// nowhere: it translates, bounds-checks and faults exactly as DMARead into
+// an n-byte buffer does, and copies nothing. A NIC fetching a TX payload it
+// only puts on the wire uses it.
+func (u *IOMMU) DMATouch(dev int, iova IOVA, n int) (int, error) {
+	return u.dma(dev, iova, nil, n, false)
 }
 
 // DMAWrite performs a device write (device deposits into host memory, e.g.
 // an RX packet): len(buf) bytes are copied from buf to iova.
 func (u *IOMMU) DMAWrite(dev int, iova IOVA, buf []byte) (int, error) {
-	return u.dma(dev, iova, buf, true)
+	return u.dma(dev, iova, buf, len(buf), true)
 }
 
-func (u *IOMMU) dma(dev int, iova IOVA, buf []byte, write bool) (int, error) {
+// dma moves n bytes between iova and buf, page by page; a nil buf moves
+// nothing.
+func (u *IOMMU) dma(dev int, iova IOVA, buf []byte, n int, write bool) (int, error) {
 	done := 0
-	for done < len(buf) {
+	for done < n {
 		va := iova + IOVA(done)
 		pa, err := u.Translate(dev, va, write)
 		if err != nil {
@@ -136,16 +146,15 @@ func (u *IOMMU) dma(dev int, iova IOVA, buf []byte, write bool) (int, error) {
 		}
 		// Transfer up to the end of the current 4 KiB page (the unit
 		// of translation even within huge mappings).
-		chunk := mem.PageSize - int(va&IOVA(mem.PageMask))
-		if rem := len(buf) - done; chunk > rem {
-			chunk = rem
-		}
+		chunk := min(mem.PageSize-int(va&IOVA(mem.PageMask)), n-done)
 		if err := u.mem.CheckRange(pa, chunk); err != nil {
 			return done, fmt.Errorf("iommu: translated DMA out of RAM bounds: %w", err)
 		}
-		if write {
+		switch {
+		case buf == nil:
+		case write:
 			u.mem.Write(pa, buf[done:done+chunk])
-		} else {
+		default:
 			u.mem.Read(pa, buf[done:done+chunk])
 		}
 		done += chunk

@@ -2,7 +2,9 @@ package iommu
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -446,5 +448,71 @@ func TestAttachDeviceIDFitsTLBTag(t *testing.T) {
 			}()
 			u.AttachDevice(dev)
 		}()
+	}
+}
+
+// TestDMATouchMatchesDMARead: the copy-free device read leaves the IOMMU
+// exactly as DMARead into an n-byte buffer does — the same count and error,
+// the same translation, IOTLB and blocked-DMA counts and the same fault
+// records — and both stop at the first fault and at the end of RAM.
+func TestDMATouchMatchesDMARead(t *testing.T) {
+	const base = IOVA(0x10000)
+	ramEnd := IOVA(64 << 20) // newTestIOMMU's RAM
+	for _, c := range []struct {
+		name        string
+		passthrough bool
+		iova        IOVA
+		n           int
+		// What both reads must report.
+		done, translations int
+		blocked            uint64
+		errText            string
+	}{
+		{"prefix inside one mapped page", false, base + 100, 256, 256, 1, 0, ""},
+		// Pages 0 and 2 are mapped, page 1 is not: one fault, then stop.
+		{"prefix runs into an unmapped page", false, base + mem.PageSize - 64, 64 + 2*mem.PageSize, 64, 2, 1, "DMA fault"},
+		{"unmapped first page", false, base + 3*mem.PageSize, 256, 0, 1, 1, "DMA fault"},
+		{"zero bytes", false, base, 0, 0, 0, 0, ""},
+		{"passthrough past the end of RAM", true, ramEnd + 8, 256, 0, 1, 0, "out of RAM bounds"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var units [2]*IOMMU
+			for i := range units {
+				u, m := newTestIOMMU(t)
+				u.AttachDevice(1).Passthrough = c.passthrough
+				if !c.passthrough {
+					for _, page := range []IOVA{0, 2} {
+						if err := u.Map(1, base+page*mem.PageSize, allocPA(t, m, 0), mem.PageSize, PermRead); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				units[i] = u
+			}
+			read, touch := units[0], units[1]
+			nr, errR := read.DMARead(1, c.iova, make([]byte, c.n))
+			nt, errT := touch.DMATouch(1, c.iova, c.n)
+			if nr != nt || fmt.Sprint(errR) != fmt.Sprint(errT) {
+				t.Fatalf("DMARead = %d, %v; DMATouch = %d, %v", nr, errR, nt, errT)
+			}
+			if nt != c.done || (errT == nil) != (c.errText == "") || (errT != nil && !strings.Contains(errT.Error(), c.errText)) {
+				t.Fatalf("read %d bytes, err %v; want %d and an error containing %q", nt, errT, c.done, c.errText)
+			}
+			type counts struct {
+				translations, hits, misses, blocked uint64
+				records                             []FaultRecord
+			}
+			snap := func(u *IOMMU) counts {
+				return counts{u.Translations, u.TLB().Hits, u.TLB().Misses, u.BlockedDMAs, u.ReadFaultRecords()}
+			}
+			r, w := snap(read), snap(touch)
+			if !reflect.DeepEqual(r, w) {
+				t.Fatalf("DMARead left %+v, DMATouch %+v", r, w)
+			}
+			if w.translations != uint64(c.translations) || w.blocked != c.blocked || len(w.records) != int(c.blocked) {
+				t.Fatalf("%d translations, %d blocked, %d fault records; want %d, %d, %d",
+					w.translations, w.blocked, len(w.records), c.translations, c.blocked, c.blocked)
+			}
+		})
 	}
 }

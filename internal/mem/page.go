@@ -68,9 +68,9 @@ const (
 
 // Page is the simulated struct page. One exists for every physical frame;
 // Memory builds them a section at a time, on first use (see PageOf).
-// As in Linux, several fields are unions in spirit: Private carries
-// order-of-block for free buddy pages, slab metadata for slab pages, and
-// DAMN metadata (the chunk IOVA, the owning DMA-cache handle) on tail pages
+// As in Linux, several fields are unions in spirit: Private carries the
+// free-list link for free buddy pages, the slab record index + 1 for slab
+// pages, and DAMN metadata (the chunk IOVA, the owning DMA-cache handle) on tail pages
 // of DAMN chunks — storing that metadata in otherwise-unused tail page
 // structs is precisely the trick §5.5 of the paper describes.
 type Page struct {

@@ -10,21 +10,20 @@ import "fmt"
 // which is exactly why DMA-API-level IOMMU protection is only partial
 // (§4.1): mapping a kmalloc'ed buffer for a device exposes every other
 // object on the same page.
+//
+// As in Linux, the slab state of a page lives in its struct page: every
+// page the slab owns carries FlagSlab. A slab page's Private holds the index
+// + 1 of its record in pages; a whole-page allocation (larger than the
+// biggest class) is a compound head with Private 0 and its order in Order.
 type Slab struct {
 	mem *Memory
 
-	classes []*sizeClass
-	// large allocations (> the biggest class) get whole page blocks;
-	// track their order by head PFN for free.
-	largeOrders map[PFN]int
-	// pagesByPFN lets Free recover the slabPage from an object address.
-	pagesByPFN map[PFN]*slabPage
-	// spare recycles slabPage records (and their free-index capacity).
-	// A short-lived object on an otherwise-empty page releases and
-	// recreates its page every cycle — that page traffic is simulated
-	// behaviour and stays; the host-side bookkeeping struct behind it
-	// need not churn the Go heap. Bounded so a burst cannot pin memory.
-	spare []*slabPage
+	classes []sizeClass
+	// pages holds one record per slab page. A released page's record goes
+	// on freeRecs and is reused by index, with its free-index capacity, so
+	// the table never grows past the peak number of live slab pages.
+	pages    []slabPage
+	freeRecs []int32
 
 	bytesAllocated int64
 }
@@ -35,22 +34,21 @@ var slabClassSizes = []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 type sizeClass struct {
 	size    int
-	partial []*slabPage // pages with at least one free object
+	partial []int32 // records of pages with at least one free object
 }
 
 type slabPage struct {
-	head     *Page
-	objSize  int
-	free     []int // free object indexes within the page
-	nObjects int
-	inUse    int
+	head  *Page
+	class int
+	free  []int32 // free object indexes within the page
+	inUse int
 }
 
 // NewSlab constructs a slab allocator over the given memory.
 func NewSlab(m *Memory) *Slab {
-	s := &Slab{mem: m, largeOrders: make(map[PFN]int), pagesByPFN: make(map[PFN]*slabPage)}
-	for _, sz := range slabClassSizes {
-		s.classes = append(s.classes, &sizeClass{size: sz})
+	s := &Slab{mem: m, classes: make([]sizeClass, len(slabClassSizes))}
+	for i, sz := range slabClassSizes {
+		s.classes[i].size = sz
 	}
 	return s
 }
@@ -58,8 +56,8 @@ func NewSlab(m *Memory) *Slab {
 // classFor returns the index of the smallest class that fits size, or -1 if
 // the request needs whole pages.
 func (s *Slab) classFor(size int) int {
-	for i, c := range s.classes {
-		if size <= c.size {
+	for i := range s.classes {
+		if size <= s.classes[i].size {
 			return i
 		}
 	}
@@ -76,7 +74,8 @@ func (s *Slab) Alloc(size, node int) (PhysAddr, error) {
 	}
 	ci := s.classFor(size)
 	if ci < 0 {
-		// Whole-page allocation.
+		// Whole-page allocation: AllocPages leaves the head's Private 0
+		// and its order in Order.
 		order := 0
 		for (PageSize << order) < size {
 			order++
@@ -86,19 +85,18 @@ func (s *Slab) Alloc(size, node int) (PhysAddr, error) {
 			return 0, err
 		}
 		head.SetFlags(FlagSlab)
-		s.largeOrders[head.PFN()] = order
 		s.bytesAllocated += int64(PageSize << order)
 		return head.PFN().Addr(), nil
 	}
-	c := s.classes[ci]
+	c := &s.classes[ci]
 	if len(c.partial) == 0 {
-		sp, err := s.newSlabPage(c.size, node)
+		ri, err := s.newSlabPage(ci, node)
 		if err != nil {
 			return 0, err
 		}
-		c.partial = append(c.partial, sp)
+		c.partial = append(c.partial, ri)
 	}
-	sp := c.partial[len(c.partial)-1]
+	sp := &s.pages[c.partial[len(c.partial)-1]]
 	idx := sp.free[len(sp.free)-1]
 	sp.free = sp.free[:len(sp.free)-1]
 	sp.inUse++
@@ -106,54 +104,55 @@ func (s *Slab) Alloc(size, node int) (PhysAddr, error) {
 		c.partial = c.partial[:len(c.partial)-1]
 	}
 	s.bytesAllocated += int64(c.size)
-	return sp.head.PFN().Addr() + PhysAddr(idx*sp.objSize), nil
+	return sp.head.PFN().Addr() + PhysAddr(int(idx)*c.size), nil
 }
 
-func (s *Slab) newSlabPage(objSize, node int) (*slabPage, error) {
+// newSlabPage takes a page for class ci and returns its record index.
+func (s *Slab) newSlabPage(ci, node int) (int32, error) {
 	head, err := s.mem.AllocPages(0, node)
 	if err != nil {
-		return nil, err
+		return 0, err
+	}
+	var ri int32
+	if k := len(s.freeRecs); k > 0 {
+		ri = s.freeRecs[k-1]
+		s.freeRecs = s.freeRecs[:k-1]
+	} else {
+		ri = int32(len(s.pages))
+		s.pages = append(s.pages, slabPage{})
+	}
+	sp := &s.pages[ri]
+	sp.head, sp.class, sp.inUse = head, ci, 0
+	sp.free = sp.free[:0]
+	for i := PageSize/s.classes[ci].size - 1; i >= 0; i-- {
+		sp.free = append(sp.free, int32(i))
 	}
 	head.SetFlags(FlagSlab)
-	n := PageSize / objSize
-	var sp *slabPage
-	if k := len(s.spare); k > 0 {
-		sp = s.spare[k-1]
-		s.spare = s.spare[:k-1]
-		sp.head, sp.objSize, sp.nObjects, sp.inUse = head, objSize, n, 0
-		sp.free = sp.free[:0]
-	} else {
-		sp = &slabPage{head: head, objSize: objSize, nObjects: n}
-	}
-	for i := n - 1; i >= 0; i-- {
-		sp.free = append(sp.free, i)
-	}
-	// Record the slabPage so Free can find it from an object address.
-	head.Private = uint64(objSize)
-	s.pagesByPFN[head.PFN()] = sp
-	return sp, nil
+	head.Private = uint64(ri) + 1
+	return ri, nil
 }
 
 // Free releases an object previously returned by Alloc.
 func (s *Slab) Free(pa PhysAddr) {
-	pfn := PFNOf(pa)
-	head := s.mem.Head(s.mem.PageOf(pfn))
-	if order, ok := s.largeOrders[head.PFN()]; ok {
+	head := s.mem.Head(s.mem.PageOfAddr(pa))
+	if !head.Has(FlagSlab) {
+		panic(fmt.Sprintf("mem: slab free of non-slab address %#x", pa))
+	}
+	if head.Private == 0 {
+		order := int(head.Order)
 		head.ClearFlags(FlagSlab)
-		delete(s.largeOrders, head.PFN())
 		s.bytesAllocated -= int64(PageSize << order)
 		s.mem.FreePages(head, order)
 		return
 	}
-	sp, ok := s.pagesByPFN[pfn]
-	if !ok {
-		panic(fmt.Sprintf("mem: slab free of non-slab address %#x", pa))
+	ri := int32(head.Private - 1)
+	sp := &s.pages[ri]
+	c := &s.classes[sp.class]
+	off := int(pa - head.PFN().Addr())
+	if off%c.size != 0 {
+		panic(fmt.Sprintf("mem: slab free of unaligned address %#x (class %d)", pa, c.size))
 	}
-	off := int(pa - pfn.Addr())
-	if off%sp.objSize != 0 {
-		panic(fmt.Sprintf("mem: slab free of unaligned address %#x (class %d)", pa, sp.objSize))
-	}
-	idx := off / sp.objSize
+	idx := int32(off / c.size)
 	for _, f := range sp.free {
 		if f == idx {
 			panic(fmt.Sprintf("mem: slab double free of %#x", pa))
@@ -162,31 +161,26 @@ func (s *Slab) Free(pa PhysAddr) {
 	wasFull := len(sp.free) == 0
 	sp.free = append(sp.free, idx)
 	sp.inUse--
-	s.bytesAllocated -= int64(sp.objSize)
-	ci := s.classFor(sp.objSize)
-	c := s.classes[ci]
+	s.bytesAllocated -= int64(c.size)
 	if sp.inUse == 0 {
 		// Return the empty page to the buddy allocator.
 		if !wasFull {
 			for i, p := range c.partial {
-				if p == sp {
+				if p == ri {
 					c.partial = append(c.partial[:i], c.partial[i+1:]...)
 					break
 				}
 			}
 		}
-		delete(s.pagesByPFN, sp.head.PFN())
-		sp.head.ClearFlags(FlagSlab)
-		sp.head.Private = 0
-		s.mem.FreePages(sp.head, 0)
-		if len(s.spare) < 128 {
-			sp.head = nil
-			s.spare = append(s.spare, sp)
-		}
+		head.ClearFlags(FlagSlab)
+		head.Private = 0
+		sp.head = nil
+		s.freeRecs = append(s.freeRecs, ri)
+		s.mem.FreePages(head, 0)
 		return
 	}
 	if wasFull {
-		c.partial = append(c.partial, sp)
+		c.partial = append(c.partial, ri)
 	}
 }
 

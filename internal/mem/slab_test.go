@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -157,5 +159,137 @@ func TestSlabStress(t *testing.T) {
 	}
 	if got := s.BytesAllocated(); got != 0 {
 		t.Fatalf("leaked %d bytes", got)
+	}
+}
+
+// TestSlabStateInPageStruct: the slab keeps its state in the page struct. A
+// slab page's head carries FlagSlab and its record index + 1 in Private; a
+// whole-page allocation's head carries FlagSlab, Private 0 and its order.
+// Freeing either, the whole-page one through any address inside it, gives
+// every page back.
+func TestSlabStateInPageStruct(t *testing.T) {
+	m := newTestMemory(t, 16<<20, 1)
+	s := NewSlab(m)
+	free0 := m.TotalFreePages()
+
+	small, err := s.Alloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.PageOfAddr(small)
+	if !p.Has(FlagSlab) || p.Private == 0 || s.pages[p.Private-1].head != p {
+		t.Fatalf("slab page: FlagSlab %v, Private %d; want FlagSlab and the index + 1 of its record", p.Has(FlagSlab), p.Private)
+	}
+	for _, off := range []PhysAddr{0, PageSize + 8} {
+		large, err := s.Alloc(5*PageSize, 0) // rounds to an order-3 block
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := m.PageOfAddr(large)
+		if !h.Has(FlagSlab|FlagHead) || h.Private != 0 || h.Order != 3 {
+			t.Fatalf("whole-page head: flags %#x, Private %d, Order %d; want FlagSlab|FlagHead, 0, 3", h.flags, h.Private, h.Order)
+		}
+		s.Free(large + off)
+		if h.Has(FlagSlab) {
+			t.Fatal("a freed whole-page allocation keeps FlagSlab")
+		}
+	}
+	s.Free(small)
+	if p.Has(FlagSlab) {
+		t.Fatal("a released slab page keeps FlagSlab")
+	}
+	if got := m.TotalFreePages(); got != free0 {
+		t.Fatalf("TotalFreePages = %d after freeing everything, want %d", got, free0)
+	}
+	if got := s.BytesAllocated(); got != 0 {
+		t.Fatalf("BytesAllocated = %d after freeing everything", got)
+	}
+}
+
+// TestSlabRecordsReusedByIndex: rounds of filling and emptying one size class
+// reuse the same record indexes, the record table never grows past the peak
+// number of live slab pages, and a released page keeps no slab state: no
+// FlagSlab, and Private 0 unless the buddy allocator put its free-list link
+// there.
+func TestSlabRecordsReusedByIndex(t *testing.T) {
+	const pages, size = 8, 256
+	m := newTestMemory(t, 16<<20, 1)
+	s := NewSlab(m)
+	var first map[uint64]bool
+	for round := 0; round < 4; round++ {
+		var addrs []PhysAddr
+		recs := map[uint64]bool{}
+		for i := 0; i < pages*PageSize/size; i++ {
+			pa, err := s.Alloc(size, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs = append(addrs, pa)
+			recs[m.PageOfAddr(pa).Private] = true
+		}
+		if round == 0 {
+			first = recs
+		}
+		if !maps.Equal(recs, first) || len(recs) != pages {
+			t.Fatalf("round %d used records %v, round 0 %v", round, recs, first)
+		}
+		if len(s.pages) != pages {
+			t.Fatalf("round %d: %d records for %d live pages", round, len(s.pages), pages)
+		}
+		// Odd rounds free from the top, so pages leave the partial list
+		// from both ends.
+		if round%2 == 1 {
+			slices.Reverse(addrs)
+		}
+		for _, pa := range addrs {
+			s.Free(pa)
+		}
+		for _, pa := range addrs {
+			p := m.PageOfAddr(pa)
+			if p.Has(FlagSlab) || (!p.Has(FlagBuddy) && p.Private != 0) {
+				t.Fatalf("round %d: released page %d keeps FlagSlab %v, Private %d", round, p.PFN(), p.Has(FlagSlab), p.Private)
+			}
+		}
+	}
+}
+
+// TestSlabFreeOfForeignAddressPanics: Free panics on an address the slab
+// does not own: inside a DAMN chunk, on a free buddy page, or on a page
+// taken straight from the page allocator.
+func TestSlabFreeOfForeignAddressPanics(t *testing.T) {
+	m := newTestMemory(t, 16<<20, 1)
+	s := NewSlab(m)
+	chunk, err := m.AllocPages(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flag := m.PageOf(chunk.PFN() + 2) // DAMN's flag page (§5.5)
+	flag.SetFlags(FlagDAMN)
+	flag.Private = 1
+	loose, err := m.AllocPages(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed, err := m.AllocPages(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FreePages(freed, 0)
+	for _, c := range []struct {
+		name string
+		pa   PhysAddr
+	}{
+		{"DAMN chunk", chunk.PFN().Addr() + 3*PageSize + 64},
+		{"free buddy page", freed.PFN().Addr()},
+		{"non-slab page", loose.PFN().Addr()},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Free on a %s did not panic", c.name)
+				}
+			}()
+			s.Free(c.pa)
+		}()
 	}
 }

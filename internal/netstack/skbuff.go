@@ -71,7 +71,7 @@ type SKBuff struct {
 	Stamp sim.Time
 	// Owner carries the sending endpoint through the TX ring for
 	// completion dispatch.
-	Owner any
+	Owner TxCompleter
 
 	// CopiedBytes counts TOCTTOU-defence copying on this skb (Fig 8).
 	CopiedBytes int

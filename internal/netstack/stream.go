@@ -226,10 +226,13 @@ type TxCompleter interface {
 }
 
 // DispatchTxDone is a Driver.OnTxDone adapter routing completions back to
-// their owning endpoints.
+// their owning endpoints. Owner is typed, so the dispatch is a plain
+// interface call: a type assertion from any would go through the runtime's
+// type-assertion cache, which fills at a random one of its misses and so
+// allocates at an unpredictable moment.
 func DispatchTxDone(t *sim.Task, ring int, skb *SKBuff) {
-	if c, ok := skb.Owner.(TxCompleter); ok {
-		c.TxDone(t, skb)
+	if skb.Owner != nil {
+		skb.Owner.TxDone(t, skb)
 		return
 	}
 	skb.Free(t)

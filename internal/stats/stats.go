@@ -124,11 +124,13 @@ func (h *Histogram) Observe(v float64) {
 		v = 0
 	}
 	b := 0
-	if v >= 1 {
-		b = int(math.Floor(math.Log2(v))) + 1
-		if b >= histBuckets {
-			b = histBuckets - 1
-		}
+	switch {
+	case math.IsInf(v, 1):
+		b = histBuckets - 1
+	case v >= 1:
+		// v = frac·2^exp with frac in [0.5, 1), so 2^(exp-1) <= v < 2^exp.
+		_, b = math.Frexp(v)
+		b = min(b, histBuckets-1)
 	}
 	if h.count == 0 || v < h.min {
 		h.min = v

@@ -84,6 +84,41 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketEdges pins each observation to bucket i with
+// 2^(i-1) <= v < 2^i (bucket 0 for v < 1, the last bucket for anything at
+// or past 2^63, +Inf included) at every power-of-two edge that a caller's
+// integer, or a float just below the edge, can reach.
+func TestHistogramBucketEdges(t *testing.T) {
+	type edge struct {
+		v    float64
+		want int
+	}
+	last := histBuckets - 1
+	cases := []edge{
+		{0, 0}, {0.5, 0}, {1, 1},
+		{math.Nextafter(8, 0), 3},
+		{math.MaxFloat64, last}, {math.Inf(1), last},
+	}
+	for k := 0; k <= 62; k++ {
+		p := uint64(1) << k
+		for _, v := range []float64{float64(p - 1), float64(p), float64(p + 1), math.Nextafter(float64(p), 0)} {
+			// The reference: the first i with v < 2^i.
+			b := 0
+			for v >= math.Ldexp(1, b) {
+				b++
+			}
+			cases = append(cases, edge{v, b})
+		}
+	}
+	for _, c := range cases {
+		var h Histogram
+		h.Observe(c.v)
+		if h.buckets[c.want] != 1 {
+			t.Errorf("Observe(%v) missed bucket %d: buckets %v", c.v, c.want, h.buckets)
+		}
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("device", "rx_segments").Add(42)

@@ -36,6 +36,20 @@ type memcachedInstance struct {
 	ops   uint64
 	seq   uint64
 	stopd bool
+	send  func() // sendRequest, bound once so re-arming allocates nothing
+}
+
+// The request headers memslap's segments carry. The NIC only reads them, so
+// every instance shares these two.
+var (
+	memcachedGetHeader = memcachedHeader('G')
+	memcachedSetHeader = memcachedHeader('S')
+)
+
+func memcachedHeader(op byte) []byte {
+	h := make([]byte, 64)
+	h[0] = op
+	return h
 }
 
 const (
@@ -70,6 +84,7 @@ func RunMemcached(cfg MemcachedConfig) (MemcachedResult, error) {
 	byFlow := map[int]*memcachedInstance{}
 	for i := 0; i < len(ma.Cores); i++ {
 		inst := &memcachedInstance{cfg: &cfg, ma: ma, core: i, flow: i + 1}
+		inst.send = inst.sendRequest
 		// Memcached frames are not TCP/IPv4, so the NIC's hash unit falls
 		// back to the flow hash; an aRFS rule pins each instance's flow to
 		// the ring (= core) the server thread runs on.
@@ -131,26 +146,14 @@ func (in *memcachedInstance) sendRequest() {
 	segSize := in.ma.Model.SegmentSize
 	port := in.flow % in.ma.Model.NICPorts
 
-	inject := func(n int) {
-		for n > 0 {
-			l := n
-			if l > segSize {
-				l = segSize
-			}
-			hdr := make([]byte, 64)
-			if isGet {
-				hdr[0] = 'G'
-			} else {
-				hdr[0] = 'S'
-			}
-			in.ma.NIC.InjectRX(port, device.Segment{Flow: in.flow, Hash: in.hash, Len: l, Header: hdr})
-			n -= l
-		}
+	n, hdr := 256, memcachedGetHeader // "get <key>\r\n"
+	if !isGet {
+		n, hdr = 256+in.cfg.ValueBytes, memcachedSetHeader // SET carries the value
 	}
-	if isGet {
-		inject(256) // "get <key>\r\n"
-	} else {
-		inject(256 + in.cfg.ValueBytes) // SET carries the value
+	for n > 0 {
+		l := min(n, segSize)
+		in.ma.NIC.InjectRX(port, device.Segment{Flow: in.flow, Hash: in.hash, Len: l, Header: hdr})
+		n -= l
 	}
 }
 
@@ -201,6 +204,9 @@ func (in *memcachedInstance) transmitResponse(t *sim.Task, n int) {
 		sent += l
 		skb, err := netstack.AllocSKB(in.ma.Kernel, t, in.ma.NIC.ID(), l, false)
 		if err != nil {
+			// Out of memory: abandon the response but keep the memslap
+			// slot alive, as a full TX ring does below.
+			in.ma.Sim.After(50*sim.Microsecond, in.send)
 			return
 		}
 		skb.Flow = in.flow
@@ -209,27 +215,23 @@ func (in *memcachedInstance) transmitResponse(t *sim.Task, n int) {
 		if i == 0 {
 			perf.Charge(t, m.TXSegCycles)
 		}
-		last := i == segs-1
-		skb.Owner = txCallback(func(t2 *sim.Task, done *netstack.SKBuff) {
-			done.Free(t2)
-			if last {
-				in.ops++
-				// Client thinks, then sends the next request.
-				in.ma.Sim.After(5*sim.Microsecond, in.sendRequest)
-			}
-		})
+		if i == segs-1 {
+			skb.Owner = in // earlier chunks have no owner: DispatchTxDone frees them
+		}
 		if err := in.ma.Driver.Transmit(t, in.core, in.flow%in.ma.Model.NICPorts, skb); err != nil {
 			// TX ring full: abandon the response but keep the memslap
 			// slot alive (the client would time out and retry).
 			skb.Free(t)
-			in.ma.Sim.After(50*sim.Microsecond, in.sendRequest)
+			in.ma.Sim.After(50*sim.Microsecond, in.send)
 			return
 		}
 	}
 }
 
-// txCallback adapts a func to the skb Owner completion dispatch.
-type txCallback func(t *sim.Task, skb *netstack.SKBuff)
-
-// TxDone implements the completion hook used by DispatchTxDone.
-func (f txCallback) TxDone(t *sim.Task, skb *netstack.SKBuff) { f(t, skb) }
+// TxDone completes a response's last chunk: the op is served, and the
+// client thinks, then sends its next request.
+func (in *memcachedInstance) TxDone(t *sim.Task, skb *netstack.SKBuff) {
+	skb.Free(t)
+	in.ops++
+	in.ma.Sim.After(5*sim.Microsecond, in.send)
+}

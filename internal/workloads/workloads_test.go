@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/asplos18/damn/internal/device"
+	"github.com/asplos18/damn/internal/faults"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
 )
@@ -38,6 +39,44 @@ func TestMemcachedMakesProgress(t *testing.T) {
 	}
 	if res.CPUUtil <= 0 || res.CPUUtil > 1 {
 		t.Fatalf("CPUUtil = %f", res.CPUUtil)
+	}
+}
+
+// TestMemcachedSurvivesAllocFailBurst: a response whose skb allocation
+// fails must keep its memslap slot alive, as a response the TX ring rejects
+// does. A 200 µs burst in which every page allocation fails hits every
+// scheme's slots; in a window that opens 2.8 ms after it, each scheme must
+// serve at least 90% of the requests an identical machine serves without
+// the burst.
+func TestMemcachedSurvivesAllocFailBurst(t *testing.T) {
+	run := func(scheme testbed.Scheme, burst bool) float64 {
+		ma, err := testbed.NewMachine(testbed.MachineConfig{
+			Scheme: scheme, MemBytes: 256 << 20, Cores: 4, Faults: &faults.Config{Seed: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ma.Close()
+		if burst {
+			ma.Sim.At(2*sim.Millisecond, func() { ma.Faults.SetRate(faults.AllocFail, 1) })
+			ma.Sim.At(2200*sim.Microsecond, func() { ma.Faults.SetRate(faults.AllocFail, 0) })
+		}
+		res, err := RunMemcached(MemcachedConfig{
+			Machine: ma, Warmup: 5 * sim.Millisecond, Duration: 10 * sim.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if burst && ma.Faults.Injected(faults.AllocFail) == 0 {
+			t.Fatalf("%s: the burst failed no allocation", scheme)
+		}
+		return res.TPS
+	}
+	for _, scheme := range testbed.AllSchemes {
+		clean, hit := run(scheme, false), run(scheme, true)
+		if hit < 0.9*clean {
+			t.Errorf("%s: %.0f TPS after the burst, %.0f without it", scheme, hit, clean)
+		}
 	}
 }
 
