@@ -112,7 +112,10 @@ type DAMN struct {
 	model *perf.Model
 	cfg   Config
 
-	caches map[cacheKey]*dmaCache
+	// caches holds the DMA caches at cacheIndex(dev, rights, node) and
+	// grows on demand; walking it in index order walks the keys sorted.
+	caches []*dmaCache
+	nodes  int // NUMA nodes CoreNodes names: max(CoreNodes) + 1
 	// shards hold the per-CPU identity-region IOVA allocators: chunk
 	// creation on one core draws only from its own shard.
 	shards []regionShard
@@ -214,12 +217,19 @@ func New(m *mem.Memory, u *iommu.IOMMU, model *perf.Model, cfg Config) (*DAMN, e
 	if len(cfg.CoreNodes) > iova.MaxCPU+1 {
 		return nil, fmt.Errorf("damn: %d cores exceed the IOVA encoding's %d", len(cfg.CoreNodes), iova.MaxCPU+1)
 	}
+	nodes := 1
+	for cpu, node := range cfg.CoreNodes {
+		if node < 0 {
+			return nil, fmt.Errorf("damn: core %d on negative node %d", cpu, node)
+		}
+		nodes = max(nodes, node+1)
+	}
 	return &DAMN{
 		mem:      m,
 		iommu:    u,
 		model:    model,
 		cfg:      cfg,
-		caches:   make(map[cacheKey]*dmaCache),
+		nodes:    nodes,
 		shards:   make([]regionShard, len(cfg.CoreNodes)),
 		registry: make([]*chunk, m.NumPages()/cfg.ChunkPages),
 	}, nil
@@ -260,12 +270,22 @@ func (d *DAMN) nodeOf(cpu int) int {
 	return d.cfg.CoreNodes[cpu]
 }
 
+// cacheIndex places a cache in d.caches: by device, then rights (1 to 3,
+// checkArgs' range), then node.
+func (d *DAMN) cacheIndex(key cacheKey) int {
+	return (key.dev*3+int(key.rights)-1)*d.nodes + key.node
+}
+
 // cache returns (creating on demand) the DMA cache for a key.
 func (d *DAMN) cache(key cacheKey) *dmaCache {
-	c := d.caches[key]
+	i := d.cacheIndex(key)
+	if i >= len(d.caches) {
+		d.caches = append(d.caches, make([]*dmaCache, i+1-len(d.caches))...)
+	}
+	c := d.caches[i]
 	if c == nil {
 		c = newDMACache(d, key)
-		d.caches[key] = c
+		d.caches[i] = c
 	}
 	return c
 }

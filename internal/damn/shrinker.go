@@ -1,8 +1,6 @@
 package damn
 
 import (
-	"sort"
-
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
 	"github.com/asplos18/damn/internal/perf"
@@ -22,25 +20,12 @@ import (
 // Returns the number of pages released to the system.
 func (d *DAMN) Shrink(x Ctx) int64 {
 	// Release order is simulation-visible (unmaps and IOTLB invalidations
-	// are charged work), so walk the caches in sorted-key order rather
-	// than map order.
-	keys := make([]cacheKey, 0, len(d.caches))
-	for k := range d.caches {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.dev != b.dev {
-			return a.dev < b.dev
-		}
-		if a.rights != b.rights {
-			return a.rights < b.rights
-		}
-		return a.node < b.node
-	})
+	// are charged work): the caches go in index order, sorted by key.
 	var released int64
-	for _, k := range keys {
-		c := d.caches[k]
+	for _, c := range d.caches {
+		if c == nil {
+			continue
+		}
 		var victims []*chunk
 		// Depot first: those chunks are coldest.
 		victims = append(victims, c.depot.drainFull()...)
@@ -157,21 +142,14 @@ func (d *DAMN) ReleaseDevice(x Ctx, dev int) (releasedPages int64, pinnedChunks 
 		d.devGens = append(d.devGens, 0)
 	}
 	d.devGens[dev]++
-	keys := make([]cacheKey, 0, len(d.caches))
-	for k := range d.caches {
-		if k.dev == dev {
-			keys = append(keys, k)
+	// The device's caches sit side by side, sorted by rights and node.
+	lo := d.cacheIndex(cacheKey{dev: dev, rights: iommu.PermRead})
+	hi := min(lo+3*d.nodes, len(d.caches))
+	for i := lo; i < hi; i++ {
+		c := d.caches[i]
+		if c == nil {
+			continue
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.rights != b.rights {
-			return a.rights < b.rights
-		}
-		return a.node < b.node
-	})
-	for _, k := range keys {
-		c := d.caches[k]
 		// Retire the bump allocators' carving references. A chunk with no
 		// outstanding buffers recycles immediately — and, being from a
 		// stale generation now, tears down on the spot; one with live

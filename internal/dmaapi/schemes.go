@@ -113,8 +113,8 @@ func (s *mappingScheme) unmapCommon(c perf.Charger, dev int, v iommu.IOVA, size 
 	if span == 0 {
 		return 0, 0, fmt.Errorf("dmaapi: unmap of unknown iova %#x", v)
 	}
-	if int(off)+size > span {
-		return 0, 0, fmt.Errorf("dmaapi: unmap size %d exceeds mapping span %d", size, span)
+	if size <= 0 || size > span-int(off) {
+		return 0, 0, fmt.Errorf("dmaapi: unmap size %d does not fit mapping span %d", size, span)
 	}
 	if err := s.u.Unmap(dev, base, span); err != nil {
 		return 0, 0, err

@@ -2,6 +2,7 @@ package dmaapi
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
@@ -24,8 +25,18 @@ type ShadowScheme struct {
 	membw *sim.MemController
 	alloc *iova.Allocator
 
-	pools    map[poolKey]*shadowPool
-	mappings map[iommu.IOVA]shadowMapping
+	// bufs holds every shadow buffer the pools have grown, by index, and
+	// byDepth maps a buffer's IOVA, by its page depth in alloc's space, to
+	// its index + 1 (0: no buffer starts there). The scheme frees IOVA
+	// space only after a failed growth, before any buffer records it, so
+	// the buffers pack the top of the space and byDepth stays dense. This
+	// is how Linux's swiotlb finds a slot's original address by index.
+	bufs    []shadowBuf
+	byDepth []int32
+	// pools holds the free buffer indexes of each (device, permission)
+	// pool at dev<<2 | perm, by size class: class i holds 4 KiB << i, up
+	// to 64 KiB.
+	pools [][5][]int32
 
 	// Stats.
 	CopiedBytes uint64
@@ -33,42 +44,27 @@ type ShadowScheme struct {
 	PoolGrowths uint64
 }
 
-type poolKey struct {
-	dev  int
-	perm iommu.Perm
-}
-
-// shadowPool is a per-(device, permission) free list of shadow buffers,
-// bucketed by power-of-two size class from one page up to 64 KiB.
-type shadowPool struct {
-	free [5][]shadowBuf // class i holds 4 KiB << i
-}
-
+// shadowBuf is one permanently mapped shadow buffer of 4 KiB << class
+// bytes and, while mapped, the caller's buffer it stands in for.
 type shadowBuf struct {
-	pa   mem.PhysAddr
-	v    iommu.IOVA
-	size int
-}
-
-type shadowMapping struct {
-	buf    shadowBuf
+	pa     mem.PhysAddr
+	v      iommu.IOVA
+	class  int
+	pool   int
+	mapped bool
 	origPA mem.PhysAddr
 	size   int // caller's transfer size
-	class  int
-	key    poolKey
 }
 
 // NewShadowScheme builds the shadow-buffer scheme. membw may be nil in
 // functional tests.
 func NewShadowScheme(m *mem.Memory, u *iommu.IOMMU, model *perf.Model, membw *sim.MemController) *ShadowScheme {
 	return &ShadowScheme{
-		mem:      m,
-		u:        u,
-		model:    model,
-		membw:    membw,
-		alloc:    iova.NewAPIAllocator(),
-		pools:    make(map[poolKey]*shadowPool),
-		mappings: make(map[iommu.IOVA]shadowMapping),
+		mem:   m,
+		u:     u,
+		model: model,
+		membw: membw,
+		alloc: iova.NewAPIAllocator(),
 	}
 }
 
@@ -84,27 +80,36 @@ func classFor(size int) (int, error) {
 	return 0, fmt.Errorf("dmaapi: shadow buffer request %d exceeds 64 KiB", size)
 }
 
-// get returns a shadow buffer of the class covering size, growing the pool
-// (allocate pages, map them permanently) when the free list is empty.
-func (s *ShadowScheme) get(c perf.Charger, key poolKey, size int) (shadowBuf, int, error) {
+// poolOf returns the pool index of (dev, perm), or -1 for an id no IOMMU
+// domain can have.
+func poolOf(dev int, perm iommu.Perm) int {
+	if dev < 0 || dev > math.MaxUint16 {
+		return -1
+	}
+	return dev<<2 | int(perm)
+}
+
+// get returns the index of a shadow buffer of the class covering size,
+// growing the pool (allocate pages, map them permanently) when its free
+// list is empty.
+func (s *ShadowScheme) get(c perf.Charger, dev int, perm iommu.Perm, size int) (int32, error) {
 	class, err := classFor(size)
 	if err != nil {
-		return shadowBuf{}, 0, err
+		return 0, err
 	}
-	pool := s.pools[key]
-	if pool == nil {
-		pool = &shadowPool{}
-		s.pools[key] = pool
-	}
-	if n := len(pool.free[class]); n > 0 {
-		buf := pool.free[class][n-1]
-		pool.free[class] = pool.free[class][:n-1]
-		return buf, class, nil
+	pool := poolOf(dev, perm)
+	if pool >= 0 && pool < len(s.pools) {
+		free := &s.pools[pool][class]
+		if n := len(*free); n > 0 {
+			i := (*free)[n-1]
+			*free = (*free)[:n-1]
+			return i, nil
+		}
 	}
 	// Grow: allocate an order-class block and map it permanently.
 	page, err := s.mem.AllocPages(class, 0)
 	if err != nil {
-		return shadowBuf{}, 0, err
+		return 0, err
 	}
 	bytes := mem.PageSize << class
 	pa := page.PFN().Addr()
@@ -112,52 +117,82 @@ func (s *ShadowScheme) get(c perf.Charger, key poolKey, size int) (shadowBuf, in
 	v, err := s.alloc.Alloc(bytes)
 	if err != nil {
 		s.mem.FreePages(page, class)
-		return shadowBuf{}, 0, err
+		return 0, err
 	}
-	if err := s.u.Map(key.dev, v, pa, bytes, key.perm); err != nil {
+	if err := s.u.Map(dev, v, pa, bytes, perm); err != nil {
 		s.alloc.Free(v)
 		s.mem.FreePages(page, class)
-		return shadowBuf{}, 0, err
+		return 0, err
 	}
 	s.PoolBytes += int64(bytes)
 	s.PoolGrowths++
 	perf.Charge(c, s.model.MapCycles) // one-time mapping cost
-	return shadowBuf{pa: pa, v: v, size: bytes}, class, nil
+	i := int32(len(s.bufs))
+	s.bufs = append(s.bufs, shadowBuf{pa: pa, v: v, class: class, pool: pool})
+	d, _ := s.alloc.Depth(v) // v came from alloc
+	if d >= len(s.byDepth) {
+		s.byDepth = append(s.byDepth, make([]int32, d+1-len(s.byDepth))...)
+	}
+	s.byDepth[d] = i + 1
+	return i, nil
+}
+
+// bufAt returns the index of the mapped shadow buffer at v, or -1.
+func (s *ShadowScheme) bufAt(v iommu.IOVA) int32 {
+	d, ok := s.alloc.Depth(v)
+	if !ok || d >= len(s.byDepth) {
+		return -1
+	}
+	i := s.byDepth[d] - 1
+	if i < 0 || !s.bufs[i].mapped {
+		return -1
+	}
+	return i
 }
 
 func (s *ShadowScheme) Map(c perf.Charger, dev int, pa mem.PhysAddr, size int, dir Direction) (iommu.IOVA, error) {
 	perf.Charge(c, s.model.ShadowMgmtCycles)
-	key := poolKey{dev: dev, perm: dir.Perm()}
-	buf, class, err := s.get(c, key, size)
+	i, err := s.get(c, dev, dir.Perm(), size)
 	if err != nil {
 		return 0, err
 	}
+	b := &s.bufs[i]
 	if dir == ToDevice || dir == Bidirectional {
 		// Stage the payload into the shadow buffer: the extra copy.
-		s.mem.Copy(buf.pa, pa, size)
+		s.mem.Copy(b.pa, pa, size)
 		s.CopiedBytes += uint64(size)
 		perf.CPUCopy(c, s.membw, size, s.model.ShadowTXCopyCyclesPerByte, s.model.ShadowCopyMemFraction)
 	}
-	s.mappings[buf.v] = shadowMapping{buf: buf, origPA: pa, size: size, class: class, key: key}
-	return buf.v, nil
+	b.mapped, b.origPA, b.size = true, pa, size
+	return b.v, nil
 }
 
+// Unmap revokes the mapping Map returned at v. An IOVA that is not a
+// shadow buffer mapped for dev, or a size outside the mapped one, is an
+// error that changes nothing.
 func (s *ShadowScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, dir Direction) error {
 	perf.Charge(c, s.model.ShadowMgmtCycles)
-	m, ok := s.mappings[v]
-	if !ok {
-		return fmt.Errorf("dmaapi: shadow unmap of unknown iova %#x", v)
+	i := s.bufAt(v)
+	if i < 0 || s.bufs[i].pool>>2 != dev {
+		return fmt.Errorf("dmaapi: shadow unmap of unknown iova %#x for device %d", v, dev)
 	}
-	delete(s.mappings, v)
+	b := &s.bufs[i]
+	if size <= 0 || size > b.size {
+		return fmt.Errorf("dmaapi: shadow unmap size %d of a %d-byte mapping", size, b.size)
+	}
+	b.mapped = false
 	if dir == FromDevice || dir == Bidirectional {
 		// Copy the received data out of the shadow into the caller's
 		// buffer: the RX-side extra copy.
-		s.mem.Copy(m.origPA, m.buf.pa, m.size)
-		s.CopiedBytes += uint64(m.size)
-		perf.CPUCopy(c, s.membw, m.size, s.model.ColdCopyCyclesPerByte, s.model.ShadowCopyMemFraction)
+		s.mem.Copy(b.origPA, b.pa, b.size)
+		s.CopiedBytes += uint64(b.size)
+		perf.CPUCopy(c, s.membw, b.size, s.model.ColdCopyCyclesPerByte, s.model.ShadowCopyMemFraction)
 	}
 	// Recycle the shadow buffer; its mapping stays alive forever, which
 	// is the whole point: no IOTLB invalidation is ever needed.
-	s.pools[m.key].free[m.class] = append(s.pools[m.key].free[m.class], m.buf)
+	if b.pool >= len(s.pools) {
+		s.pools = append(s.pools, make([][5][]int32, b.pool+1-len(s.pools))...)
+	}
+	s.pools[b.pool][b.class] = append(s.pools[b.pool][b.class], i)
 	return nil
 }

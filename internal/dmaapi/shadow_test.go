@@ -52,7 +52,7 @@ func TestShadowUnmapCopiesWholeBuffer(t *testing.T) {
 				if _, err := ma.iommu.DMAWrite(dev, v, wrote); err != nil {
 					t.Fatal(err)
 				}
-				shadowPA := sh.mappings[v].buf.pa
+				shadowPA := sh.bufs[sh.bufAt(v)].pa
 				if err := e.Unmap(nil, dev, v, geo.size, FromDevice); err != nil {
 					t.Fatal(err)
 				}

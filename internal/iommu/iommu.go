@@ -224,10 +224,10 @@ func (u *IOMMU) TLB() *IOTLB { return u.tlb }
 func (u *IOMMU) InvQ() *InvalidationQueue { return u.invq }
 
 // AttachDevice creates (or returns) the domain for a device. Device ids
-// must be non-negative and fit an int32, the width IOTLB entries tag them
+// must be non-negative and fit a uint16, the width IOTLB entries tag them
 // with.
 func (u *IOMMU) AttachDevice(dev int) *Domain {
-	if dev < 0 || dev > math.MaxInt32 {
+	if dev < 0 || dev > math.MaxUint16 {
 		panic(fmt.Sprintf("iommu: attach of out-of-range device id %d", dev))
 	}
 	for dev >= len(u.domains) {
@@ -282,7 +282,8 @@ func indexAt(iova IOVA, level int) int {
 
 // Map installs a translation for [iova, iova+size) to the physical range
 // starting at pa, with the given permission. Both iova and pa must be page
-// aligned and the range must not cross already-mapped pages.
+// aligned and the range must not cross already-mapped pages; if it does,
+// Map installs nothing.
 func (u *IOMMU) Map(dev int, iova IOVA, pa mem.PhysAddr, size int, perm Perm) error {
 	if iova&IOVA(mem.PageMask) != 0 || uint64(pa)&uint64(mem.PageMask) != 0 {
 		return fmt.Errorf("iommu: unaligned map iova=%#x pa=%#x", iova, pa)
@@ -305,6 +306,10 @@ func (u *IOMMU) Map(dev int, iova IOVA, pa mem.PhysAddr, size int, perm Perm) er
 		va := iova + IOVA(i)<<mem.PageShift
 		e := d.walk(va, true)
 		if e.present {
+			// Take back the pages this call installed.
+			for j := 0; j < i; j++ {
+				*d.walk(iova+IOVA(j)<<mem.PageShift, false) = pte{}
+			}
 			return fmt.Errorf("iommu: iova %#x already mapped", va)
 		}
 		e.present = true
@@ -351,7 +356,8 @@ func (u *IOMMU) MapHuge(dev int, iova IOVA, pa mem.PhysAddr, perm Perm) error {
 // Unmap removes translations for [iova, iova+size). The removal only takes
 // full effect once the corresponding IOTLB entries are invalidated; until
 // then, cached translations keep working — this is the deferred-mode
-// vulnerability window.
+// vulnerability window. If any page of the range is not mapped by a 4 KiB
+// leaf, Unmap removes nothing.
 func (u *IOMMU) Unmap(dev int, iova IOVA, size int) error {
 	if iova&IOVA(mem.PageMask) != 0 || size <= 0 {
 		return fmt.Errorf("iommu: bad unmap [%#x,+%d)", iova, size)
@@ -363,13 +369,14 @@ func (u *IOMMU) Unmap(dev int, iova IOVA, size int) error {
 	pages := (size + mem.PageSize - 1) >> mem.PageShift
 	for i := 0; i < pages; i++ {
 		va := iova + IOVA(i)<<mem.PageShift
-		e := d.walk(va, false)
-		if e == nil || !e.present {
+		if e := d.walk(va, false); e == nil || !e.present || e.huge {
 			return fmt.Errorf("iommu: unmap of unmapped iova %#x", va)
 		}
+	}
+	for i := 0; i < pages; i++ {
 		// Clearing a leaf pte in place keeps the memo'd tables coherent;
 		// no walk-cache invalidation needed here.
-		*e = pte{}
+		*d.walk(iova+IOVA(i)<<mem.PageShift, false) = pte{}
 	}
 	d.mappedPages -= int64(pages)
 	u.Unmappings++

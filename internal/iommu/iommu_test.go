@@ -54,6 +54,52 @@ func TestMapTranslateUnmap(t *testing.T) {
 	}
 }
 
+// TestMapUnmapAllOrNothing: a Map that meets an already-mapped page and an
+// Unmap that meets an unmapped one change nothing — no page of the failed
+// call stays mapped or goes missing, and the page and operation counts do
+// not move.
+func TestMapUnmapAllOrNothing(t *testing.T) {
+	u, m := newTestIOMMU(t)
+	u.AttachDevice(1)
+	mine := allocPA(t, m, 0)
+	if err := u.Map(1, 0x12000, mine, mem.PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	caller := allocPA(t, m, 2)
+	if err := u.Map(1, 0x10000, caller, 4*mem.PageSize, PermRW); err == nil || !strings.Contains(err.Error(), "already mapped") {
+		t.Fatalf("4-page map over a mapped page: err = %v, want already mapped", err)
+	}
+	for _, v := range []IOVA{0x10000, 0x11000, 0x13000} {
+		if pa, err := u.Translate(1, v, true); err == nil {
+			t.Fatalf("failed map left %#x translating to %#x", v, pa)
+		}
+	}
+	if got := u.MappedPages(1); got != 1 {
+		t.Fatalf("MappedPages after failed map = %d, want 1", got)
+	}
+	maps, unmaps := u.Mappings, u.Unmappings
+	for _, v := range []IOVA{0x11000, 0x12000} { // each range holds one unmapped page
+		if err := u.Unmap(1, v, 2*mem.PageSize); err == nil {
+			t.Fatalf("2-page unmap at %#x with an unmapped page succeeded", v)
+		}
+	}
+	if got := u.MappedPages(1); got != 1 {
+		t.Fatalf("MappedPages after failed unmaps = %d, want 1", got)
+	}
+	if u.Mappings != maps || u.Unmappings != unmaps {
+		t.Fatalf("Mappings/Unmappings moved to %d/%d from %d/%d on failed calls", u.Mappings, u.Unmappings, maps, unmaps)
+	}
+	if pa, err := u.Translate(1, 0x12000, true); err != nil || pa != mine {
+		t.Fatalf("Translate(0x12000) = %#x, %v after failed calls; want %#x", pa, err, mine)
+	}
+	if err := u.Unmap(1, 0x12000, mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if got := u.MappedPages(1); got != 0 {
+		t.Fatalf("MappedPages after the real unmap = %d, want 0", got)
+	}
+}
+
 func TestPermissionEnforcement(t *testing.T) {
 	u, m := newTestIOMMU(t)
 	u.AttachDevice(1)
@@ -430,16 +476,17 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
-// TestAttachDeviceIDFitsTLBTag: IOTLB entries tag their device with an
-// int32, so AttachDevice refuses an id that would alias another device's.
+// TestAttachDeviceIDFitsTLBTag: IOTLB entries tag their device with a
+// uint16, so AttachDevice refuses an id that would alias another device's.
 func TestAttachDeviceIDFitsTLBTag(t *testing.T) {
 	if got := unsafe.Sizeof(tlbEntry{}); got != 32 {
 		t.Errorf("tlbEntry is %d bytes, want 32", got)
 	}
 	u, _ := newTestIOMMU(t)
+	u.AttachDevice(math.MaxUint16)
 	wide := math.MaxInt32
 	wide++
-	for _, dev := range []int{-1, wide} {
+	for _, dev := range []int{-1, math.MaxUint16 + 1, wide} {
 		func() {
 			defer func() {
 				if recover() == nil {

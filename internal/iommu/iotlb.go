@@ -1,6 +1,10 @@
 package iommu
 
-import "github.com/asplos18/damn/internal/mem"
+import (
+	"math"
+
+	"github.com/asplos18/damn/internal/mem"
+)
 
 // IOTLBConfig sizes the translation cache. The defaults approximate the
 // IOTLB of a server-class VT-d implementation; what matters for the
@@ -17,15 +21,24 @@ type IOTLBConfig struct {
 func DefaultIOTLBConfig() IOTLBConfig { return IOTLBConfig{Sets: 4096, Ways: 4} }
 
 // tlbEntry is 32 bytes, ordered widest field first so none pads; dev fits
-// int32 because AttachDevice rejects larger ids.
+// uint16 because AttachDevice rejects larger ids. An entry is live only
+// while gen equals its device's current generation, and no generation is
+// 0, so a zero entry is empty.
 type tlbEntry struct {
-	tag   IOVA // iova >> PageShift for 4 KiB; iova >> HugePageShift for 2 MiB
-	pfn   mem.PFN
-	lru   uint64
-	dev   int32
-	valid bool
-	huge  bool
-	perm  Perm
+	tag  IOVA // iova >> PageShift for 4 KiB; iova >> HugePageShift for 2 MiB
+	pfn  mem.PFN
+	lru  uint64
+	gen  uint32
+	dev  uint16
+	huge bool
+	perm Perm
+}
+
+// tlbDev is one device's generation and the counts of its live entries.
+type tlbDev struct {
+	gen  uint32
+	live uint32 // live entries of the device
+	huge uint32 // live 2 MiB entries among them
 }
 
 // IOTLB is a set-associative translation cache shared by all devices,
@@ -36,6 +49,10 @@ type IOTLB struct {
 	cfg     IOTLBConfig
 	entries []tlbEntry // Sets×Ways, set by set
 	clock   uint64
+	// devs is indexed by device id and grows at a device's first insert.
+	// Retiring a device's entries bumps its generation instead of sweeping
+	// the cache.
+	devs []tlbDev
 
 	Hits          uint64
 	Misses        uint64
@@ -64,24 +81,55 @@ func (t *IOTLB) setIndex(dev int, tag IOVA) int {
 	return (int(tag) ^ dev*7) & (t.cfg.Sets - 1)
 }
 
+// device returns dev's generation record, or nil if dev never had an entry.
+func (t *IOTLB) device(dev int) *tlbDev {
+	if dev < 0 || dev >= len(t.devs) {
+		return nil
+	}
+	return &t.devs[dev]
+}
+
+// isLive reports whether e holds a current translation.
+func (t *IOTLB) isLive(e *tlbEntry) bool {
+	return e.gen != 0 && e.gen == t.devs[e.dev].gen
+}
+
+// kill ends a live entry's life.
+func (t *IOTLB) kill(e *tlbEntry) {
+	d := &t.devs[e.dev]
+	d.live--
+	if e.huge {
+		d.huge--
+	}
+	e.gen = 0
+}
+
+// find returns the live entry of dev, whose generation is gen, for tag.
+func (t *IOTLB) find(dev int, gen uint32, tag IOVA, huge bool) *tlbEntry {
+	set := t.set(t.setIndex(dev, tag))
+	for i := range set {
+		e := &set[i]
+		if e.gen == gen && int(e.dev) == dev && e.huge == huge && e.tag == tag {
+			return e
+		}
+	}
+	return nil
+}
+
 // lookup returns the cached translation for the page containing iova.
-// It probes the 4 KiB tag and then the 2 MiB tag.
+// It probes the 4 KiB tag and then, if the device holds a live 2 MiB
+// entry, the 2 MiB tag.
 func (t *IOTLB) lookup(dev int, iova IOVA) (*tlbEntry, bool) {
 	t.clock++
-	smallTag := iova >> mem.PageShift
-	hugeTag := iova >> mem.HugePageShift
-	for _, probe := range []struct {
-		tag  IOVA
-		huge bool
-	}{{smallTag, false}, {hugeTag, true}} {
-		set := t.set(t.setIndex(dev, probe.tag))
-		for i := range set {
-			e := &set[i]
-			if e.valid && int(e.dev) == dev && e.huge == probe.huge && e.tag == probe.tag {
-				e.lru = t.clock
-				t.Hits++
-				return e, true
-			}
+	if d := t.device(dev); d != nil && d.live > 0 {
+		e := t.find(dev, d.gen, iova>>mem.PageShift, false)
+		if e == nil && d.huge > 0 {
+			e = t.find(dev, d.gen, iova>>mem.HugePageShift, true)
+		}
+		if e != nil {
+			e.lru = t.clock
+			t.Hits++
+			return e, true
 		}
 	}
 	t.Misses++
@@ -97,11 +145,14 @@ func (t *IOTLB) insert(dev int, iova IOVA, huge bool, pfn mem.PFN, perm Perm) {
 	} else {
 		tag = iova >> mem.PageShift
 	}
+	for dev >= len(t.devs) {
+		t.devs = append(t.devs, tlbDev{gen: 1})
+	}
 	set := t.set(t.setIndex(dev, tag))
 	victim := &set[0]
 	for i := range set {
 		e := &set[i]
-		if !e.valid {
+		if !t.isLive(e) {
 			victim = e
 			break
 		}
@@ -109,7 +160,15 @@ func (t *IOTLB) insert(dev int, iova IOVA, huge bool, pfn mem.PFN, perm Perm) {
 			victim = e
 		}
 	}
-	*victim = tlbEntry{valid: true, dev: int32(dev), tag: tag, huge: huge, pfn: pfn, perm: perm, lru: t.clock}
+	if t.isLive(victim) {
+		t.kill(victim) // an eviction, not an invalidation
+	}
+	d := &t.devs[dev]
+	*victim = tlbEntry{gen: d.gen, dev: uint16(dev), tag: tag, huge: huge, pfn: pfn, perm: perm, lru: t.clock}
+	d.live++
+	if huge {
+		d.huge++
+	}
 }
 
 // InvalidateRange drops all entries of dev overlapping [iova, iova+size).
@@ -117,9 +176,13 @@ func (t *IOTLB) insert(dev int, iova IOVA, huge bool, pfn mem.PFN, perm Perm) {
 // cache by set); huge ranges fall back to a full sweep.
 func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 	t.FlushCommands++
+	d := t.device(dev)
+	if d == nil || d.live == 0 {
+		return
+	}
 	pages := (size + mem.PageSize - 1) >> mem.PageShift
 	if pages > 64 {
-		t.invalidateRangeSweep(dev, iova, size)
+		t.invalidateRangeSweep(dev, d.gen, iova, size)
 		return
 	}
 	// 4 KiB entries of the range.
@@ -128,11 +191,14 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 		set := t.set(t.setIndex(dev, tag))
 		for i := range set {
 			e := &set[i]
-			if e.valid && !e.huge && int(e.dev) == dev && e.tag == tag {
-				e.valid = false
+			if e.gen == d.gen && !e.huge && int(e.dev) == dev && e.tag == tag {
+				t.kill(e)
 				t.Invalidations++
 			}
 		}
+	}
+	if d.huge == 0 {
+		return
 	}
 	// Huge entries covering any part of the range.
 	firstHuge := iova >> mem.HugePageShift
@@ -141,19 +207,19 @@ func (t *IOTLB) InvalidateRange(dev int, iova IOVA, size int) {
 		set := t.set(t.setIndex(dev, tag))
 		for i := range set {
 			e := &set[i]
-			if e.valid && e.huge && int(e.dev) == dev && e.tag == tag {
-				e.valid = false
+			if e.gen == d.gen && e.huge && int(e.dev) == dev && e.tag == tag {
+				t.kill(e)
 				t.Invalidations++
 			}
 		}
 	}
 }
 
-func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
+func (t *IOTLB) invalidateRangeSweep(dev int, gen uint32, iova IOVA, size int) {
 	end := iova + IOVA(size)
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.valid || int(e.dev) != dev {
+		if e.gen != gen || int(e.dev) != dev {
 			continue
 		}
 		var lo, hi IOVA
@@ -165,7 +231,7 @@ func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
 			hi = lo + IOVA(mem.PageSize)
 		}
 		if lo < end && iova < hi {
-			e.valid = false
+			t.kill(e)
 			t.Invalidations++
 		}
 	}
@@ -175,27 +241,37 @@ func (t *IOTLB) invalidateRangeSweep(dev int, iova IOVA, size int) {
 // invalidation, what deferred mode issues when its batch overflows).
 func (t *IOTLB) InvalidateDevice(dev int) {
 	t.FlushCommands++
-	// A local slice header: the count writes through t, so t.entries
-	// would be reloaded and bounds-checked for every entry.
-	es := t.entries
-	for i := range es {
-		e := &es[i]
-		if e.valid && int(e.dev) == dev {
-			e.valid = false
-			t.Invalidations++
-		}
+	if t.device(dev) != nil {
+		t.retire(dev)
 	}
 }
 
 // InvalidateAll drops everything (global invalidation).
 func (t *IOTLB) InvalidateAll() {
 	t.FlushCommands++
-	for i := range t.entries {
-		if e := &t.entries[i]; e.valid {
-			e.valid = false
-			t.Invalidations++
-		}
+	for dev := range t.devs {
+		t.retire(dev)
 	}
+}
+
+// retire drops every entry of dev at once: its live entries count as
+// invalidated and its generation moves on, so none of them matches again.
+// When the generation would wrap, entries from generations long past could
+// match again, so the device's entries are cleared one by one, once per
+// 2^32-1 retirements.
+func (t *IOTLB) retire(dev int) {
+	d := &t.devs[dev]
+	t.Invalidations += uint64(d.live)
+	d.live, d.huge = 0, 0
+	if d.gen == math.MaxUint32 {
+		for i := range t.entries {
+			if e := &t.entries[i]; int(e.dev) == dev {
+				e.gen = 0
+			}
+		}
+		d.gen = 0
+	}
+	d.gen++
 }
 
 // HitRate returns the fraction of lookups served from the cache.

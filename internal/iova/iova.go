@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"github.com/asplos18/damn/internal/iommu"
+	"github.com/asplos18/damn/internal/mem"
 )
 
 // ErrExhausted reports that no free range large enough exists. Callers in
@@ -42,8 +43,17 @@ type Allocator struct {
 	hi   iommu.IOVA
 	free []span // sorted by base, non-overlapping, coalesced
 
-	allocated map[iommu.IOVA]int // base -> size (bytes), for Free validation
+	// pages holds each live range's size in pages at its base's page depth
+	// (see Depth); 0 marks a depth where no live range starts. Allocation
+	// is top-down, so live bases crowd the shallow depths and the table
+	// stays as short as the deepest one, growing on demand up to maxDepth.
+	pages []uint32
 }
+
+// maxDepth bounds the size table: a range is handed out only if its base
+// lies within the top maxDepth pages (64 GiB) of the space, so the table
+// never outgrows 64 MiB. Simulated machines map a few GiB at most.
+const maxDepth = 1 << 24
 
 type span struct {
 	base iommu.IOVA
@@ -55,11 +65,7 @@ type span struct {
 // allocator whose every Alloc fails with ErrExhausted — exhaustion is an
 // error the DMA API surfaces, never a panic.
 func NewAllocator(lo, hi iommu.IOVA) *Allocator {
-	a := &Allocator{
-		lo:        lo,
-		hi:        hi,
-		allocated: make(map[iommu.IOVA]int),
-	}
+	a := &Allocator{lo: lo, hi: hi}
 	if lo < hi {
 		a.free = []span{{base: lo, size: uint64(hi - lo)}}
 	}
@@ -72,12 +78,13 @@ func NewAPIAllocator() *Allocator { return NewAllocator(APISpaceLo, APISpaceHi) 
 // Alloc reserves size bytes (rounded up to pages) and returns the base
 // IOVA. Allocation is top-down: the highest free range that fits is used,
 // mirroring Linux's behaviour of growing the IOVA space downward from the
-// DMA limit.
+// DMA limit. A size larger than the table's reach (maxDepth pages) is
+// rejected; a range that would start deeper than the reach is exhaustion.
 func (a *Allocator) Alloc(size int) (iommu.IOVA, error) {
-	if size <= 0 {
+	need := (uint64(size) + mem.PageMask) &^ mem.PageMask
+	if size <= 0 || need>>mem.PageShift > maxDepth {
 		return 0, fmt.Errorf("iova: bad size %d", size)
 	}
-	need := (uint64(size) + 0xFFF) &^ 0xFFF
 	for i := len(a.free) - 1; i >= 0; i-- {
 		s := &a.free[i]
 		if s.size < need {
@@ -85,11 +92,18 @@ func (a *Allocator) Alloc(size int) (iommu.IOVA, error) {
 		}
 		// Take from the top of the span.
 		base := s.base + iommu.IOVA(s.size-need)
+		d := int((a.hi-base)>>mem.PageShift) - 1
+		if d >= maxDepth {
+			break // every lower span's range would start deeper still
+		}
 		s.size -= need
 		if s.size == 0 {
 			a.free = append(a.free[:i], a.free[i+1:]...)
 		}
-		a.allocated[base] = int(need)
+		if d >= len(a.pages) {
+			a.pages = append(a.pages, make([]uint32, d+1-len(a.pages))...)
+		}
+		a.pages[d] = uint32(need >> mem.PageShift)
 		return base, nil
 	}
 	return 0, fmt.Errorf("%w allocating %d bytes", ErrExhausted, size)
@@ -97,17 +111,43 @@ func (a *Allocator) Alloc(size int) (iommu.IOVA, error) {
 
 // Free releases a range returned by Alloc.
 func (a *Allocator) Free(base iommu.IOVA) error {
-	size, ok := a.allocated[base]
-	if !ok {
+	p := a.live(base)
+	if p == nil {
 		return fmt.Errorf("iova: free of unallocated base %#x", base)
 	}
-	delete(a.allocated, base)
-	a.insertFree(span{base: base, size: uint64(size)})
+	size := uint64(*p) << mem.PageShift
+	*p = 0
+	a.insertFree(span{base: base, size: size})
 	return nil
 }
 
 // SizeOf reports the allocated size of base, or 0.
-func (a *Allocator) SizeOf(base iommu.IOVA) int { return a.allocated[base] }
+func (a *Allocator) SizeOf(base iommu.IOVA) int {
+	if p := a.live(base); p != nil {
+		return int(*p) << mem.PageShift
+	}
+	return 0
+}
+
+// Depth reports how many whole pages lie between the page-aligned v and
+// the top of the space, (hi-v)/PageSize - 1; false for an address outside
+// [lo, hi) or not page aligned. The top page is depth 0.
+func (a *Allocator) Depth(v iommu.IOVA) (int, bool) {
+	if v < a.lo || v >= a.hi || v&mem.PageMask != 0 {
+		return 0, false
+	}
+	return int((a.hi-v)>>mem.PageShift) - 1, true
+}
+
+// live returns the table slot holding the size of the live range based at
+// base, or nil when no live range starts there.
+func (a *Allocator) live(base iommu.IOVA) *uint32 {
+	d, ok := a.Depth(base)
+	if !ok || d >= len(a.pages) || a.pages[d] == 0 {
+		return nil
+	}
+	return &a.pages[d]
+}
 
 // insertFree adds a span back, keeping the list sorted and coalesced.
 func (a *Allocator) insertFree(s span) {

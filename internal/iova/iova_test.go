@@ -1,6 +1,8 @@
 package iova
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -186,5 +188,92 @@ func TestRegionsDisjointAcrossIdentities(t *testing.T) {
 func TestDecodeNonDAMN(t *testing.T) {
 	if _, ok := Decode(0x1234000); ok {
 		t.Fatal("non-DAMN IOVA decoded")
+	}
+}
+
+// TestSizeOfAndFreeBounds: SizeOf and Free index the size table only with
+// the base of a live range. Every other address — below lo, at or above
+// hi, unaligned, inside a live range, freed, deeper than any allocation,
+// in the DAMN half — gives 0 and an error, and leaves the live ranges and
+// the free space alone.
+func TestSizeOfAndFreeBounds(t *testing.T) {
+	const lo, hi = iommu.IOVA(0x100000), iommu.IOVA(0x200000)
+	a := NewAllocator(lo, hi)
+	top, _ := a.Alloc(0x1000)   // depth 0
+	multi, _ := a.Alloc(0x3000) // depth 3
+	gone, _ := a.Alloc(0x2000)
+	if top != hi-0x1000 || multi != hi-0x4000 {
+		t.Fatalf("allocations at %#x and %#x, want %#x and %#x", top, multi, hi-0x1000, hi-0x4000)
+	}
+	if d, ok := a.Depth(multi); !ok || d != 3 {
+		t.Fatalf("Depth(%#x) = %d, %v; want 3, true", multi, d, ok)
+	}
+	if err := a.Free(gone); err != nil {
+		t.Fatal(err)
+	}
+	free := a.FreeBytes()
+	for _, c := range []struct {
+		name string
+		v    iommu.IOVA
+	}{
+		{"zero", 0},
+		{"below lo", lo - 0x1000},
+		{"lo, never allocated", lo},
+		{"deeper than any allocation", lo + 0x1000},
+		{"hi", hi},
+		{"above hi", hi + 0x1000},
+		{"unaligned in the top page", top + 1},
+		{"unaligned below hi", hi - 1},
+		{"inside a live range", multi + 0x1000},
+		{"freed base", gone},
+		{"DAMN half", DAMNBit},
+		{"top of the address space", math.MaxUint64 &^ 0xFFF},
+	} {
+		if n := a.SizeOf(c.v); n != 0 {
+			t.Errorf("%s: SizeOf(%#x) = %#x, want 0", c.name, c.v, n)
+		}
+		if err := a.Free(c.v); err == nil {
+			t.Errorf("%s: Free(%#x) succeeded", c.name, c.v)
+		}
+	}
+	if a.FreeBytes() != free || a.SizeOf(top) != 0x1000 || a.SizeOf(multi) != 0x3000 {
+		t.Fatalf("rejected frees moved state: free %#x (was %#x), sizes %#x, %#x", a.FreeBytes(), free, a.SizeOf(top), a.SizeOf(multi))
+	}
+	for _, v := range []iommu.IOVA{top, multi} {
+		if err := a.Free(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.FreeBytes() != uint64(hi-lo) {
+		t.Fatalf("FreeBytes = %#x after freeing everything, want %#x", a.FreeBytes(), hi-lo)
+	}
+}
+
+// TestAllocStaysWithinTheTablesReach: the size table covers the top
+// maxDepth pages. A size larger than that is a bad size, not exhaustion,
+// even where the space could hold it, and does not grow the table; a range
+// that would start below the reach is exhaustion and changes nothing.
+func TestAllocStaysWithinTheTablesReach(t *testing.T) {
+	a := NewAPIAllocator()
+	for _, size := range []int{maxDepth<<12 + 1, (math.MaxUint32 + 1) << 12, math.MaxInt} {
+		if v, err := a.Alloc(size); err == nil || errors.Is(err, ErrExhausted) {
+			t.Errorf("Alloc(%#x) = %#x, %v; want a bad-size error", size, v, err)
+		}
+	}
+	if len(a.pages) != 0 {
+		t.Fatalf("rejected sizes grew the table to %d entries", len(a.pages))
+	}
+	if _, err := a.Alloc((maxDepth - 1) << 12); err != nil {
+		t.Fatal(err)
+	}
+	free := a.FreeBytes()
+	if _, err := a.Alloc(2 << 12); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("a range starting below the reach: err = %v, want exhaustion", err)
+	}
+	if a.FreeBytes() != free || len(a.pages) != maxDepth-1 {
+		t.Fatalf("failed Alloc moved state: free %#x (was %#x), table %d entries", a.FreeBytes(), free, len(a.pages))
+	}
+	if v, err := a.Alloc(1 << 12); err != nil || v != APISpaceHi-maxDepth<<12 {
+		t.Fatalf("the reach's last page: %#x, %v; want %#x", v, err, APISpaceHi-maxDepth<<12)
 	}
 }
