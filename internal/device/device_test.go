@@ -158,7 +158,7 @@ func TestNICTXRoundTrip(t *testing.T) {
 	r.mem.Write(pa, []byte("tx payload"))
 	var done []TXDesc
 	n.OnTXComplete(func(_ *sim.Task, ring int, descs []TXDesc) { done = append(done, descs...) })
-	if err := n.PostTX(0, 0, TXDesc{IOVA: 0x300000, Size: 9000, Cookie: 42}); err != nil {
+	if err := n.PostTX(0, 0, &TXDesc{IOVA: 0x300000, Size: 9000, Cookie: 42}); err != nil {
 		t.Fatal(err)
 	}
 	if n.TXInFlight(0) != 1 {
@@ -184,13 +184,13 @@ func TestNICTXRingLimit(t *testing.T) {
 	})
 	r.mapBuf(t, 1, 0, iommu.PermRead, 0x400000)
 	d := TXDesc{IOVA: 0x400000, Size: 1500}
-	if err := n.PostTX(0, 0, d); err != nil {
+	if err := n.PostTX(0, 0, &d); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.PostTX(0, 0, d); err != nil {
+	if err := n.PostTX(0, 0, &d); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.PostTX(0, 0, d); err == nil {
+	if err := n.PostTX(0, 0, &d); err == nil {
 		t.Fatal("ring overflow accepted")
 	}
 }

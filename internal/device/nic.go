@@ -837,8 +837,9 @@ func (n *NIC) dmaWriteSegment(dev int, desc RXDesc, seg Segment) (int, error) {
 
 // PostTX queues a transmit descriptor (driver side, after dma_map). The
 // NIC fetches the payload by DMA, puts it on the wire of the given port,
-// and completes back to the driver.
-func (n *NIC) PostTX(ring, port int, desc TXDesc) error {
+// and completes back to the driver. The descriptor is copied once, into
+// the record that carries it to the completion; desc is not kept.
+func (n *NIC) PostTX(ring, port int, desc *TXDesc) error {
 	if ring < 0 || ring >= len(n.txqs) {
 		return fmt.Errorf("device: nic %d has no TX ring %d (rings: %d)", n.Cfg.ID, ring, len(n.txqs))
 	}
@@ -888,7 +889,7 @@ func (n *NIC) PostTX(ring, port int, desc TXDesc) error {
 	n.txSizeH.Observe(float64(desc.Size))
 	d := n.getTXDispatch()
 	d.ring = ring
-	d.descs[0] = desc
+	d.descs[0] = *desc
 	n.se.At(wireDone, d.fire)
 	if eg := n.egress[port]; eg.HasPeer() && desc.Seg.Len > 0 {
 		seg := desc.Seg

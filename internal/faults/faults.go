@@ -215,19 +215,25 @@ func (inj *Injector) Should(k Kind) bool {
 	return fired
 }
 
+// Armed reports whether a ShouldDev(k, dev) visit would draw: kind k has a
+// positive rate and no device filter excludes dev. A fault point visited
+// once per page of a transfer asks once per transfer and skips the visits
+// when it is false, which draws exactly what visiting every page would.
+func (inj *Injector) Armed(k Kind, dev int) bool {
+	if inj == nil || inj.rates[k] <= 0 {
+		return false
+	}
+	f := inj.devFilter[k]
+	return f < 0 || dev == f
+}
+
 // ShouldDev is Should for fault points that carry a source-device identity.
 // When kind k has a device filter installed and dev does not match, the
 // visit returns false without drawing, so the filtered kind's stream
 // advances only on target-device visits. With no filter installed ShouldDev
 // is bit-identical to Should.
 func (inj *Injector) ShouldDev(k Kind, dev int) bool {
-	if inj == nil || inj.rates[k] <= 0 {
-		return false
-	}
-	if f := inj.devFilter[k]; f >= 0 && dev != f {
-		return false
-	}
-	return inj.Should(k)
+	return inj.Armed(k, dev) && inj.Should(k)
 }
 
 // Duration draws a deterministic duration in [min, max] from kind k's

@@ -205,8 +205,16 @@ func (u *IOMMU) SetFaults(inj *faults.Injector) {
 	u.invq.inj = inj
 }
 
-// New creates an IOMMU over the given physical memory.
+// maxFrames bounds the frames a memory may have: an IOTLB entry holds its
+// frame in a uint32. No machine here has more than 2 GiB (2^19 frames).
+const maxFrames = 1 << 32
+
+// New creates an IOMMU over the given physical memory, which must have
+// fewer than 2^32 frames.
 func New(m *mem.Memory) *IOMMU {
+	if m.NumPages() >= maxFrames {
+		panic(fmt.Sprintf("iommu: memory of %d frames exceeds the IOTLB's 32-bit frame numbers", m.NumPages()))
+	}
 	tlb := NewIOTLB(DefaultIOTLBConfig())
 	return &IOMMU{
 		mem:  m,

@@ -397,8 +397,81 @@ func TestDMAFaultStopsAtBoundary(t *testing.T) {
 	}
 }
 
+// TestDMAPastDomainWidthFaults: an IOVA at or past 2^48 lies outside the
+// domain, so a device's DMA there faults before the IOTLB is consulted,
+// whatever the page tables hold at its low 48 bits. Were the alias
+// 2^48+X to translate as X, its IOTLB entry would carry a tag of its own,
+// and the strict unmap of X (unmap, then invalidate X) would leave the
+// alias writing X's freed frame.
+func TestDMAPastDomainWidthFaults(t *testing.T) {
+	u, m := newTestIOMMU(t)
+	u.AttachDevice(1)
+	const x = IOVA(0x10000)
+	const alias = IOVA(1)<<iovaBits + x
+	pa := allocPA(t, m, 0)
+	if err := u.Map(1, x, pa, mem.PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	top := maxIOVA &^ IOVA(mem.PageMask)
+	for _, v := range []IOVA{0, top} {
+		if err := u.Map(1, v, allocPA(t, m, 0), mem.PageSize, PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := func(want uint64, what string) {
+		t.Helper()
+		if u.BlockedDMAs != want || u.BlockedDMAsFor(1) != want {
+			t.Fatalf("%s: %d blocked DMAs (%d for dev 1), want %d", what, u.BlockedDMAs, u.BlockedDMAsFor(1), want)
+		}
+	}
+	evil := []byte("alias")
+	if n, err := u.DMAWrite(1, alias, evil); n != 0 || !errors.As(err, new(Fault)) {
+		t.Fatalf("DMAWrite at 2^48+%#x = %d, %v; want 0 and a fault", x, n, err)
+	}
+	blocked(1, "write at the alias")
+	if _, err := u.DMAWrite(1, x, []byte("mine")); err != nil {
+		t.Fatalf("DMAWrite at %#x: %v", x, err)
+	}
+	// The top page of the domain translates; the page after it does not.
+	if n, err := u.DMAWrite(1, top, make([]byte, 2*mem.PageSize)); n != mem.PageSize || !errors.As(err, new(Fault)) {
+		t.Fatalf("2-page DMAWrite from the top page = %d, %v; want %d and a fault", n, err, mem.PageSize)
+	}
+	blocked(2, "write across the top of the domain")
+	// A span whose second page wraps past 2^64 to IOVA 0 (mapped) faults
+	// on both pages.
+	if err := u.TranslateSpan(1, 1<<64-mem.PageSize, 2*mem.PageSize, false); !errors.As(err, new(Fault)) {
+		t.Fatalf("span wrapping past 2^64: %v, want a fault", err)
+	}
+	blocked(4, "span wrapping past 2^64")
+	if err := u.Unmap(1, x, mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	u.TLB().InvalidateRange(1, x, mem.PageSize)
+	for _, v := range []IOVA{x, alias} {
+		if _, err := u.DMAWrite(1, v, evil); err == nil {
+			t.Fatalf("DMAWrite at %#x after the strict unmap of %#x succeeded", v, x)
+		}
+	}
+	blocked(6, "writes after the unmap")
+	if got := string(m.Bytes(pa, 4)); got != "mine" {
+		t.Fatalf("freed frame holds %q, want %q", got, "mine")
+	}
+	recs := u.ReadFaultRecords()
+	var addrs []IOVA
+	for _, r := range recs {
+		if r.Injected || r.Dev != 1 {
+			t.Fatalf("fault record %+v, want a genuine one from dev 1", r)
+		}
+		addrs = append(addrs, r.Addr)
+	}
+	want := []IOVA{alias, top + mem.PageSize, 1<<64 - mem.PageSize, 0, x, alias}
+	if !reflect.DeepEqual(addrs, want) {
+		t.Fatalf("fault records at %#x, want %#x", addrs, want)
+	}
+}
+
 func TestIOTLBEviction(t *testing.T) {
-	tlb := NewIOTLB(IOTLBConfig{Sets: 2, Ways: 2}) // 4 entries
+	tlb := NewIOTLB(IOTLBConfig{Sets: 1}) // one 4-way set: 4 entries
 	for i := 0; i < 100; i++ {
 		tlb.insert(1, IOVA(i)<<mem.PageShift, false, mem.PFN(i), PermRW)
 	}
@@ -476,11 +549,12 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
-// TestAttachDeviceIDFitsTLBTag: IOTLB entries tag their device with a
-// uint16, so AttachDevice refuses an id that would alias another device's.
+// TestAttachDeviceIDFitsTLBTag: an IOTLB set is one 64-byte cache line
+// whose keys tag their device with 16 bits, so AttachDevice refuses an id
+// that would alias another device's.
 func TestAttachDeviceIDFitsTLBTag(t *testing.T) {
-	if got := unsafe.Sizeof(tlbEntry{}); got != 32 {
-		t.Errorf("tlbEntry is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(tlbSet{}); got != 64 {
+		t.Errorf("tlbSet is %d bytes, want 64", got)
 	}
 	u, _ := newTestIOMMU(t)
 	u.AttachDevice(math.MaxUint16)

@@ -10,11 +10,10 @@ import (
 
 // residentPerSet counts the live entries of each set.
 func residentPerSet(tlb *IOTLB) []int {
-	perSet := make([]int, tlb.cfg.Sets)
-	for si := range perSet {
-		set := tlb.set(si)
-		for i := range set {
-			if tlb.isLive(&set[i]) {
+	perSet := make([]int, len(tlb.sets))
+	for si := range tlb.sets {
+		for w := range tlbWays {
+			if tlb.live(&tlb.sets[si], w) {
 				perSet[si]++
 			}
 		}
@@ -22,15 +21,46 @@ func residentPerSet(tlb *IOTLB) []int {
 	return perSet
 }
 
+// tlbHit is what a test's lookup reads of a hit.
+type tlbHit struct {
+	pfn  mem.PFN
+	perm Perm
+	huge bool
+}
+
+// lookup probes the cache for dev's page at iova as the page loop does,
+// counting and ranking alike, for tests that drive the IOTLB alone.
+func (t *IOTLB) lookup(dev int, iova IOVA) (tlbHit, bool) {
+	d := t.grow(dev)
+	for _, huge := range []bool{false, true} {
+		tag := iova >> mem.PageShift
+		if huge {
+			if d.huge == 0 {
+				break
+			}
+			tag = iova >> mem.HugePageShift
+		}
+		s := &t.sets[t.setIndex(dev, tag)]
+		if w := s.find(tlbKey(dev, tag, huge), d.gen); w >= 0 {
+			s.touch(w)
+			t.Hits++
+			k := s.keys[w]
+			return tlbHit{mem.PFN(s.pfns[w]), Perm(k & keyPerm), k&keyHuge != 0}, true
+		}
+	}
+	t.Misses++
+	return tlbHit{}, false
+}
+
 // TestIOTLBSetIndexDistribution checks that a dense IOVA range spreads
-// evenly over the sets: filling exactly Sets×Ways consecutive pages must
-// leave every entry resident (no set receives more than Ways pages, so
+// evenly over the sets: filling exactly Sets×tlbWays consecutive pages must
+// leave every entry resident (no set receives more than tlbWays pages, so
 // nothing is evicted).
 func TestIOTLBSetIndexDistribution(t *testing.T) {
-	cfg := IOTLBConfig{Sets: 64, Ways: 4}
+	cfg := IOTLBConfig{Sets: 64}
 	tlb := NewIOTLB(cfg)
 	dev := 1
-	total := cfg.Sets * cfg.Ways
+	total := cfg.Sets * tlbWays
 	for p := 0; p < total; p++ {
 		iova := IOVA(p) << mem.PageShift
 		tlb.insert(dev, iova, false, mem.PFN(p), PermRead)
@@ -44,8 +74,8 @@ func TestIOTLBSetIndexDistribution(t *testing.T) {
 		t.Fatalf("dense fill evicted entries: %d resident, want %d", valid, total)
 	}
 	for si, n := range perSet {
-		if n != cfg.Ways {
-			t.Fatalf("set %d holds %d entries, want %d (skewed index)", si, n, cfg.Ways)
+		if n != tlbWays {
+			t.Fatalf("set %d holds %d entries, want %d (skewed index)", si, n, tlbWays)
 		}
 	}
 	// Every inserted page must still translate without a walk.
@@ -61,14 +91,14 @@ func TestIOTLBSetIndexDistribution(t *testing.T) {
 // stride of Sets pages maps every access to one set (the collision pattern
 // DAMN's region-encoded IOVAs produce, Table 3). The set must behave as a
 // bounded LRU: a just-inserted translation always hits, the most recent
-// Ways entries stay resident, and older ones are evicted — never an
+// tlbWays entries stay resident, and older ones are evicted — never an
 // unbounded pile-up or a pathological self-eviction.
 func TestIOTLBAdversarialStride(t *testing.T) {
-	cfg := IOTLBConfig{Sets: 64, Ways: 4}
+	cfg := IOTLBConfig{Sets: 64}
 	tlb := NewIOTLB(cfg)
 	dev := 1
 	stride := IOVA(cfg.Sets) << mem.PageShift
-	n := 3 * cfg.Ways
+	n := 3 * tlbWays
 	for i := 0; i < n; i++ {
 		iova := IOVA(i) * stride
 		tlb.insert(dev, iova, false, mem.PFN(i), PermWrite)
@@ -79,7 +109,7 @@ func TestIOTLBAdversarialStride(t *testing.T) {
 			t.Fatalf("entry %d returned pfn %d, want %d", i, e.pfn, i)
 		}
 	}
-	// Exactly one set is populated, at exactly Ways entries.
+	// Exactly one set is populated, at exactly tlbWays entries.
 	si := tlb.setIndex(dev, 0)
 	perSet := residentPerSet(tlb)
 	for s, n := range perSet {
@@ -87,15 +117,15 @@ func TestIOTLBAdversarialStride(t *testing.T) {
 			t.Fatalf("adversarial stride leaked into set %d (home set %d)", s, si)
 		}
 	}
-	if perSet[si] != cfg.Ways {
-		t.Fatalf("home set holds %d entries, want %d", perSet[si], cfg.Ways)
+	if perSet[si] != tlbWays {
+		t.Fatalf("home set holds %d entries, want %d", perSet[si], tlbWays)
 	}
-	// LRU: the most recent Ways insertions survive, everything older is
-	// gone.
+	// LRU: the most recent tlbWays insertions survive, everything older
+	// is gone.
 	for i := 0; i < n; i++ {
 		iova := IOVA(i) * stride
 		_, ok := tlb.lookup(dev, iova)
-		if want := i >= n-cfg.Ways; ok != want {
+		if want := i >= n-tlbWays; ok != want {
 			t.Fatalf("entry %d resident=%v, want %v", i, ok, want)
 		}
 	}
@@ -104,11 +134,11 @@ func TestIOTLBAdversarialStride(t *testing.T) {
 // TestIOTLBAdversarialStrideHuge repeats the worst case with 2 MiB entries:
 // huge-tag collisions must obey the same bounded-LRU behaviour.
 func TestIOTLBAdversarialStrideHuge(t *testing.T) {
-	cfg := IOTLBConfig{Sets: 16, Ways: 2}
+	cfg := IOTLBConfig{Sets: 16}
 	tlb := NewIOTLB(cfg)
 	dev := 2
 	stride := IOVA(cfg.Sets) << mem.HugePageShift
-	n := 4 * cfg.Ways
+	n := 4 * tlbWays
 	for i := 0; i < n; i++ {
 		iova := IOVA(i) * stride
 		tlb.insert(dev, iova, true, mem.PFN(i), PermRead)
@@ -119,15 +149,16 @@ func TestIOTLBAdversarialStrideHuge(t *testing.T) {
 	for i := 0; i < n; i++ {
 		iova := IOVA(i) * stride
 		_, ok := tlb.lookup(dev, iova)
-		if want := i >= n-cfg.Ways; ok != want {
+		if want := i >= n-tlbWays; ok != want {
 			t.Fatalf("huge entry %d resident=%v, want %v", i, ok, want)
 		}
 	}
 }
 
-// refIOTLB is the IOTLB as it was before entries carried generations: a
-// valid bit per entry, and domain and global invalidations that sweep every
-// entry. TestIOTLBMatchesSweepReference drives it beside the real cache.
+// refIOTLB is the IOTLB as it was before entries carried generations and
+// sets ranked their ways: a valid bit and a 64-bit clock stamp per entry,
+// and domain and global invalidations that sweep every entry.
+// TestIOTLBMatchesSweepReference drives it beside the real cache.
 type refIOTLB struct {
 	cfg     IOTLBConfig
 	entries []refEntry
@@ -147,12 +178,12 @@ type refEntry struct {
 }
 
 func newRefIOTLB(cfg IOTLBConfig) *refIOTLB {
-	return &refIOTLB{cfg: cfg, entries: make([]refEntry, cfg.Sets*cfg.Ways)}
+	return &refIOTLB{cfg: cfg, entries: make([]refEntry, cfg.Sets*tlbWays)}
 }
 
 func (t *refIOTLB) set(dev int, tag IOVA) []refEntry {
 	i := (int(tag) ^ dev*7) & (t.cfg.Sets - 1)
-	return t.entries[i*t.cfg.Ways : (i+1)*t.cfg.Ways]
+	return t.entries[i*tlbWays : (i+1)*tlbWays]
 }
 
 func (t *refIOTLB) lookup(dev int, iova IOVA) (*refEntry, bool) {
@@ -313,15 +344,16 @@ func (p *tlbPair) invalidateAll() {
 	p.ref.InvalidateAll()
 }
 
-// TestIOTLBMatchesSweepReference: the generation-tagged IOTLB hits, misses,
-// evicts and invalidates exactly as the sweeping one did, over a seeded
-// random mix of fills, lookups, small and large range invalidations and
-// domain and global invalidations, on a 16×2 cache small enough to evict,
-// with four devices holding 4 KiB and 2 MiB entries. Device 4 never fills
-// an entry, and only its invalidations run.
+// TestIOTLBMatchesSweepReference: the generation-tagged IOTLB, whose sets
+// rank their ways in one byte, hits, misses, evicts and invalidates exactly
+// as the sweeping one with a global clock did, over a seeded random mix of
+// fills, lookups, small and large range invalidations and domain and global
+// invalidations, on an 8×4 cache small enough to evict, with four devices
+// holding 4 KiB and 2 MiB entries. Device 4 never fills an entry, and only
+// its invalidations run.
 func TestIOTLBMatchesSweepReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		p := newTLBPair(t, IOTLBConfig{Sets: 16, Ways: 2})
+		p := newTLBPair(t, IOTLBConfig{Sets: 8})
 		rng := rand.New(rand.NewSource(seed))
 		page := func() IOVA { return IOVA(rng.Intn(1024)) << mem.PageShift }
 		hits := 0
@@ -361,12 +393,12 @@ func TestIOTLBMatchesSweepReference(t *testing.T) {
 // TestIOTLBGenerationWrap: when a device's generation wraps, its entries
 // from earlier generations must not come back to life. Device 1 leaves
 // entries dead at generations 1 and 2 and one killed by a range
-// invalidation, its generation is set to the maximum, and two domain
-// invalidations take it past the wrap to generation 2, each followed by a
-// fresh fill; every old entry must still miss, the fresh one must hit, and
-// device 2's live entry must survive.
+// invalidation, its generation is set to the maximum (math.MaxUint16), and
+// two domain invalidations take it past the wrap to generation 2, each
+// followed by a fresh fill; every old entry must still miss, the fresh one
+// must hit, and device 2's live entry must survive.
 func TestIOTLBGenerationWrap(t *testing.T) {
-	p := newTLBPair(t, IOTLBConfig{Sets: 16, Ways: 2})
+	p := newTLBPair(t, IOTLBConfig{Sets: 8})
 	step := 0
 	p.insert(1, 0x1000, false, 1, PermRW)
 	p.insert(2, 0x5000, false, 5, PermRW)
@@ -378,7 +410,7 @@ func TestIOTLBGenerationWrap(t *testing.T) {
 	if g := p.got.devs[1]; g.gen != 3 || g.live != 0 {
 		t.Fatalf("device 1 at generation %d with %d live entries, want 3 and 0", g.gen, g.live)
 	}
-	p.got.devs[1].gen = math.MaxUint32
+	p.got.devs[1].gen = math.MaxUint16
 	p.insert(1, 0x4000, false, 4, PermRW)
 	for i := 0; i < 2; i++ {
 		p.invalidateDevice(1)

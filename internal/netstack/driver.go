@@ -551,7 +551,7 @@ func (d *Driver) Transmit(t *sim.Task, ring, port int, skb *SKBuff) error {
 	if err != nil {
 		return err
 	}
-	err = d.nic.PostTX(ring, port, device.TXDesc{IOVA: v, Size: skb.Len(), Cookie: skb,
+	err = d.nic.PostTX(ring, port, &device.TXDesc{IOVA: v, Size: skb.Len(), Cookie: skb,
 		Seg: device.Segment{
 			Flow: skb.Flow,
 			Hash: skb.Hash,
@@ -569,8 +569,8 @@ func (d *Driver) Transmit(t *sim.Task, ring, port int, skb *SKBuff) error {
 // handleTXComplete runs in interrupt context after the segment is on the
 // wire.
 func (d *Driver) handleTXComplete(t *sim.Task, ring int, descs []device.TXDesc) {
-	for _, desc := range descs {
-		skb := desc.Cookie.(*SKBuff)
+	for i := range descs {
+		skb := descs[i].Cookie.(*SKBuff)
 		if err := skb.UnmapForDevice(t, dmaapi.ToDevice); err != nil {
 			// The skb already cleared its mapped flag, so freeing it is
 			// safe; the stale IOMMU mapping leaks until the domain is
