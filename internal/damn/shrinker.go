@@ -65,7 +65,7 @@ func (d *DAMN) Shrink(x Ctx) int64 {
 // happens off the fast path.
 func (d *DAMN) releaseChunk(x Ctx, c *dmaCache, ch *chunk) int64 {
 	if !d.iommu.Attached(c.key.dev) {
-		// The domain is already gone (device quarantined or removed):
+		// The domain is already gone (device quarantined):
 		// there is nothing to unmap or invalidate — the teardown and the
 		// domain-wide invalidation happen in the recovery path. Reclaim
 		// the pages and metadata only.
@@ -76,10 +76,9 @@ func (d *DAMN) releaseChunk(x Ctx, c *dmaCache, ch *chunk) int64 {
 		panic("damn: shrinker unmap failed: " + err.Error())
 	}
 	perf.ChargeCat(x.C, d.teardownCyc, d.model.UnmapCycles*float64(d.cfg.ChunkPages))
-	if err := d.iommu.InvQ().Submit(iommu.Command{Kind: iommu.InvRange, Dev: c.key.dev, Base: ch.iova, Size: d.ChunkBytes()}); err != nil {
-		panic("damn: shrinker invalidation submit failed: " + err.Error())
+	if err := d.iommu.InvQ().Invalidate(x.C, d.model.ITETimeout, iommu.Command{Kind: iommu.InvRange, Dev: c.key.dev, Base: ch.iova, Size: d.ChunkBytes()}); err != nil {
+		panic("damn: shrinker invalidation failed: " + err.Error())
 	}
-	d.iommu.InvQ().DrainRetry(x.C, d.model.ITETimeout)
 	perf.ChargeTimeCat(x.C, d.teardownInvPS, d.model.IOTLBInvLatency)
 	// Recycle the identity-region IOVA slot.
 	if e, ok := iova.Decode(ch.iova); ok && !ch.huge {
@@ -119,8 +118,8 @@ func (d *DAMN) releaseDeadChunk(x Ctx, c *dmaCache, ch *chunk) int64 {
 }
 
 // ReleaseDevice reclaims every cached resource the allocator holds for one
-// device after its domain was destroyed (quarantine, function-level reset,
-// surprise removal). It must run *after* iommu.DetachDevice and after a
+// device after its domain was destroyed (quarantine, function-level
+// reset). It must run *after* iommu.DetachDevice and after a
 // domain-wide invalidation has drained, because nothing here touches the
 // IOMMU.
 //

@@ -168,10 +168,8 @@ type NIC struct {
 	// quarantined fences the device off the host: ingress is dropped at
 	// the wire, posting descriptors fails, no DMA is initiated. The
 	// recovery supervisor sets it while a fault domain is being torn down
-	// and rebuilt. removed additionally marks surprise hot-removal — the
-	// device cannot be resumed, only replaced.
+	// and rebuilt.
 	quarantined bool
-	removed     bool
 
 	// Stats.
 	RxSegments        uint64
@@ -401,9 +399,6 @@ func (n *NIC) OnTXComplete(h func(t *sim.Task, ring int, descs []TXDesc)) { n.tx
 // Quarantined reports whether the device is fenced off the host.
 func (n *NIC) Quarantined() bool { return n.quarantined }
 
-// Removed reports whether the device was surprise-removed.
-func (n *NIC) Removed() bool { return n.removed }
-
 // Quarantine fences the device: from now on ingress segments are dropped at
 // the wire, descriptor posting fails and the device initiates no DMA. It
 // empties every RX ring and returns the descriptors that were posted or
@@ -457,9 +452,6 @@ func (n *NIC) drainRing(r *rxRing, reclaim []RXDesc, dropped int) ([]RXDesc, int
 // ResumeRings lifts a per-ring quarantine once the rings' owner has been
 // re-admitted (domain re-attached, rings about to be refilled).
 func (n *NIC) ResumeRings(rings []int) error {
-	if n.removed {
-		return fmt.Errorf("device: nic %d was removed; cannot resume rings", n.Cfg.ID)
-	}
 	for _, ring := range rings {
 		if ring < 0 || ring >= len(n.ringQuar) {
 			return fmt.Errorf("device: nic %d has no ring %d to resume", n.Cfg.ID, ring)
@@ -482,26 +474,8 @@ func (n *NIC) RingQuarantined(ring int) bool {
 }
 
 // Resume lifts a quarantine after the host has rebuilt the device's state
-// (domain re-attached, rings about to be refilled). A removed device cannot
-// resume — it is no longer there.
-func (n *NIC) Resume() error {
-	if n.removed {
-		return fmt.Errorf("device: nic %d was removed; cannot resume", n.Cfg.ID)
-	}
-	n.quarantined = false
-	return nil
-}
-
-// Remove models surprise hot-removal: quarantine semantics with no way
-// back. Returns the same reclaim list as Quarantine.
-func (n *NIC) Remove() (reclaim []RXDesc, parkedDropped int) {
-	n.removed = true
-	return n.Quarantine()
-}
-
-// Reinsert models hotplugging a replacement device into the slot; the
-// device stays quarantined until Resume.
-func (n *NIC) Reinsert() { n.removed = false }
+// (domain re-attached, rings about to be refilled).
+func (n *NIC) Resume() { n.quarantined = false }
 
 // PostRX adds receive buffers to a ring (driver side). Parked segments are
 // delivered immediately if buffers were the bottleneck.

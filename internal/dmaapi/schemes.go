@@ -3,7 +3,6 @@ package dmaapi
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/iova"
@@ -157,12 +156,11 @@ func (s *StrictScheme) Unmap(c perf.Charger, dev int, v iommu.IOVA, size int, di
 			s.invLock.LockFor(task, hold)
 		}
 	}
-	// Strict: submit the invalidation and synchronously drain the queue
-	// (the lock hold above models the wait).
-	if err := s.u.InvQ().Submit(iommu.Command{Kind: iommu.InvRange, Dev: dev, Base: base, Size: span}); err != nil {
-		return fmt.Errorf("dmaapi: strict invalidation submit: %w", err)
+	// Strict: submit the invalidation and wait for it (the lock hold
+	// above models the wait).
+	if err := s.u.InvQ().Invalidate(c, s.model.ITETimeout, iommu.Command{Kind: iommu.InvRange, Dev: dev, Base: base, Size: span}); err != nil {
+		return fmt.Errorf("dmaapi: strict invalidation: %w", err)
 	}
-	s.u.InvQ().DrainRetry(c, s.model.ITETimeout)
 	s.alloc.Free(base)
 	return nil
 }
@@ -178,8 +176,8 @@ type DeferredScheme struct {
 
 	pending  []deferredEntry
 	timerSet bool
-	flushFn  func() // the flush timer's callback, bound once
-	order    []int  // the flush's device list, reused across flushes
+	flushFn  func()          // the flush timer's callback, bound once
+	cmds     []iommu.Command // the flush's domain invalidations, reused across flushes
 	Flushes  uint64
 }
 
@@ -250,21 +248,19 @@ func (s *DeferredScheme) Flush(c perf.Charger) {
 	if task, ok := c.(*sim.Task); ok && task != nil {
 		s.invLock.Lock(task, s.model.InvLockHoldCycles)
 	}
-	s.order = s.order[:0]
+	s.cmds = s.cmds[:0]
 	for _, e := range s.pending {
-		if !slices.Contains(s.order, e.dev) {
-			s.order = append(s.order, e.dev)
+		if !slices.ContainsFunc(s.cmds, func(cmd iommu.Command) bool { return cmd.Dev == e.dev }) {
+			s.cmds = append(s.cmds, iommu.Command{Kind: iommu.InvDomain, Dev: e.dev})
 		}
 	}
-	sort.Ints(s.order) // invalidation order is simulation-visible; keep it deterministic
-	for _, dev := range s.order {
-		if err := s.u.InvQ().Submit(iommu.Command{Kind: iommu.InvDomain, Dev: dev}); err != nil {
-			// Domain invalidations are always well-formed and a full
-			// queue drains synchronously, so a rejection here is a bug.
-			panic("dmaapi: deferred invalidation submit failed: " + err.Error())
-		}
+	// Invalidation order is simulation-visible; keep it deterministic.
+	slices.SortFunc(s.cmds, func(a, b iommu.Command) int { return a.Dev - b.Dev })
+	if err := s.u.InvQ().Invalidate(c, s.model.ITETimeout, s.cmds...); err != nil {
+		// Domain invalidations are always well-formed, so a rejection
+		// here is a bug.
+		panic("dmaapi: deferred invalidation failed: " + err.Error())
 	}
-	s.u.InvQ().DrainRetry(c, s.model.ITETimeout)
 	// Only now do the IOVA ranges become reusable. (Placeholder frame
 	// entries carry no base.)
 	for _, e := range s.pending {

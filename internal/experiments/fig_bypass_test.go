@@ -56,3 +56,20 @@ func TestBypassParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestBypassAndScalingRunUnderFaults: -faults applies to every figure, so
+// the bypass and scaling figures complete under injection even though
+// injected DMA faults refuse some used-ring publishes (their fault-free
+// gate), and the bypass figure's throughput and idle-burn gates still hold.
+func TestBypassAndScalingRunUnderFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two figures")
+	}
+	opts := Options{Quick: true, Seed: 1, Parallel: 1, FaultRate: 0.002, FaultSeed: 1}
+	if _, err := Bypass(opts); err != nil {
+		t.Errorf("bypass under faults: %v", err)
+	}
+	if _, err := Scaling(opts); err != nil {
+		t.Errorf("scaling under faults: %v", err)
+	}
+}

@@ -21,7 +21,6 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/stats"
@@ -302,31 +301,4 @@ func (inj *Injector) ScheduleDigest() uint64 {
 		return 0
 	}
 	return inj.digest
-}
-
-// FormatCounts renders non-zero fired-fault counts deterministically
-// ("link_drop=12 dma_fault=3"), for logs and the chaos harness.
-func (inj *Injector) FormatCounts() string {
-	if inj == nil {
-		return "faults off"
-	}
-	var keys []string
-	counts := inj.Counts()
-	for k, n := range counts {
-		if n > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%d", k, counts[k])
-	}
-	if out == "" {
-		return "no faults fired"
-	}
-	return out
 }

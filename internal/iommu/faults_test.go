@@ -14,9 +14,9 @@ func alwaysInject(k faults.Kind) *faults.Injector {
 }
 
 // TestDrainRetryChargesSimulatedTime is the ITE regression: an injected
-// invalidation time-out must stall the calling task for the full
-// exponential-backoff wait — recovery is real simulated time, not a free
-// retry loop — and the drain must still complete.
+// invalidation time-out must stall the task waiting in Invalidate for the
+// full exponential-backoff wait — recovery is real simulated time, not a
+// free retry loop — and the command must still execute.
 func TestDrainRetryChargesSimulatedTime(t *testing.T) {
 	u, m := newTestIOMMU(t)
 	reg := stats.NewRegistry()
@@ -27,10 +27,6 @@ func TestDrainRetryChargesSimulatedTime(t *testing.T) {
 	if err := u.Map(1, 0x1000, pa, mem.PageSize, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.InvQ().Submit(Command{Kind: InvRange, Dev: 1, Base: 0x1000, Size: mem.PageSize}); err != nil {
-		t.Fatal(err)
-	}
-
 	se := sim.NewEngine(0)
 	core := sim.NewCore(se, 0, 0, 1e9)
 	const timeout = 10 * sim.Microsecond
@@ -38,15 +34,18 @@ func TestDrainRetryChargesSimulatedTime(t *testing.T) {
 	// exponential series: timeout * (2^maxITERetries - 1).
 	want := timeout * ((1 << 8) - 1)
 	var end sim.Time
-	var drained int
+	var err error
 	core.Submit(false, func(task *sim.Task) {
-		drained = u.InvQ().DrainRetry(task, timeout)
+		err = u.InvQ().Invalidate(task, timeout, Command{Kind: InvRange, Dev: 1, Base: 0x1000, Size: mem.PageSize})
 		end = task.Now()
 	})
 	se.RunUntilIdle()
 
-	if drained != 1 {
-		t.Fatalf("drained %d commands, want 1", drained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.InvQ().Processed != 1 || u.TLB().FlushCommands != 1 {
+		t.Fatalf("processed %d commands with %d flushes, want 1 and 1", u.InvQ().Processed, u.TLB().FlushCommands)
 	}
 	if end != want {
 		t.Fatalf("task advanced %v, want %v of ITE backoff", end, want)
@@ -62,21 +61,25 @@ func TestDrainRetryChargesSimulatedTime(t *testing.T) {
 	}
 }
 
-// TestDrainRetryWithoutFaultsIsDrain: a nil injector (or a quiet one) makes
-// DrainRetry cost nothing beyond Drain.
+// TestDrainRetryWithoutFaultsIsDrain: without an injector the wait in
+// Invalidate charges nothing.
 func TestDrainRetryWithoutFaultsIsDrain(t *testing.T) {
 	u, _ := newTestIOMMU(t)
 	u.AttachDevice(1)
 	se := sim.NewEngine(0)
 	core := sim.NewCore(se, 0, 0, 1e9)
 	var end sim.Time
+	var err error
 	core.Submit(false, func(task *sim.Task) {
-		u.InvQ().DrainRetry(task, 10*sim.Microsecond)
+		err = u.InvQ().Invalidate(task, 10*sim.Microsecond, Command{Kind: InvDomain, Dev: 1})
 		end = task.Now()
 	})
 	se.RunUntilIdle()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if end != 0 {
-		t.Fatalf("fault-free DrainRetry charged %v", end)
+		t.Fatalf("fault-free Invalidate charged %v", end)
 	}
 	if u.InvQ().ITETimeouts != 0 {
 		t.Fatal("spurious ITE timeouts")

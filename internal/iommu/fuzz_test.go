@@ -129,11 +129,10 @@ func FuzzDMAHostileIOVA(f *testing.F) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := u.InvQ().Submit(Command{Kind: InvRange, Dev: hm.dev, Base: hm.iova, Size: hm.size}); err != nil {
+					if err := u.InvQ().Invalidate(nil, 0, Command{Kind: InvRange, Dev: hm.dev, Base: hm.iova, Size: hm.size}); err != nil {
 						t.Fatal(err)
 					}
 				}
-				u.InvQ().Drain()
 			}
 			hostileDMA(t, u, m, maps, round, int(dev), IOVA(iova), int(n), write, need)
 			hostileSpan(t, u, maps, round, int(dev), IOVA(iova), int(n), write, need)

@@ -1,9 +1,11 @@
 package iommu
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/asplos18/damn/internal/mem"
+	"github.com/asplos18/damn/internal/stats"
 )
 
 func newQueueFixture(t *testing.T) (*IOMMU, *mem.Memory) {
@@ -17,54 +19,78 @@ func newQueueFixture(t *testing.T) (*IOMMU, *mem.Memory) {
 	return u, m
 }
 
-func TestInvQueueDeferredSemantics(t *testing.T) {
-	// The defining behaviour: a submitted invalidation has no effect
-	// until the hardware drains the queue.
-	u, m := newQueueFixture(t)
-	p, _ := m.AllocPages(0, 0)
-	if err := u.Map(1, 0x4000, p.PFN().Addr(), mem.PageSize, PermRW); err != nil {
-		t.Fatal(err)
+// batchCommands returns n commands alternating between domain
+// invalidations of devices 1 and 2 and one-page range invalidations of
+// device 1 that never touch each other.
+func batchCommands(n int) []Command {
+	cmds := make([]Command, n)
+	for i := range cmds {
+		if i%2 == 0 {
+			cmds[i] = Command{Kind: InvDomain, Dev: 1 + i%4/2}
+		} else {
+			cmds[i] = Command{Kind: InvRange, Dev: 1, Base: IOVA(i) << 13, Size: mem.PageSize}
+		}
 	}
-	if _, err := u.Translate(1, 0x4000, true); err != nil { // prime IOTLB
-		t.Fatal(err)
-	}
-	if err := u.Unmap(1, 0x4000, mem.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	u.InvQ().Submit(Command{Kind: InvRange, Dev: 1, Base: 0x4000, Size: mem.PageSize})
-	if u.InvQ().Pending() != 1 {
-		t.Fatalf("Pending = %d", u.InvQ().Pending())
-	}
-	// Still translatable: the command has not executed.
-	if _, err := u.Translate(1, 0x4000, true); err != nil {
-		t.Fatal("stale IOTLB entry should survive until drain")
-	}
-	if n := u.InvQ().Drain(); n != 1 {
-		t.Fatalf("Drain = %d", n)
-	}
-	if _, err := u.Translate(1, 0x4000, true); err == nil {
-		t.Fatal("translation should fault after drain")
-	}
+	return cmds
 }
 
-func TestInvQueueFIFOAndWait(t *testing.T) {
-	u, m := newQueueFixture(t)
-	p, _ := m.AllocPages(0, 0)
-	u.Map(1, 0x4000, p.PFN().Addr(), mem.PageSize, PermRW)
-	u.Translate(1, 0x4000, true)
-
-	acked := false
-	u.InvQ().Submit(Command{Kind: InvDomain, Dev: 1})
-	u.InvQ().Submit(Command{Kind: InvWait, Acked: &acked})
-	if acked {
-		t.Fatal("wait acked before drain")
-	}
-	u.InvQ().Drain()
-	if !acked {
-		t.Fatal("wait command not acknowledged")
-	}
-	if u.InvQ().Processed != 2 || u.InvQ().Submitted != 2 {
-		t.Fatalf("counters: %d/%d", u.InvQ().Processed, u.InvQ().Submitted)
+// TestInvalidateBatchCounts: one Invalidate of a batch counts, observes and
+// executes what submitting each command to the ring and then draining it
+// did. The wanted values are what that submit-then-drain sequence recorded
+// for the same batches; a batch of 300 wraps the 256-entry ring once.
+func TestInvalidateBatchCounts(t *testing.T) {
+	for _, c := range []struct {
+		n         int
+		wraps     uint64
+		depth     stats.HistogramSnapshot
+		drainHist stats.HistogramSnapshot
+	}{
+		{
+			n:         1,
+			depth:     stats.HistogramSnapshot{Count: 1, Buckets: []stats.HistogramBucket{{Le: 1, Count: 1}}},
+			drainHist: stats.HistogramSnapshot{Count: 1, Sum: 1, Min: 1, Max: 1, Buckets: []stats.HistogramBucket{{Le: 2, Count: 1}}},
+		},
+		{
+			n: 3,
+			depth: stats.HistogramSnapshot{Count: 3, Sum: 3, Max: 2,
+				Buckets: []stats.HistogramBucket{{Le: 1, Count: 1}, {Le: 2, Count: 1}, {Le: 4, Count: 1}}},
+			drainHist: stats.HistogramSnapshot{Count: 1, Sum: 3, Min: 3, Max: 3, Buckets: []stats.HistogramBucket{{Le: 4, Count: 1}}},
+		},
+		{
+			n:     300,
+			wraps: 1,
+			depth: stats.HistogramSnapshot{Count: 300, Sum: 33586, Max: 255,
+				Buckets: []stats.HistogramBucket{{Le: 1, Count: 2}, {Le: 2, Count: 2}, {Le: 4, Count: 4}, {Le: 8, Count: 8},
+					{Le: 16, Count: 16}, {Le: 32, Count: 32}, {Le: 64, Count: 44}, {Le: 128, Count: 64}, {Le: 256, Count: 128}}},
+			drainHist: stats.HistogramSnapshot{Count: 2, Sum: 300, Min: 44, Max: 256,
+				Buckets: []stats.HistogramBucket{{Le: 64, Count: 1}, {Le: 512, Count: 1}}},
+		},
+	} {
+		u, _ := newQueueFixture(t)
+		u.AttachDevice(2)
+		reg := stats.NewRegistry()
+		u.SetStats(reg)
+		if err := u.InvQ().Invalidate(nil, 0, batchCommands(c.n)...); err != nil {
+			t.Fatalf("batch of %d: %v", c.n, err)
+		}
+		snap := reg.Snapshot()
+		for name, want := range map[string]uint64{
+			"iommu/invq_submitted":       uint64(c.n),
+			"iommu/invq_processed":       uint64(c.n),
+			"iommu/invq_wrap_drains":     c.wraps,
+			"iommu/invq_rejected":        0,
+			"iommu/iotlb_flush_commands": uint64(c.n),
+		} {
+			if got := snap.Counter(name); got != want {
+				t.Errorf("batch of %d: %s = %d, want %d", c.n, name, got, want)
+			}
+		}
+		if got := snap.Histograms["iommu/invq_depth"]; !reflect.DeepEqual(got, c.depth) {
+			t.Errorf("batch of %d: invq_depth = %+v, want %+v", c.n, got, c.depth)
+		}
+		if got := snap.Histograms["iommu/invq_drain_batch"]; !reflect.DeepEqual(got, c.drainHist) {
+			t.Errorf("batch of %d: invq_drain_batch = %+v, want %+v", c.n, got, c.drainHist)
+		}
 	}
 }
 
@@ -72,48 +98,62 @@ func TestInvQueueWrapDrains(t *testing.T) {
 	u, _ := newQueueFixture(t)
 	// Overfill the cyclic buffer: the producer must drain rather than
 	// drop or corrupt commands.
-	for i := 0; i < InvQueueDepth+10; i++ {
-		if err := u.InvQ().Submit(Command{Kind: InvGlobal}); err != nil {
-			t.Fatal(err)
-		}
+	cmds := make([]Command, InvQueueDepth+10)
+	for i := range cmds {
+		cmds[i] = Command{Kind: InvDomain, Dev: 1}
+	}
+	if err := u.InvQ().Invalidate(nil, 0, cmds...); err != nil {
+		t.Fatal(err)
 	}
 	if u.InvQ().Submitted != InvQueueDepth+10 {
 		t.Fatalf("Submitted = %d", u.InvQ().Submitted)
 	}
-	u.InvQ().Drain()
 	if u.InvQ().Processed != InvQueueDepth+10 {
 		t.Fatalf("Processed = %d", u.InvQ().Processed)
 	}
-	if u.InvQ().Pending() != 0 {
-		t.Fatal("queue not empty")
+	if u.TLB().FlushCommands != InvQueueDepth+10 {
+		t.Fatalf("FlushCommands = %d", u.TLB().FlushCommands)
 	}
 }
 
+// TestInvQueueRejectsBadRange: a range of size 0 rejects its whole batch
+// before anything is written: no command of it executes or counts, and
+// invq_rejected counts the batch once.
 func TestInvQueueRejectsBadRange(t *testing.T) {
-	u, _ := newQueueFixture(t)
-	if err := u.InvQ().Submit(Command{Kind: InvRange, Dev: 1, Base: 0x1000, Size: 0}); err == nil {
+	u, m := newQueueFixture(t)
+	reg := stats.NewRegistry()
+	u.SetStats(reg)
+	if err := u.Map(1, 0x4000, allocPA(t, m, 0), mem.PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.Translate(1, 0x4000, true); err != nil { // prime the IOTLB
+		t.Fatal(err)
+	}
+	err := u.InvQ().Invalidate(nil, 0,
+		Command{Kind: InvDomain, Dev: 1},
+		Command{Kind: InvRange, Dev: 1, Base: 0x1000, Size: 0},
+		Command{Kind: InvRange, Dev: 1, Base: 0x4000, Size: mem.PageSize})
+	if err == nil {
 		t.Fatal("zero-size range accepted")
 	}
-}
-
-func TestInvQueueGlobal(t *testing.T) {
-	u, m := newQueueFixture(t)
-	u.AttachDevice(2)
-	p, _ := m.AllocPages(0, 0)
-	p2, _ := m.AllocPages(0, 0)
-	u.Map(1, 0x4000, p.PFN().Addr(), mem.PageSize, PermRW)
-	u.Map(2, 0x8000, p2.PFN().Addr(), mem.PageSize, PermRW)
-	u.Translate(1, 0x4000, true)
-	u.Translate(2, 0x8000, true)
-	u.Unmap(1, 0x4000, mem.PageSize)
-	u.Unmap(2, 0x8000, mem.PageSize)
-	u.InvQ().Submit(Command{Kind: InvGlobal})
-	u.InvQ().Drain()
-	if _, err := u.Translate(1, 0x4000, true); err == nil {
-		t.Fatal("dev 1 entry survived global invalidation")
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"iommu/invq_rejected":        1,
+		"iommu/invq_submitted":       0,
+		"iommu/invq_processed":       0,
+		"iommu/iotlb_flush_commands": 0,
+		"iommu/iotlb_invalidations":  0,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	if _, err := u.Translate(2, 0x8000, true); err == nil {
-		t.Fatal("dev 2 entry survived global invalidation")
+	if n := snap.Histograms["iommu/invq_depth"].Count + snap.Histograms["iommu/invq_drain_batch"].Count; n != 0 {
+		t.Errorf("a rejected batch made %d queue observations", n)
+	}
+	hits := u.TLB().Hits
+	if _, err := u.Translate(1, 0x4000, true); err != nil || u.TLB().Hits != hits+1 {
+		t.Fatalf("a rejected batch dropped an IOTLB entry: err %v", err)
 	}
 }
 

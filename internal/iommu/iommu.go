@@ -92,7 +92,6 @@ type Domain struct {
 	Passthrough bool
 
 	mappedPages int64 // currently mapped 4 KiB-equivalent pages
-	everMapped  int64 // cumulative (Fig 9's "ever touched" curve)
 
 	// Paging-structure cache (the VT-d PDE/PDPE cache analogue): walk
 	// memoizes the last leaf table (one 2 MiB window of 4 KiB ptes) and
@@ -143,7 +142,7 @@ type IOMMU struct {
 	Unmappings   uint64 // unmap operations
 	Translations uint64 // DMA page translations attempted
 	BlockedDMAs  uint64
-	Detaches     uint64 // domains torn down (quarantine / surprise removal)
+	Detaches     uint64 // domains torn down (quarantine)
 
 	// blockedBy attributes blocked DMAs to their source device, so a fault
 	// storm is attributable to one fault domain (dense, indexed by dev).
@@ -282,6 +281,13 @@ func (u *IOMMU) Domain(dev int) *Domain {
 	return u.domains[dev]
 }
 
+// fits reports whether [iova, iova+size) is a non-empty range below the
+// 48-bit domain width. The walk reads only bits 12–47, so a range past the
+// width would alias the one 2^48 below it.
+func fits(iova IOVA, size int) bool {
+	return size > 0 && iova <= maxIOVA && IOVA(size-1) <= maxIOVA-iova
+}
+
 // indexAt returns the page-table index of iova at the given level
 // (level 3 = root, level 0 = leaf).
 func indexAt(iova IOVA, level int) int {
@@ -290,13 +296,13 @@ func indexAt(iova IOVA, level int) int {
 
 // Map installs a translation for [iova, iova+size) to the physical range
 // starting at pa, with the given permission. Both iova and pa must be page
-// aligned and the range must not cross already-mapped pages; if it does,
-// Map installs nothing.
+// aligned, the range must lie below the 48-bit domain width and it must
+// not cross already-mapped pages; if it does, Map installs nothing.
 func (u *IOMMU) Map(dev int, iova IOVA, pa mem.PhysAddr, size int, perm Perm) error {
 	if iova&IOVA(mem.PageMask) != 0 || uint64(pa)&uint64(mem.PageMask) != 0 {
 		return fmt.Errorf("iommu: unaligned map iova=%#x pa=%#x", iova, pa)
 	}
-	if size <= 0 || iova+IOVA(size)-1 > maxIOVA {
+	if !fits(iova, size) {
 		return fmt.Errorf("iommu: bad map size %d at %#x", size, iova)
 	}
 	if perm == 0 {
@@ -325,16 +331,19 @@ func (u *IOMMU) Map(dev int, iova IOVA, pa mem.PhysAddr, size int, perm Perm) er
 		e.perm = perm
 	}
 	d.mappedPages += int64(pages)
-	d.everMapped += int64(pages)
 	u.Mappings++
 	return nil
 }
 
 // MapHuge installs a single 2 MiB mapping. iova and pa must be 2 MiB
-// aligned. Used by the Table 3 "huge iova pages" DAMN variant.
+// aligned and iova below the 48-bit domain width. Used by the Table 3
+// "huge iova pages" DAMN variant and the bypass driver's pool.
 func (u *IOMMU) MapHuge(dev int, iova IOVA, pa mem.PhysAddr, perm Perm) error {
 	if iova&IOVA(mem.HugePageMask) != 0 || uint64(pa)&uint64(mem.HugePageMask) != 0 {
 		return fmt.Errorf("iommu: unaligned huge map iova=%#x pa=%#x", iova, pa)
+	}
+	if iova > maxIOVA {
+		return fmt.Errorf("iommu: huge map at %#x past the domain width", iova)
 	}
 	if err := u.mem.CheckRange(pa, mem.HugePageSize); err != nil {
 		return err
@@ -354,9 +363,7 @@ func (u *IOMMU) MapHuge(dev int, iova IOVA, pa mem.PhysAddr, perm Perm) error {
 	e.huge = true
 	e.pfn = mem.PFNOf(pa)
 	e.perm = perm
-	pages := int64(mem.HugePageSize / mem.PageSize)
-	d.mappedPages += pages
-	d.everMapped += pages
+	d.mappedPages += mem.HugePageSize / mem.PageSize
 	u.Mappings++
 	return nil
 }
@@ -367,7 +374,7 @@ func (u *IOMMU) MapHuge(dev int, iova IOVA, pa mem.PhysAddr, perm Perm) error {
 // vulnerability window. If any page of the range is not mapped by a 4 KiB
 // leaf, Unmap removes nothing.
 func (u *IOMMU) Unmap(dev int, iova IOVA, size int) error {
-	if iova&IOVA(mem.PageMask) != 0 || size <= 0 {
+	if iova&IOVA(mem.PageMask) != 0 || !fits(iova, size) {
 		return fmt.Errorf("iommu: bad unmap [%#x,+%d)", iova, size)
 	}
 	d := u.Domain(dev)
@@ -391,8 +398,12 @@ func (u *IOMMU) Unmap(dev int, iova IOVA, size int) error {
 	return nil
 }
 
-// UnmapHuge removes a 2 MiB mapping.
+// UnmapHuge removes a 2 MiB mapping; iova must be 2 MiB aligned and below
+// the 48-bit domain width.
 func (u *IOMMU) UnmapHuge(dev int, iova IOVA) error {
+	if iova&IOVA(mem.HugePageMask) != 0 || iova > maxIOVA {
+		return fmt.Errorf("iommu: bad huge unmap at %#x", iova)
+	}
 	d := u.Domain(dev)
 	if d == nil {
 		return fmt.Errorf("iommu: device %d not attached", dev)
@@ -476,15 +487,6 @@ func (d *Domain) walkHuge(iova IOVA, create bool) *pte {
 func (u *IOMMU) MappedPages(dev int) int64 {
 	if d := u.Domain(dev); d != nil {
 		return d.mappedPages
-	}
-	return 0
-}
-
-// EverMappedPages returns the cumulative count of pages ever mapped for the
-// device (the monotone curve of Fig 9).
-func (u *IOMMU) EverMappedPages(dev int) int64 {
-	if d := u.Domain(dev); d != nil {
-		return d.everMapped
 	}
 	return 0
 }

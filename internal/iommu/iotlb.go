@@ -297,14 +297,6 @@ func (t *IOTLB) InvalidateDevice(dev int) {
 	}
 }
 
-// InvalidateAll drops everything (global invalidation).
-func (t *IOTLB) InvalidateAll() {
-	t.FlushCommands++
-	for dev := range t.devs {
-		t.retire(dev)
-	}
-}
-
 // retire drops every entry of dev at once: its live entries count as
 // invalidated and its generation moves on, so none of them matches again.
 // When the generation would wrap, entries from generations long past could
@@ -326,13 +318,4 @@ func (t *IOTLB) retire(dev int) {
 		d.gen = 0
 	}
 	d.gen++
-}
-
-// HitRate returns the fraction of lookups served from the cache.
-func (t *IOTLB) HitRate() float64 {
-	total := t.Hits + t.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Hits) / float64(total)
 }

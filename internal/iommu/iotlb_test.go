@@ -157,7 +157,7 @@ func TestIOTLBAdversarialStrideHuge(t *testing.T) {
 
 // refIOTLB is the IOTLB as it was before entries carried generations and
 // sets ranked their ways: a valid bit and a 64-bit clock stamp per entry,
-// and domain and global invalidations that sweep every entry.
+// and domain invalidations that sweep every entry.
 // TestIOTLBMatchesSweepReference drives it beside the real cache.
 type refIOTLB struct {
 	cfg     IOTLBConfig
@@ -279,16 +279,6 @@ func (t *refIOTLB) InvalidateDevice(dev int) {
 	}
 }
 
-func (t *refIOTLB) InvalidateAll() {
-	t.FlushCommands++
-	for i := range t.entries {
-		if e := &t.entries[i]; e.valid {
-			e.valid = false
-			t.Invalidations++
-		}
-	}
-}
-
 // tlbPair drives the IOTLB and the sweep reference with the same calls and
 // fails the test at the first lookup or counter they disagree on.
 type tlbPair struct {
@@ -339,15 +329,10 @@ func (p *tlbPair) invalidateDevice(dev int) {
 	p.ref.InvalidateDevice(dev)
 }
 
-func (p *tlbPair) invalidateAll() {
-	p.got.InvalidateAll()
-	p.ref.InvalidateAll()
-}
-
 // TestIOTLBMatchesSweepReference: the generation-tagged IOTLB, whose sets
 // rank their ways in one byte, hits, misses, evicts and invalidates exactly
 // as the sweeping one with a global clock did, over a seeded random mix of
-// fills, lookups, small and large range invalidations and domain and global
+// fills, lookups, small and large range invalidations and domain
 // invalidations, on an 8×4 cache small enough to evict, with four devices
 // holding 4 KiB and 2 MiB entries. Device 4 never fills an entry, and only
 // its invalidations run.
@@ -377,10 +362,8 @@ func TestIOTLBMatchesSweepReference(t *testing.T) {
 				p.invalidateRange(dev, page(), (rng.Intn(600)+65)*mem.PageSize)
 			case op < 98:
 				p.invalidateDevice(dev)
-			case op < 99:
-				p.invalidateDevice(4)
 			default:
-				p.invalidateAll()
+				p.invalidateDevice(4)
 			}
 			p.check(step)
 		}

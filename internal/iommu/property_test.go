@@ -10,7 +10,7 @@ import (
 // TestTranslationMatchesReferenceModel drives random map/unmap/invalidate/
 // translate sequences and checks the IOMMU (page tables + IOTLB + queue)
 // against a trivial reference map, including the one permitted divergence:
-// a stale IOTLB hit between unmap and drain.
+// a stale IOTLB hit between unmap and invalidation.
 func TestTranslationMatchesReferenceModel(t *testing.T) {
 	m, err := mem.New(mem.Config{TotalBytes: 64 << 20, NUMANodes: 1})
 	if err != nil {
@@ -59,8 +59,9 @@ func TestTranslationMatchesReferenceModel(t *testing.T) {
 				break
 			}
 		case 5: // drain an invalidation
-			u.InvQ().Submit(Command{Kind: InvDomain, Dev: 1})
-			u.InvQ().Drain()
+			if err := u.InvQ().Invalidate(nil, 0, Command{Kind: InvDomain, Dev: 1}); err != nil {
+				t.Fatal(err)
+			}
 			stale = map[IOVA]mapping{}
 		default: // translate
 			v := randIOVA()

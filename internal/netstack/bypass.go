@@ -250,13 +250,23 @@ func (d *BypassDriver) poll(t *sim.Task) {
 }
 
 // Close stops polling, detaches the virtqueue (the ring returns to
-// interrupt mode) and releases the hugepage pool.
+// interrupt mode) and releases the hugepage pool. Under bypass-prot it
+// first revokes the app's mappings of the pool and invalidates its domain,
+// so the device can no longer reach pages the kernel hands out again.
 func (d *BypassDriver) Close() {
 	d.Stop()
 	if d.vq != nil {
 		d.nic.AttachVirtqueue(d.ring, nil)       //nolint:errcheck
 		d.nic.BindRingDevice(d.ring, d.nic.ID()) //nolint:errcheck
 		d.vq = nil
+	}
+	if d.prot && len(d.chunks) > 0 {
+		for _, pg := range d.chunks {
+			// A chunk whose mapping failed in Setup has nothing to unmap.
+			_ = d.k.IOMMU.UnmapHuge(d.dev, iommu.IOVA(pg.PFN().Addr()))
+		}
+		// Only a range invalidation can be rejected.
+		_ = d.k.IOMMU.InvQ().Invalidate(nil, d.k.Model.ITETimeout, iommu.Command{Kind: iommu.InvDomain, Dev: d.dev})
 	}
 	for _, pg := range d.chunks {
 		d.k.Mem.FreePages(pg, mem.HugePageShift-mem.PageShift)

@@ -506,14 +506,12 @@ func (d *Driver) reclaimDescs(t *sim.Task, descs []device.RXDesc) (reclaimed, le
 	return reclaimed, leaked
 }
 
-// Reinit brings a recovered (or hotplug-replaced) device back into service:
-// lifts the quarantine and refills every RX ring. A fill failure leaves the
-// gap in the ring's shortfall (the watchdog keeps retrying) and is returned
-// so the supervisor can decide between waiting and escalating.
+// Reinit brings a recovered device back into service: lifts the quarantine
+// and refills every RX ring. A fill failure leaves the gap in the ring's
+// shortfall (the watchdog keeps retrying) and is returned so the supervisor
+// can decide between waiting and escalating.
 func (d *Driver) Reinit(t *sim.Task) error {
-	if err := d.nic.Resume(); err != nil {
-		return err
-	}
+	d.nic.Resume()
 	var firstErr error
 	for ring := 0; ring < d.nic.Cfg.Rings; ring++ {
 		if d.nic.RingQuarantined(ring) {

@@ -336,7 +336,7 @@ func TestDeferredUseAfterFreeLeak(t *testing.T) {
 		t.Fatalf("read %q", got)
 	}
 	// After the flush the window closes.
-	ma.Deferred.S.Flush(nil)
+	ma.Deferred.Flush(nil)
 	if _, err := attacker.TryRead(v, 14); err == nil {
 		t.Fatal("window should close after flush")
 	}
@@ -635,7 +635,7 @@ func TestZeroCopyFallback(t *testing.T) {
 	}
 	// Deferred fallback: the unmap batched an invalidation (the window
 	// the paper accepts for zero-copy paths).
-	if ma.Deferred.S.PendingInvalidations() == 0 {
+	if ma.Deferred.PendingInvalidations() == 0 {
 		t.Fatal("fallback unmap did not batch an invalidation")
 	}
 	skb.Free(nil)

@@ -4,12 +4,10 @@
 // chunks and its driver rings live and die together. The supervisor watches
 // the IOMMU's fault-record ring and the driver watchdog's ring shortfalls
 // for fault storms, quarantines the offending device (detach the domain,
-// drop in-flight DMA), performs a function-level reset (drain the
-// invalidation queue, tear down and rebuild mappings, reclaim allocator
+// drop in-flight DMA), performs a function-level reset (invalidate the
+// dead domain's IOTLB entries, tear down and rebuild mappings, reclaim allocator
 // state owned by the dead domain) and reinitialises the driver — or parks
-// the device as Failed after a bounded number of reset attempts. Surprise
-// removal takes the same teardown path with no re-attach; hotplug reverses
-// it.
+// the device as Failed after a bounded number of reset attempts.
 //
 // Everything is driven by the discrete-event engine: detection runs on a
 // polled sim-time window, resets are charged simulated latency, and retry
@@ -48,8 +46,8 @@ const (
 	Resetting
 	// Reinitializing: domain re-attached, driver rings refilling.
 	Reinitializing
-	// Failed: recovery abandoned — reset retries exhausted or the device
-	// was surprise-removed. Only Hotplug leaves this state.
+	// Failed: recovery abandoned — reset retries exhausted. The device
+	// stays detached.
 	Failed
 )
 
@@ -141,8 +139,6 @@ type Supervisor struct {
 	Resets      uint64
 	Reinits     uint64
 	Failures    uint64
-	Removals    uint64
-	Hotplugs    uint64
 	// ReleasedPages / PinnedChunks aggregate DAMN reclamation results.
 	ReleasedPages int64
 	PinnedChunks  int
@@ -321,14 +317,14 @@ func (s *Supervisor) declareStorm(ds *devState) {
 	ds.stormStart = ds.window[0]
 	s.detectH.Observe(float64(s.se.Now() - ds.stormStart))
 	ds.resets = 0
-	s.quarantine(ds, false)
+	s.quarantine(ds)
 }
 
 // quarantine detaches the fault domain and schedules the reset. The
 // sequence runs as an interrupt task on core 0 so every driver/DMA/IOMMU
 // mutation happens atomically at one sim timestamp, interleaved cleanly
 // with in-flight traffic events.
-func (s *Supervisor) quarantine(ds *devState, removal bool) {
+func (s *Supervisor) quarantine(ds *devState) {
 	ds.busy = true
 	s.core.Submit(true, func(t *sim.Task) {
 		// The state flips at the moment containment executes, so an
@@ -343,20 +339,10 @@ func (s *Supervisor) quarantine(ds *devState, removal bool) {
 		if ds.drv != nil {
 			ds.drv.QuarantineDrain(t)
 			ds.lastShortfall = 0
-			if removal {
-				// Mark removal after the drain: QuarantineDrain consumed
-				// the NIC's reclaim list; Remove's second Quarantine is an
-				// idempotent no-op.
-				ds.drv.NIC().Remove()
-			}
 		}
 		s.dma.ResetDevice(t, ds.dev)
 		s.u.DetachDevice(ds.dev)
 		ds.window = ds.window[:0]
-		if removal {
-			s.failDevice(ds)
-			return
-		}
 		s.scheduleReset(ds)
 	})
 }
@@ -376,10 +362,9 @@ func (s *Supervisor) reset(ds *devState) {
 	ds.resets++
 	s.core.Submit(true, func(t *sim.Task) {
 		// Domain-wide invalidation: the IOTLB may cache translations from
-		// the destroyed domain; InvDomain works detached.
-		if err := s.u.InvQ().Submit(iommu.Command{Kind: iommu.InvDomain, Dev: ds.dev}); err == nil {
-			s.u.InvQ().DrainRetry(t, s.model.ITETimeout)
-		}
+		// the destroyed domain; InvDomain works detached. Only a range
+		// invalidation can be rejected.
+		_ = s.u.InvQ().Invalidate(t, s.model.ITETimeout, iommu.Command{Kind: iommu.InvDomain, Dev: ds.dev})
 		if s.damn != nil {
 			released, pinned := s.damn.ReleaseDevice(damn.Ctx{C: t}, ds.dev)
 			s.ReleasedPages += released
@@ -393,9 +378,8 @@ func (s *Supervisor) reset(ds *devState) {
 }
 
 // reinit re-attaches the IOMMU domain and rebuilds the driver rings. A
-// failure (e.g. injected allocation faults during refill are fine — the
-// watchdog tops rings up — but a Resume on a removed device is not)
-// retries with doubled backoff, then gives up.
+// ring refill that fails (injected allocation faults) retries the reset
+// with doubled backoff, then gives up.
 func (s *Supervisor) reinit(ds *devState, t *sim.Task) {
 	s.setState(ds, Reinitializing)
 	s.Reinits++
@@ -407,7 +391,9 @@ func (s *Supervisor) reinit(ds *devState, t *sim.Task) {
 	if err != nil {
 		s.u.DetachDevice(ds.dev)
 		if ds.resets >= maxResets {
-			s.failDevice(ds)
+			s.setState(ds, Failed)
+			ds.busy = false
+			s.Failures++
 			return
 		}
 		s.setState(ds, Quarantined)
@@ -432,12 +418,6 @@ func (s *Supervisor) recovered(ds *devState) {
 	}
 }
 
-func (s *Supervisor) failDevice(ds *devState) {
-	s.setState(ds, Failed)
-	ds.busy = false
-	s.Failures++
-}
-
 // MTTR returns the last observed quarantine-to-healthy latency for a
 // device, or 0 if it never recovered.
 func (s *Supervisor) MTTR(dev int) sim.Time {
@@ -445,40 +425,4 @@ func (s *Supervisor) MTTR(dev int) sim.Time {
 		return ds.mttr
 	}
 	return 0
-}
-
-// Remove simulates surprise device removal: the same containment path as a
-// storm quarantine, but the device is gone, so no reset is attempted and
-// the domain stays Failed until Hotplug.
-func (s *Supervisor) Remove(dev int) error {
-	ds := s.devs[dev]
-	if ds == nil {
-		return fmt.Errorf("recovery: unsupervised device %d", dev)
-	}
-	if ds.state == Failed {
-		return nil
-	}
-	s.Removals++
-	s.quarantine(ds, true)
-	return nil
-}
-
-// Hotplug re-inserts a Failed device and runs the reinitialisation path.
-func (s *Supervisor) Hotplug(dev int) error {
-	ds := s.devs[dev]
-	if ds == nil {
-		return fmt.Errorf("recovery: unsupervised device %d", dev)
-	}
-	if ds.state != Failed {
-		return fmt.Errorf("recovery: device %d is %s, not failed", dev, ds.state)
-	}
-	s.Hotplugs++
-	ds.busy = true
-	ds.resets = 0
-	if ds.drv != nil {
-		ds.drv.NIC().Reinsert()
-	}
-	ds.quarantinedAt = s.se.Now()
-	s.core.Submit(true, func(t *sim.Task) { s.reinit(ds, t) })
-	return nil
 }

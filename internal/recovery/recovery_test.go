@@ -173,45 +173,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestRemovalAndHotplug: surprise removal takes the containment path with
-// no re-attach (Failed); hotplugging a replacement heals the domain.
-func TestRemovalAndHotplug(t *testing.T) {
-	ma := newMachine(t, testbed.SchemeDAMN)
-	sup := recovery.Attach(ma)
-	if err := ma.FillAllRings(); err != nil {
-		t.Fatal(err)
-	}
-	ma.Sim.Run(ma.Sim.Now() + 100*sim.Microsecond)
-
-	if err := sup.Remove(testbed.NICDeviceID); err != nil {
-		t.Fatal(err)
-	}
-	runUntilState(t, ma, sup, recovery.Failed)
-	if !ma.NIC.Removed() {
-		t.Error("NIC not marked removed")
-	}
-	if ma.IOMMU.Attached(testbed.NICDeviceID) {
-		t.Error("removed device still has an IOMMU domain")
-	}
-	if _, err := ma.Damn.Audit(); err != nil {
-		t.Errorf("conservation audit after removal: %v", err)
-	}
-
-	if err := sup.Hotplug(testbed.NICDeviceID); err != nil {
-		t.Fatal(err)
-	}
-	runUntilState(t, ma, sup, recovery.Healthy)
-	if ma.NIC.Removed() || ma.NIC.Quarantined() {
-		t.Error("hotplugged NIC not back in service")
-	}
-	if !ma.IOMMU.Attached(testbed.NICDeviceID) {
-		t.Error("hotplugged device has no IOMMU domain")
-	}
-	if sup.Hotplugs != 1 || sup.Removals != 1 {
-		t.Errorf("removal/hotplug counts wrong: %+v", sup)
-	}
-}
-
 // TestBoundedRetriesFail: when reinitialisation keeps failing (allocation
 // faults at rate 1.0 starve every ring refill), the supervisor must retry
 // with backoff at most 3 times and then park the device as Failed — not

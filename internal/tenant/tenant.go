@@ -325,9 +325,8 @@ func (m *Manager) quarantine(t *Tenant) {
 		m.ma.Driver.QuarantineDrainRings(task, t.Rings)
 		m.ma.DMA.ResetDevice(task, t.Dev)
 		m.ma.IOMMU.DetachDevice(t.Dev)
-		if err := m.ma.IOMMU.InvQ().Submit(iommu.Command{Kind: iommu.InvDomain, Dev: t.Dev}); err == nil {
-			m.ma.IOMMU.InvQ().DrainRetry(task, m.ma.Model.ITETimeout)
-		}
+		// Only a range invalidation can be rejected.
+		_ = m.ma.IOMMU.InvQ().Invalidate(task, m.ma.Model.ITETimeout, iommu.Command{Kind: iommu.InvDomain, Dev: t.Dev})
 		if m.ma.Damn != nil {
 			released, pinned := m.ma.Damn.ReleaseDevice(damncore.Ctx{C: task}, t.Dev)
 			m.ReleasedPages += released

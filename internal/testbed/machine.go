@@ -125,11 +125,8 @@ type Machine struct {
 
 	// Deferred is non-nil when the active (or fallback) scheme batches
 	// invalidations — exposed for window inspection.
-	Deferred *DeferredHandle
+	Deferred *dmaapi.DeferredScheme
 }
-
-// DeferredHandle lets experiments inspect/flush the deferred scheme.
-type DeferredHandle struct{ S *dmaapi.DeferredScheme }
 
 // NICDeviceID is the NIC's IOMMU identity in every machine.
 const NICDeviceID = 1
@@ -232,7 +229,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	case SchemeDeferred, "":
 		d := dmaapi.NewDeferredScheme(se, u, model)
 		scheme = d
-		ma.Deferred = &DeferredHandle{S: d}
+		ma.Deferred = d
 	case SchemeShadow:
 		scheme = dmaapi.NewShadowScheme(m, u, model, membw)
 	case SchemeDAMN, SchemeDAMNHugeDense, SchemeDAMNSingleCtx, SchemeDAMNNoCache:
@@ -241,7 +238,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		// the Linux default).
 		d := dmaapi.NewDeferredScheme(se, u, model)
 		scheme = d
-		ma.Deferred = &DeferredHandle{S: d}
+		ma.Deferred = d
 		useDamn = true
 	case SchemeDAMNNoIOMMU:
 		// Table 3 analysis variant: the full DAMN software stack with
@@ -268,7 +265,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		u.AttachDevice(BypassDeviceID)
 		d := dmaapi.NewDeferredScheme(se, u, model)
 		scheme = d
-		ma.Deferred = &DeferredHandle{S: d}
+		ma.Deferred = d
 	default:
 		return nil, fmt.Errorf("testbed: unknown scheme %q", cfg.Scheme)
 	}

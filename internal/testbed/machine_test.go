@@ -114,7 +114,7 @@ func TestMachineDamnInterposerWired(t *testing.T) {
 	if ma.IOMMU.Unmappings != 0 {
 		t.Error("ring fill should not unmap anything")
 	}
-	if ma.Deferred.S.PendingInvalidations() != 0 {
+	if ma.Deferred.PendingInvalidations() != 0 {
 		t.Error("DAMN buffers leaked into the deferred batch")
 	}
 	if ma.Damn.FootprintBytes() == 0 {

@@ -49,14 +49,14 @@ func TestDamnCoexistsWithFallbackScheme(t *testing.T) {
 		t.Fatal("expected NVMe unmaps through the fallback scheme")
 	}
 	// …while the NVMe path did: deferred batching really ran.
-	if ma.Deferred.S.Flushes == 0 && ma.Deferred.S.PendingInvalidations() == 0 {
+	if ma.Deferred.Flushes == 0 && ma.Deferred.PendingInvalidations() == 0 {
 		t.Fatal("fallback scheme saw no NVMe traffic")
 	}
 	if ma.Damn.FootprintBytes() == 0 {
 		t.Fatal("DAMN saw no NIC traffic")
 	}
 	t.Logf("coexistence: netperf %.1f Gb/s + fio %.0f IOPS; deferred flushes %d",
-		netRes.RXGbps, fioRes.IOPS, ma.Deferred.S.Flushes)
+		netRes.RXGbps, fioRes.IOPS, ma.Deferred.Flushes)
 }
 
 // fioThreads is the started-but-not-driven state for coexistence tests.

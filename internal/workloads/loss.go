@@ -69,7 +69,7 @@ func (g *ARQGenerator) Stop() { g.stopped = true }
 // pump offers load under three brakes: the ARQ window (reliability
 // backpressure), the wire backlog (link pacing), and the parked-segment
 // limit (PFC pause emulation). Unlike the unreliable generator it never
-// gives up when the ring errors out — a quarantined or removed ring is
+// gives up when the ring errors out — a quarantined ring is
 // what the recovery supervisor heals, and the flow must resume on its own
 // once reinit refills the rings.
 func (g *ARQGenerator) pump() {
