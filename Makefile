@@ -73,7 +73,9 @@ bench-go:
 # goroutine drives a machine and its components hold no host locks, so that
 # race binary is also the check that two jobs share no machine state. A
 # change that moves any printed byte or metric fails here; one that means to
-# must re-record the digests and say why.
+# must re-record the digests and say why. A run whose -stats JSON holds no
+# snapshot fails too: a figure that reports no machine cannot be explained
+# from its run, and its empty digest would pin nothing.
 GOLDEN_FIGS = scaling chaos recovery loss cluster tenants bypass attacks
 golden:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
@@ -84,6 +86,9 @@ golden:
 	for f in $(GOLDEN_FIGS); do \
 		echo "damnbench -race -quick -parallel 2 -exp $$f"; \
 		"$$dir/damnbench-race" -quick -parallel 2 -exp $$f -stats "$$dir/$$f.json" >"$$dir/$$f.out"; \
+	done; \
+	for j in "$$dir"/*.json; do \
+		grep -q '"' "$$j" || { echo "$$(basename "$$j"): no metric snapshots"; exit 1; }; \
 	done; \
 	cp cmd/damnbench/testdata/golden.sha256 "$$dir/"; \
 	cd "$$dir" && sha256sum -c golden.sha256

@@ -37,24 +37,21 @@ func Ablations(opts Options) ([]AblationRow, error) {
 	warm, dur := opts.durations()
 	return runJobs(opts, len(schemes), func(i int, opts Options) (AblationRow, error) {
 		scheme := schemes[i]
-		ma, err := newMachine(scheme, opts, 512<<20, 32)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		defer ma.Close()
-		res, err := workloads.RunNetperf(workloads.NetperfConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-			RXCores: repCores(0, 4),
-		})
-		if err != nil {
-			return AblationRow{}, err
-		}
-		opts.emit("ablations/"+string(scheme), ma)
-		return AblationRow{
-			Config:    string(scheme),
-			TotalGbps: res.TotalGbps,
-			CPUUtil:   res.CPUUtil * float64(len(ma.Cores)), // one-core scale
-		}, nil
+		return withMachine(opts, "ablations/"+string(scheme), opts.machineCfg(scheme, 512<<20, 32),
+			func(ma *testbed.Machine) (AblationRow, error) {
+				res, err := workloads.RunNetperf(workloads.NetperfConfig{
+					Machine: ma, Warmup: warm, Duration: dur,
+					RXCores: repCores(0, 4),
+				})
+				if err != nil {
+					return AblationRow{}, err
+				}
+				return AblationRow{
+					Config:    string(scheme),
+					TotalGbps: res.TotalGbps,
+					CPUUtil:   res.CPUUtil * float64(len(ma.Cores)), // one-core scale
+				}, nil
+			})
 	})
 }
 

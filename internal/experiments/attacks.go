@@ -16,8 +16,8 @@ import (
 )
 
 // The DMA attack catalog (§2.1, §4.1): every attack a compromised device
-// mounts in this repository, one function per scenario. Each scenario builds
-// the machine it attacks and reports whether the attack landed. The attacks
+// mounts in this repository, one function per scenario. Each scenario
+// attacks a fresh machine and reports whether the attack landed. The attacks
 // figure mounts every scenario against every scheme it applies to; Table 1
 // and the bypass figure read their safety columns from the same functions
 // (see safety).
@@ -38,29 +38,42 @@ type outcome struct {
 	detail string
 }
 
-// scenario is one attack: it applies to some schemes, and mount attacks one
-// of them on machines it builds itself.
+// scenario is one attack: it applies to some schemes, and attack mounts it
+// on a fresh machine that machine describes.
 type scenario struct {
 	name    string
 	applies func(testbed.Scheme) bool
-	mount   func(scheme testbed.Scheme, opts Options) (outcome, error)
+	machine func(opts Options, scheme testbed.Scheme) testbed.MachineConfig
+	attack  func(ma *testbed.Machine) (outcome, error)
 }
 
 func anyScheme(testbed.Scheme) bool      { return true }
 func kernelScheme(s testbed.Scheme) bool { return !testbed.IsBypass(s) }
 
+// attackCfg is the machine most scenarios attack: 64 MiB of RAM and
+// 8-descriptor rings.
+func attackCfg(opts Options, scheme testbed.Scheme) testbed.MachineConfig {
+	return opts.machineCfg(scheme, 64<<20, 8)
+}
+
+// probeCfg is the tenant probe's machine: two cores for each of its two
+// tenants and a zero-rate fault plane that the attack storms.
+func probeCfg(opts Options, scheme testbed.Scheme) testbed.MachineConfig {
+	return opts.harnessCfg(scheme, 4, 0)
+}
+
 // scenarios is the attack matrix's scenario order.
 var scenarios = []scenario{
-	{"arbitrary-read", anyScheme, arbitraryRead},
-	{"co-location", anyScheme, coLocation},
-	{"window-write", anyScheme, windowWrite},
-	{"tocttou-header", anyScheme, headerTOCTTOU},
-	{"fault-storm", anyScheme, faultStorm},
+	{"arbitrary-read", anyScheme, attackCfg, arbitraryRead},
+	{"co-location", anyScheme, attackCfg, coLocation},
+	{"window-write", anyScheme, attackCfg, windowWrite},
+	{"tocttou-header", anyScheme, attackCfg, headerTOCTTOU},
+	{"fault-storm", anyScheme, attackCfg, faultStorm},
 	// The bypass flavors hand the whole queue pair to one app, so SR-IOV
 	// tenancy does not apply to them.
-	{"tenant-probe", kernelScheme, tenantProbe},
-	{"pool-escape", testbed.IsBypass, poolEscape},
-	{"pool-window", testbed.IsBypass, poolWindow},
+	{"tenant-probe", kernelScheme, probeCfg, tenantProbe},
+	{"pool-escape", testbed.IsBypass, attackCfg, poolEscape},
+	{"pool-window", testbed.IsBypass, attackCfg, poolWindow},
 }
 
 // kernelSecret is what the read scenarios hunt for.
@@ -68,7 +81,8 @@ const kernelSecret = "KERNEL-SECRET-KEY"
 
 // Attacks mounts every scenario against every scheme it applies to — the
 // five kernel schemes, then the bypass pair — one job and one machine per
-// pair, and returns the matrix in scheme × scenario order.
+// pair, emitted as "attacks/<scheme>/<scenario>", and returns the matrix in
+// scheme × scenario order.
 func Attacks(opts Options) ([]AttackRow, error) {
 	type pair struct {
 		scheme testbed.Scheme
@@ -84,7 +98,8 @@ func Attacks(opts Options) ([]AttackRow, error) {
 	}
 	return runJobs(opts, len(pairs), func(i int, opts Options) (AttackRow, error) {
 		p := pairs[i]
-		o, err := p.sc.mount(p.scheme, opts)
+		label := "attacks/" + string(p.scheme) + "/" + p.sc.name
+		o, err := withMachine(opts, label, p.sc.machine(opts, p.scheme), p.sc.attack)
 		if err != nil {
 			return AttackRow{}, fmt.Errorf("attacks %s/%s: %w", p.scheme, p.sc.name, err)
 		}
@@ -96,47 +111,33 @@ func Attacks(opts Options) ([]AttackRow, error) {
 // columns of Table 1 and the bypass figure; a column is true when its
 // attack was blocked. Kernel schemes face co-location and window-write;
 // the bypass flavors face the same questions at their pool boundary. The
-// attacked machines stay out of the figure's stats.
+// attacked machines stay out of the figure's stats, so they carry no label.
 func safety(scheme testbed.Scheme, opts Options) (subpage, noWindow bool, err error) {
 	opts.OnStats = nil
 	reach, window := coLocation, windowWrite
 	if testbed.IsBypass(scheme) {
 		reach, window = poolEscape, poolWindow
 	}
-	r, err := reach(scheme, opts)
+	r, err := withMachine(opts, "", attackCfg(opts, scheme), reach)
 	if err != nil {
 		return false, false, err
 	}
-	w, err := window(scheme, opts)
+	w, err := withMachine(opts, "", attackCfg(opts, scheme), window)
 	if err != nil {
 		return false, false, err
 	}
 	return !r.landed, !w.landed, nil
 }
 
-// attackMachine builds the machine one scenario attacks, and the
-// compromised NIC. done emits the machine's metrics as
-// "attacks/<scheme>/<name>" and releases it.
-func attackMachine(scheme testbed.Scheme, opts Options, name string) (*testbed.Machine, *device.Malicious, func(), error) {
-	ma, err := newMachine(scheme, opts, 64<<20, 8)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	done := func() {
-		opts.emit("attacks/"+string(scheme)+"/"+name, ma)
-		ma.Close()
-	}
-	return ma, device.NewMalicious(ma.IOMMU, testbed.NICDeviceID), done, nil
+// nicAttacker is the compromised NIC.
+func nicAttacker(ma *testbed.Machine) *device.Malicious {
+	return device.NewMalicious(ma.IOMMU, testbed.NICDeviceID)
 }
 
 // arbitraryRead: the device DMA-reads a kernel secret it was never given,
 // at its physical address.
-func arbitraryRead(scheme testbed.Scheme, opts Options) (outcome, error) {
-	ma, attacker, done, err := attackMachine(scheme, opts, "arbitrary-read")
-	if err != nil {
-		return outcome{}, err
-	}
-	defer done()
+func arbitraryRead(ma *testbed.Machine) (outcome, error) {
+	attacker := nicAttacker(ma)
 	secretPA, err := ma.Slab.Alloc(64, 0)
 	if err != nil {
 		return outcome{}, err
@@ -149,12 +150,8 @@ func arbitraryRead(scheme testbed.Scheme, opts Options) (outcome, error) {
 
 // coLocation: the device hunts a secret that shares a page with a mapped
 // network buffer (sub-page granularity).
-func coLocation(scheme testbed.Scheme, opts Options) (outcome, error) {
-	ma, attacker, done, err := attackMachine(scheme, opts, "co-location")
-	if err != nil {
-		return outcome{}, err
-	}
-	defer done()
+func coLocation(ma *testbed.Machine) (outcome, error) {
+	attacker := nicAttacker(ma)
 	var lo, hi iommu.IOVA
 	if ma.Damn == nil {
 		// Legacy: a kmalloc'ed network buffer, mapped for the device; the
@@ -195,13 +192,9 @@ func coLocation(scheme testbed.Scheme, opts Options) (outcome, error) {
 // deferred-invalidation TOCTTOU window). DAMN buffers stay mapped by design
 // and the window is closed at the accessor (§5.2), so under DAMN the attack
 // is the header rewrite of headerTOCTTOU.
-func windowWrite(scheme testbed.Scheme, opts Options) (outcome, error) {
+func windowWrite(ma *testbed.Machine) (outcome, error) {
 	const detail = "device writes a buffer after dma_unmap returned"
-	ma, attacker, done, err := attackMachine(scheme, opts, "window-write")
-	if err != nil {
-		return outcome{}, err
-	}
-	defer done()
+	attacker := nicAttacker(ma)
 	if ma.Damn != nil {
 		landed, err := rewriteInspected(ma, attacker)
 		return outcome{landed, detail}, err
@@ -231,13 +224,8 @@ func windowWrite(scheme testbed.Scheme, opts Options) (outcome, error) {
 
 // headerTOCTTOU: the device rewrites packet headers after the firewall
 // inspected them.
-func headerTOCTTOU(scheme testbed.Scheme, opts Options) (outcome, error) {
-	ma, attacker, done, err := attackMachine(scheme, opts, "tocttou-header")
-	if err != nil {
-		return outcome{}, err
-	}
-	defer done()
-	landed, err := rewriteInspected(ma, attacker)
+func headerTOCTTOU(ma *testbed.Machine) (outcome, error) {
+	landed, err := rewriteInspected(ma, nicAttacker(ma))
 	return outcome{landed, "device rewrites packet headers after firewall inspection"}, err
 }
 
@@ -286,12 +274,8 @@ func rewriteInspected(ma *testbed.Machine, attacker *device.Malicious) (bool, er
 // the recovery supervisor attached. The attack is contained when the
 // supervisor quarantines the device and heals the domain; with the IOMMU in
 // passthrough there are no fault records and the storm sails through.
-func faultStorm(scheme testbed.Scheme, opts Options) (outcome, error) {
-	ma, attacker, done, err := attackMachine(scheme, opts, "fault-storm")
-	if err != nil {
-		return outcome{}, err
-	}
-	defer done()
+func faultStorm(ma *testbed.Machine) (outcome, error) {
+	attacker := nicAttacker(ma)
 	sup := recovery.Attach(ma)
 	defer sup.Stop()
 	stop := ma.Sim.Every(2*sim.Microsecond, func() {
@@ -320,14 +304,11 @@ func faultStorm(scheme testbed.Scheme, opts Options) (outcome, error) {
 // function on a two-tenant machine: forged capabilities, probes into the
 // sibling's IOVA ranges and a VF-filtered fault storm, with the containment
 // ladder armed. The attack lands if any probe reads the sibling's memory.
-func tenantProbe(scheme testbed.Scheme, opts Options) (outcome, error) {
+func tenantProbe(ma *testbed.Machine) (outcome, error) {
 	res, err := workloads.RunTenants(workloads.TenantsConfig{
-		Scheme: scheme, Tenants: 2, FaultSeed: opts.FaultSeed,
+		Machine: ma, Tenants: 2,
 		Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
 		Attack: true, AttackLen: 3 * sim.Millisecond,
-		OnMachine: func(ma *testbed.Machine) {
-			opts.emit("attacks/"+string(scheme)+"/tenant-probe", ma)
-		},
 	})
 	if err != nil {
 		return outcome{}, err
@@ -344,9 +325,9 @@ func tenantProbe(scheme testbed.Scheme, opts Options) (outcome, error) {
 // registering its hugepage pool: the state the pool scenarios attack. It
 // fails when Setup has not run (its core was still busy), rather than let
 // a scenario probe an empty domain.
-func setupPool(ma *testbed.Machine, scheme testbed.Scheme) (*netstack.BypassDriver, error) {
+func setupPool(ma *testbed.Machine) (*netstack.BypassDriver, error) {
 	d := netstack.NewBypassDriver(ma.Kernel, ma.NIC, 0, testbed.BypassDeviceID,
-		scheme == testbed.SchemeBypassProt)
+		ma.Cfg.Scheme == testbed.SchemeBypassProt)
 	err := errors.New("bypass driver setup did not run: its core is busy")
 	d.Core().Submit(false, func(t *sim.Task) { err = d.Setup(t) })
 	ma.Sim.Run(ma.Sim.Now())
@@ -357,13 +338,8 @@ func setupPool(ma *testbed.Machine, scheme testbed.Scheme) (*netstack.BypassDriv
 // secret outside the registered pool. bypass-raw runs passthrough, so the
 // probe reads anything; bypass-prot's per-app domain maps exactly the pool
 // hugepages, so the probe faults at the pool boundary.
-func poolEscape(scheme testbed.Scheme, opts Options) (outcome, error) {
-	ma, _, done, err := attackMachine(scheme, opts, "pool-escape")
-	if err != nil {
-		return outcome{}, err
-	}
-	defer done()
-	d, err := setupPool(ma, scheme)
+func poolEscape(ma *testbed.Machine) (outcome, error) {
+	d, err := setupPool(ma)
 	if err != nil {
 		return outcome{}, err
 	}
@@ -385,13 +361,8 @@ func poolEscape(scheme testbed.Scheme, opts Options) (outcome, error) {
 // poolWindow: the device rewrites a pool buffer after the app consumed it.
 // With permanent mappings the window never closes under either flavor —
 // the protection DAMN's accessor copies add and kernel bypass gives up.
-func poolWindow(scheme testbed.Scheme, opts Options) (outcome, error) {
-	ma, _, done, err := attackMachine(scheme, opts, "pool-window")
-	if err != nil {
-		return outcome{}, err
-	}
-	defer done()
-	d, err := setupPool(ma, scheme)
+func poolWindow(ma *testbed.Machine) (outcome, error) {
+	d, err := setupPool(ma)
 	if err != nil {
 		return outcome{}, err
 	}

@@ -105,14 +105,14 @@ func TestAttackVerdictsSurviveFaults(t *testing.T) {
 // core is still busy, Setup cannot run before the attack starts, and
 // setupPool must fail instead of handing back an empty domain to probe.
 func TestSetupPoolMustRun(t *testing.T) {
-	ma, err := newMachine(testbed.SchemeBypassProt, quick, 64<<20, 8)
+	ma, err := testbed.NewMachine(attackCfg(quick, testbed.SchemeBypassProt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ma.Close()
 	ma.NIC.RingCore(0).Submit(false, func(task *sim.Task) { task.ChargeTime(sim.Millisecond) })
 	ma.Sim.Run(ma.Sim.Now())
-	d, err := setupPool(ma, testbed.SchemeBypassProt)
+	d, err := setupPool(ma)
 	if err == nil {
 		t.Fatalf("setupPool succeeded on a busy core with %d pool hugepages", len(d.PoolChunks()))
 	}

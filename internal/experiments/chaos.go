@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/asplos18/damn/internal/faults"
+	"github.com/asplos18/damn/internal/testbed"
 	"github.com/asplos18/damn/internal/workloads"
 )
 
@@ -30,24 +30,27 @@ type ChaosRow struct {
 }
 
 // Chaos runs the chaos harness: netperf and memcached under a uniform
-// fault schedule rooted at opts.FaultSeed. Unlike the figures, this is not
-// a paper experiment — it is the robustness gate that every degradation
-// path stays panic-free and conservation holds.
+// fault schedule rooted at opts.FaultSeed, at workloads.ChaosRate or the
+// run's FaultRate. Unlike the figures, this is not a paper experiment — it
+// is the robustness gate that every degradation path stays panic-free and
+// conservation holds. Chaos runs DAMN, the configuration with the deepest
+// degradation chain (depot → bump → slow path → ErrNoMemory), on four
+// cores: iteration speed over fidelity to the 28-core testbed.
 func Chaos(opts Options) ([]ChaosRow, error) {
-	cfg := workloads.ChaosConfig{FaultSeed: opts.FaultSeed, Recovery: opts.Recovery}
+	rate := workloads.ChaosRate
 	if opts.FaultRate > 0 {
-		cfg.Rates = faults.UniformRates(opts.FaultRate)
+		rate = opts.FaultRate
 	}
 
-	// Two independent jobs: each chaos workload builds its own machine.
-	runs := []func(opts Options) (ChaosRow, error){
-		func(opts Options) (ChaosRow, error) {
-			np, err := workloads.RunChaosNetperf(cfg)
+	// Two independent jobs, one machine each.
+	runs := []struct {
+		label string
+		run   func(ma *testbed.Machine) (ChaosRow, error)
+	}{
+		{"chaos/netperf", func(ma *testbed.Machine) (ChaosRow, error) {
+			np, err := workloads.RunChaosNetperf(workloads.ChaosConfig{Machine: ma, Recovery: opts.Recovery})
 			if err != nil {
 				return ChaosRow{}, fmt.Errorf("chaos netperf: %w", err)
-			}
-			if opts.OnStats != nil {
-				opts.OnStats("chaos/netperf", np.Snapshot)
 			}
 			return ChaosRow{
 				Workload: "netperf", Scheme: np.Netperf.Scheme,
@@ -57,14 +60,11 @@ func Chaos(opts Options) ([]ChaosRow, error) {
 				FaultRecords: np.FaultRecords, ITETimeouts: np.ITETimeouts,
 				Recovery: formatRecovery(&np),
 			}, nil
-		},
-		func(opts Options) (ChaosRow, error) {
-			mc, err := workloads.RunChaosMemcached(cfg)
+		}},
+		{"chaos/memcached", func(ma *testbed.Machine) (ChaosRow, error) {
+			mc, err := workloads.RunChaosMemcached(workloads.ChaosConfig{Machine: ma, Recovery: opts.Recovery})
 			if err != nil {
 				return ChaosRow{}, fmt.Errorf("chaos memcached: %w", err)
-			}
-			if opts.OnStats != nil {
-				opts.OnStats("chaos/memcached", mc.Snapshot)
 			}
 			return ChaosRow{
 				Workload: "memcached", Scheme: mc.Memcached.Scheme,
@@ -74,10 +74,10 @@ func Chaos(opts Options) ([]ChaosRow, error) {
 				FaultRecords: mc.FaultRecords, ITETimeouts: mc.ITETimeouts,
 				Recovery: formatRecovery(&mc.ChaosResult),
 			}, nil
-		},
+		}},
 	}
 	return runJobs(opts, len(runs), func(i int, opts Options) (ChaosRow, error) {
-		return runs[i](opts)
+		return withMachine(opts, runs[i].label, opts.harnessCfg(testbed.SchemeDAMN, 4, rate), runs[i].run)
 	})
 }
 

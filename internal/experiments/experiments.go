@@ -100,16 +100,31 @@ const (
 	extraScaling = 150000
 )
 
-func newMachine(scheme testbed.Scheme, opts Options, memBytes int64, ring int) (*testbed.Machine, error) {
-	return testbed.NewMachine(testbed.MachineConfig{
+// machineCfg is the figures' common machine: the 28-core testbed with
+// memBytes of RAM, ring RX descriptors per ring, the run's seed and its
+// fault plane. The model is a fresh one on every call, because NewMachine
+// writes Cores into the model it is given.
+func (o Options) machineCfg(scheme testbed.Scheme, memBytes int64, ring int) testbed.MachineConfig {
+	return testbed.MachineConfig{
 		Scheme:   scheme,
 		Model:    perf.Default28Core(),
 		MemBytes: memBytes,
-		Seed:     opts.Seed,
+		Seed:     o.Seed,
 		RingSize: ring,
-		Tracer:   opts.Tracer,
-		Faults:   opts.faultConfig(),
-	})
+		Faults:   o.faultConfig(),
+	}
+}
+
+// harnessCfg is the machine of the fault-plane harnesses (chaos, recovery,
+// tenants): the default 1 GiB testbed with cores cores, engine seed 0, and
+// a fault plane rooted at FaultSeed that gives every kind rate (0 for a
+// plane the run raises itself).
+func (o Options) harnessCfg(scheme testbed.Scheme, cores int, rate float64) testbed.MachineConfig {
+	return testbed.MachineConfig{
+		Scheme: scheme,
+		Cores:  cores,
+		Faults: &faults.Config{Seed: o.FaultSeed, Rates: faults.UniformRates(rate)},
+	}
 }
 
 func seqCores(n int) []int {

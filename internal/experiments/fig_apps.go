@@ -40,46 +40,48 @@ func Fig2(opts Options) ([]InterferenceRow, error) {
 		{10, 11, 12, 13, 24, 25, 26, 27},
 	}
 
-	run := func(opts Options, scheme testbed.Scheme, withNet, withGraph bool) (InterferenceRow, error) {
-		ma, err := newMachine(scheme, opts, 1<<30, 32)
-		if err != nil {
-			return InterferenceRow{}, err
-		}
-		defer ma.Close()
-		var graphs []*workloads.Graph500Instance
-		if withGraph {
-			for _, cores := range graphSets {
-				graphs = append(graphs, workloads.StartGraph500(workloads.Graph500Config{
-					Machine: ma, Cores: cores, Vertices: vertices,
-				}))
+	type spec struct {
+		scheme             testbed.Scheme
+		withNet, withGraph bool
+		config, suffix     string
+	}
+	var specs []spec
+	for _, scheme := range testbed.AllSchemes {
+		specs = append(specs, spec{scheme, true, true, string(scheme), ""})
+	}
+	// "no graph": netperf alone with the IOMMU off; "no net": Graph500 alone.
+	specs = append(specs,
+		spec{testbed.SchemeOff, true, false, "no graph", "-nograph"},
+		spec{testbed.SchemeOff, false, true, "no net", "-nonet"})
+	return runJobs(opts, len(specs), func(i int, opts Options) (InterferenceRow, error) {
+		s := specs[i]
+		label := "fig2/" + string(s.scheme) + s.suffix
+		return withMachine(opts, label, opts.machineCfg(s.scheme, 1<<30, 32), func(ma *testbed.Machine) (InterferenceRow, error) {
+			var graphs []*workloads.Graph500Instance
+			if s.withGraph {
+				for _, cores := range graphSets {
+					graphs = append(graphs, workloads.StartGraph500(workloads.Graph500Config{
+						Machine: ma, Cores: cores, Vertices: vertices,
+					}))
+				}
 			}
-		}
-		row := InterferenceRow{Config: string(scheme)}
-		if withNet {
-			res, err := workloads.RunNetperf(workloads.NetperfConfig{
-				Machine: ma, Warmup: warm, Duration: dur,
-				RXCores: netCores, TXCores: netCores,
-				ExtraCycles: extraFig2,
-			})
-			if err != nil {
-				return InterferenceRow{}, err
+			row := InterferenceRow{Config: s.config}
+			if s.withNet {
+				res, err := workloads.RunNetperf(workloads.NetperfConfig{
+					Machine: ma, Warmup: warm, Duration: dur,
+					RXCores: netCores, TXCores: netCores,
+					ExtraCycles: extraFig2,
+				})
+				if err != nil {
+					return InterferenceRow{}, err
+				}
+				row.NetperfGbps = res.TotalGbps
+			} else {
+				ma.Sim.Run(warm + dur)
 			}
-			row.NetperfGbps = res.TotalGbps
-		} else {
-			ma.Sim.Run(warm + dur)
-		}
-		for _, g := range graphs {
-			g.Stop()
-		}
-		label := string(scheme)
-		switch {
-		case !withGraph:
-			label += "-nograph"
-		case !withNet:
-			label += "-nonet"
-		}
-		opts.emit("fig2/"+label, ma)
-		if withGraph {
+			for _, g := range graphs {
+				g.Stop()
+			}
 			var sum sim.Time
 			n := 0
 			for _, g := range graphs {
@@ -91,33 +93,8 @@ func Fig2(opts Options) ([]InterferenceRow, error) {
 			if n > 0 {
 				row.GraphIterSec = (sum / sim.Time(n)).Seconds()
 			}
-		}
-		return row, nil
-	}
-
-	type spec struct {
-		scheme             testbed.Scheme
-		withNet, withGraph bool
-		rename             string
-	}
-	var specs []spec
-	for _, scheme := range testbed.AllSchemes {
-		specs = append(specs, spec{scheme, true, true, ""})
-	}
-	// "no graph": netperf alone with the IOMMU off; "no net": Graph500 alone.
-	specs = append(specs,
-		spec{testbed.SchemeOff, true, false, "no graph"},
-		spec{testbed.SchemeOff, false, true, "no net"})
-	return runJobs(opts, len(specs), func(i int, opts Options) (InterferenceRow, error) {
-		s := specs[i]
-		r, err := run(opts, s.scheme, s.withNet, s.withGraph)
-		if err != nil {
-			return InterferenceRow{}, err
-		}
-		if s.rename != "" {
-			r.Config = s.rename
-		}
-		return r, nil
+			return row, nil
+		})
 	})
 }
 
@@ -152,19 +129,16 @@ func Fig7(opts Options) ([]MemcachedRow, error) {
 	schemes := testbed.AllSchemes
 	return runJobs(opts, len(schemes), func(i int, opts Options) (MemcachedRow, error) {
 		scheme := schemes[i]
-		ma, err := newMachine(scheme, opts, 1<<30, 32)
-		if err != nil {
-			return MemcachedRow{}, err
-		}
-		defer ma.Close()
-		res, err := workloads.RunMemcached(workloads.MemcachedConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-		})
-		if err != nil {
-			return MemcachedRow{}, err
-		}
-		opts.emit("fig7/"+string(scheme), ma)
-		return MemcachedRow{Scheme: string(scheme), TPS: res.TPS, CPUUtil: res.CPUUtil}, nil
+		return withMachine(opts, "fig7/"+string(scheme), opts.machineCfg(scheme, 1<<30, 32),
+			func(ma *testbed.Machine) (MemcachedRow, error) {
+				res, err := workloads.RunMemcached(workloads.MemcachedConfig{
+					Machine: ma, Warmup: warm, Duration: dur,
+				})
+				if err != nil {
+					return MemcachedRow{}, err
+				}
+				return MemcachedRow{Scheme: string(scheme), TPS: res.TPS, CPUUtil: res.CPUUtil}, nil
+			})
 	})
 }
 
@@ -205,39 +179,36 @@ func Fig8(opts Options) ([]TocttouRow, error) {
 	}
 	return runJobs(opts, len(specs), func(i int, opts Options) (TocttouRow, error) {
 		scheme, n := specs[i].scheme, specs[i].n
-		ma, err := newMachine(scheme, opts, 1<<30, 32)
-		if err != nil {
-			return TocttouRow{}, err
-		}
-		defer ma.Close()
-		if n > 0 {
-			ma.Kernel.Netfilter.Register(func(t *sim.Task, skb *netstack.SKBuff) netstack.Verdict {
-				// Access pulls the bytes out of the device's
-				// reach (the DAMN copy); the XOR itself is the
-				// cheap segment processing of §6.2.
-				if _, err := skb.Access(t, n); err != nil {
-					return netstack.Drop
+		return withMachine(opts, fmt.Sprintf("fig8/%s-%dB", scheme, n), opts.machineCfg(scheme, 1<<30, 32),
+			func(ma *testbed.Machine) (TocttouRow, error) {
+				if n > 0 {
+					ma.Kernel.Netfilter.Register(func(t *sim.Task, skb *netstack.SKBuff) netstack.Verdict {
+						// Access pulls the bytes out of the device's
+						// reach (the DAMN copy); the XOR itself is the
+						// cheap segment processing of §6.2.
+						if _, err := skb.Access(t, n); err != nil {
+							return netstack.Drop
+						}
+						perf.Charge(t, float64(n)*ma.Model.XorCyclesPerByte)
+						return netstack.Accept
+					})
 				}
-				perf.Charge(t, float64(n)*ma.Model.XorCyclesPerByte)
-				return netstack.Accept
+				res, err := workloads.RunNetperf(workloads.NetperfConfig{
+					Machine: ma, Warmup: warm, Duration: dur,
+					RXCores:     seqCores(14),
+					ExtraCycles: extraFig8, Wakeup: true,
+				})
+				if err != nil {
+					return TocttouRow{}, err
+				}
+				return TocttouRow{
+					Scheme:        string(scheme),
+					AccessedBytes: n,
+					// Report CPU relative to the 14 busy cores, as the figure does.
+					CPUUtil: res.CPUUtil * float64(len(ma.Cores)) / 14,
+					Gbps:    res.RXGbps,
+				}, nil
 			})
-		}
-		res, err := workloads.RunNetperf(workloads.NetperfConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-			RXCores:     seqCores(14),
-			ExtraCycles: extraFig8, Wakeup: true,
-		})
-		if err != nil {
-			return TocttouRow{}, err
-		}
-		opts.emit(fmt.Sprintf("fig8/%s-%dB", scheme, n), ma)
-		return TocttouRow{
-			Scheme:        string(scheme),
-			AccessedBytes: n,
-			// Report CPU relative to the 14 busy cores, as the figure does.
-			CPUUtil: res.CPUUtil * float64(len(ma.Cores)) / 14,
-			Gbps:    res.RXGbps,
-		}, nil
 	})
 }
 

@@ -46,11 +46,13 @@ func Bypass(opts Options) ([]BypassRow, error) {
 	schemes := withBypass()
 	rows, err := runJobs(opts, len(schemes), func(i int, opts Options) (BypassRow, error) {
 		scheme := schemes[i]
-		measure := kernelSchemeRow
-		if testbed.IsBypass(scheme) {
-			measure = bypassSchemeRow
-		}
-		row, err := measure(scheme, opts, warm, dur)
+		row, err := withMachine(opts, "bypass/"+string(scheme), opts.machineCfg(scheme, 512<<20, 32),
+			func(ma *testbed.Machine) (BypassRow, error) {
+				if testbed.IsBypass(scheme) {
+					return bypassSchemeRow(ma, opts, warm, dur)
+				}
+				return kernelSchemeRow(ma, warm, dur)
+			})
 		if err != nil {
 			return BypassRow{}, err
 		}
@@ -81,12 +83,7 @@ func Bypass(opts Options) ([]BypassRow, error) {
 
 // kernelSchemeRow measures one kernel scheme under the figure's common
 // yardstick: single-core netperf RX (Fig 4a's shape).
-func kernelSchemeRow(scheme testbed.Scheme, opts Options, warm, dur sim.Time) (BypassRow, error) {
-	ma, err := newMachine(scheme, opts, 512<<20, 32)
-	if err != nil {
-		return BypassRow{}, err
-	}
-	defer ma.Close()
+func kernelSchemeRow(ma *testbed.Machine, warm, dur sim.Time) (BypassRow, error) {
 	res, err := workloads.RunNetperf(workloads.NetperfConfig{
 		Machine: ma, Warmup: warm, Duration: dur,
 		RXCores: repCores(0, 4), ExtraCycles: extraSingleCore,
@@ -94,21 +91,15 @@ func kernelSchemeRow(scheme testbed.Scheme, opts Options, warm, dur sim.Time) (B
 	if err != nil {
 		return BypassRow{}, err
 	}
-	opts.emit("bypass/"+string(scheme), ma)
 	return BypassRow{
-		Scheme:     string(scheme),
+		Scheme:     res.Scheme,
 		RXGbps:     res.RXGbps,
 		CPUPerMBus: cpuPerMBus(res.CPUUtil, len(ma.Cores), res.RXGbps),
 	}, nil
 }
 
 // bypassSchemeRow measures one bypass flavor under the polling driver.
-func bypassSchemeRow(scheme testbed.Scheme, opts Options, warm, dur sim.Time) (BypassRow, error) {
-	ma, err := newMachine(scheme, opts, 512<<20, 32)
-	if err != nil {
-		return BypassRow{}, err
-	}
-	defer ma.Close()
+func bypassSchemeRow(ma *testbed.Machine, opts Options, warm, dur sim.Time) (BypassRow, error) {
 	res, err := workloads.RunBypass(workloads.BypassConfig{
 		Machine: ma, Rings: 1, Warmup: warm, Duration: dur,
 	})
@@ -118,11 +109,10 @@ func bypassSchemeRow(scheme testbed.Scheme, opts Options, warm, dur sim.Time) (B
 	// Injected DMA faults refuse used-ring publishes too, so the gate
 	// holds only on a fault-free run.
 	if opts.FaultRate <= 0 && res.PublishFaults != 0 {
-		return BypassRow{}, fmt.Errorf("bypass: %s: %d used-ring publishes faulted", scheme, res.PublishFaults)
+		return BypassRow{}, fmt.Errorf("bypass: %s: %d used-ring publishes faulted", res.Scheme, res.PublishFaults)
 	}
-	opts.emit("bypass/"+string(scheme), ma)
 	return BypassRow{
-		Scheme:        string(scheme),
+		Scheme:        res.Scheme,
 		RXGbps:        res.RXGbps,
 		CPUPerMBus:    res.CPUPerMBus,
 		IdleBurnCores: res.IdleBurnCores,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/asplos18/damn/internal/faults"
-	"github.com/asplos18/damn/internal/perf"
 	"github.com/asplos18/damn/internal/recovery"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
@@ -66,41 +65,31 @@ func Loss(opts Options) ([]LossRow, error) {
 			// attached, and the column reports what goodput survives it.
 			rates = faults.UniformRates(workloads.ChaosRate)
 		}
-		ma, err := testbed.NewMachine(testbed.MachineConfig{
-			Scheme:   sp.scheme,
-			Model:    perf.Default28Core(),
-			MemBytes: 1 << 30,
-			Seed:     opts.Seed,
-			RingSize: 32,
-			Cores:    4,
-			Tracer:   opts.Tracer,
-			Faults:   &faults.Config{Seed: opts.FaultSeed, Rates: rates},
-		})
-		if err != nil {
-			return LossRow{}, err
-		}
-		defer ma.Close()
-		var sup *recovery.Supervisor
-		if sp.chaos {
-			// The chaos schedule storms the DMA path too; the supervisor
-			// quarantines and heals, and the ARQ pumps ride out the outage.
-			sup = recovery.Attach(ma)
-		}
-		res, err := workloads.RunLoss(workloads.LossConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-		})
-		if sup != nil {
-			sup.Stop()
-		}
-		if err != nil {
-			return LossRow{}, fmt.Errorf("loss %s/%.1f%%: %w", sp.scheme, sp.pct, err)
-		}
+		cfg := opts.machineCfg(sp.scheme, 1<<30, 32)
+		cfg.Cores = 4
+		cfg.Faults = &faults.Config{Seed: opts.FaultSeed, Rates: rates}
 		label := fmt.Sprintf("loss/%s-%.1f", sp.scheme, sp.pct)
 		if sp.chaos {
 			label = fmt.Sprintf("loss/%s-chaos", sp.scheme)
 		}
-		opts.emit(label, ma)
-		return LossRow{LossPct: sp.pct, Chaos: sp.chaos, Res: res}, nil
+		return withMachine(opts, label, cfg, func(ma *testbed.Machine) (LossRow, error) {
+			var sup *recovery.Supervisor
+			if sp.chaos {
+				// The chaos schedule storms the DMA path too; the supervisor
+				// quarantines and heals, and the ARQ pumps ride out the outage.
+				sup = recovery.Attach(ma)
+			}
+			res, err := workloads.RunLoss(workloads.LossConfig{
+				Machine: ma, Warmup: warm, Duration: dur,
+			})
+			if sup != nil {
+				sup.Stop()
+			}
+			if err != nil {
+				return LossRow{}, fmt.Errorf("loss %s/%.1f%%: %w", sp.scheme, sp.pct, err)
+			}
+			return LossRow{LossPct: sp.pct, Chaos: sp.chaos, Res: res}, nil
+		})
 	})
 }
 

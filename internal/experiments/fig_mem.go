@@ -27,7 +27,8 @@ func Fig9(opts Options) ([]Fig9Point, error) {
 	// runner so stats emission follows the same deterministic path as the
 	// fanned-out figures.
 	pointSets, err := runJobs(opts, 1, func(_ int, opts Options) ([]Fig9Point, error) {
-		return fig9Run(opts)
+		return withMachine(opts, "fig9/deferred", opts.machineCfg(testbed.SchemeDeferred, 2<<30, 16),
+			func(ma *testbed.Machine) ([]Fig9Point, error) { return fig9Run(ma, opts) })
 	})
 	if err != nil {
 		return nil, err
@@ -35,25 +36,21 @@ func Fig9(opts Options) ([]Fig9Point, error) {
 	return pointSets[0], nil
 }
 
-func fig9Run(opts Options) ([]Fig9Point, error) {
+// fig9Run samples the machine over time. Its load runs until the machine
+// is released: nothing runs the engine after the last sample.
+func fig9Run(ma *testbed.Machine, opts Options) ([]Fig9Point, error) {
 	total := 10 * sim.Second
 	sample := 500 * sim.Millisecond
 	if opts.Quick {
 		total = 2 * sim.Second
 		sample = 100 * sim.Millisecond
 	}
-	ma, err := newMachine(testbed.SchemeDeferred, opts, 2<<30, 16)
-	if err != nil {
-		return nil, err
-	}
-	defer ma.Close()
 	if err := ma.FillAllRings(); err != nil {
 		return nil, err
 	}
 	// Four netperf RX instances…
 	receivers := map[int]*netstack.Receiver{}
 	ma.Driver.OnDeliver = netstack.DemuxFlows(receivers)
-	var gens []*workloads.Generator
 	for i := 0; i < 4; i++ {
 		receivers[i+1] = &netstack.Receiver{K: ma.Kernel}
 		g, err := workloads.NewGenerator(ma, i%ma.Model.NICPorts, i, i+1, ma.Model.SegmentSize)
@@ -61,16 +58,9 @@ func fig9Run(opts Options) ([]Fig9Point, error) {
 			return nil, err
 		}
 		g.Start()
-		gens = append(gens, g)
 	}
 	// …beside the kernel-compile allocator churn on the other cores.
-	kc := workloads.StartKCompile(ma, seqCores(len(ma.Cores))[4:], opts.Seed+7)
-	defer kc.Stop()
-	defer func() {
-		for _, g := range gens {
-			g.Stop()
-		}
-	}()
+	workloads.StartKCompile(ma, seqCores(len(ma.Cores))[4:], opts.Seed+7)
 
 	var points []Fig9Point
 	for now := sim.Time(0); now <= total; now += sample {
@@ -81,7 +71,6 @@ func fig9Run(opts Options) ([]Fig9Point, error) {
 			CurrentlyMapd: ma.IOMMU.MappedPages(testbed.NICDeviceID),
 		})
 	}
-	opts.emit("fig9/deferred", ma)
 	return points, nil
 }
 
@@ -131,45 +120,42 @@ func Fig10(opts Options) ([]MemUsageRow, error) {
 	}
 	return runJobs(opts, len(specs), func(i int, opts Options) (MemUsageRow, error) {
 		scheme, dir, n := specs[i].scheme, specs[i].dir, specs[i].n
-		ma, err := newMachine(scheme, opts, 2<<30, 32)
-		if err != nil {
-			return MemUsageRow{}, err
-		}
-		defer ma.Close()
-		// Sample allocated kernel pages every millisecond.
-		var samples []int64
-		stop := ma.Sim.Every(sim.Millisecond, func() {
-			samples = append(samples, ma.Mem.AllocatedPages())
-		})
-		cfg := workloads.NetperfConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-			ExtraCycles: extraMultiCore, Wakeup: true,
-		}
-		switch dir {
-		case "RX":
-			cfg.RXCores = seqCores(n)
-		case "TX":
-			cfg.TXCores = seqCores(n)
-		default:
-			cfg.RXCores = seqCores(n)
-			cfg.TXCores = seqCores(n)
-		}
-		if _, err := workloads.RunNetperf(cfg); err != nil {
-			return MemUsageRow{}, err
-		}
-		stop()
-		var sum int64
-		for _, s := range samples {
-			sum += s
-		}
-		avg := 0.0
-		if len(samples) > 0 {
-			avg = float64(sum) / float64(len(samples)) * mem.PageSize / (1 << 20)
-		}
-		opts.emit(fmt.Sprintf("fig10/%s-%s-%d", scheme, dir, n), ma)
-		return MemUsageRow{
-			Scheme: string(scheme), Direction: dir, Instances: n, AvgMiB: avg,
-		}, nil
+		return withMachine(opts, fmt.Sprintf("fig10/%s-%s-%d", scheme, dir, n), opts.machineCfg(scheme, 2<<30, 32),
+			func(ma *testbed.Machine) (MemUsageRow, error) {
+				// Sample allocated kernel pages every millisecond.
+				var samples []int64
+				stop := ma.Sim.Every(sim.Millisecond, func() {
+					samples = append(samples, ma.Mem.AllocatedPages())
+				})
+				cfg := workloads.NetperfConfig{
+					Machine: ma, Warmup: warm, Duration: dur,
+					ExtraCycles: extraMultiCore, Wakeup: true,
+				}
+				switch dir {
+				case "RX":
+					cfg.RXCores = seqCores(n)
+				case "TX":
+					cfg.TXCores = seqCores(n)
+				default:
+					cfg.RXCores = seqCores(n)
+					cfg.TXCores = seqCores(n)
+				}
+				if _, err := workloads.RunNetperf(cfg); err != nil {
+					return MemUsageRow{}, err
+				}
+				stop()
+				var sum int64
+				for _, s := range samples {
+					sum += s
+				}
+				avg := 0.0
+				if len(samples) > 0 {
+					avg = float64(sum) / float64(len(samples)) * mem.PageSize / (1 << 20)
+				}
+				return MemUsageRow{
+					Scheme: string(scheme), Direction: dir, Instances: n, AvgMiB: avg,
+				}, nil
+			})
 	})
 }
 

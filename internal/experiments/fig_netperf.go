@@ -20,30 +20,27 @@ func Fig4(opts Options) ([]SingleCoreRow, error) {
 	specs := crossDirScheme(testbed.AllSchemes)
 	return runJobs(opts, len(specs), func(i int, opts Options) (SingleCoreRow, error) {
 		dir, scheme := specs[i].dir, specs[i].scheme
-		ma, err := newMachine(scheme, opts, 512<<20, 32)
-		if err != nil {
-			return SingleCoreRow{}, err
-		}
-		defer ma.Close()
-		cfg := workloads.NetperfConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-			ExtraCycles: extraSingleCore,
-		}
-		if dir == "RX" {
-			cfg.RXCores = repCores(0, 4)
-		} else {
-			cfg.TXCores = repCores(0, 4)
-		}
-		res, err := workloads.RunNetperf(cfg)
-		if err != nil {
-			return SingleCoreRow{}, err
-		}
-		opts.emit("fig4/"+string(scheme)+"-"+dir, ma)
-		return SingleCoreRow{
-			Scheme: string(scheme), Dir: dir,
-			Gbps:    res.TotalGbps,
-			CPUUtil: res.CPUUtil * float64(len(ma.Cores)), // one-core scale
-		}, nil
+		return withMachine(opts, "fig4/"+string(scheme)+"-"+dir, opts.machineCfg(scheme, 512<<20, 32),
+			func(ma *testbed.Machine) (SingleCoreRow, error) {
+				cfg := workloads.NetperfConfig{
+					Machine: ma, Warmup: warm, Duration: dur,
+					ExtraCycles: extraSingleCore,
+				}
+				if dir == "RX" {
+					cfg.RXCores = repCores(0, 4)
+				} else {
+					cfg.TXCores = repCores(0, 4)
+				}
+				res, err := workloads.RunNetperf(cfg)
+				if err != nil {
+					return SingleCoreRow{}, err
+				}
+				return SingleCoreRow{
+					Scheme: string(scheme), Dir: dir,
+					Gbps:    res.TotalGbps,
+					CPUUtil: res.CPUUtil * float64(len(ma.Cores)), // one-core scale
+				}, nil
+			})
 	})
 }
 
@@ -87,29 +84,26 @@ func Fig5(opts Options) ([]MultiCoreRow, error) {
 	specs := crossDirScheme(testbed.AllSchemes)
 	return runJobs(opts, len(specs), func(i int, opts Options) (MultiCoreRow, error) {
 		dir, scheme := specs[i].dir, specs[i].scheme
-		ma, err := newMachine(scheme, opts, 1<<30, 32)
-		if err != nil {
-			return MultiCoreRow{}, err
-		}
-		defer ma.Close()
-		cfg := workloads.NetperfConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-			ExtraCycles: extraMultiCore, Wakeup: true,
-		}
-		if dir == "RX" {
-			cfg.RXCores = seqCores(len(ma.Cores))
-		} else {
-			cfg.TXCores = seqCores(len(ma.Cores))
-		}
-		res, err := workloads.RunNetperf(cfg)
-		if err != nil {
-			return MultiCoreRow{}, err
-		}
-		opts.emit("fig5/"+string(scheme)+"-"+dir, ma)
-		return MultiCoreRow{
-			Scheme: string(scheme), Dir: dir,
-			Gbps: res.TotalGbps, CPUUtil: res.CPUUtil,
-		}, nil
+		return withMachine(opts, "fig5/"+string(scheme)+"-"+dir, opts.machineCfg(scheme, 1<<30, 32),
+			func(ma *testbed.Machine) (MultiCoreRow, error) {
+				cfg := workloads.NetperfConfig{
+					Machine: ma, Warmup: warm, Duration: dur,
+					ExtraCycles: extraMultiCore, Wakeup: true,
+				}
+				if dir == "RX" {
+					cfg.RXCores = seqCores(len(ma.Cores))
+				} else {
+					cfg.TXCores = seqCores(len(ma.Cores))
+				}
+				res, err := workloads.RunNetperf(cfg)
+				if err != nil {
+					return MultiCoreRow{}, err
+				}
+				return MultiCoreRow{
+					Scheme: string(scheme), Dir: dir,
+					Gbps: res.TotalGbps, CPUUtil: res.CPUUtil,
+				}, nil
+			})
 	})
 }
 
@@ -145,26 +139,23 @@ func fig6Schemes(opts Options, schemes []testbed.Scheme) ([]BidirRow, error) {
 	warm, dur := opts.durations()
 	return runJobs(opts, len(schemes), func(i int, opts Options) (BidirRow, error) {
 		scheme := schemes[i]
-		ma, err := newMachine(scheme, opts, 1<<30, 32)
-		if err != nil {
-			return BidirRow{}, err
-		}
-		defer ma.Close()
-		res, err := workloads.RunNetperf(workloads.NetperfConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-			RXCores:     seqCores(len(ma.Cores)),
-			TXCores:     seqCores(len(ma.Cores)),
-			ExtraCycles: extraBidir, Wakeup: true,
-		})
-		if err != nil {
-			return BidirRow{}, err
-		}
-		opts.emit("fig6/"+string(scheme), ma)
-		return BidirRow{
-			Scheme:    string(scheme),
-			TotalGbps: res.TotalGbps, RXGbps: res.RXGbps, TXGbps: res.TXGbps,
-			CPUUtil: res.CPUUtil, MemBWGBps: res.MemBWGBps,
-		}, nil
+		return withMachine(opts, "fig6/"+string(scheme), opts.machineCfg(scheme, 1<<30, 32),
+			func(ma *testbed.Machine) (BidirRow, error) {
+				res, err := workloads.RunNetperf(workloads.NetperfConfig{
+					Machine: ma, Warmup: warm, Duration: dur,
+					RXCores:     seqCores(len(ma.Cores)),
+					TXCores:     seqCores(len(ma.Cores)),
+					ExtraCycles: extraBidir, Wakeup: true,
+				})
+				if err != nil {
+					return BidirRow{}, err
+				}
+				return BidirRow{
+					Scheme:    string(scheme),
+					TotalGbps: res.TotalGbps, RXGbps: res.RXGbps, TXGbps: res.TXGbps,
+					CPUUtil: res.CPUUtil, MemBWGBps: res.MemBWGBps,
+				}, nil
+			})
 	})
 }
 

@@ -42,29 +42,23 @@ func Fig11(opts Options) ([]FioRow, error) {
 	}
 	return runJobs(opts, len(specs), func(i int, opts Options) (FioRow, error) {
 		scheme, bs := specs[i].scheme, specs[i].bs
-		ma, err := testbed.NewMachine(testbed.MachineConfig{
-			Scheme: scheme, MemBytes: 256 << 20, Seed: opts.Seed, NoNIC: true,
-			Tracer: opts.Tracer,
-			Faults: opts.faultConfig(),
+		cfg := opts.machineCfg(scheme, 256<<20, 0)
+		cfg.NoNIC = true
+		return withMachine(opts, fmt.Sprintf("fig11/%s-%dB", scheme, bs), cfg, func(ma *testbed.Machine) (FioRow, error) {
+			nvme := device.NewNVMe(ma.Sim, ma.IOMMU, ma.Model, ma.Cores,
+				device.DefaultP3700(testbed.NVMeDeviceID))
+			res, err := workloads.RunFio(workloads.FioConfig{
+				Machine: ma, NVMe: nvme, BlockSize: bs,
+				Warmup: warm, Duration: dur,
+			})
+			if err != nil {
+				return FioRow{}, err
+			}
+			return FioRow{
+				Scheme: string(scheme), BlockSize: bs,
+				KIOPS: res.IOPS / 1e3, GiBps: res.GiBps, CPUUtil: res.CPUUtil,
+			}, nil
 		})
-		if err != nil {
-			return FioRow{}, err
-		}
-		defer ma.Close()
-		nvme := device.NewNVMe(ma.Sim, ma.IOMMU, ma.Model, ma.Cores,
-			device.DefaultP3700(testbed.NVMeDeviceID))
-		res, err := workloads.RunFio(workloads.FioConfig{
-			Machine: ma, NVMe: nvme, BlockSize: bs,
-			Warmup: warm, Duration: dur,
-		})
-		if err != nil {
-			return FioRow{}, err
-		}
-		opts.emit(fmt.Sprintf("fig11/%s-%dB", scheme, bs), ma)
-		return FioRow{
-			Scheme: string(scheme), BlockSize: bs,
-			KIOPS: res.IOPS / 1e3, GiBps: res.GiBps, CPUUtil: res.CPUUtil,
-		}, nil
 	})
 }
 

@@ -19,21 +19,27 @@ var recoverySchemes = []testbed.Scheme{
 // RecoveryFigure measures fault-domain containment per scheme: steady-state
 // throughput, the dip while a DMA-fault storm rages and the device sits
 // quarantined, the time to detect and to repair, and the allocator
-// reclamation the reset performed. One machine per scheme, fanned out by
-// the parallel runner; byte-identical output for any worker count.
+// reclamation the reset performed. One four-core machine per scheme, with
+// a zero-rate fault plane rooted at FaultSeed that the run storms itself,
+// fanned out by the parallel runner; byte-identical output for any worker
+// count.
 func RecoveryFigure(opts Options) ([]workloads.RecoveryResult, error) {
-	cfg := workloads.RecoveryConfig{FaultSeed: opts.FaultSeed}
+	var base workloads.RecoveryConfig
 	if opts.Quick {
-		cfg.Warmup = 5 * sim.Millisecond
-		cfg.Steady = 8 * sim.Millisecond
-		cfg.Measure = 8 * sim.Millisecond
+		base.Warmup = 5 * sim.Millisecond
+		base.Steady = 8 * sim.Millisecond
+		base.Measure = 8 * sim.Millisecond
 	}
-	return runJobs(opts, len(recoverySchemes), func(i int, jopts Options) (workloads.RecoveryResult, error) {
-		c := cfg
-		c.Scheme = recoverySchemes[i]
-		res, err := workloads.RunRecovery(c)
+	return runJobs(opts, len(recoverySchemes), func(i int, opts Options) (workloads.RecoveryResult, error) {
+		scheme := recoverySchemes[i]
+		res, err := withMachine(opts, "recovery/"+string(scheme), opts.harnessCfg(scheme, 4, 0),
+			func(ma *testbed.Machine) (workloads.RecoveryResult, error) {
+				c := base
+				c.Machine = ma
+				return workloads.RunRecovery(c)
+			})
 		if err != nil {
-			return res, fmt.Errorf("recovery %s: %w", recoverySchemes[i], err)
+			return res, fmt.Errorf("recovery %s: %w", scheme, err)
 		}
 		return res, nil
 	})

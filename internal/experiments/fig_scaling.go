@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/asplos18/damn/internal/perf"
 	"github.com/asplos18/damn/internal/testbed"
 	"github.com/asplos18/damn/internal/workloads"
 )
@@ -48,59 +47,47 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 	}
 	return runJobs(opts, len(specs), func(i int, opts Options) (ScalingRow, error) {
 		scheme, n := specs[i].scheme, specs[i].cores
-		ma, err := testbed.NewMachine(testbed.MachineConfig{
-			Scheme:   scheme,
-			Model:    perf.Default28Core(),
-			MemBytes: 1 << 30,
-			Seed:     opts.Seed,
-			RingSize: 32,
-			Cores:    n,
-			Tracer:   opts.Tracer,
-			Faults:   opts.faultConfig(),
-		})
-		if err != nil {
-			return ScalingRow{}, err
-		}
-		defer ma.Close()
-		if testbed.IsBypass(scheme) {
-			// Polling path: no interrupt driver, so the wrong-core and
-			// shard-clamp invariants don't apply — each queue pair is
-			// pinned to its poll core by construction.
-			res, err := workloads.RunBypass(workloads.BypassConfig{
-				Machine: ma, Rings: n, Warmup: warm, Duration: dur,
+		cfg := opts.machineCfg(scheme, 1<<30, 32)
+		cfg.Cores = n
+		return withMachine(opts, fmt.Sprintf("scaling/%s-%d", scheme, n), cfg, func(ma *testbed.Machine) (ScalingRow, error) {
+			if testbed.IsBypass(scheme) {
+				// Polling path: no interrupt driver, so the wrong-core and
+				// shard-clamp invariants don't apply — each queue pair is
+				// pinned to its poll core by construction.
+				res, err := workloads.RunBypass(workloads.BypassConfig{
+					Machine: ma, Rings: n, Warmup: warm, Duration: dur,
+				})
+				if err != nil {
+					return ScalingRow{}, err
+				}
+				// Injected DMA faults refuse used-ring publishes too, so
+				// the gate holds only on a fault-free run.
+				if opts.FaultRate <= 0 && res.PublishFaults != 0 {
+					return ScalingRow{}, fmt.Errorf("scaling: %s/%d cores: %d used-ring publishes faulted", scheme, n, res.PublishFaults)
+				}
+				return ScalingRow{
+					Scheme: res.Scheme, Cores: n,
+					RXGbps: res.RXGbps, CPUUtil: res.CPUUtil,
+				}, nil
+			}
+			res, err := workloads.RunScaling(workloads.ScalingConfig{
+				Machine: ma, Warmup: warm, Duration: dur,
+				ExtraCycles: extraScaling, Wakeup: true,
 			})
 			if err != nil {
 				return ScalingRow{}, err
 			}
-			// Injected DMA faults refuse used-ring publishes too, so
-			// the gate holds only on a fault-free run.
-			if opts.FaultRate <= 0 && res.PublishFaults != 0 {
-				return ScalingRow{}, fmt.Errorf("scaling: %s/%d cores: %d used-ring publishes faulted", scheme, n, res.PublishFaults)
+			if res.WrongCore != 0 {
+				return ScalingRow{}, fmt.Errorf("scaling: %s/%d cores: %d RX completions off their ring's core", scheme, n, res.WrongCore)
 			}
-			opts.emit(fmt.Sprintf("scaling/%s-%d", scheme, n), ma)
+			if res.ShardClamps != 0 {
+				return ScalingRow{}, fmt.Errorf("scaling: %s/%d cores: %d DAMN shard CPU clamps", scheme, n, res.ShardClamps)
+			}
 			return ScalingRow{
 				Scheme: res.Scheme, Cores: n,
 				RXGbps: res.RXGbps, CPUUtil: res.CPUUtil,
 			}, nil
-		}
-		res, err := workloads.RunScaling(workloads.ScalingConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-			ExtraCycles: extraScaling, Wakeup: true,
 		})
-		if err != nil {
-			return ScalingRow{}, err
-		}
-		if res.WrongCore != 0 {
-			return ScalingRow{}, fmt.Errorf("scaling: %s/%d cores: %d RX completions off their ring's core", scheme, n, res.WrongCore)
-		}
-		if res.ShardClamps != 0 {
-			return ScalingRow{}, fmt.Errorf("scaling: %s/%d cores: %d DAMN shard CPU clamps", scheme, n, res.ShardClamps)
-		}
-		opts.emit(fmt.Sprintf("scaling/%s-%d", scheme, n), ma)
-		return ScalingRow{
-			Scheme: res.Scheme, Cores: n,
-			RXGbps: res.RXGbps, CPUUtil: res.CPUUtil,
-		}, nil
 	})
 }
 

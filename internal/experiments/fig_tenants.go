@@ -16,10 +16,11 @@ var tenantCounts = []int{1, 2, 4, 8}
 // protected NIC, then — for N > 1 — the blast radius of one compromised
 // tenant (forged capabilities, neighbour DMA probes, a VF-filtered fault
 // storm) on its neighbours while the containment ladder quarantines it.
-// One machine per (scheme, count), fanned out by the parallel runner;
-// byte-identical output for any worker count.
+// One machine per (scheme, count), with two cores per tenant and a
+// zero-rate fault plane rooted at FaultSeed, fanned out by the parallel
+// runner; byte-identical output for any worker count.
 func Tenants(opts Options) ([]workloads.TenantsResult, error) {
-	base := workloads.TenantsConfig{FaultSeed: opts.FaultSeed}
+	var base workloads.TenantsConfig
 	if opts.Quick {
 		base.Warmup = 2 * sim.Millisecond
 		base.Measure = 4 * sim.Millisecond
@@ -35,17 +36,16 @@ func Tenants(opts Options) ([]workloads.TenantsResult, error) {
 			jobs = append(jobs, job{s, n})
 		}
 	}
-	return runJobs(opts, len(jobs), func(i int, jopts Options) (workloads.TenantsResult, error) {
-		c := base
-		c.Scheme = jobs[i].scheme
-		c.Tenants = jobs[i].n
-		c.Attack = jobs[i].n > 1
-		c.OnMachine = func(ma *testbed.Machine) {
-			jopts.emit(fmt.Sprintf("tenants/%s-%d", jobs[i].scheme, jobs[i].n), ma)
-		}
-		res, err := workloads.RunTenants(c)
+	return runJobs(opts, len(jobs), func(i int, opts Options) (workloads.TenantsResult, error) {
+		scheme, n := jobs[i].scheme, jobs[i].n
+		res, err := withMachine(opts, fmt.Sprintf("tenants/%s-%d", scheme, n), opts.harnessCfg(scheme, 2*n, 0),
+			func(ma *testbed.Machine) (workloads.TenantsResult, error) {
+				c := base
+				c.Machine, c.Tenants, c.Attack = ma, n, n > 1
+				return workloads.RunTenants(c)
+			})
 		if err != nil {
-			return res, fmt.Errorf("tenants %s/%d: %w", jobs[i].scheme, jobs[i].n, err)
+			return res, fmt.Errorf("tenants %s/%d: %w", scheme, n, err)
 		}
 		return res, nil
 	})

@@ -15,8 +15,13 @@ import (
 // and `make figures`.
 func quickTenants(t *testing.T, n int, attack bool) workloads.TenantsResult {
 	t.Helper()
+	ma, err := testbed.NewMachine(Options{FaultSeed: 3}.harnessCfg(testbed.SchemeDAMN, 2*n, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ma.Close()
 	res, err := workloads.RunTenants(workloads.TenantsConfig{
-		Scheme: testbed.SchemeDAMN, Tenants: n, FaultSeed: 3,
+		Machine: ma, Tenants: n,
 		Warmup: 2 * sim.Millisecond, Measure: 4 * sim.Millisecond,
 		Attack: attack, AttackLen: 4 * sim.Millisecond,
 	})

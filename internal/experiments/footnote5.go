@@ -46,28 +46,18 @@ func Footnote5(opts Options) ([]Footnote5Row, error) {
 	}
 	return runJobs(opts, len(schemes), func(i int, opts Options) (Footnote5Row, error) {
 		scheme := schemes[i]
-		ma, err := testbed.NewMachine(testbed.MachineConfig{
-			Scheme:   scheme,
-			Model:    footnote5Model(),
-			MemBytes: 512 << 20,
-			Seed:     opts.Seed,
-			RingSize: 256, // small buffers: deeper ring, as drivers configure
-			Tracer:   opts.Tracer,
-			Faults:   opts.faultConfig(),
+		cfg := opts.machineCfg(scheme, 512<<20, 256) // small buffers: deeper ring, as drivers configure
+		cfg.Model = footnote5Model()
+		return withMachine(opts, "footnote5/"+string(scheme), cfg, func(ma *testbed.Machine) (Footnote5Row, error) {
+			res, err := workloads.RunNetperf(workloads.NetperfConfig{
+				Machine: ma, Warmup: warm, Duration: dur,
+				RXCores: []int{0}, // a single instance
+			})
+			if err != nil {
+				return Footnote5Row{}, err
+			}
+			return Footnote5Row{Scheme: string(scheme), Gbps: res.RXGbps}, nil
 		})
-		if err != nil {
-			return Footnote5Row{}, err
-		}
-		defer ma.Close()
-		res, err := workloads.RunNetperf(workloads.NetperfConfig{
-			Machine: ma, Warmup: warm, Duration: dur,
-			RXCores: []int{0}, // a single instance
-		})
-		if err != nil {
-			return Footnote5Row{}, err
-		}
-		opts.emit("footnote5/"+string(scheme), ma)
-		return Footnote5Row{Scheme: string(scheme), Gbps: res.RXGbps}, nil
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/asplos18/damn/internal/stats"
+	"github.com/asplos18/damn/internal/testbed"
 )
 
 // The parallel experiment runner. Every figure decomposes into independent
@@ -108,4 +109,24 @@ func runJobs[T any](opts Options, n int, job func(i int, jopts Options) (T, erro
 		}
 	}
 	return results, nil
+}
+
+// withMachine is a job's machine lifecycle: it builds the machine cfg
+// describes, traced by the run's Tracer, runs fn on it, emits its metrics
+// as label when fn succeeds, and releases it. Every figure's machines go
+// through it, so -stats and -trace see each of them; a topology's machines
+// are the exception (the cluster figure emits one per topology itself).
+func withMachine[T any](opts Options, label string, cfg testbed.MachineConfig, fn func(ma *testbed.Machine) (T, error)) (T, error) {
+	cfg.Tracer = opts.Tracer
+	ma, err := testbed.NewMachine(cfg)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer ma.Close()
+	res, err := fn(ma)
+	if err == nil {
+		opts.emit(label, ma)
+	}
+	return res, err
 }

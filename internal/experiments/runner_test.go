@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/asplos18/damn/internal/stats"
+	"github.com/asplos18/damn/internal/testbed"
 )
 
 // capture records every OnStats emission in arrival order.
@@ -206,4 +207,41 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d", len(a), len(b))
+}
+
+// TestHarnessFiguresReportAndTrace: the chaos, recovery and tenants
+// figures build their machines through withMachine, so each job's machine
+// reaches -stats as one snapshot under its label and -trace sees it.
+func TestHarnessFiguresReportAndTrace(t *testing.T) {
+	var tenants []string
+	for _, s := range testbed.AllSchemes {
+		for _, n := range tenantCounts {
+			tenants = append(tenants, fmt.Sprintf("tenants/%s-%d", s, n))
+		}
+	}
+	for _, f := range []struct {
+		name string
+		run  func(Options) error
+		want []string
+	}{
+		{"chaos", func(o Options) error { _, err := Chaos(o); return err },
+			[]string{"chaos/netperf", "chaos/memcached"}},
+		{"recovery", func(o Options) error { _, err := RecoveryFigure(o); return err },
+			[]string{"recovery/deferred", "recovery/strict", "recovery/damn"}},
+		{"tenants", func(o Options) error { _, err := Tenants(o); return err }, tenants},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			var c capture
+			opts := c.opts(Options{Quick: true, Seed: 1, FaultSeed: 1, Tracer: stats.NewTracer()})
+			if err := f.run(opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.labels(); !reflect.DeepEqual(got, f.want) {
+				t.Errorf("snapshots %v, want one per job: %v", got, f.want)
+			}
+			if opts.Tracer.Len() == 0 {
+				t.Error("the trace holds no events")
+			}
+		})
+	}
 }

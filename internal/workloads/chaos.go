@@ -3,22 +3,19 @@ package workloads
 import (
 	"fmt"
 
-	"github.com/asplos18/damn/internal/faults"
 	"github.com/asplos18/damn/internal/recovery"
 	"github.com/asplos18/damn/internal/sim"
-	"github.com/asplos18/damn/internal/stats"
 	"github.com/asplos18/damn/internal/testbed"
 )
 
-// ChaosConfig describes one chaos run: a normal workload executed under a
-// randomized-but-deterministic fault schedule. The schedule is a pure
-// function of FaultSeed, so any failure replays exactly.
+// ChaosConfig describes one chaos run: a normal workload executed on a
+// machine whose fault plane injects a randomized-but-deterministic fault
+// schedule. The schedule is a pure function of the plane's seed, so any
+// failure replays exactly.
 type ChaosConfig struct {
-	// FaultSeed roots every fault kind's random stream.
-	FaultSeed int64
-	// Rates is each fault kind's per-visit injection probability; nil
-	// applies ChaosRate to every kind.
-	Rates map[faults.Kind]float64
+	// Machine is the machine under test, built with its fault plane armed;
+	// the caller owns it and releases it after reading its stats.
+	Machine *testbed.Machine
 	// Recovery attaches the fault-domain supervisor, so a chaos run that
 	// degrades into a fault storm gets quarantined and healed instead of
 	// limping. The supervisor's own work is part of the schedule under
@@ -49,55 +46,64 @@ type ChaosResult struct {
 	RecoveryFinal  string
 	RecoveryStorms uint64
 	RecoveryResets uint64
-	// Snapshot is the machine's full metrics state at run end.
-	Snapshot stats.Snapshot
 }
 
 // ChaosRate is the chaos schedule's uniform per-visit injection
-// probability of every fault kind: the chaos harness applies it when
-// ChaosConfig.Rates is nil, and the loss figure's chaos column runs under
-// it.
+// probability of every fault kind: the chaos figure arms its machines'
+// fault planes with it unless a run sets its own rate, and the loss
+// figure's chaos column runs under it.
 const ChaosRate = 0.002
 
+// chaosWarmup and chaosDuration are the workload's warm-up and measurement
+// windows.
 const (
-	// chaosCores is the machine's core count: chaos runs favour
-	// iteration speed over fidelity to the 28-core testbed.
-	chaosCores int = 4
-	// chaosWarmup and chaosDuration are the workload's warm-up and
-	// measurement windows.
 	chaosWarmup   = 10 * sim.Millisecond
 	chaosDuration = 30 * sim.Millisecond
 )
 
-// faultConfig builds the machine's fault plane from the chaos config.
-func (cfg *ChaosConfig) faultConfig() *faults.Config {
-	rates := cfg.Rates
-	if rates == nil {
-		rates = faults.UniformRates(ChaosRate)
+// needFaultPlane rejects a nil machine or one built without a fault plane:
+// the runners that take one raise rates on it, filter it by device or
+// report its schedule.
+func needFaultPlane(ma *testbed.Machine, run string) error {
+	if ma == nil {
+		return fmt.Errorf("workloads: %s: nil machine", run)
 	}
-	return &faults.Config{Seed: cfg.FaultSeed, Rates: rates}
+	if ma.Faults == nil {
+		return fmt.Errorf("workloads: %s run needs a fault plane (zero rates are fine)", run)
+	}
+	return nil
 }
 
-// newChaosMachine assembles the machine under test with injection armed.
-// Chaos runs DAMN, the configuration with the deepest degradation chain:
-// depot → bump → slow path → ErrNoMemory.
-func newChaosMachine(cfg *ChaosConfig) (*testbed.Machine, error) {
-	return testbed.NewMachine(testbed.MachineConfig{
-		Scheme: testbed.SchemeDAMN,
-		Cores:  chaosCores,
-		Faults: cfg.faultConfig(),
-	})
+// stopAndAudit ends a faulted run: it stops the driver's watchdog, which
+// re-arms itself every period, and runs DAMN's conservation audit. It
+// returns the audit's live-chunk count, -1 when the scheme has no DAMN.
+func stopAndAudit(ma *testbed.Machine, run string) (int, error) {
+	if ma.StopWatchdog != nil {
+		ma.StopWatchdog()
+	}
+	if ma.Damn == nil {
+		return -1, nil
+	}
+	live, err := ma.Damn.Audit()
+	if err != nil {
+		return -1, fmt.Errorf("workloads: %s conservation audit: %w", run, err)
+	}
+	return live, nil
 }
 
-// attachChaosRecovery arms the supervisor when the config asks for it.
-func attachChaosRecovery(cfg *ChaosConfig, ma *testbed.Machine) *recovery.Supervisor {
+// startChaos checks the machine and attaches the supervisor when the config
+// asks for it.
+func startChaos(cfg *ChaosConfig) (*recovery.Supervisor, error) {
+	if err := needFaultPlane(cfg.Machine, "chaos"); err != nil {
+		return nil, err
+	}
 	if !cfg.Recovery {
-		return nil
+		return nil, nil
 	}
-	return recovery.Attach(ma)
+	return recovery.Attach(cfg.Machine), nil
 }
 
-// finish stops the watchdog and supervisor, runs the conservation audit and
+// finishChaos stops the supervisor, runs the conservation audit and
 // collects the fault plane's evidence.
 func finishChaos(ma *testbed.Machine, sup *recovery.Supervisor, res *ChaosResult) error {
 	res.RecoveryFinal = "off"
@@ -107,38 +113,30 @@ func finishChaos(ma *testbed.Machine, sup *recovery.Supervisor, res *ChaosResult
 		res.RecoveryStorms = sup.Storms
 		res.RecoveryResets = sup.Resets
 	}
-	if ma.StopWatchdog != nil {
-		ma.StopWatchdog()
-	}
-	res.DamnLiveChunks = -1
-	if ma.Damn != nil {
-		live, err := ma.Damn.Audit()
-		if err != nil {
-			return fmt.Errorf("workloads: chaos conservation audit: %w", err)
-		}
-		res.DamnLiveChunks = live
+	var err error
+	if res.DamnLiveChunks, err = stopAndAudit(ma, "chaos"); err != nil {
+		return err
 	}
 	res.Injected = ma.Faults.Counts()
 	res.InjectedTotal = ma.Faults.InjectedTotal()
 	res.ScheduleDigest = ma.Faults.ScheduleDigest()
 	res.FaultRecords, res.FaultOverflows = ma.IOMMU.FaultQueueStats()
 	res.ITETimeouts = ma.IOMMU.InvQ().ITETimeouts
-	res.Snapshot = ma.StatsSnapshot()
 	return nil
 }
 
 // RunChaosNetperf runs a bidirectional netperf under the fault schedule:
 // every RX and TX path of the stack — wire, DMA translation, invalidation,
 // allocation, completion delivery — takes deterministic hits while the
-// degradation paths keep the machine alive. The run fails only if a layer
-// panics or the allocator's conservation invariants break.
+// degradation paths keep the machine alive. Half the machine's cores
+// receive and half send. The run fails only if a layer panics or the
+// allocator's conservation invariants break.
 func RunChaosNetperf(cfg ChaosConfig) (ChaosResult, error) {
-	ma, err := newChaosMachine(&cfg)
+	sup, err := startChaos(&cfg)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	defer ma.Close() // after finishChaos has read it
-	sup := attachChaosRecovery(&cfg, ma)
+	ma := cfg.Machine
 	rx, tx := splitCores(len(ma.Cores))
 	var res ChaosResult
 	res.Netperf, err = RunNetperf(NetperfConfig{
@@ -167,12 +165,11 @@ type ChaosMemcachedResult struct {
 // fault schedule — the RX-and-TX-coupled flow where a lost completion stalls
 // a memslap slot until the watchdog reaps it.
 func RunChaosMemcached(cfg ChaosConfig) (ChaosMemcachedResult, error) {
-	ma, err := newChaosMachine(&cfg)
+	sup, err := startChaos(&cfg)
 	if err != nil {
 		return ChaosMemcachedResult{}, err
 	}
-	defer ma.Close() // after finishChaos has read it
-	sup := attachChaosRecovery(&cfg, ma)
+	ma := cfg.Machine
 	var res ChaosMemcachedResult
 	res.Memcached, err = RunMemcached(MemcachedConfig{
 		Machine:  ma,

@@ -6,13 +6,22 @@ import (
 
 	"github.com/asplos18/damn/internal/faults"
 	"github.com/asplos18/damn/internal/sim"
+	"github.com/asplos18/damn/internal/stats"
 	"github.com/asplos18/damn/internal/testbed"
 )
 
-// chaosCfg is the shared configuration at a uniform rate. Rates is set
-// explicitly, so a zero rate is zero: nil would mean the 0.002 default.
-func chaosCfg(seed int64, rate float64) ChaosConfig {
-	return ChaosConfig{FaultSeed: seed, Rates: faults.UniformRates(rate)}
+// runChaos runs RunChaosNetperf on the chaos figure's machine — DAMN, four
+// cores, engine seed 0 — with its fault plane rooted at seed, and returns
+// the result and the machine's final metrics.
+func runChaos(t *testing.T, seed int64, rates map[faults.Kind]float64, supervised bool) (ChaosResult, stats.Snapshot) {
+	t.Helper()
+	ma := faultMachine(t, testbed.SchemeDAMN, 4, seed, rates)
+	defer ma.Close()
+	res, err := RunChaosNetperf(ChaosConfig{Machine: ma, Recovery: supervised})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, ma.StatsSnapshot()
 }
 
 // TestChaosSeedReplay: the defining property of the fault plane — the same
@@ -20,14 +29,8 @@ func chaosCfg(seed int64, rate float64) ChaosConfig {
 // decision (digest), every count, the workload result and the entire final
 // metrics state.
 func TestChaosSeedReplay(t *testing.T) {
-	a, err := RunChaosNetperf(chaosCfg(42, 0.003))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunChaosNetperf(chaosCfg(42, 0.003))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, snapA := runChaos(t, 42, faults.UniformRates(0.003), false)
+	b, snapB := runChaos(t, 42, faults.UniformRates(0.003), false)
 	if a.ScheduleDigest != b.ScheduleDigest {
 		t.Fatalf("fault schedules diverged: digest %#x vs %#x", a.ScheduleDigest, b.ScheduleDigest)
 	}
@@ -37,7 +40,7 @@ func TestChaosSeedReplay(t *testing.T) {
 	if a.Netperf != b.Netperf {
 		t.Fatalf("workload results diverged:\n%+v\n%+v", a.Netperf, b.Netperf)
 	}
-	if !reflect.DeepEqual(a.Snapshot, b.Snapshot) {
+	if !reflect.DeepEqual(snapA, snapB) {
 		t.Fatal("final stats snapshots diverged between identical seeds")
 	}
 }
@@ -45,14 +48,8 @@ func TestChaosSeedReplay(t *testing.T) {
 // TestChaosSeedsDiverge: different seeds must produce different schedules —
 // otherwise the seed isn't reaching the streams.
 func TestChaosSeedsDiverge(t *testing.T) {
-	a, err := RunChaosNetperf(chaosCfg(1, 0.003))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunChaosNetperf(chaosCfg(2, 0.003))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := runChaos(t, 1, faults.UniformRates(0.003), false)
+	b, _ := runChaos(t, 2, faults.UniformRates(0.003), false)
 	if a.InjectedTotal == 0 || b.InjectedTotal == 0 {
 		t.Fatalf("expected faults to fire: %d and %d", a.InjectedTotal, b.InjectedTotal)
 	}
@@ -66,10 +63,7 @@ func TestChaosSeedsDiverge(t *testing.T) {
 // injectable fault kind at least once in aggregate, pass the allocator's
 // conservation audit, and expose the per-kind counters via the registry.
 func TestChaosNetperfSurvivesFaults(t *testing.T) {
-	res, err := RunChaosNetperf(chaosCfg(7, 0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, snap := runChaos(t, 7, faults.UniformRates(0.01), false)
 	if res.Netperf.TotalGbps <= 0 {
 		t.Fatalf("machine stopped moving traffic under faults: %+v", res.Netperf)
 	}
@@ -98,9 +92,9 @@ func TestChaosNetperfSurvivesFaults(t *testing.T) {
 	}
 	for _, k := range faults.Kinds {
 		key := "faults/injected_" + k.String()
-		if res.Snapshot.Counters[key] != res.Injected[k.String()] {
+		if snap.Counters[key] != res.Injected[k.String()] {
 			t.Errorf("registry counter %s=%d disagrees with injector %d",
-				key, res.Snapshot.Counters[key], res.Injected[k.String()])
+				key, snap.Counters[key], res.Injected[k.String()])
 		}
 	}
 }
@@ -109,14 +103,12 @@ func TestChaosNetperfSurvivesFaults(t *testing.T) {
 // zero must not change the workload numbers — the injection points and the
 // watchdog are free when nothing fires.
 func TestChaosZeroRateMatchesBaseline(t *testing.T) {
-	chaos, err := RunChaosNetperf(chaosCfg(9, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	chaos, _ := runChaos(t, 9, faults.UniformRates(0), false)
 	ma, err := testbed.NewMachine(testbed.MachineConfig{Scheme: testbed.SchemeDAMN, Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ma.Close()
 	base, err := RunNetperf(NetperfConfig{
 		Machine: ma,
 		RXCores: []int{0, 1}, TXCores: []int{2, 3},
@@ -150,10 +142,7 @@ func TestChaosScheduleGolden(t *testing.T) {
 		{42, 0.003, 0x10e43791e6f66421, 1042, 195.96137813333334},
 		{7, 0.01, 0x57be0b3e12e9214d, 3498, 191.6796928},
 	} {
-		res, err := RunChaosNetperf(chaosCfg(g.seed, g.rate))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := runChaos(t, g.seed, faults.UniformRates(g.rate), false)
 		if res.ScheduleDigest != g.digest {
 			t.Errorf("seed=%d rate=%v: digest %#x, want %#x (fault streams shifted)",
 				g.seed, g.rate, res.ScheduleDigest, g.digest)
@@ -176,10 +165,7 @@ func TestChaosThroughputDegradesGracefully(t *testing.T) {
 	rates := []float64{0, 0.003, 0.03}
 	gbps := make([]float64, len(rates))
 	for i, r := range rates {
-		res, err := RunChaosNetperf(chaosCfg(11, r))
-		if err != nil {
-			t.Fatalf("rate %v: %v", r, err)
-		}
+		res, _ := runChaos(t, 11, faults.UniformRates(r), false)
 		gbps[i] = res.Netperf.TotalGbps
 		if gbps[i] <= 0 {
 			t.Fatalf("rate %v: machine wedged (%.3f Gb/s)", r, gbps[i])
@@ -204,8 +190,9 @@ func TestChaosThroughputDegradesGracefully(t *testing.T) {
 // to TX, so a lost completion stalls a memslap slot until the watchdog reaps
 // it — the run must keep serving ops and pass the audit.
 func TestChaosMemcachedSurvivesFaults(t *testing.T) {
-	cfg := chaosCfg(13, 0.005)
-	res, err := RunChaosMemcached(cfg)
+	ma := faultMachine(t, testbed.SchemeDAMN, 4, 13, faults.UniformRates(0.005))
+	defer ma.Close()
+	res, err := RunChaosMemcached(ChaosConfig{Machine: ma})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +211,9 @@ func TestChaosMemcachedSurvivesFaults(t *testing.T) {
 // machine leaks a chunk per failure and the conservation audit pins them
 // forever.
 func TestUnmapFailureReleasesDamnBuffers(t *testing.T) {
-	res, err := RunChaosNetperf(ChaosConfig{
-		FaultSeed: 5,
-		Rates:     map[faults.Kind]float64{faults.UnmapFail: 0.05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := res.Snapshot.Counter("netstack/rx_unmap_errors")
-	released := res.Snapshot.Counter("netstack/rx_unmap_released")
+	res, snap := runChaos(t, 5, map[faults.Kind]float64{faults.UnmapFail: 0.05}, false)
+	errs := snap.Counter("netstack/rx_unmap_errors")
+	released := snap.Counter("netstack/rx_unmap_released")
 	if errs == 0 {
 		t.Fatal("no unmap failures injected; regression not exercised")
 	}
@@ -255,15 +236,8 @@ func TestUnmapFailureReleasesDamnBuffers(t *testing.T) {
 // schedule under test, so two identical runs must still agree on every
 // decision and on the recovery evidence.
 func TestChaosWithRecoverySupervised(t *testing.T) {
-	cfg := ChaosConfig{
-		FaultSeed: 9,
-		Rates:     map[faults.Kind]float64{faults.DMAFault: 0.3},
-		Recovery:  true,
-	}
-	a, err := RunChaosNetperf(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	storm := map[faults.Kind]float64{faults.DMAFault: 0.3}
+	a, _ := runChaos(t, 9, storm, true)
 	if a.RecoveryFinal == "off" {
 		t.Fatal("Recovery: true attached no supervisor")
 	}
@@ -273,12 +247,70 @@ func TestChaosWithRecoverySupervised(t *testing.T) {
 	if a.DamnLiveChunks < 0 {
 		t.Error("no DAMN audit ran")
 	}
-	b, err := RunChaosNetperf(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, _ := runChaos(t, 9, storm, true)
 	if a.RecoveryFinal != b.RecoveryFinal || a.RecoveryStorms != b.RecoveryStorms ||
 		a.RecoveryResets != b.RecoveryResets || a.ScheduleDigest != b.ScheduleDigest {
 		t.Errorf("supervised chaos runs diverge:\n a=%+v\n b=%+v", a, b)
+	}
+}
+
+// TestFaultRunnersRejectMachines: the runners that take a faulted machine
+// refuse a nil machine and one built without a fault plane, and the
+// tenants experiment refuses a machine without two cores per tenant,
+// before they touch the machine.
+func TestFaultRunnersRejectMachines(t *testing.T) {
+	plain, err := testbed.NewMachine(testbed.MachineConfig{Scheme: testbed.SchemeDAMN, MemBytes: 64 << 20, Cores: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	faulted, err := testbed.NewMachine(testbed.MachineConfig{
+		Scheme: testbed.SchemeDAMN, MemBytes: 64 << 20, Cores: 4, Faults: &faults.Config{Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faulted.Close()
+	tenants := func(n int) func(*testbed.Machine) error {
+		return func(ma *testbed.Machine) error {
+			_, err := RunTenants(TenantsConfig{Machine: ma, Tenants: n})
+			return err
+		}
+	}
+	runners := []struct {
+		name string
+		run  func(*testbed.Machine) error
+	}{
+		{"chaos-netperf", func(ma *testbed.Machine) error {
+			_, err := RunChaosNetperf(ChaosConfig{Machine: ma})
+			return err
+		}},
+		{"chaos-memcached", func(ma *testbed.Machine) error {
+			_, err := RunChaosMemcached(ChaosConfig{Machine: ma})
+			return err
+		}},
+		{"recovery", func(ma *testbed.Machine) error {
+			_, err := RunRecovery(RecoveryConfig{Machine: ma})
+			return err
+		}},
+		{"tenants", tenants(2)},
+	}
+	for _, r := range runners {
+		for _, c := range []struct {
+			name string
+			ma   *testbed.Machine
+		}{{"nil", nil}, {"no-fault-plane", plain}} {
+			if err := r.run(c.ma); err == nil {
+				t.Errorf("%s accepted a %s machine", r.name, c.name)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 3} {
+		if err := tenants(n)(faulted); err == nil {
+			t.Errorf("tenants: %d tenants accepted a 4-core machine", n)
+		}
+	}
+	if faulted.Sim.Now() != 0 || plain.Sim.Now() != 0 {
+		t.Error("a rejected run advanced its machine")
 	}
 }

@@ -98,9 +98,11 @@ func TestRunnerResultsGolden(t *testing.T) {
 			ScheduleDigest: 0x931552347c8d9ae7, DamnLiveChunks: 195}},
 
 		{"recovery", func(t *testing.T) (any, error) {
+			ma := faultMachine(t, testbed.SchemeDAMN, 4, 7, nil)
+			t.Cleanup(ma.Close)
 			return RunRecovery(RecoveryConfig{
-				Scheme: testbed.SchemeDAMN, FaultSeed: 7,
-				Warmup: 2 * sim.Millisecond, Steady: goldenWindow, Measure: goldenWindow,
+				Machine: ma,
+				Warmup:  2 * sim.Millisecond, Steady: goldenWindow, Measure: goldenWindow,
 			})
 		}, RecoveryResult{Scheme: "damn", SteadyGbps: 197.41682035998485, StormGbps: 109.838336,
 			RecoveredGbps: 200.91092337520584, DetectPS: 85561050, MTTRPS: 100000000,
@@ -109,8 +111,10 @@ func TestRunnerResultsGolden(t *testing.T) {
 			FaultOverflows: 0xec7, ScheduleDigest: 0x8c1fa5d042556575}},
 
 		{"tenants", func(t *testing.T) (any, error) {
+			ma := faultMachine(t, testbed.SchemeDAMN, 4, 3, nil)
+			t.Cleanup(ma.Close)
 			return RunTenants(TenantsConfig{
-				Scheme: testbed.SchemeDAMN, Tenants: 2, FaultSeed: 3, Attack: true,
+				Machine: ma, Tenants: 2, Attack: true,
 				Warmup: 1 * sim.Millisecond, Measure: goldenWindow, AttackLen: goldenWindow,
 			})
 		}, TenantsResult{Scheme: "damn", Tenants: 2,

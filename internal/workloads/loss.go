@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"github.com/asplos18/damn/internal/device"
 	"github.com/asplos18/damn/internal/netstack"
 	"github.com/asplos18/damn/internal/sim"
@@ -139,11 +137,8 @@ type LossResult struct {
 // segments.
 func RunLoss(cfg LossConfig) (LossResult, error) {
 	ma := cfg.Machine
-	if ma == nil {
-		return LossResult{}, fmt.Errorf("workloads: nil machine")
-	}
-	if ma.Faults == nil {
-		return LossResult{}, fmt.Errorf("workloads: loss run needs a fault plane (zero rates are fine)")
+	if err := needFaultPlane(ma, "loss"); err != nil {
+		return LossResult{}, err
 	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 30 * sim.Millisecond
@@ -232,16 +227,9 @@ func RunLoss(cfg LossConfig) (LossResult, error) {
 		res.RetxPct = 100 * float64(retx) / float64(total)
 	}
 
-	if ma.StopWatchdog != nil {
-		ma.StopWatchdog()
-	}
-	res.DamnLiveChunks = -1
-	if ma.Damn != nil {
-		live, err := ma.Damn.Audit()
-		if err != nil {
-			return res, fmt.Errorf("workloads: loss conservation audit: %w", err)
-		}
-		res.DamnLiveChunks = live
+	var err error
+	if res.DamnLiveChunks, err = stopAndAudit(ma, "loss"); err != nil {
+		return res, err
 	}
 	res.InjectedTotal = ma.Faults.InjectedTotal()
 	res.ScheduleDigest = ma.Faults.ScheduleDigest()

@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"github.com/asplos18/damn/internal/faults"
 	"github.com/asplos18/damn/internal/recovery"
 	"github.com/asplos18/damn/internal/sim"
@@ -12,12 +10,15 @@ import (
 // RecoveryConfig describes one recovery experiment: a bidirectional netperf
 // that reaches steady state, suffers a scheduled DMA-fault storm, and is
 // healed by the fault-domain supervisor. Every phase boundary is a fixed
-// simulated time and the storm is drawn from the seeded fault plane, so the
-// whole trajectory — dip, detection, quarantine, reset, recovery — replays
-// byte-identically from (Scheme, FaultSeed).
+// simulated time and the storm is drawn from the machine's seeded fault
+// plane, so the whole trajectory — dip, detection, quarantine, reset,
+// recovery — replays byte-identically from the machine's scheme and fault
+// seed.
 type RecoveryConfig struct {
-	Scheme    testbed.Scheme
-	FaultSeed int64
+	// Machine runs the experiment. It must carry a fault plane, armed with
+	// every rate at zero: the storm is the only injected failure, raised
+	// and lowered by scheduled events. Half its cores receive, half send.
+	Machine *testbed.Machine
 	// Warmup precedes the steady-state measurement (default 10 ms).
 	Warmup sim.Time
 	// Steady is the pre-storm measurement window (default 15 ms).
@@ -56,9 +57,6 @@ type RecoveryResult struct {
 }
 
 func (cfg *RecoveryConfig) defaults() {
-	if cfg.Scheme == "" {
-		cfg.Scheme = testbed.SchemeDAMN
-	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 10 * sim.Millisecond
 	}
@@ -71,8 +69,6 @@ func (cfg *RecoveryConfig) defaults() {
 }
 
 const (
-	// recoveryCores is the machine's core count, like the chaos harness.
-	recoveryCores int = 4
 	// recoveryStormRate is the per-translation fault probability during
 	// the storm: a sick device, not a flaky link.
 	recoveryStormRate float64 = 0.5
@@ -88,18 +84,11 @@ const (
 
 // RunRecovery executes the storm-and-heal experiment and returns its row.
 func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
-	cfg.defaults()
-	// The fault plane is armed with every rate at zero: the storm is the
-	// only injected failure, raised and lowered by scheduled events.
-	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme: cfg.Scheme,
-		Cores:  recoveryCores,
-		Faults: &faults.Config{Seed: cfg.FaultSeed, Rates: map[faults.Kind]float64{}},
-	})
-	if err != nil {
+	ma := cfg.Machine
+	if err := needFaultPlane(ma, "recovery"); err != nil {
 		return RecoveryResult{}, err
 	}
-	defer ma.Close()
+	cfg.defaults()
 	sup := recovery.Attach(ma)
 
 	// Bidirectional netperf: half the cores receive, half send.
@@ -152,10 +141,6 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	res.RecoveredGbps = measure(cfg.Measure)
 
 	sup.Stop()
-	if ma.StopWatchdog != nil {
-		ma.StopWatchdog()
-	}
-
 	res.DetectPS = detectLatency(sup, stormStart)
 	res.MTTRPS = sup.MTTR(testbed.NICDeviceID)
 	res.FinalState = sup.State(testbed.NICDeviceID).String()
@@ -166,16 +151,8 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	res.PinnedChunks = sup.PinnedChunks
 	res.FaultRecords, res.FaultOverflows, _ = ma.IOMMU.DeviceFaultStats(testbed.NICDeviceID)
 	res.ScheduleDigest = ma.Faults.ScheduleDigest()
-
-	res.DamnLiveChunks = -1
-	if ma.Damn != nil {
-		live, err := ma.Damn.Audit()
-		if err != nil {
-			return res, fmt.Errorf("workloads: recovery conservation audit: %w", err)
-		}
-		res.DamnLiveChunks = live
-	}
-	return res, nil
+	res.DamnLiveChunks, err = stopAndAudit(ma, "recovery")
+	return res, err
 }
 
 // detectLatency is storm start → first quarantine of the NIC.

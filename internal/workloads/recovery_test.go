@@ -13,7 +13,9 @@ import (
 func TestRecoveryStormHeals(t *testing.T) {
 	for _, scheme := range []testbed.Scheme{testbed.SchemeDeferred, testbed.SchemeDAMN} {
 		t.Run(string(scheme), func(t *testing.T) {
-			res, err := RunRecovery(RecoveryConfig{Scheme: scheme, FaultSeed: 7})
+			ma := faultMachine(t, scheme, 4, 7, nil)
+			defer ma.Close()
+			res, err := RunRecovery(RecoveryConfig{Machine: ma})
 			if err != nil {
 				t.Fatalf("RunRecovery: %v", err)
 			}
@@ -47,7 +49,9 @@ func TestRecoveryStormHeals(t *testing.T) {
 // recovery — must be a pure function of (scheme, seed).
 func TestRecoveryDeterminism(t *testing.T) {
 	run := func() RecoveryResult {
-		res, err := RunRecovery(RecoveryConfig{Scheme: testbed.SchemeDAMN, FaultSeed: 11})
+		ma := faultMachine(t, testbed.SchemeDAMN, 4, 11, nil)
+		defer ma.Close()
+		res, err := RunRecovery(RecoveryConfig{Machine: ma})
 		if err != nil {
 			t.Fatalf("RunRecovery: %v", err)
 		}

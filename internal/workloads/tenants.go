@@ -22,12 +22,16 @@ import (
 // capabilities, DMA probes into sibling IOVA ranges, a DMA-fault storm)
 // and measures the blast radius on its neighbours while the containment
 // ladder runs. Every phase boundary is a fixed simulated time, so the
-// whole trajectory replays byte-identically from (Scheme, Tenants, Seed).
+// whole trajectory replays byte-identically from the machine's scheme and
+// fault seed and the tenant count.
 type TenantsConfig struct {
-	Scheme  testbed.Scheme
+	// Machine runs the experiment. It must have 2·Tenants cores — each
+	// tenant owns one RX ring (cores 0..N-1) and one TX ring (cores
+	// N..2N-1), the same bidirectional split as the recovery harness — and
+	// a fault plane armed with every rate at zero, which seeds the attack
+	// storm.
+	Machine *testbed.Machine
 	Tenants int
-	// FaultSeed seeds the fault plane (the attack storm's randomness).
-	FaultSeed int64
 	// Warmup precedes the clean measurement (default 5 ms).
 	Warmup sim.Time
 	// Measure is the clean-phase measurement window (default 10 ms).
@@ -37,11 +41,6 @@ type TenantsConfig struct {
 	// AttackLen is the hostile window (default 10 ms; the victim-goodput
 	// measurement spans exactly this window).
 	AttackLen sim.Time
-	// OnMachine, when non-nil, observes the finished machine (the figure
-	// uses it to export the stats snapshot, per-tenant counters included).
-	// RunTenants closes the machine when it returns, so the hook must not
-	// keep it.
-	OnMachine func(*testbed.Machine)
 }
 
 // TenantsResult is one row of the tenants figure.
@@ -79,12 +78,6 @@ type TenantsResult struct {
 }
 
 func (cfg *TenantsConfig) defaults() {
-	if cfg.Scheme == "" {
-		cfg.Scheme = testbed.SchemeDAMN
-	}
-	if cfg.Tenants == 0 {
-		cfg.Tenants = 4
-	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 5 * sim.Millisecond
 	}
@@ -107,19 +100,15 @@ const (
 
 // RunTenants executes the multi-tenant experiment and returns its row.
 func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
-	cfg.defaults()
-	nT := cfg.Tenants
-	// Each tenant owns one RX ring (cores 0..N-1) and one TX ring (cores
-	// N..2N-1), the same bidirectional split as the recovery harness.
-	ma, err := testbed.NewMachine(testbed.MachineConfig{
-		Scheme: cfg.Scheme,
-		Cores:  2 * nT,
-		Faults: &faults.Config{Seed: cfg.FaultSeed, Rates: map[faults.Kind]float64{}},
-	})
-	if err != nil {
+	ma := cfg.Machine
+	if err := needFaultPlane(ma, "tenants"); err != nil {
 		return TenantsResult{}, err
 	}
-	defer ma.Close() // after OnMachine, the machine's last reader
+	nT := cfg.Tenants
+	if len(ma.Cores) != 2*nT {
+		return TenantsResult{}, fmt.Errorf("workloads: %d tenants need 2 cores each, machine has %d", nT, len(ma.Cores))
+	}
+	cfg.defaults()
 	mgr := tenant.Attach(ma)
 	sup := recovery.Attach(ma)
 	// The supervisor owns the single-consumer fault-record ring; records
@@ -128,6 +117,7 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 	sup.OnForeignRecord = mgr.BindSupervisor()
 
 	tens := make([]*tenant.Tenant, nT)
+	var err error
 	for i := 0; i < nT; i++ {
 		tens[i], err = mgr.AddTenant(i, 1, []int{i, nT + i})
 		if err != nil {
@@ -277,23 +267,9 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 
 	mgr.Stop()
 	sup.Stop()
-	if ma.StopWatchdog != nil {
-		ma.StopWatchdog()
-	}
-
 	res.ScheduleDigest = ma.Faults.ScheduleDigest()
-	res.DamnLiveChunks = -1
-	if ma.Damn != nil {
-		live, err := ma.Damn.Audit()
-		if err != nil {
-			return res, fmt.Errorf("workloads: tenants conservation audit: %w", err)
-		}
-		res.DamnLiveChunks = live
-	}
-	if cfg.OnMachine != nil {
-		cfg.OnMachine(ma)
-	}
-	return res, nil
+	res.DamnLiveChunks, err = stopAndAudit(ma, "tenants")
+	return res, err
 }
 
 // jain computes Jain's fairness index (Σx)²/(n·Σx²) — 1.0 is perfectly

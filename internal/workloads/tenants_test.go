@@ -9,16 +9,27 @@ import (
 	"github.com/asplos18/damn/internal/testbed"
 )
 
-// TestTenantsClean: with no attacker, every tenant gets an equal share —
-// Jain's index near 1 — and conservation holds.
-func TestTenantsClean(t *testing.T) {
-	res, err := RunTenants(TenantsConfig{
-		Scheme: testbed.SchemeDAMN, Tenants: 4, FaultSeed: 1,
-		Warmup: 2 * sim.Millisecond, Measure: 5 * sim.Millisecond,
-	})
+// runTenants runs cfg on a fresh machine of scheme with two cores per
+// tenant and a zero-rate fault plane rooted at seed.
+func runTenants(t *testing.T, scheme testbed.Scheme, seed int64, cfg TenantsConfig) TenantsResult {
+	t.Helper()
+	ma := faultMachine(t, scheme, 2*cfg.Tenants, seed, nil)
+	defer ma.Close()
+	cfg.Machine = ma
+	res, err := RunTenants(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// TestTenantsClean: with no attacker, every tenant gets an equal share —
+// Jain's index near 1 — and conservation holds.
+func TestTenantsClean(t *testing.T) {
+	res := runTenants(t, testbed.SchemeDAMN, 1, TenantsConfig{
+		Tenants: 4,
+		Warmup:  2 * sim.Millisecond, Measure: 5 * sim.Millisecond,
+	})
 	if res.AggGbps <= 0 {
 		t.Fatalf("no goodput: %+v", res)
 	}
@@ -37,14 +48,11 @@ func TestTenantsClean(t *testing.T) {
 // with the attacker's DAMN generation reclaimed audit-clean and zero fault
 // records attributed to the victims.
 func TestTenantsBlastRadius(t *testing.T) {
-	res, err := RunTenants(TenantsConfig{
-		Scheme: testbed.SchemeDAMN, Tenants: 4, FaultSeed: 1,
-		Warmup: 2 * sim.Millisecond, Measure: 5 * sim.Millisecond,
+	res := runTenants(t, testbed.SchemeDAMN, 1, TenantsConfig{
+		Tenants: 4,
+		Warmup:  2 * sim.Millisecond, Measure: 5 * sim.Millisecond,
 		Attack: true, AttackLen: 5 * sim.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !res.Attacked {
 		t.Fatal("attack phase did not run")
 	}
@@ -79,14 +87,11 @@ func TestTenantsBlastRadius(t *testing.T) {
 // shared fault plane (device-filtered uniform rate) and checks neighbours
 // see none of it: their goodput holds and no records land on their VFs.
 func TestTenantsFaultStormIsolation(t *testing.T) {
-	res, err := RunTenants(TenantsConfig{
-		Scheme: testbed.SchemeDAMN, Tenants: 2, FaultSeed: 7,
-		Warmup: 2 * sim.Millisecond, Measure: 4 * sim.Millisecond,
+	res := runTenants(t, testbed.SchemeDAMN, 7, TenantsConfig{
+		Tenants: 2,
+		Warmup:  2 * sim.Millisecond, Measure: 4 * sim.Millisecond,
 		Attack: true, AttackLen: 4 * sim.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.CrossTenantRecs != 0 {
 		t.Errorf("fault storm leaked %d records onto the neighbour", res.CrossTenantRecs)
 	}
@@ -96,18 +101,14 @@ func TestTenantsFaultStormIsolation(t *testing.T) {
 }
 
 // TestTenantsSeedReplay: the whole multi-tenant trajectory — including the
-// attack — is a pure function of (Scheme, Tenants, Seed).
+// attack — is a pure function of (scheme, tenants, fault seed).
 func TestTenantsSeedReplay(t *testing.T) {
 	run := func() TenantsResult {
-		res, err := RunTenants(TenantsConfig{
-			Scheme: testbed.SchemeDAMN, Tenants: 2, FaultSeed: 3,
-			Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
+		return runTenants(t, testbed.SchemeDAMN, 3, TenantsConfig{
+			Tenants: 2,
+			Warmup:  1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
 			Attack: true, AttackLen: 3 * sim.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
 	a, b := run(), run()
 	if a.ScheduleDigest != b.ScheduleDigest {
@@ -122,14 +123,11 @@ func TestTenantsSeedReplay(t *testing.T) {
 // TestTenantsOffSchemeProbesLand documents the counterfactual: with the
 // IOMMU off, per-tenant domains are passthrough and neighbour probes land.
 func TestTenantsOffSchemeProbesLand(t *testing.T) {
-	res, err := RunTenants(TenantsConfig{
-		Scheme: testbed.SchemeOff, Tenants: 2, FaultSeed: 1,
-		Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
+	res := runTenants(t, testbed.SchemeOff, 1, TenantsConfig{
+		Tenants: 2,
+		Warmup:  1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
 		Attack: true, AttackLen: 2 * sim.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.ProbesLanded == 0 {
 		t.Error("iommu-off probes were all blocked — passthrough not propagated to tenant VFs")
 	}

@@ -20,6 +20,21 @@ func quickMachine(t testing.TB, scheme testbed.Scheme) *testbed.Machine {
 	return ma
 }
 
+// faultMachine builds the fault-plane harnesses' machine: the default
+// 1 GiB testbed with the given cores, engine seed 0 and a fault plane
+// rooted at seed (nil rates: every kind at zero). The caller releases it.
+func faultMachine(t testing.TB, scheme testbed.Scheme, cores int, seed int64, rates map[faults.Kind]float64) *testbed.Machine {
+	t.Helper()
+	ma, err := testbed.NewMachine(testbed.MachineConfig{
+		Scheme: scheme, Cores: cores,
+		Faults: &faults.Config{Seed: seed, Rates: rates},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ma
+}
+
 func TestMemcachedMakesProgress(t *testing.T) {
 	// Eight cores run eight instances, one per core.
 	ma, err := testbed.NewMachine(testbed.MachineConfig{
