@@ -24,7 +24,7 @@ func TestAttackMatrixGolden(t *testing.T) {
 		{"deferred", "window-write", true, "device writes a buffer after dma_unmap returned"},
 		{"deferred", "tocttou-header", true, "device rewrites packet headers after firewall inspection"},
 		{"deferred", "fault-storm", false, "storm detected, device quarantined and healed (MTTR 100.0µs)"},
-		{"deferred", "tenant-probe", false, "probes blocked (3536 classified), 47 forged caps denied, attacker evicted"},
+		{"deferred", "tenant-probe", false, "probes blocked (3579 classified), 42 forged caps denied, attacker evicted"},
 		{"strict", "arbitrary-read", false, "device DMA-reads a kmalloc'ed secret at its physical address"},
 		{"strict", "co-location", true, "device hunts a secret co-located with a mapped network buffer"},
 		{"strict", "window-write", false, "device writes a buffer after dma_unmap returned"},
@@ -42,7 +42,7 @@ func TestAttackMatrixGolden(t *testing.T) {
 		{"damn", "window-write", false, "device writes a buffer after dma_unmap returned"},
 		{"damn", "tocttou-header", false, "device rewrites packet headers after firewall inspection"},
 		{"damn", "fault-storm", false, "storm detected, device quarantined and healed (MTTR 100.0µs)"},
-		{"damn", "tenant-probe", false, "probes blocked (3536 classified), 33 forged caps denied, attacker evicted"},
+		{"damn", "tenant-probe", false, "probes blocked (3579 classified), 25 forged caps denied, attacker evicted"},
 		{"bypass-raw", "arbitrary-read", true, "device DMA-reads a kmalloc'ed secret at its physical address"},
 		{"bypass-raw", "co-location", true, "device hunts a secret co-located with a mapped network buffer"},
 		{"bypass-raw", "window-write", true, "device writes a buffer after dma_unmap returned"},

@@ -274,7 +274,8 @@ func TestLadderEvict(t *testing.T) {
 type stormResult struct {
 	state       tenant.State
 	quarantines int
-	ladder      []tenant.State
+	// ladder is the manager's transitions, with the time of each step.
+	ladder []tenant.Transition
 	// recorded and overflowed are VF 0's fault records deposited in, and
 	// lost to, the IOMMU's fault-record ring.
 	recorded, overflowed uint64
@@ -284,14 +285,18 @@ type stormResult struct {
 // unmapped IOVA every 5 µs, for 5 ms or until VF 0 is evicted. supervised
 // attaches the recovery supervisor and routes its foreign fault records
 // into the manager; otherwise the manager reads the fault-record ring
-// itself.
+// itself. The supervisor is attached first, so at each poll it forwards
+// the tick's records before the manager's poll judges them.
 func stormVF0(t *testing.T, supervised bool) stormResult {
 	t.Helper()
 	ma := newMachine(t)
 	defer ma.Close()
-	mgr := tenant.Attach(ma)
+	var sup *recovery.Supervisor
 	if supervised {
-		sup := recovery.Attach(ma)
+		sup = recovery.Attach(ma)
+	}
+	mgr := tenant.Attach(ma)
+	if sup != nil {
 		sup.OnForeignRecord = mgr.BindSupervisor()
 	}
 	ten, err := mgr.AddTenant(0, 1, []int{0})
@@ -311,10 +316,7 @@ func stormVF0(t *testing.T, supervised bool) stormResult {
 	for ma.Sim.Now() < deadline && ten.State() != tenant.Evicted {
 		ma.Sim.Run(ma.Sim.Now() + 50*sim.Microsecond)
 	}
-	res := stormResult{state: ten.State(), quarantines: ten.Quarantines()}
-	for _, tr := range mgr.Transitions {
-		res.ladder = append(res.ladder, tr.To)
-	}
+	res := stormResult{state: ten.State(), quarantines: ten.Quarantines(), ladder: mgr.Transitions}
 	res.recorded, res.overflowed, _ = ma.IOMMU.DeviceFaultStats(tenant.DevOf(0))
 	return res
 }
@@ -322,7 +324,8 @@ func stormVF0(t *testing.T, supervised bool) stormResult {
 // TestLadderEvictFaultStormStandalone: a manager with no recovery
 // supervisor sees every fault of a storming VF, not just the first 64 the
 // fault-record ring holds, so it walks the VF to eviction as a supervised
-// manager does, with the same records and the same ladder.
+// manager does, with the same records and the same ladder at the same
+// times.
 func TestLadderEvictFaultStormStandalone(t *testing.T) {
 	got := stormVF0(t, false)
 	if got.state != tenant.Evicted {

@@ -122,10 +122,10 @@ func TestRunnerResultsGolden(t *testing.T) {
 			JainIndex: 1, FairDelaysPS: []int64{554956, 554956},
 			Attacked: true, VictimGbps: []float64{114.08246344696471},
 			VictimRatioMin: 1.1356521739130434, VictimRatioMean: 1.1356521739130434,
-			AttackerState: "evicted", AttackerQuar: 2, Evictions: 0x1, ProbesBlocked: 0xddd,
-			CapChecks: 0xda5, CapDenials: 0x1c, CapRevocations: 0x2, ReleasedPages: 1712,
-			PinnedChunks: 15, RxWrongCoreByTen: []uint64{0x0, 0x0}, DamnLiveChunks: 162,
-			ScheduleDigest: 0xd9bc02905a57e266}},
+			AttackerState: "evicted", AttackerQuar: 2, Evictions: 0x1, ProbesBlocked: 0xdf3,
+			CapChecks: 0xd9c, CapDenials: 0x13, CapRevocations: 0x2, ReleasedPages: 1568,
+			PinnedChunks: 20, RxWrongCoreByTen: []uint64{0x0, 0x0}, DamnLiveChunks: 162,
+			ScheduleDigest: 0x716eb0ee06236ecd}},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			got, err := g.run(t)

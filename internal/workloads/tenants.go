@@ -109,11 +109,13 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 		return TenantsResult{}, fmt.Errorf("workloads: %d tenants need 2 cores each, machine has %d", nT, len(ma.Cores))
 	}
 	cfg.defaults()
-	mgr := tenant.Attach(ma)
-	sup := recovery.Attach(ma)
 	// The supervisor owns the single-consumer fault-record ring; records
 	// attributed to tenant VFs (not supervisor-managed devices) are
-	// forwarded into the containment windows.
+	// forwarded into the containment windows. It is attached first, so at
+	// each poll it forwards the tick's records before the manager's poll
+	// judges them.
+	sup := recovery.Attach(ma)
+	mgr := tenant.Attach(ma)
 	sup.OnForeignRecord = mgr.BindSupervisor()
 
 	tens := make([]*tenant.Tenant, nT)
