@@ -27,7 +27,8 @@
 // metrics registry keyed "<figure>/<scheme>"; -trace writes a Chrome
 // trace_event file (load in chrome://tracing or Perfetto) with one process
 // per simulated machine and one thread per core — tracing shares one sink
-// across machines, so it forces a serial run. -cpuprofile and -memprofile
+// across machines, so it forces a serial run. The cluster figure emits one
+// machine per topology and is not traced. -cpuprofile and -memprofile
 // profile the simulator itself on the host clock (runtime/pprof CPU and
 // allocation profiles, for go tool pprof); they leave stdout unchanged.
 //

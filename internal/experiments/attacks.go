@@ -129,15 +129,10 @@ func safety(scheme testbed.Scheme, opts Options) (subpage, noWindow bool, err er
 	return !r.landed, !w.landed, nil
 }
 
-// nicAttacker is the compromised NIC.
-func nicAttacker(ma *testbed.Machine) *device.Malicious {
-	return device.NewMalicious(ma.IOMMU, testbed.NICDeviceID)
-}
-
 // arbitraryRead: the device DMA-reads a kernel secret it was never given,
 // at its physical address.
 func arbitraryRead(ma *testbed.Machine) (outcome, error) {
-	attacker := nicAttacker(ma)
+	attacker := device.NewMalicious(ma.IOMMU, testbed.NICDeviceID)
 	secretPA, err := ma.Slab.Alloc(64, 0)
 	if err != nil {
 		return outcome{}, err
@@ -151,7 +146,7 @@ func arbitraryRead(ma *testbed.Machine) (outcome, error) {
 // coLocation: the device hunts a secret that shares a page with a mapped
 // network buffer (sub-page granularity).
 func coLocation(ma *testbed.Machine) (outcome, error) {
-	attacker := nicAttacker(ma)
+	attacker := device.NewMalicious(ma.IOMMU, testbed.NICDeviceID)
 	var lo, hi iommu.IOVA
 	if ma.Damn == nil {
 		// Legacy: a kmalloc'ed network buffer, mapped for the device; the
@@ -194,7 +189,7 @@ func coLocation(ma *testbed.Machine) (outcome, error) {
 // is the header rewrite of headerTOCTTOU.
 func windowWrite(ma *testbed.Machine) (outcome, error) {
 	const detail = "device writes a buffer after dma_unmap returned"
-	attacker := nicAttacker(ma)
+	attacker := device.NewMalicious(ma.IOMMU, testbed.NICDeviceID)
 	if ma.Damn != nil {
 		landed, err := rewriteInspected(ma, attacker)
 		return outcome{landed, detail}, err
@@ -225,7 +220,7 @@ func windowWrite(ma *testbed.Machine) (outcome, error) {
 // headerTOCTTOU: the device rewrites packet headers after the firewall
 // inspected them.
 func headerTOCTTOU(ma *testbed.Machine) (outcome, error) {
-	landed, err := rewriteInspected(ma, nicAttacker(ma))
+	landed, err := rewriteInspected(ma, device.NewMalicious(ma.IOMMU, testbed.NICDeviceID))
 	return outcome{landed, "device rewrites packet headers after firewall inspection"}, err
 }
 
@@ -275,7 +270,7 @@ func rewriteInspected(ma *testbed.Machine, attacker *device.Malicious) (bool, er
 // supervisor quarantines the device and heals the domain; with the IOMMU in
 // passthrough there are no fault records and the storm sails through.
 func faultStorm(ma *testbed.Machine) (outcome, error) {
-	attacker := nicAttacker(ma)
+	attacker := device.NewMalicious(ma.IOMMU, testbed.NICDeviceID)
 	sup := recovery.Attach(ma)
 	defer sup.Stop()
 	stop := ma.Sim.Every(2*sim.Microsecond, func() {

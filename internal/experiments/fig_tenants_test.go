@@ -12,7 +12,7 @@ import (
 
 // quickTenants runs a reduced grid (damn scheme only) at quick windows —
 // the full 5-scheme × 4-count grid is TestTenantsFigureParallelMatchesSerial
-// and `make figures`.
+// and `make golden`.
 func quickTenants(t *testing.T, n int, attack bool) workloads.TenantsResult {
 	t.Helper()
 	ma, err := testbed.NewMachine(Options{FaultSeed: 3}.harnessCfg(testbed.SchemeDAMN, 2*n, 0))
